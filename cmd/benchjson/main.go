@@ -1,5 +1,5 @@
 // Command benchjson converts `go test -bench` text output into a
-// machine-readable JSON document: benchmark name → per-metric means
+// machine-readable JSON document: benchmark name → per-metric summaries
 // (ns/op, B/op, allocs/op, plus every custom b.ReportMetric unit such as
 // events/s, losses/fault, faultcycles/s or sim_ms/fault). CI uses it to
 // emit a BENCH_<date>.json artifact next to the raw bench.txt; the
@@ -10,9 +10,11 @@
 //	go test -bench . -benchtime 1x -count=6 ./... | benchjson > BENCH_2026-08-08.json
 //	benchjson -in bench.txt -o BENCH_2026-08-08.json
 //
-// Repeated runs of one benchmark (-count > 1) average into a single
-// entry with the sample count recorded, benchstat-style. Non-benchmark
-// lines (test output, series tables) are ignored.
+// Repeated runs of one benchmark (-count > 1) fold into a single entry:
+// each metric records its sample count n, the mean, and the half-width of
+// the 95% confidence interval of the mean (Student t with n-1 degrees of
+// freedom; absent when n < 2). Non-benchmark lines (test output, series
+// tables) are ignored.
 package main
 
 import (
@@ -26,13 +28,23 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"powerfail/internal/runstore"
 )
 
-// entry accumulates one benchmark's samples.
+// entry summarises one benchmark's samples.
 type entry struct {
-	Samples int                `json:"samples"`
-	Iters   int64              `json:"iterations"`
-	Metrics map[string]float64 `json:"metrics"`
+	Samples int             `json:"samples"`
+	Iters   int64           `json:"iterations"`
+	Metrics map[string]stat `json:"metrics"`
+	values  map[string][]float64
+}
+
+// stat summarises one metric over its samples.
+type stat struct {
+	N    int      `json:"n"`
+	Mean float64  `json:"mean"`
+	CI95 *float64 `json:"ci95,omitempty"` // half-width; nil when N < 2
 }
 
 type document struct {
@@ -59,12 +71,35 @@ func main() {
 		r = f
 	}
 
+	doc, err := summarize(r, *date)
+	if err != nil {
+		fatal(err)
+	}
+
+	w := io.Writer(os.Stdout)
+	if *out != "" {
+		f, err := os.Create(*out)
+		if err != nil {
+			fatal(err)
+		}
+		defer f.Close()
+		w = f
+	}
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	// encoding/json sorts map keys, so the document is diff-friendly.
+	if err := enc.Encode(doc); err != nil {
+		fatal(err)
+	}
+}
+
+// summarize reads bench output and folds every benchmark's samples.
+func summarize(r io.Reader, date string) (document, error) {
 	doc := document{
-		Date:       *date,
+		Date:       date,
 		GoVersion:  runtime.Version(),
 		Benchmarks: map[string]*entry{},
 	}
-	sums := map[string]map[string]float64{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -83,43 +118,38 @@ func main() {
 		}
 		e := doc.Benchmarks[name]
 		if e == nil {
-			e = &entry{Metrics: map[string]float64{}}
+			e = &entry{Metrics: map[string]stat{}, values: map[string][]float64{}}
 			doc.Benchmarks[name] = e
-			sums[name] = map[string]float64{}
 		}
 		e.Samples++
 		e.Iters += iters
 		for unit, v := range metrics {
-			sums[name][unit] += v
+			e.values[unit] = append(e.values[unit], v)
 		}
 	}
 	if err := sc.Err(); err != nil {
-		fatal(err)
-	}
-	for name, e := range doc.Benchmarks {
-		for unit, sum := range sums[name] {
-			e.Metrics[unit] = sum / float64(e.Samples)
-		}
+		return doc, err
 	}
 	if len(doc.Benchmarks) == 0 {
-		fatal(fmt.Errorf("no benchmark result lines in input"))
+		return doc, fmt.Errorf("no benchmark result lines in input")
 	}
-
-	w := io.Writer(os.Stdout)
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fatal(err)
+	for _, e := range doc.Benchmarks {
+		for unit, xs := range e.values {
+			e.Metrics[unit] = summarizeSamples(xs)
 		}
-		defer f.Close()
-		w = f
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	// encoding/json sorts map keys, so the document is diff-friendly.
-	if err := enc.Encode(doc); err != nil {
-		fatal(err)
+	return doc, nil
+}
+
+// summarizeSamples returns the mean of xs and, for two or more samples,
+// the half-width of its 95% confidence interval.
+func summarizeSamples(xs []float64) stat {
+	mean, half, ok := runstore.MeanCI95(xs)
+	st := stat{N: len(xs), Mean: mean}
+	if ok {
+		st.CI95 = &half
 	}
+	return st
 }
 
 // parseBenchLine decodes one `BenchmarkName-P  N  v1 unit1  v2 unit2 ...`

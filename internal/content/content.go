@@ -87,6 +87,10 @@ func Make(pages ...Fingerprint) Data {
 	return Data{pages: cp}
 }
 
+// Wrap builds a Data over pages without copying. The caller hands the
+// slice over and must not write to it afterwards.
+func Wrap(pages []Fingerprint) Data { return Data{pages: pages} }
+
 // Random generates n pages of fresh random content.
 func Random(r *sim.RNG, n int) Data {
 	p := make([]Fingerprint, n)

@@ -8,10 +8,13 @@
 // flushed stays readable; if the host overwrites it mid-flush the entry is
 // re-dirtied with a new sequence number so the stale flush completion
 // cannot mark it clean.
+//
+// Entries live in a slot arena linked by int32 indices: both lists are
+// intrusive, freed slots go on a free list, and a power loss resets the
+// arena in place, so the steady state allocates nothing.
 package dram
 
 import (
-	"container/list"
 	"fmt"
 
 	"powerfail/internal/addr"
@@ -25,16 +28,36 @@ type Entry struct {
 	Seq uint64
 }
 
+// nilSlot terminates a list and marks an empty free list.
+const nilSlot int32 = -1
+
+// listID names the list a slot is linked on.
+type listID uint8
+
+const (
+	onNone listID = iota
+	onDirty
+	onClean
+)
+
 type slot struct {
-	lpn     addr.LPN
-	fp      content.Fingerprint
-	seq     uint64
-	dirty   bool
-	flights int           // outstanding flusher pops for this entry
-	elem    *list.Element // position on dirtyQ or cleanLRU
+	lpn        addr.LPN
+	fp         content.Fingerprint
+	seq        uint64
+	prev, next int32 // links on the list named by on; next doubles as the free-list link
+	flights    int32 // outstanding flusher pops for this entry
+	dirty      bool
+	on         listID
 }
 
 func (s *slot) flushing() bool { return s.flights > 0 }
+
+// list is a doubly linked list of arena slots.
+type list struct {
+	id         listID
+	head, tail int32
+	n          int
+}
 
 // Stats counts cache activity.
 type Stats struct {
@@ -50,10 +73,13 @@ type Stats struct {
 // Cache is the volatile write-back cache.
 type Cache struct {
 	capPages int
-	m        map[addr.LPN]*slot
-	dirtyQ   *list.List // *slot, FIFO by first-dirty time
-	cleanLRU *list.List // *slot, front = most recent
-	flushing int        // pages popped by the flusher, not yet retired
+	m        map[addr.LPN]int32
+	slots    []slot
+	free     int32   // head of the free-slot list
+	dirtyQ   list    // FIFO by first-dirty time
+	cleanLRU list    // head = most recent
+	flushing int     // pages popped by the flusher, not yet retired
+	popBuf   []Entry // PopDirty's result, reused call to call
 	seq      uint64
 	stats    Stats
 }
@@ -65,9 +91,10 @@ func New(capPages int) (*Cache, error) {
 	}
 	return &Cache{
 		capPages: capPages,
-		m:        make(map[addr.LPN]*slot),
-		dirtyQ:   list.New(),
-		cleanLRU: list.New(),
+		m:        make(map[addr.LPN]int32),
+		free:     nilSlot,
+		dirtyQ:   list{id: onDirty, head: nilSlot, tail: nilSlot},
+		cleanLRU: list{id: onClean, head: nilSlot, tail: nilSlot},
 	}, nil
 }
 
@@ -78,38 +105,110 @@ func (c *Cache) Cap() int { return c.capPages }
 func (c *Cache) Len() int { return len(c.m) }
 
 // DirtyPages returns the number of dirty (including flushing) pages.
-func (c *Cache) DirtyPages() int { return c.dirtyQ.Len() + c.flushing }
+func (c *Cache) DirtyPages() int { return c.dirtyQ.n + c.flushing }
 
 // QueuedDirty returns dirty pages waiting for the flusher (excludes pages
 // already being flushed).
-func (c *Cache) QueuedDirty() int { return c.dirtyQ.Len() }
+func (c *Cache) QueuedDirty() int { return c.dirtyQ.n }
 
 // Stats returns a snapshot of the counters.
 func (c *Cache) Stats() Stats { return c.stats }
+
+// --- arena and list primitives ---
+
+func (c *Cache) alloc() int32 {
+	if i := c.free; i != nilSlot {
+		c.free = c.slots[i].next
+		return i
+	}
+	c.slots = append(c.slots, slot{})
+	return int32(len(c.slots) - 1)
+}
+
+// release unmaps a slot and returns it to the free list.
+func (c *Cache) release(i int32) {
+	delete(c.m, c.slots[i].lpn)
+	c.slots[i] = slot{next: c.free}
+	c.free = i
+}
+
+func (c *Cache) pushBack(l *list, i int32) {
+	s := &c.slots[i]
+	s.on, s.prev, s.next = l.id, l.tail, nilSlot
+	if l.tail == nilSlot {
+		l.head = i
+	} else {
+		c.slots[l.tail].next = i
+	}
+	l.tail = i
+	l.n++
+}
+
+func (c *Cache) pushFront(l *list, i int32) {
+	s := &c.slots[i]
+	s.on, s.prev, s.next = l.id, nilSlot, l.head
+	if l.head == nilSlot {
+		l.tail = i
+	} else {
+		c.slots[l.head].prev = i
+	}
+	l.head = i
+	l.n++
+}
+
+// unlink removes slot i from whichever list holds it.
+func (c *Cache) unlink(i int32) {
+	s := &c.slots[i]
+	var l *list
+	switch s.on {
+	case onDirty:
+		l = &c.dirtyQ
+	case onClean:
+		l = &c.cleanLRU
+	default:
+		return
+	}
+	if s.prev == nilSlot {
+		l.head = s.next
+	} else {
+		c.slots[s.prev].next = s.next
+	}
+	if s.next == nilSlot {
+		l.tail = s.prev
+	} else {
+		c.slots[s.next].prev = s.prev
+	}
+	s.on, s.prev, s.next = onNone, nilSlot, nilSlot
+	l.n--
+}
+
+// --- cache operations ---
 
 // Write inserts or overwrites a page as dirty. It reports false when the
 // cache is full of dirty pages and cannot accept more; the controller must
 // let the flusher drain before retrying (write backpressure).
 func (c *Cache) Write(lpn addr.LPN, fp content.Fingerprint) bool {
-	if s, ok := c.m[lpn]; ok {
+	if i, ok := c.m[lpn]; ok {
+		s := &c.slots[i]
 		s.fp = fp
 		c.seq++
 		s.seq = c.seq
 		switch {
 		case s.flushing():
 			// Overwritten mid-flush: re-dirty so the in-flight flush
-			// completion cannot retire the newer data.
+			// completion cannot retire the newer data. A slot already
+			// back on the clean list stays there.
 			s.dirty = true
-			if s.elem == nil {
-				s.elem = c.dirtyQ.PushBack(s)
+			if s.on == onNone {
+				c.pushBack(&c.dirtyQ, i)
 			}
 			c.stats.ReDirties++
 		case s.dirty:
 			// Already queued dirty; keep FIFO position.
 		default:
-			c.cleanLRU.Remove(s.elem)
+			c.unlink(i)
 			s.dirty = true
-			s.elem = c.dirtyQ.PushBack(s)
+			c.pushBack(&c.dirtyQ, i)
 		}
 		c.stats.Inserts++
 		return true
@@ -118,34 +217,38 @@ func (c *Cache) Write(lpn addr.LPN, fp content.Fingerprint) bool {
 		return false
 	}
 	c.seq++
-	s := &slot{lpn: lpn, fp: fp, seq: c.seq, dirty: true}
-	s.elem = c.dirtyQ.PushBack(s)
-	c.m[lpn] = s
+	i := c.alloc()
+	c.slots[i] = slot{lpn: lpn, fp: fp, seq: c.seq, dirty: true}
+	c.pushBack(&c.dirtyQ, i)
+	c.m[lpn] = i
 	c.stats.Inserts++
 	return true
 }
 
+// evictClean drops the least recently used slot of the clean list. Like a
+// retired flush, it leaves the flushing count alone.
 func (c *Cache) evictClean() bool {
-	e := c.cleanLRU.Back()
-	if e == nil {
+	i := c.cleanLRU.tail
+	if i == nilSlot {
 		return false
 	}
-	s := e.Value.(*slot)
-	c.cleanLRU.Remove(e)
-	delete(c.m, s.lpn)
+	c.unlink(i)
+	c.release(i)
 	c.stats.Evictions++
 	return true
 }
 
 // Read looks a page up, refreshing its LRU position when clean.
 func (c *Cache) Read(lpn addr.LPN) (content.Fingerprint, bool) {
-	s, ok := c.m[lpn]
+	i, ok := c.m[lpn]
 	if !ok {
 		c.stats.Misses++
 		return content.Zero, false
 	}
-	if !s.dirty && !s.flushing() && s.elem != nil {
-		c.cleanLRU.MoveToFront(s.elem)
+	s := &c.slots[i]
+	if !s.dirty && !s.flushing() && s.on == onClean {
+		c.unlink(i)
+		c.pushFront(&c.cleanLRU, i)
 	}
 	c.stats.Hits++
 	return s.fp, true
@@ -153,19 +256,22 @@ func (c *Cache) Read(lpn addr.LPN) (content.Fingerprint, bool) {
 
 // PopDirty removes up to max pages from the head of the dirty FIFO and
 // marks them flushing. The pages stay readable until FlushDone.
+//
+// The returned slice belongs to the cache: it stays valid only until the
+// next PopDirty call, which reuses it. Callers that keep entries longer
+// must copy them.
 func (c *Cache) PopDirty(max int) []Entry {
 	if max <= 0 {
 		return nil
 	}
-	var out []Entry
+	out := c.popBuf[:0]
 	for len(out) < max {
-		e := c.dirtyQ.Front()
-		if e == nil {
+		i := c.dirtyQ.head
+		if i == nilSlot {
 			break
 		}
-		s := e.Value.(*slot)
-		c.dirtyQ.Remove(e)
-		s.elem = nil
+		c.unlink(i)
+		s := &c.slots[i]
 		s.dirty = false
 		if s.flights == 0 {
 			c.flushing++
@@ -173,6 +279,7 @@ func (c *Cache) PopDirty(max int) []Entry {
 		s.flights++
 		out = append(out, Entry{LPN: s.lpn, FP: s.fp, Seq: s.seq})
 	}
+	c.popBuf = out
 	return out
 }
 
@@ -180,10 +287,11 @@ func (c *Cache) PopDirty(max int) []Entry {
 // flush was in flight (sequence mismatch) it stays dirty; otherwise it
 // becomes clean and joins the LRU.
 func (c *Cache) FlushDone(lpn addr.LPN, seq uint64) {
-	s, ok := c.m[lpn]
+	i, ok := c.m[lpn]
 	if !ok {
 		return
 	}
+	s := &c.slots[i]
 	c.retireFlight(s)
 	if s.seq != seq {
 		// Newer data arrived; its dirty queue entry (added by Write)
@@ -191,8 +299,8 @@ func (c *Cache) FlushDone(lpn addr.LPN, seq uint64) {
 		return
 	}
 	s.dirty = false
-	if s.elem == nil {
-		s.elem = c.cleanLRU.PushFront(s)
+	if s.on == onNone {
+		c.pushFront(&c.cleanLRU, i)
 	}
 	c.stats.Flushes++
 }
@@ -209,67 +317,51 @@ func (c *Cache) retireFlight(s *slot) {
 // FlushFailed requeues a page whose flush was interrupted before the
 // program completed; the data is still only in DRAM.
 func (c *Cache) FlushFailed(lpn addr.LPN, seq uint64) {
-	s, ok := c.m[lpn]
+	i, ok := c.m[lpn]
 	if !ok {
 		return
 	}
+	s := &c.slots[i]
 	c.retireFlight(s)
 	if s.seq != seq {
 		return
 	}
 	s.dirty = true
-	if s.elem == nil {
-		s.elem = c.dirtyQ.PushFront(s)
+	if s.on == onNone {
+		c.pushFront(&c.dirtyQ, i)
 	}
 }
 
 // Invalidate drops a page (trim or host discard).
 func (c *Cache) Invalidate(lpn addr.LPN) {
-	s, ok := c.m[lpn]
+	i, ok := c.m[lpn]
 	if !ok {
 		return
 	}
-	if s.elem != nil {
-		if s.dirty {
-			c.dirtyQ.Remove(s.elem)
-		} else {
-			c.cleanLRU.Remove(s.elem)
-		}
-	}
+	s := &c.slots[i]
+	c.unlink(i)
 	if s.flights > 0 {
 		c.flushing--
 	}
-	delete(c.m, lpn)
-}
-
-// DirtyEntries snapshots every dirty or in-flight page, oldest first; the
-// supercapacitor panic flush consumes this.
-func (c *Cache) DirtyEntries() []Entry {
-	var out []Entry
-	for e := c.dirtyQ.Front(); e != nil; e = e.Next() {
-		s := e.Value.(*slot)
-		out = append(out, Entry{LPN: s.lpn, FP: s.fp, Seq: s.seq})
-	}
-	for _, s := range c.m {
-		if s.flushing() && !s.dirty && s.elem == nil {
-			out = append(out, Entry{LPN: s.lpn, FP: s.fp, Seq: s.seq})
-		}
-	}
-	return out
+	c.release(i)
 }
 
 // DropAll models power loss: every entry vanishes. It returns the number
-// of dirty pages (acknowledged data) that were lost.
+// of dirty pages (acknowledged data) that were lost. The arena, the map
+// and the pop buffer keep their storage for the next power cycle.
 func (c *Cache) DropAll() int {
 	lost := 0
-	for _, s := range c.m {
-		if s.dirty || s.flushing() {
+	for i := range c.slots {
+		// Free slots are zeroed, so they never count.
+		if s := &c.slots[i]; s.dirty || s.flushing() {
 			lost++
 		}
 	}
-	c.m = make(map[addr.LPN]*slot)
-	c.dirtyQ.Init()
-	c.cleanLRU.Init()
+	clear(c.m)
+	c.slots = c.slots[:0]
+	c.free = nilSlot
+	c.dirtyQ = list{id: onDirty, head: nilSlot, tail: nilSlot}
+	c.cleanLRU = list{id: onClean, head: nilSlot, tail: nilSlot}
 	c.flushing = 0
 	c.stats.DroppedDirty += int64(lost)
 	return lost

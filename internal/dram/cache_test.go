@@ -209,18 +209,6 @@ func TestInvalidate(t *testing.T) {
 	c.Invalidate(99) // no-op must not panic
 }
 
-func TestDirtyEntriesSnapshot(t *testing.T) {
-	c := newCache(t, 16)
-	for i := 0; i < 4; i++ {
-		c.Write(addr.LPN(i), content.Fingerprint(i+1))
-	}
-	c.PopDirty(2)
-	ents := c.DirtyEntries()
-	if len(ents) != 4 {
-		t.Fatalf("DirtyEntries = %d, want 4 (2 queued + 2 in flight)", len(ents))
-	}
-}
-
 func TestStaleFlushDoneIgnored(t *testing.T) {
 	c := newCache(t, 8)
 	c.Write(1, 0x1)

@@ -14,7 +14,6 @@
 package ftl
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 
@@ -102,7 +101,6 @@ type openRun struct {
 	minLPN  addr.LPN
 	maxLPN  addr.LPN
 	touched sim.Time
-	lane    int
 }
 
 // runGapTolerance lets a sequential run absorb mapping updates that arrive
@@ -111,29 +109,58 @@ type openRun struct {
 // one drain's worth of pages.
 const runGapTolerance = 256
 
-// freeHeap orders free blocks by erase count (dynamic wear levelling) then
-// index for determinism.
+// freeBlock is a free block keyed for allocation: fewest erases first
+// (dynamic wear levelling), then lowest index for determinism.
 type freeBlock struct {
 	idx    int
 	erases int
 }
+
+func (a freeBlock) less(b freeBlock) bool {
+	if a.erases != b.erases {
+		return a.erases < b.erases
+	}
+	return a.idx < b.idx
+}
+
+// freeHeap is a binary min-heap of recycled blocks.
 type freeHeap []freeBlock
 
-func (h freeHeap) Len() int { return len(h) }
-func (h freeHeap) Less(i, j int) bool {
-	if h[i].erases != h[j].erases {
-		return h[i].erases < h[j].erases
+func (h *freeHeap) push(b freeBlock) {
+	*h = append(*h, b)
+	a := *h
+	for i := len(a) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !a[i].less(a[p]) {
+			break
+		}
+		a[i], a[p] = a[p], a[i]
+		i = p
 	}
-	return h[i].idx < h[j].idx
 }
-func (h freeHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *freeHeap) Push(x interface{}) { *h = append(*h, x.(freeBlock)) }
-func (h *freeHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	b := old[n-1]
-	*h = old[:n-1]
-	return b
+
+func (h *freeHeap) pop() freeBlock {
+	a := *h
+	top := a[0]
+	n := len(a) - 1
+	a[0] = a[n]
+	a = a[:n]
+	for i := 0; ; {
+		m, l, r := i, 2*i+1, 2*i+2
+		if l < n && a[l].less(a[m]) {
+			m = l
+		}
+		if r < n && a[r].less(a[m]) {
+			m = r
+		}
+		if m == i {
+			break
+		}
+		a[i], a[m] = a[m], a[i]
+		i = m
+	}
+	*h = a
+	return top
 }
 
 // Stats counts FTL activity.
@@ -180,23 +207,53 @@ type FTL struct {
 	geo  flash.Geometry
 
 	l2p map[addr.LPN]addr.PPN
-	p2l map[addr.PPN]addr.LPN
 
-	valid  []int // live pages per block
-	pinned []int // uncommitted-journal references per block (GC must skip)
+	// The reverse map (physical page to logical page) is one array per
+	// block, allocated when the block first opens; revOf[b] is 1 + the
+	// index of block b's array in revs, 0 while it has none. revLen
+	// counts the mapped entries.
+	revOf  []int32
+	revs   [][]addr.LPN
+	revLen int
 
-	free    freeHeap
-	active  []int // active block per lane, -1 if none
-	nextIdx []int // next page index to reserve per lane
+	valid  []int32 // live pages per block
+	pinned []int32 // uncommitted-journal references per block (GC must skip)
+
+	// Free blocks are the never-allocated blocks fresh..Blocks()-1, all
+	// with zero erases, plus a heap of blocks recycled by GC. allocBlock
+	// takes the smaller of the two heads in freeBlock order, which is the
+	// order one heap of every free block would give.
+	fresh    int
+	recycled freeHeap
+	active   []int // active block per lane, -1 if none
+	nextIdx  []int // next page index to reserve per lane
 
 	pending []record
-	run     *openRun
+	run     openRun
+	runOpen bool
 	seqLast addr.LPN // last written lpn, for run detection
 
-	gcVictim int // block mid-collection, -1 if none
+	gcVictim int    // block mid-collection, -1 if none
+	gcMark   []bool // GCPlan scratch: free or active blocks
+
+	// Crash scratch, reused crash to crash.
+	atRisk  []record
+	groupOf map[addr.LPN]int32
+	groups  []crashGroup
 
 	stats Stats
 }
+
+// crashGroup folds the at-risk records of one logical page: the mapping
+// it reverts to and whether the OOB scan recovered it.
+type crashGroup struct {
+	lpn       addr.LPN
+	final     addr.PPN
+	recovered bool
+}
+
+// noLPN marks an unmapped reverse-map entry.
+const noLPN addr.LPN = -1
 
 // New builds an FTL over the chip. All blocks start free.
 func New(chip *flash.Chip, cfg Config) (*FTL, error) {
@@ -214,19 +271,15 @@ func New(chip *flash.Chip, cfg Config) (*FTL, error) {
 		chip:     chip,
 		geo:      geo,
 		l2p:      make(map[addr.LPN]addr.PPN),
-		p2l:      make(map[addr.PPN]addr.LPN),
-		valid:    make([]int, geo.Blocks()),
-		pinned:   make([]int, geo.Blocks()),
+		revOf:    make([]int32, geo.Blocks()),
+		valid:    make([]int32, geo.Blocks()),
+		pinned:   make([]int32, geo.Blocks()),
 		active:   make([]int, cfg.Lanes),
 		nextIdx:  make([]int, cfg.Lanes),
 		seqLast:  -2,
 		gcVictim: -1,
+		groupOf:  make(map[addr.LPN]int32),
 	}
-	f.free = make(freeHeap, 0, geo.Blocks())
-	for b := 0; b < geo.Blocks(); b++ {
-		f.free = append(f.free, freeBlock{idx: b})
-	}
-	heap.Init(&f.free)
 	for lane := range f.active {
 		f.active[lane] = -1
 	}
@@ -243,14 +296,14 @@ func (f *FTL) UserPages() int64 { return f.cfg.UserPages }
 func (f *FTL) Stats() Stats { return f.stats }
 
 // FreeBlocks returns the number of blocks available for allocation.
-func (f *FTL) FreeBlocks() int { return f.free.Len() }
+func (f *FTL) FreeBlocks() int { return f.geo.Blocks() - f.fresh + len(f.recycled) }
 
 // PendingRecords returns uncommitted journal records (excluding the open run).
 func (f *FTL) PendingRecords() int { return len(f.pending) }
 
 // OpenRunLen returns the length of the open sequential run.
 func (f *FTL) OpenRunLen() int {
-	if f.run == nil {
+	if !f.runOpen {
 		return 0
 	}
 	return len(f.run.recs)
@@ -269,11 +322,60 @@ var ErrNoSpace = errors.New("ftl: out of free blocks")
 var ErrBadLPN = errors.New("ftl: logical page out of range")
 
 func (f *FTL) allocBlock() (int, error) {
-	if f.free.Len() == 0 {
+	var b int
+	switch {
+	case len(f.recycled) > 0 && (f.fresh == f.geo.Blocks() || f.recycled[0].less(freeBlock{idx: f.fresh})):
+		b = f.recycled.pop().idx
+	case f.fresh < f.geo.Blocks():
+		b = f.fresh
+		f.fresh++
+	default:
 		return 0, ErrNoSpace
 	}
-	fb := heap.Pop(&f.free).(freeBlock)
-	return fb.idx, nil
+	if f.revOf[b] == 0 {
+		rev := make([]addr.LPN, f.geo.PagesPerBlock)
+		for i := range rev {
+			rev[i] = noLPN
+		}
+		f.revs = append(f.revs, rev)
+		f.revOf[b] = int32(len(f.revs))
+	}
+	return b, nil
+}
+
+// revSlot returns the reverse-map entry of ppn, nil if its block never
+// opened.
+func (f *FTL) revSlot(ppn addr.PPN) *addr.LPN {
+	r := f.revOf[f.geo.BlockOf(ppn)]
+	if r == 0 {
+		return nil
+	}
+	return &f.revs[r-1][f.geo.PageOf(ppn)]
+}
+
+// lpnAt returns the logical page mapped to ppn.
+func (f *FTL) lpnAt(ppn addr.PPN) (addr.LPN, bool) {
+	if e := f.revSlot(ppn); e != nil && *e != noLPN {
+		return *e, true
+	}
+	return 0, false
+}
+
+// setRev maps ppn back to lpn.
+func (f *FTL) setRev(ppn addr.PPN, lpn addr.LPN) {
+	e := f.revSlot(ppn)
+	if *e == noLPN {
+		f.revLen++
+	}
+	*e = lpn
+}
+
+// clearRev unmaps ppn.
+func (f *FTL) clearRev(ppn addr.PPN) {
+	if e := f.revSlot(ppn); e != nil && *e != noLPN {
+		*e = noLPN
+		f.revLen--
+	}
 }
 
 // BeginWrite reserves the next physical page for lpn. Sequential streams
@@ -312,15 +414,15 @@ func (f *FTL) CompleteWrite(t Ticket, now sim.Time) {
 	if cur, ok := f.l2p[t.LPN]; ok {
 		old = cur
 		f.valid[f.geo.BlockOf(cur)]--
-		delete(f.p2l, cur)
+		f.clearRev(cur)
 		f.pinned[f.geo.BlockOf(cur)]++
 	}
 	f.l2p[t.LPN] = t.PPN
-	f.p2l[t.PPN] = t.LPN
+	f.setRev(t.PPN, t.LPN)
 	f.valid[f.geo.BlockOf(t.PPN)]++
 
 	rec := record{lpn: t.LPN, old: old, new: t.PPN}
-	extends := f.run != nil && len(f.run.recs) < f.cfg.RunMaxPages &&
+	extends := f.runOpen && len(f.run.recs) < f.cfg.RunMaxPages &&
 		t.LPN >= f.run.minLPN && t.LPN <= f.run.maxLPN+runGapTolerance
 	if extends {
 		f.run.recs = append(f.run.recs, rec)
@@ -330,7 +432,8 @@ func (f *FTL) CompleteWrite(t Ticket, now sim.Time) {
 		f.run.touched = now
 	} else {
 		f.closeRun()
-		f.run = &openRun{recs: []record{rec}, minLPN: t.LPN, maxLPN: t.LPN, touched: now, lane: t.Lane}
+		f.run = openRun{recs: append(f.run.recs[:0], rec), minLPN: t.LPN, maxLPN: t.LPN, touched: now}
+		f.runOpen = true
 	}
 	f.seqLast = t.LPN
 }
@@ -346,10 +449,10 @@ func (f *FTL) CompleteMove(t Ticket, from addr.PPN, now sim.Time) bool {
 		return false
 	}
 	f.valid[f.geo.BlockOf(from)]--
-	delete(f.p2l, from)
+	f.clearRev(from)
 	f.pinned[f.geo.BlockOf(from)]++
 	f.l2p[t.LPN] = t.PPN
-	f.p2l[t.PPN] = t.LPN
+	f.setRev(t.PPN, t.LPN)
 	f.valid[f.geo.BlockOf(t.PPN)]++
 	f.closeRun()
 	f.pending = append(f.pending, record{lpn: t.LPN, old: from, new: t.PPN})
@@ -362,12 +465,12 @@ func (f *FTL) CompleteMove(t Ticket, from addr.PPN, now sim.Time) bool {
 func (f *FTL) AbortWrite(Ticket) { f.stats.WastedPages++ }
 
 func (f *FTL) closeRun() {
-	if f.run == nil {
+	if !f.runOpen {
 		return
 	}
 	f.pending = append(f.pending, f.run.recs...)
 	f.stats.RunsClosed++
-	f.run = nil
+	f.runOpen = false
 }
 
 // ForceCloseRun unconditionally moves the open run into the pending
@@ -377,7 +480,7 @@ func (f *FTL) ForceCloseRun() { f.closeRun() }
 // MaybeCloseRun closes the open run if it has grown stale or oversized.
 // The controller calls this from its periodic journal tick.
 func (f *FTL) MaybeCloseRun(now sim.Time) {
-	if f.run == nil {
+	if !f.runOpen {
 		return
 	}
 	if len(f.run.recs) >= f.cfg.RunMaxPages || now.Sub(f.run.touched) >= f.cfg.RunStaleAfter {
@@ -409,31 +512,22 @@ func (f *FTL) CommitJournal() (metaPages, records int) {
 	return metaPages, records
 }
 
-// scanSet returns the physical pages recoverable by the OOB scan: the most
-// recent fully programmed pages of each lane's active block.
-func (f *FTL) scanSet() map[addr.PPN]bool {
-	set := make(map[addr.PPN]bool)
+// inScan reports whether the OOB scan recovers ppn: it is one of the most
+// recent fully programmed pages of a lane's active block.
+func (f *FTL) inScan(ppn addr.PPN) bool {
 	if f.cfg.ScanWindowPages == 0 {
-		return set
+		return false
 	}
-	for lane, blk := range f.active {
-		if blk < 0 {
+	blk := f.geo.BlockOf(ppn)
+	for _, b := range f.active {
+		if b < 0 || b != blk {
 			continue
 		}
 		top := f.chip.NextPage(blk)
-		lo := top - f.cfg.ScanWindowPages
-		if lo < 0 {
-			lo = 0
-		}
-		for pi := lo; pi < top; pi++ {
-			ppn := f.geo.PPNOf(blk, pi)
-			if f.chip.FullyProgrammed(ppn) {
-				set[ppn] = true
-			}
-		}
-		_ = lane
+		pi := f.geo.PageOf(ppn)
+		return pi < top && pi >= top-f.cfg.ScanWindowPages && f.chip.FullyProgrammed(ppn)
 	}
-	return set
+	return false
 }
 
 // Crash models power loss: every uncommitted mapping update is lost unless
@@ -444,62 +538,63 @@ func (f *FTL) scanSet() map[addr.PPN]bool {
 func (f *FTL) Crash(now sim.Time) CrashStats {
 	f.stats.Crashes++
 	// Gather every at-risk record in application order.
-	atRisk := make([]record, 0, len(f.pending)+f.OpenRunLen())
-	atRisk = append(atRisk, f.pending...)
-	if f.run != nil {
+	atRisk := append(f.atRisk[:0], f.pending...)
+	if f.runOpen {
 		atRisk = append(atRisk, f.run.recs...)
 	}
+	f.atRisk = atRisk
 	f.pending = f.pending[:0]
-	f.run = nil
+	f.runOpen = false
 
 	cs := CrashStats{Uncommitted: len(atRisk)}
-	if len(atRisk) > 0 {
-		scan := f.scanSet()
-		// Group records per logical page, preserving order.
-		groups := make(map[addr.LPN][]record)
-		order := make([]addr.LPN, 0, len(atRisk))
-		for _, r := range atRisk {
-			if _, seen := groups[r.lpn]; !seen {
-				order = append(order, r.lpn)
-			}
-			groups[r.lpn] = append(groups[r.lpn], r)
+	// Fold the records per logical page in order of first appearance:
+	// a page reverts to the mapping before its first update unless the
+	// scan recovers a later one, and the newest recovered update wins.
+	clear(f.groupOf)
+	groups := f.groups[:0]
+	for _, r := range atRisk {
+		gi, seen := f.groupOf[r.lpn]
+		if !seen {
+			gi = int32(len(groups))
+			f.groupOf[r.lpn] = gi
+			groups = append(groups, crashGroup{lpn: r.lpn, final: r.old})
 		}
-		for _, lpn := range order {
-			g := groups[lpn]
-			final := g[0].old
-			recovered := false
-			for i := len(g) - 1; i >= 0; i-- {
-				if scan[g[i].new] {
-					final = g[i].new
-					recovered = true
-					break
-				}
-			}
-			if recovered {
-				cs.Recovered++
-				f.stats.RecoveredByOOB++
-			}
-			cur, hasCur := f.l2p[lpn]
-			if hasCur && cur == final {
-				continue // newest update survived
-			}
-			if hasCur {
-				f.valid[f.geo.BlockOf(cur)]--
-				delete(f.p2l, cur)
-			}
-			if final != addr.InvalidPPN {
-				f.l2p[lpn] = final
-				f.p2l[final] = lpn
-				f.valid[f.geo.BlockOf(final)]++
-			} else {
-				delete(f.l2p, lpn)
-			}
-			cs.Lost++
-			f.stats.LostMappings++
+		if f.inScan(r.new) {
+			groups[gi].final = r.new
+			groups[gi].recovered = true
 		}
 	}
-	for b := range f.pinned {
-		f.pinned[b] = 0
+	f.groups = groups
+	for _, g := range groups {
+		if g.recovered {
+			cs.Recovered++
+			f.stats.RecoveredByOOB++
+		}
+		lpn, final := g.lpn, g.final
+		cur, hasCur := f.l2p[lpn]
+		if hasCur && cur == final {
+			continue // newest update survived
+		}
+		if hasCur {
+			f.valid[f.geo.BlockOf(cur)]--
+			f.clearRev(cur)
+		}
+		if final != addr.InvalidPPN {
+			f.l2p[lpn] = final
+			f.setRev(final, lpn)
+			f.valid[f.geo.BlockOf(final)]++
+		} else {
+			delete(f.l2p, lpn)
+		}
+		cs.Lost++
+		f.stats.LostMappings++
+	}
+	// Every pin belongs to an uncommitted record, and every uncommitted
+	// record was at risk, so unpinning their old blocks clears them all.
+	for _, r := range atRisk {
+		if r.old != addr.InvalidPPN {
+			f.pinned[f.geo.BlockOf(r.old)] = 0
+		}
 	}
 	// Re-synchronise allocation pointers with the chip: reserved pages
 	// that were never programmed are still erased and must be reused,
@@ -521,28 +616,32 @@ func (f *FTL) RecoverDuration() sim.Duration {
 }
 
 // NeedGC reports whether free space is low enough to require collection.
-func (f *FTL) NeedGC() bool { return f.free.Len() < f.cfg.GCLowBlocks }
+func (f *FTL) NeedGC() bool { return f.FreeBlocks() < f.cfg.GCLowBlocks }
 
 // GCSatisfied reports whether collection may stop.
-func (f *FTL) GCSatisfied() bool { return f.free.Len() >= f.cfg.GCHighBlocks }
+func (f *FTL) GCSatisfied() bool { return f.FreeBlocks() >= f.cfg.GCHighBlocks }
 
 // GCPlan picks a victim block (greedy: fewest valid pages, skipping free,
 // active, and journal-pinned blocks) and lists the migrations required.
 // It returns nil when no block is collectable.
 func (f *FTL) GCPlan() *GCPlan {
-	inFree := make(map[int]bool, f.free.Len())
-	for _, fb := range f.free {
-		inFree[fb.idx] = true
+	// Blocks from fresh on are free and never programmed; mark the
+	// recycled free blocks and the active ones.
+	if f.gcMark == nil {
+		f.gcMark = make([]bool, f.geo.Blocks())
 	}
-	activeSet := make(map[int]bool, len(f.active))
+	mark := f.gcMark
+	for _, fb := range f.recycled {
+		mark[fb.idx] = true
+	}
 	for _, b := range f.active {
 		if b >= 0 {
-			activeSet[b] = true
+			mark[b] = true
 		}
 	}
-	best, bestValid := -1, 1<<30
-	for b := 0; b < f.geo.Blocks(); b++ {
-		if inFree[b] || activeSet[b] || f.pinned[b] > 0 || b == f.gcVictim {
+	best, bestValid := -1, int32(1<<30)
+	for b := 0; b < f.fresh; b++ {
+		if mark[b] || f.pinned[b] > 0 || b == f.gcVictim {
 			continue
 		}
 		if f.chip.NextPage(b) == 0 && f.chip.State(f.geo.PPNOf(b, 0)) == flash.PageErased {
@@ -552,13 +651,14 @@ func (f *FTL) GCPlan() *GCPlan {
 			best, bestValid = b, f.valid[b]
 		}
 	}
+	clear(mark[:f.fresh])
 	if best < 0 {
 		return nil
 	}
 	plan := &GCPlan{Victim: best}
 	for pi := 0; pi < f.geo.PagesPerBlock; pi++ {
 		ppn := f.geo.PPNOf(best, pi)
-		if lpn, ok := f.p2l[ppn]; ok {
+		if lpn, ok := f.lpnAt(ppn); ok {
 			plan.Moves = append(plan.Moves, Move{LPN: lpn, From: ppn})
 		}
 	}
@@ -572,7 +672,7 @@ func (f *FTL) GCFinish(victim int) {
 		f.gcVictim = -1
 	}
 	f.valid[victim] = 0
-	heap.Push(&f.free, freeBlock{idx: victim, erases: f.chip.EraseCount(victim)})
+	f.recycled.push(freeBlock{idx: victim, erases: f.chip.EraseCount(victim)})
 	f.stats.GCCollections++
 }
 
@@ -581,25 +681,43 @@ func (f *FTL) GCFinish(victim int) {
 func (f *FTL) GCAbort() { f.gcVictim = -1 }
 
 // ValidPages returns the live-page count of a block (for tests).
-func (f *FTL) ValidPages(block int) int { return f.valid[block] }
+func (f *FTL) ValidPages(block int) int { return int(f.valid[block]) }
 
 // CheckInvariants verifies internal consistency; tests call it after
 // randomised operation sequences.
 func (f *FTL) CheckInvariants() error {
-	counts := make([]int, f.geo.Blocks())
+	counts := make([]int32, f.geo.Blocks())
 	for lpn, ppn := range f.l2p {
-		got, ok := f.p2l[ppn]
+		got, ok := f.lpnAt(ppn)
 		if !ok || got != lpn {
 			return fmt.Errorf("ftl: l2p/p2l mismatch at %v -> %v", lpn, ppn)
 		}
 		counts[f.geo.BlockOf(ppn)]++
 	}
-	if len(f.l2p) != len(f.p2l) {
-		return fmt.Errorf("ftl: map size mismatch l2p=%d p2l=%d", len(f.l2p), len(f.p2l))
+	if len(f.l2p) != f.revLen {
+		return fmt.Errorf("ftl: map size mismatch l2p=%d p2l=%d", len(f.l2p), f.revLen)
 	}
 	for b, want := range counts {
 		if f.valid[b] != want {
 			return fmt.Errorf("ftl: block %d valid=%d want %d", b, f.valid[b], want)
+		}
+	}
+	// Pins count the uncommitted records whose old page lies in a block.
+	clear(counts)
+	pin := func(recs []record) {
+		for _, r := range recs {
+			if r.old != addr.InvalidPPN {
+				counts[f.geo.BlockOf(r.old)]++
+			}
+		}
+	}
+	pin(f.pending)
+	if f.runOpen {
+		pin(f.run.recs)
+	}
+	for b, want := range counts {
+		if f.pinned[b] != want {
+			return fmt.Errorf("ftl: block %d pinned=%d want %d", b, f.pinned[b], want)
 		}
 	}
 	return nil

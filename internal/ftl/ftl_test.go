@@ -415,3 +415,88 @@ func TestRecoverDuration(t *testing.T) {
 		t.Fatal("recover duration should include scan reads")
 	}
 }
+
+// TestBlockAllocationOrder churns a small drive through many collections
+// and checks every block the FTL opens against a reference free pool
+// kept as a plain list: the opened block is always the free block with
+// the fewest erases, lowest index first, whether it was never used or
+// recycled by GC.
+func TestBlockAllocationOrder(t *testing.T) {
+	chip, f := testFTL(t, func(c *Config) {
+		c.UserPages = 128
+		c.GCLowBlocks = 6
+		c.GCHighBlocks = 9
+	})
+	type ref struct{ idx, erases int }
+	var free []ref
+	for b := 0; b < chip.Geometry().Blocks(); b++ {
+		free = append(free, ref{idx: b})
+	}
+	opened := 0
+	begin := func(lpn addr.LPN) Ticket {
+		tk, err := f.BeginWrite(lpn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if chip.Geometry().PageOf(tk.PPN) != 0 {
+			return tk
+		}
+		best := 0
+		for i, r := range free {
+			if r.erases < free[best].erases || r.erases == free[best].erases && r.idx < free[best].idx {
+				best = i
+			}
+		}
+		if got := chip.Geometry().BlockOf(tk.PPN); got != free[best].idx {
+			t.Fatalf("opened block %d, want %+v", got, free[best])
+		}
+		free = append(free[:best], free[best+1:]...)
+		opened++
+		return tk
+	}
+	rng := sim.NewRNG(5)
+	now := sim.Time(0)
+	for step := 0; step < 6000; step++ {
+		tk := begin(addr.LPN(rng.Intn(128)))
+		if err := chip.Program(tk.PPN, content.Fingerprint(step+1)); err != nil {
+			t.Fatal(err)
+		}
+		f.CompleteWrite(tk, now)
+		if step%24 == 23 {
+			f.ForceCloseRun()
+			f.CommitJournal()
+		}
+		for f.NeedGC() && !f.GCSatisfied() {
+			plan := f.GCPlan()
+			if plan == nil {
+				break
+			}
+			for _, mv := range plan.Moves {
+				res, err := chip.Read(mv.From)
+				if err != nil {
+					t.Fatal(err)
+				}
+				mt := begin(mv.LPN)
+				if err := chip.Program(mt.PPN, res.FP); err != nil {
+					t.Fatal(err)
+				}
+				f.CompleteMove(mt, mv.From, now)
+			}
+			if err := chip.Erase(plan.Victim); err != nil {
+				t.Fatal(err)
+			}
+			f.GCFinish(plan.Victim)
+			free = append(free, ref{idx: plan.Victim, erases: chip.EraseCount(plan.Victim)})
+			f.CommitJournal()
+		}
+		if f.FreeBlocks() != len(free) {
+			t.Fatalf("step %d: FreeBlocks = %d, reference %d", step, f.FreeBlocks(), len(free))
+		}
+	}
+	if f.Stats().GCCollections < 100 || opened < 2*chip.Geometry().Blocks() {
+		t.Fatalf("churn too light: %d collections, %d blocks opened", f.Stats().GCCollections, opened)
+	}
+	if err := f.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}

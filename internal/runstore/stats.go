@@ -31,6 +31,18 @@ func welch(old, new []float64) (delta, lo, hi float64, ok bool) {
 	return delta, delta - t*se, delta + t*se, true
 }
 
+// MeanCI95 returns the mean of xs and the half-width of its 95%
+// confidence interval (Student t with n-1 degrees of freedom). ok is false
+// with fewer than two samples, where no interval exists.
+func MeanCI95(xs []float64) (mean, half float64, ok bool) {
+	mean, variance := meanVar(xs)
+	if len(xs) < 2 {
+		return mean, 0, false
+	}
+	n := float64(len(xs))
+	return mean, tQuantile975(n-1) * math.Sqrt(variance/n), true
+}
+
 func meanVar(xs []float64) (mean, variance float64) {
 	n := float64(len(xs))
 	if n == 0 {

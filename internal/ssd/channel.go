@@ -30,19 +30,21 @@ type pageOp struct {
 	ticket ftl.Ticket // program/move reservation
 	from   addr.PPN   // move source
 	rdIdx  int        // read destination index
-	rdDst  []content.Fingerprint
-	cmd    *command // read error propagation
 }
 
 // chItem is a batch executed back-to-back on one channel. A power cut
 // lands between or inside its per-page slots; interruption effects are
-// computed from elapsed time.
+// computed from elapsed time. Items are pooled by the device; what
+// happens when one completes follows from its kind and its cmd: a
+// program item without a command is a cache flush batch, a read item
+// without one is the read phase of a garbage collection.
 type chItem struct {
 	kind    itemKind
 	ops     []pageOp
 	perPage sim.Duration
-	block   int // erase target
-	onDone  func()
+	block   int                   // erase target
+	cmd     *command              // host command this item serves, pinned while queued
+	rdDst   []content.Fingerprint // read destination, indexed by pageOp.rdIdx
 	startAt sim.Time
 }
 
@@ -53,12 +55,14 @@ func (it *chItem) duration() sim.Duration {
 	return it.perPage * sim.Duration(len(it.ops))
 }
 
-// channel serialises items FIFO, one at a time.
+// channel serialises items FIFO, one at a time. The queue is consumed
+// from head and reset to empty when drained, so it reuses its storage.
 type channel struct {
-	idx   int
 	queue []*chItem
+	head  int
 	cur   *chItem
 	timer sim.Timer
+	fire  func() // completes cur; built once per channel
 }
 
 func must(err error) {
@@ -71,6 +75,81 @@ func (d *Device) channelOf(p addr.PPN) int {
 	return d.chip.Geometry().BlockOf(p) % len(d.channels)
 }
 
+// newItem takes an item from the pool. A host command it serves is pinned
+// until the item is released.
+func (d *Device) newItem(kind itemKind, perPage sim.Duration, cmd *command) *chItem {
+	var it *chItem
+	if n := len(d.freeItems); n > 0 {
+		it = d.freeItems[n-1]
+		d.freeItems = d.freeItems[:n-1]
+	} else {
+		it = &chItem{}
+	}
+	it.kind, it.perPage, it.cmd = kind, perPage, cmd
+	if cmd != nil {
+		cmd.pins++
+	}
+	return it
+}
+
+// releaseItem returns an item to the pool, dropping its references. It
+// returns the command the item served, unpinned, for the caller to act on.
+func (d *Device) releaseItem(it *chItem) *command {
+	cmd := it.cmd
+	clear(it.ops)
+	*it = chItem{ops: it.ops[:0]}
+	d.freeItems = append(d.freeItems, it)
+	if cmd != nil {
+		cmd.pins--
+	}
+	return cmd
+}
+
+// dropItem releases an item whose completion will never run (power
+// loss), letting go of its command if nothing else holds it.
+func (d *Device) dropItem(it *chItem) {
+	if cmd := d.releaseItem(it); cmd != nil {
+		d.maybeRelease(cmd)
+	}
+}
+
+// batchOp adds op to the batch being built for channel ch and returns
+// the batch. Batches live in device-owned scratch until enqueueBatches
+// sends them.
+func (d *Device) batchOp(ch int, kind itemKind, perPage sim.Duration, cmd *command, op pageOp) *chItem {
+	it := d.batches[ch]
+	if it == nil {
+		it = d.newItem(kind, perPage, cmd)
+		d.batches[ch] = it
+	}
+	it.ops = append(it.ops, op)
+	return it
+}
+
+// enqueueBatches sends every built batch to its channel in channel order
+// and reports how many it sent.
+func (d *Device) enqueueBatches() int {
+	n := 0
+	for ch, it := range d.batches {
+		if it != nil {
+			d.batches[ch] = nil
+			d.enqueue(ch, it)
+			n++
+		}
+	}
+	return n
+}
+
+// discardBatches drops the batches built so far.
+func (d *Device) discardBatches() {
+	for ch, it := range d.batches {
+		if it != nil {
+			d.batches[ch] = nil
+			d.dropItem(it)
+		}
+	}
+}
+
 func (d *Device) enqueue(ch int, it *chItem) {
 	c := d.channels[ch]
 	c.queue = append(c.queue, it)
@@ -78,17 +157,21 @@ func (d *Device) enqueue(ch int, it *chItem) {
 }
 
 func (d *Device) kick(c *channel) {
-	if c.cur != nil || len(c.queue) == 0 {
+	if c.cur != nil || c.head == len(c.queue) {
 		return
 	}
 	if d.state == StateDead || d.state == StateRecovering {
 		return
 	}
-	it := c.queue[0]
-	c.queue = c.queue[1:]
+	it := c.queue[c.head]
+	c.queue[c.head] = nil
+	c.head++
+	if c.head == len(c.queue) {
+		c.queue, c.head = c.queue[:0], 0
+	}
 	c.cur = it
 	it.startAt = d.k.Now()
-	c.timer = d.k.After(it.duration(), func() { d.itemDone(c) })
+	c.timer = d.k.After(it.duration(), c.fire)
 }
 
 func (d *Device) itemDone(c *channel) {
@@ -96,10 +179,56 @@ func (d *Device) itemDone(c *channel) {
 	c.cur = nil
 	c.timer = sim.Timer{}
 	d.applyComplete(it)
-	if it.onDone != nil {
-		it.onDone()
-	}
+	d.finishItem(it)
 	d.kick(c)
+}
+
+// finishItem releases a completed item and then runs what its completion
+// triggers.
+func (d *Device) finishItem(it *chItem) {
+	kind, n, block := it.kind, len(it.ops), it.block
+	cmd := d.releaseItem(it)
+	switch kind {
+	case itemProgram:
+		if cmd == nil {
+			d.stats.PagesFlushed += int64(n)
+		} else if d.lastPart(cmd) {
+			d.completeCmd(cmd, cmd.err)
+		}
+		d.afterBackgroundWork()
+	case itemRead:
+		if cmd == nil {
+			d.gcParts--
+			if d.gcParts == 0 {
+				d.gcProgram()
+			}
+		} else if d.lastPart(cmd) {
+			d.respondRead(cmd)
+		}
+	case itemMove:
+		d.gcParts--
+		if d.gcParts == 0 {
+			d.gcErase(d.gcPlan.Victim)
+		}
+	case itemMeta:
+		d.metaInFlight = false
+		d.ftlm.CommitJournal()
+	case itemErase:
+		d.ftlm.GCFinish(block)
+		d.gcStep()
+	}
+}
+
+// lastPart retires one finished channel item of cmd and reports whether
+// it was the last one the command waited for. A command already finished
+// waits for nothing; it may return to the pool instead.
+func (d *Device) lastPart(cmd *command) bool {
+	if cmd.finished {
+		d.maybeRelease(cmd)
+		return false
+	}
+	cmd.parts--
+	return cmd.parts == 0
 }
 
 // applyComplete commits the effects of a fully executed item.
@@ -109,13 +238,13 @@ func (d *Device) applyComplete(it *chItem) {
 		return
 	}
 	for i := range it.ops {
-		d.applyOp(&it.ops[i], it.kind)
+		d.applyOp(it, &it.ops[i])
 	}
 }
 
-// applyOp commits one successfully finished page operation.
-func (d *Device) applyOp(op *pageOp, kind itemKind) {
-	switch kind {
+// applyOp commits one successfully finished page operation of it.
+func (d *Device) applyOp(it *chItem, op *pageOp) {
+	switch it.kind {
 	case itemProgram:
 		must(d.chip.Program(op.ppn, op.fp))
 		d.ftlm.CompleteWrite(op.ticket, d.k.Now())
@@ -130,14 +259,14 @@ func (d *Device) applyOp(op *pageOp, kind itemKind) {
 	case itemRead:
 		res, err := d.chip.Read(op.ppn)
 		must(err)
-		op.rdDst[op.rdIdx] = res.FP
-		if res.Status == flash.ReadUncorrectable && d.prof.UncorrectableAsError &&
-			op.cmd != nil && op.cmd.err == nil {
-			op.cmd.err = ErrUncorrectable
+		it.rdDst[op.rdIdx] = res.FP
+		if cmd := it.cmd; res.Status == flash.ReadUncorrectable && d.prof.UncorrectableAsError &&
+			cmd != nil && cmd.err == nil {
+			cmd.err = ErrUncorrectable
 		}
 		d.stats.PagesRead++
 	case itemMeta:
-		// Durability happens in onDone via CommitJournal.
+		// Durability happens in finishItem via CommitJournal.
 	}
 }
 
@@ -155,11 +284,14 @@ func (d *Device) interruptChannels() {
 			c.cur = nil
 			elapsed := now.Sub(it.startAt)
 			d.applyInterrupted(it, elapsed)
+			d.dropItem(it)
 		}
-		for _, it := range c.queue {
+		for _, it := range c.queue[c.head:] {
 			d.abandonItem(it)
+			d.dropItem(it)
 		}
-		c.queue = nil
+		clear(c.queue)
+		c.queue, c.head = c.queue[:0], 0
 	}
 	d.metaInFlight = false
 	d.gcActive = false
@@ -181,7 +313,7 @@ func (d *Device) applyInterrupted(it *chItem, elapsed sim.Duration) {
 		doneN = len(it.ops)
 	}
 	for i := 0; i < doneN; i++ {
-		d.applyOp(&it.ops[i], it.kind)
+		d.applyOp(it, &it.ops[i])
 	}
 	if doneN >= len(it.ops) {
 		return
@@ -215,6 +347,13 @@ func (d *Device) abandonItem(it *chItem) {
 // holds the controller up long enough to finish in-flight work, drain the
 // cache, and commit the journal, so nothing volatile is lost.
 func (d *Device) supercapComplete() {
+	finish := func(it *chItem) {
+		d.applyComplete(it)
+		if it.kind == itemErase {
+			d.ftlm.GCFinish(it.block)
+		}
+		d.dropItem(it)
+	}
 	for _, c := range d.channels {
 		if c.timer.Pending() {
 			c.timer.Stop()
@@ -222,18 +361,13 @@ func (d *Device) supercapComplete() {
 		}
 		if it := c.cur; it != nil {
 			c.cur = nil
-			d.applyComplete(it)
-			if it.kind == itemErase {
-				d.ftlm.GCFinish(it.block)
-			}
+			finish(it)
 		}
-		for _, it := range c.queue {
-			d.applyComplete(it)
-			if it.kind == itemErase {
-				d.ftlm.GCFinish(it.block)
-			}
+		for _, it := range c.queue[c.head:] {
+			finish(it)
 		}
-		c.queue = nil
+		clear(c.queue)
+		c.queue, c.head = c.queue[:0], 0
 	}
 	d.metaInFlight = false
 	d.gcActive = false

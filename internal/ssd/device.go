@@ -3,7 +3,7 @@ package ssd
 import (
 	"errors"
 	"fmt"
-	"os"
+	"slices"
 
 	"powerfail/internal/addr"
 	"powerfail/internal/blockdev"
@@ -73,6 +73,11 @@ type Stats struct {
 	MappingsLost        int64
 }
 
+// command is one host command. Commands are pooled: a finished command
+// returns to the pool once nothing pins it. Its scheduled steps and the
+// channel items serving it pin it; lists that may outlive it (flush
+// waiters, the brownout error sweep) hold a cmdRef instead, whose
+// generation no longer matches once the command is reused.
 type command struct {
 	op       blockdev.Op
 	lpn      addr.LPN
@@ -81,9 +86,25 @@ type command struct {
 	done     func(error, content.Data)
 	result   []content.Fingerprint
 	parts    int
+	from     int // next page insertWrite places
 	err      error
 	finished bool
+	pins     int
+	gen      uint32
+
+	// Built once per pooled command.
+	stepFn    func() // after the command frame crosses the link (flush: after the command overhead)
+	retryFn   func() // insertWrite retry after write backpressure
+	respondFn func() // after the read payload crosses the link
 }
+
+// cmdRef names one use of a pooled command.
+type cmdRef struct {
+	cmd *command
+	gen uint32
+}
+
+func (r cmdRef) live() bool { return r.cmd.gen == r.gen }
 
 // Device is the SSD under test.
 type Device struct {
@@ -100,10 +121,20 @@ type Device struct {
 
 	linkBusyUntil sim.Time
 	outstanding   []*command
-	flushWaiters  []*command
+	flushWaiters  []cmdRef
+
+	freeCmds  []*command
+	freeItems []*chItem
+	batches   []*chItem // per-channel batch scratch, nil where empty
+
+	gcPlan  *ftl.GCPlan           // collection in progress
+	gcFps   []content.Fingerprint // its victim's page contents
+	gcParts int                   // its channel items still running
 
 	flushTimer    sim.Timer
 	journalTimer  sim.Timer
+	flushTickFn   func() // d.flushTick, bound once
+	journalTickFn func() // d.journalTick, bound once
 	recoveryTimer sim.Timer
 	metaInFlight  bool
 	gcActive      bool
@@ -149,8 +180,12 @@ func New(k *sim.Kernel, r *sim.RNG, prof Profile, psu *power.PSU) (*Device, erro
 	}
 	d.channels = make([]*channel, prof.Channels)
 	for i := range d.channels {
-		d.channels[i] = &channel{idx: i}
+		c := &channel{}
+		c.fire = func() { d.itemDone(c) }
+		d.channels[i] = c
 	}
+	d.batches = make([]*chItem, prof.Channels)
+	d.flushTickFn, d.journalTickFn = d.flushTick, d.journalTick
 	if psu != nil {
 		psu.Connect("ssd-"+prof.Name, prof.LoadOhms)
 		psu.NotifyBelow(prof.BrownoutVolts, d.onBrownout)
@@ -220,7 +255,6 @@ var ErrOutOfRange = errors.New("ssd: address beyond device capacity")
 
 // Submit implements blockdev.Device.
 func (d *Device) Submit(op blockdev.Op, lpn addr.LPN, pages int, data content.Data, done func(error, content.Data)) {
-	cmd := &command{op: op, lpn: lpn, pages: pages, data: data, done: done}
 	if lpn < 0 || int64(lpn)+int64(pages) > d.prof.UserPages() {
 		d.stats.HostErrors++
 		d.k.After(d.prof.FailFast, func() { done(ErrOutOfRange, content.Data{}) })
@@ -231,16 +265,92 @@ func (d *Device) Submit(op blockdev.Op, lpn addr.LPN, pages int, data content.Da
 		d.k.After(d.prof.FailFast, func() { done(ErrUnavailable, content.Data{}) })
 		return
 	}
+	cmd := d.newCommand()
+	cmd.op, cmd.lpn, cmd.pages, cmd.data, cmd.done = op, lpn, pages, data, done
 	d.outstanding = append(d.outstanding, cmd)
 	switch op {
 	case blockdev.OpWrite:
-		d.startWrite(cmd)
+		d.linkCmd(cmd, int64(cmd.pages)*addr.PageBytes, cmd.stepFn)
 	case blockdev.OpRead:
-		d.startRead(cmd)
+		d.linkCmd(cmd, 64, cmd.stepFn) // command frame only
 	case blockdev.OpFlush:
-		d.startFlush(cmd)
+		cmd.pins++
+		d.k.After(d.prof.CmdOverhead, cmd.stepFn)
 	default:
 		d.completeCmd(cmd, fmt.Errorf("ssd: unknown op %v", op))
+	}
+}
+
+// newCommand takes a command from the pool.
+func (d *Device) newCommand() *command {
+	if n := len(d.freeCmds); n > 0 {
+		cmd := d.freeCmds[n-1]
+		d.freeCmds = d.freeCmds[:n-1]
+		return cmd
+	}
+	cmd := &command{}
+	cmd.stepFn = func() { d.step(cmd) }
+	cmd.retryFn = func() {
+		if d.unpin(cmd) {
+			d.insertWrite(cmd)
+		}
+	}
+	cmd.respondFn = func() {
+		if d.unpin(cmd) {
+			d.completeCmd(cmd, cmd.err)
+		}
+	}
+	return cmd
+}
+
+// unpin drops the pin of a step that just fired. It reports whether the
+// command still needs the step; a finished one may return to the pool.
+func (d *Device) unpin(cmd *command) bool {
+	cmd.pins--
+	if cmd.finished {
+		d.maybeRelease(cmd)
+		return false
+	}
+	return true
+}
+
+// maybeRelease returns a finished command to the pool once nothing pins
+// it. Its generation advances, so every cmdRef to it goes stale.
+func (d *Device) maybeRelease(cmd *command) {
+	if !cmd.finished || cmd.pins > 0 {
+		return
+	}
+	*cmd = command{
+		gen:       cmd.gen + 1,
+		stepFn:    cmd.stepFn,
+		retryFn:   cmd.retryFn,
+		respondFn: cmd.respondFn,
+	}
+	d.freeCmds = append(d.freeCmds, cmd)
+}
+
+// step runs a command's first controller step: the link transfer of a
+// write or read command frame, or the overhead of a flush, has elapsed.
+func (d *Device) step(cmd *command) {
+	if !d.unpin(cmd) {
+		return
+	}
+	switch cmd.op {
+	case blockdev.OpWrite:
+		if d.cache == nil {
+			d.writeThrough(cmd)
+			return
+		}
+		d.insertWrite(cmd)
+	case blockdev.OpRead:
+		d.resolveRead(cmd)
+	case blockdev.OpFlush:
+		if d.cache == nil || d.cache.DirtyPages() == 0 {
+			d.completeCmd(cmd, nil)
+			return
+		}
+		d.flushWaiters = append(d.flushWaiters, cmdRef{cmd, cmd.gen})
+		d.drainCache()
 	}
 }
 
@@ -249,28 +359,31 @@ func (d *Device) completeCmd(cmd *command, err error) {
 		return
 	}
 	cmd.finished = true
-	for i, c := range d.outstanding {
-		if c == cmd {
-			d.outstanding = append(d.outstanding[:i], d.outstanding[i+1:]...)
-			break
-		}
+	if i := slices.Index(d.outstanding, cmd); i >= 0 {
+		d.outstanding = slices.Delete(d.outstanding, i, i+1)
 	}
-	if err != nil {
+	done, data := cmd.done, content.Data{}
+	switch {
+	case err != nil:
 		d.stats.HostErrors++
-		cmd.done(err, content.Data{})
-		return
-	}
-	switch cmd.op {
-	case blockdev.OpRead:
+	case cmd.op == blockdev.OpRead:
 		d.stats.HostReads++
-		cmd.done(nil, content.Gather(cmd.pages, func(i int) content.Fingerprint { return cmd.result[i] }))
-	case blockdev.OpWrite:
+		// The result slice is handed over: the host's Data owns it.
+		data = content.Wrap(cmd.result)
+	case cmd.op == blockdev.OpWrite:
 		d.stats.HostWrites++
-		cmd.done(nil, content.Data{})
 	default:
 		d.stats.HostFlushes++
-		cmd.done(nil, content.Data{})
 	}
+	d.maybeRelease(cmd)
+	done(err, data)
+}
+
+// linkCmd moves a command's bytes over the host link and runs fn, pinning
+// cmd until then.
+func (d *Device) linkCmd(cmd *command, bytes int64, fn func()) {
+	cmd.pins++
+	d.linkTransfer(bytes, fn)
 }
 
 func (d *Device) linkTransfer(bytes int64, fn func()) {
@@ -285,36 +398,22 @@ func (d *Device) linkTransfer(bytes int64, fn func()) {
 
 // --- write path ---
 
-func (d *Device) startWrite(cmd *command) {
-	d.linkTransfer(int64(cmd.pages)*addr.PageBytes, func() {
-		if cmd.finished {
-			return
-		}
-		if d.cache == nil {
-			d.writeThrough(cmd)
-			return
-		}
-		d.insertWrite(cmd, 0)
-	})
-}
-
-// insertWrite places write pages into the volatile cache, stalling (write
-// backpressure) while the dirty population is at its cap. The ACK that
-// completes the command fires as soon as the last page is cached: this is
-// the false-write-acknowledge window the paper measures.
-func (d *Device) insertWrite(cmd *command, from int) {
-	if cmd.finished {
-		return
-	}
-	for i := from; i < cmd.pages; i++ {
+// insertWrite places write pages into the volatile cache from cmd.from
+// on, stalling (write backpressure) while the dirty population is at its
+// cap. The ACK that completes the command fires as soon as the last page
+// is cached: this is the false-write-acknowledge window the paper
+// measures.
+func (d *Device) insertWrite(cmd *command) {
+	for i := cmd.from; i < cmd.pages; i++ {
 		if d.cache.DirtyPages() >= d.prof.DirtyCapPages || !d.cache.Write(cmd.lpn+addr.LPN(i), cmd.data.Page(i)) {
 			// Write backpressure: drain immediately and retry once the
 			// flusher has retired pages.
 			d.stats.CacheStalls++
 			d.noteDirty()
 			d.drainCache()
-			idx := i
-			d.k.After(200*sim.Microsecond, func() { d.insertWrite(cmd, idx) })
+			cmd.from = i
+			cmd.pins++
+			d.k.After(200*sim.Microsecond, cmd.retryFn)
 			return
 		}
 	}
@@ -333,30 +432,17 @@ func (d *Device) noteDirty() {
 // writeThrough programs pages synchronously (internal cache disabled); the
 // ACK waits for every program to finish.
 func (d *Device) writeThrough(cmd *command) {
-	groups := make([][]pageOp, len(d.channels))
+	per := d.perPageProg()
 	for i := 0; i < cmd.pages; i++ {
 		t, err := d.ftlm.BeginWrite(cmd.lpn + addr.LPN(i))
 		if err != nil {
+			d.discardBatches()
 			d.completeCmd(cmd, ErrNoSpace)
 			return
 		}
-		ch := d.channelOf(t.PPN)
-		groups[ch] = append(groups[ch], pageOp{ppn: t.PPN, fp: cmd.data.Page(i), lpn: t.LPN, ticket: t})
+		d.batchOp(d.channelOf(t.PPN), itemProgram, per, cmd, pageOp{ppn: t.PPN, fp: cmd.data.Page(i), lpn: t.LPN, ticket: t})
 	}
-	per := d.perPageProg()
-	for ch, ops := range groups {
-		if len(ops) == 0 {
-			continue
-		}
-		cmd.parts++
-		d.enqueue(ch, &chItem{kind: itemProgram, ops: ops, perPage: per, onDone: func() {
-			cmd.parts--
-			if cmd.parts == 0 {
-				d.completeCmd(cmd, cmd.err)
-			}
-			d.afterBackgroundWork()
-		}})
-	}
+	cmd.parts = d.enqueueBatches()
 	if cmd.parts == 0 {
 		d.completeCmd(cmd, nil)
 	}
@@ -364,19 +450,8 @@ func (d *Device) writeThrough(cmd *command) {
 
 // --- read path ---
 
-func (d *Device) startRead(cmd *command) {
-	d.linkTransfer(64, func() { // command frame only
-		if cmd.finished {
-			return
-		}
-		d.resolveRead(cmd)
-	})
-}
-
 func (d *Device) resolveRead(cmd *command) {
 	cmd.result = make([]content.Fingerprint, cmd.pages)
-	groups := make([][]pageOp, len(d.channels))
-	flashPages := 0
 	for i := 0; i < cmd.pages; i++ {
 		lpn := cmd.lpn + addr.LPN(i)
 		if d.cache != nil {
@@ -390,25 +465,12 @@ func (d *Device) resolveRead(cmd *command) {
 			cmd.result[i] = content.Zero
 			continue
 		}
-		ch := d.channelOf(ppn)
-		groups[ch] = append(groups[ch], pageOp{ppn: ppn, rdIdx: i, rdDst: cmd.result, cmd: cmd})
-		flashPages++
+		it := d.batchOp(d.channelOf(ppn), itemRead, d.prof.Timing.ReadPage, cmd, pageOp{ppn: ppn, rdIdx: i})
+		it.rdDst = cmd.result
 	}
-	if flashPages == 0 {
+	cmd.parts = d.enqueueBatches()
+	if cmd.parts == 0 {
 		d.respondRead(cmd)
-		return
-	}
-	for ch, ops := range groups {
-		if len(ops) == 0 {
-			continue
-		}
-		cmd.parts++
-		d.enqueue(ch, &chItem{kind: itemRead, ops: ops, perPage: d.prof.Timing.ReadPage, onDone: func() {
-			cmd.parts--
-			if cmd.parts == 0 {
-				d.respondRead(cmd)
-			}
-		}})
 	}
 }
 
@@ -416,25 +478,7 @@ func (d *Device) respondRead(cmd *command) {
 	if cmd.finished {
 		return
 	}
-	d.linkTransfer(int64(cmd.pages)*addr.PageBytes, func() {
-		d.completeCmd(cmd, cmd.err)
-	})
-}
-
-// --- flush command ---
-
-func (d *Device) startFlush(cmd *command) {
-	d.k.After(d.prof.CmdOverhead, func() {
-		if cmd.finished {
-			return
-		}
-		if d.cache == nil || d.cache.DirtyPages() == 0 {
-			d.completeCmd(cmd, nil)
-			return
-		}
-		d.flushWaiters = append(d.flushWaiters, cmd)
-		d.drainCache()
-	})
+	d.linkCmd(cmd, int64(cmd.pages)*addr.PageBytes, cmd.respondFn)
 }
 
 // --- background flusher ---
@@ -443,7 +487,7 @@ func (d *Device) scheduleFlushTick() {
 	if d.cache == nil || d.flushTimer.Pending() || d.state == StateDead || d.state == StateRecovering {
 		return
 	}
-	d.flushTimer = d.k.After(d.prof.FlushTick, d.flushTick)
+	d.flushTimer = d.k.After(d.prof.FlushTick, d.flushTickFn)
 }
 
 func (d *Device) flushTick() {
@@ -474,27 +518,16 @@ func (d *Device) drainCache() {
 		if len(ents) == 0 {
 			break
 		}
-		groups := make([][]pageOp, len(d.channels))
+		per := d.perPageProg()
 		for _, e := range ents {
 			t, err := d.ftlm.BeginWrite(e.LPN)
 			if err != nil {
 				d.cache.FlushFailed(e.LPN, e.Seq)
 				continue
 			}
-			ch := d.channelOf(t.PPN)
-			groups[ch] = append(groups[ch], pageOp{ppn: t.PPN, fp: e.FP, lpn: e.LPN, seq: e.Seq, ticket: t})
+			d.batchOp(d.channelOf(t.PPN), itemProgram, per, nil, pageOp{ppn: t.PPN, fp: e.FP, lpn: e.LPN, seq: e.Seq, ticket: t})
 		}
-		per := d.perPageProg()
-		for ch, ops := range groups {
-			if len(ops) == 0 {
-				continue
-			}
-			n := int64(len(ops))
-			d.enqueue(ch, &chItem{kind: itemProgram, ops: ops, perPage: per, onDone: func() {
-				d.stats.PagesFlushed += n
-				d.afterBackgroundWork()
-			}})
-		}
+		d.enqueueBatches()
 	}
 	d.hasDirtySince = false
 }
@@ -510,7 +543,9 @@ func (d *Device) afterBackgroundWork() {
 		waiters := d.flushWaiters
 		d.flushWaiters = nil
 		for _, w := range waiters {
-			d.completeCmd(w, nil)
+			if w.live() {
+				d.completeCmd(w.cmd, nil)
+			}
 		}
 	}
 	if d.ftlm.CommitDue() && !d.metaInFlight {
@@ -529,7 +564,7 @@ func (d *Device) startJournalTick() {
 	if d.journalTimer.Pending() {
 		return
 	}
-	d.journalTimer = d.k.After(d.prof.JournalTick, d.journalTick)
+	d.journalTimer = d.k.After(d.prof.JournalTick, d.journalTickFn)
 }
 
 func (d *Device) journalTick() {
@@ -554,11 +589,9 @@ func (d *Device) startMetaCommit() {
 	}
 	metaPages := (pending + 511) / 512
 	d.metaInFlight = true
-	ops := make([]pageOp, metaPages)
-	d.enqueue(0, &chItem{kind: itemMeta, ops: ops, perPage: d.perPageProg(), onDone: func() {
-		d.metaInFlight = false
-		d.ftlm.CommitJournal()
-	}})
+	it := d.newItem(itemMeta, d.perPageProg(), nil)
+	it.ops = slices.Grow(it.ops, metaPages)[:metaPages]
+	d.enqueue(0, it)
 }
 
 // --- garbage collection ---
@@ -588,76 +621,48 @@ func (d *Device) gcStep() {
 		d.gcActive = false
 		return
 	}
+	d.gcPlan = plan
 	if len(plan.Moves) == 0 {
 		d.gcErase(plan.Victim)
 		return
 	}
 	// Phase 1: read every valid page out of the victim.
-	fps := make([]content.Fingerprint, len(plan.Moves))
-	groups := make([][]pageOp, len(d.channels))
+	d.gcFps = slices.Grow(d.gcFps[:0], len(plan.Moves))[:len(plan.Moves)]
 	for i, mv := range plan.Moves {
-		ch := d.channelOf(mv.From)
-		groups[ch] = append(groups[ch], pageOp{ppn: mv.From, rdIdx: i, rdDst: fps})
+		it := d.batchOp(d.channelOf(mv.From), itemRead, d.prof.Timing.ReadPage, nil, pageOp{ppn: mv.From, rdIdx: i})
+		it.rdDst = d.gcFps
 	}
-	parts := 0
-	onReads := func() {
-		parts--
-		if parts > 0 {
-			return
-		}
-		d.gcProgram(plan, fps)
-	}
-	for ch, ops := range groups {
-		if len(ops) == 0 {
-			continue
-		}
-		parts++
-		d.enqueue(ch, &chItem{kind: itemRead, ops: ops, perPage: d.prof.Timing.ReadPage, onDone: onReads})
-	}
+	d.gcParts = d.enqueueBatches()
 }
 
-func (d *Device) gcProgram(plan *ftl.GCPlan, fps []content.Fingerprint) {
+// gcProgram is phase 2 of a collection: program the pages read out of
+// the victim into fresh pages.
+func (d *Device) gcProgram() {
 	if d.state == StateDead || d.state == StateRecovering {
 		d.gcActive = false
 		return
 	}
-	groups := make([][]pageOp, len(d.channels))
+	plan := d.gcPlan
+	per := d.perPageProg()
 	for i, mv := range plan.Moves {
 		t, err := d.ftlm.BeginWrite(mv.LPN)
 		if err != nil {
+			d.discardBatches()
 			d.gcActive = false
 			return
 		}
-		ch := d.channelOf(t.PPN)
-		groups[ch] = append(groups[ch], pageOp{ppn: t.PPN, fp: fps[i], lpn: mv.LPN, ticket: t, from: mv.From})
+		d.batchOp(d.channelOf(t.PPN), itemMove, per, nil, pageOp{ppn: t.PPN, fp: d.gcFps[i], lpn: mv.LPN, ticket: t, from: mv.From})
 	}
-	parts := 0
-	onProg := func() {
-		parts--
-		if parts > 0 {
-			return
-		}
-		d.gcErase(plan.Victim)
-	}
-	per := d.perPageProg()
-	for ch, ops := range groups {
-		if len(ops) == 0 {
-			continue
-		}
-		parts++
-		d.enqueue(ch, &chItem{kind: itemMove, ops: ops, perPage: per, onDone: onProg})
-	}
-	if parts == 0 {
+	d.gcParts = d.enqueueBatches()
+	if d.gcParts == 0 {
 		d.gcErase(plan.Victim)
 	}
 }
 
 func (d *Device) gcErase(victim int) {
-	ch := victim % len(d.channels)
-	d.enqueue(ch, &chItem{kind: itemErase, block: victim, perPage: d.prof.Timing.EraseBlock, onDone: func() {
-		d.ftlm.GCFinish(victim)
-		d.gcStep()
-	}})
+	it := d.newItem(itemErase, d.prof.Timing.EraseBlock, nil)
+	it.block = victim
+	d.enqueue(victim%len(d.channels), it)
 }
 
 // --- power events ---
@@ -678,11 +683,15 @@ func (d *Device) onBrownout() {
 	// The host notices the link dropping shortly after; every outstanding
 	// command errors. Internal work (flusher, channels) keeps running off
 	// the decaying rail until the die voltage.
-	pending := make([]*command, len(d.outstanding))
-	copy(pending, d.outstanding)
+	pending := make([]cmdRef, len(d.outstanding))
+	for i, cmd := range d.outstanding {
+		pending[i] = cmdRef{cmd, cmd.gen}
+	}
 	d.k.After(d.prof.LinkDownDetect, func() {
-		for _, cmd := range pending {
-			d.completeCmd(cmd, ErrUnavailable)
+		for _, r := range pending {
+			if r.live() {
+				d.completeCmd(r.cmd, ErrUnavailable)
+			}
 		}
 	})
 	if d.prof.SuperCap {
@@ -696,15 +705,6 @@ func (d *Device) onBrownout() {
 func (d *Device) onDie() {
 	if d.state == StateDead {
 		return
-	}
-	if os.Getenv("PFDEBUG") != "" {
-		q, fl := 0, 0
-		if d.cache != nil {
-			q = d.cache.QueuedDirty()
-			fl = d.cache.DirtyPages() - q
-		}
-		fmt.Printf("DIE t=%s queued=%d flushing=%d pendingRec=%d openRun=%d\n",
-			d.k.Now(), q, fl, d.ftlm.PendingRecords(), d.ftlm.OpenRunLen())
 	}
 	d.stats.Deaths++
 	if d.prof.SuperCap {

@@ -401,3 +401,81 @@ func TestStateStrings(t *testing.T) {
 		}
 	}
 }
+
+// TestPooledCommandsUnderPowerCuts drives reads, writes and flushes
+// through repeated power cuts, so commands are failed by the brownout
+// sweep while their steps and channel items are still pending. Every
+// command must complete exactly once, and once the device settles every
+// pooled command and item must be back in its pool exactly once.
+func TestPooledCommandsUnderPowerCuts(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mut  func(*Profile)
+	}{
+		{"write-back", func(*Profile) {}},
+		{"write-through", func(p *Profile) { p.HasCache = false }},
+		{"supercap", func(p *Profile) { p.SuperCap = true }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := smallProfile()
+			tc.mut(&p)
+			r := newRig(t, p)
+			rng := sim.NewRNG(11)
+			calls := map[int]int{}
+			submitted := 0
+			on := true
+			for step := 0; step < 3000; step++ {
+				// Submissions continue while the rail decays, so commands
+				// are in flight at every brownout.
+				if on && rng.Intn(100) < 2 {
+					r.psu.PowerOff()
+					on = false
+				} else if !on && rng.Intn(100) < 4 {
+					r.psu.PowerOn()
+					on = true
+				}
+				id := step
+				done := func(error, content.Data) { calls[id]++ }
+				switch k := rng.Intn(100); {
+				case k < 50:
+					pages := 1 + rng.Intn(256)
+					r.dev.Submit(blockdev.OpWrite, addr.LPN(rng.Intn(4096)), pages, content.Random(rng, pages), done)
+				case k < 90:
+					r.dev.Submit(blockdev.OpRead, addr.LPN(rng.Intn(4096)), 1+rng.Intn(256), content.Data{}, done)
+				default:
+					r.dev.Submit(blockdev.OpFlush, 0, 0, content.Data{}, done)
+				}
+				submitted++
+				r.k.RunFor(sim.Duration(rng.Intn(3000)) * sim.Microsecond)
+			}
+			r.psu.PowerOn()
+			r.k.RunFor(10 * sim.Second)
+			if len(calls) != submitted {
+				t.Fatalf("%d of %d commands completed", len(calls), submitted)
+			}
+			for id, n := range calls {
+				if n != 1 {
+					t.Fatalf("command %d completed %d times", id, n)
+				}
+			}
+			d := r.dev
+			if len(d.outstanding) != 0 || d.Stats().Deaths == 0 {
+				t.Fatalf("outstanding %d, deaths %d", len(d.outstanding), d.Stats().Deaths)
+			}
+			seen := map[*command]bool{}
+			for _, c := range d.freeCmds {
+				if seen[c] || c.pins != 0 || c.finished {
+					t.Fatalf("pooled command %p: duplicate %v, pins %d, finished %v", c, seen[c], c.pins, c.finished)
+				}
+				seen[c] = true
+			}
+			seenItem := map[*chItem]bool{}
+			for _, it := range d.freeItems {
+				if seenItem[it] || it.cmd != nil || len(it.ops) != 0 {
+					t.Fatalf("pooled item %p: duplicate %v, cmd %p, %d ops", it, seenItem[it], it.cmd, len(it.ops))
+				}
+				seenItem[it] = true
+			}
+		})
+	}
+}
