@@ -185,9 +185,6 @@ func (c Config) Validate() error {
 			return fmt.Errorf("array: rs with %d parities needs >= %d members, got %d",
 				c.Parity, c.Parity+2, len(c.Members))
 		}
-		if len(c.Members) > 255 {
-			return fmt.Errorf("array: rs supports at most 255 members (GF(256) shards), got %d", len(c.Members))
-		}
 	case Cached:
 		if len(c.Members) != 0 {
 			return fmt.Errorf("array: cached level takes Cache/Backing, not Members")
@@ -197,6 +194,9 @@ func (c Config) Validate() error {
 		}
 	default:
 		return fmt.Errorf("array: unknown level %d", int(c.Level))
+	}
+	if (c.Level == RAID5 || c.Level == RAID6 || c.Level == RS) && len(c.Members) > 255 {
+		return fmt.Errorf("array: %v supports at most 255 members (GF(256) shards), got %d", c.Level, len(c.Members))
 	}
 	return nil
 }
@@ -331,10 +331,7 @@ func New(k *sim.Kernel, r *sim.RNG, cfg Config, psu *power.PSU) (*Array, error) 
 		case RAID1:
 			a.memberPages = minPages
 			a.userPages = minPages
-		case RAID5:
-			a.memberPages = (minPages / sp) * sp
-			a.userPages = (n - 1) * a.memberPages
-		case RAID6, RS:
+		case RAID5, RAID6, RS:
 			kp := int64(cfg.Parity)
 			a.memberPages = (minPages / sp) * sp
 			a.userPages = (n - kp) * a.memberPages
@@ -499,9 +496,7 @@ func (a *Array) Submit(op blockdev.Op, lpn addr.LPN, pages int, data content.Dat
 		a.submitRAID0(op, lpn, pages, data, finish)
 	case RAID1:
 		a.submitRAID1(op, lpn, pages, data, finish)
-	case RAID5:
-		a.submitRAID5(op, lpn, pages, data, finish)
-	case RAID6, RS:
+	case RAID5, RAID6, RS:
 		a.submitCoded(op, lpn, pages, data, finish)
 	default:
 		a.submitCached(op, lpn, pages, data, finish)

@@ -113,8 +113,8 @@ func TestCodeReconstructAllPatterns(t *testing.T) {
 	}
 }
 
-// TestCodeK1IsXOR pins that the single-parity code is plain XOR — the
-// algebra the RAID-5 path implements directly.
+// TestCodeK1IsXOR pins that the single-parity code is plain XOR, so
+// RAID-5 is exactly the k = 1 point of the coded path.
 func TestCodeK1IsXOR(t *testing.T) {
 	c := newCode(4, 1)
 	data := []content.Fingerprint{0x1122334455667788, 0xa5a5a5a5a5a5a5a5, 0xdeadbeefcafef00d, 0x0123456789abcdef}

@@ -7,15 +7,16 @@ import (
 	"powerfail/internal/obs"
 )
 
-// --- RAID-6 / RS: rotating multi-parity with read-modify-write ---
+// --- RAID-5 / RAID-6 / RS: rotating parity with read-modify-write ---
 //
-// The coded levels generalise the RAID-5 path: each stripe carries k
-// parity shards on a rotating run of members, small writes delta-update
-// every parity under the stripe lock, and a degraded read reconstructs
-// the missing chunk from any m surviving shards via the GF(256) code.
-// The write hole widens accordingly: a fault between the 1+k write
-// acknowledgements leaves the stripe internally inconsistent whenever a
-// proper, non-empty subset of the writes landed.
+// Every parity level is an m+k code: each stripe carries k parity shards
+// on a rotating run of members, small writes delta-update every parity
+// under the stripe lock, and a degraded read reconstructs the missing
+// chunk from any m surviving shards via the GF(256) code. RAID-5 is the
+// k = 1 point, whose all-ones parity row is plain XOR. A fault between
+// the 1+k write acknowledgements leaves the stripe internally
+// inconsistent whenever a proper, non-empty subset of the writes landed:
+// the write hole, which for RAID-5 is "exactly one of data and parity".
 
 func (a *Array) submitCoded(op blockdev.Op, lpn addr.LPN, pages int, data content.Data, done func(error, content.Data)) {
 	chunks := a.chunksOf(lpn, pages)
@@ -131,97 +132,107 @@ func (a *Array) codeReconstruct(cr chunkRange, result []content.Fingerprint, don
 	}
 }
 
+// rmw is one parity read-modify-write cycle. A single allocation holds
+// everything the member callbacks share: the phase counter, the errors,
+// and the parity slots, which carry the k old parities after the read
+// phase and are overwritten in place with the new ones.
+type rmw struct {
+	a       *Array
+	cr      chunkRange
+	newData content.Data
+	done    func(error)
+
+	oldData content.Data
+	parity  []content.Data
+	slots   [2]content.Data // backs parity for RAID-5 and RAID-6
+
+	pending, acked              int
+	readErr, dataErr, parityErr error
+}
+
 // codeRMW performs the small-write cycle on one chunk range: read the old
 // data and all k old parities, delta every parity with the coded data
 // delta, then write the data and all parities concurrently. A fault
-// landing between the acknowledgements is the (multi-parity) write hole;
-// it is counted when a proper, non-empty subset of the 1+k writes lands.
+// landing between the acknowledgements is the write hole; it is counted
+// when a proper, non-empty subset of the 1+k writes lands.
 func (a *Array) codeRMW(cr chunkRange, data content.Data, done func(error)) {
 	a.stats.ParityRMWs++
 	a.tele.parityRMWs.Inc()
 	kp := a.parityCount()
-	var oldData content.Data
-	oldParity := make([]content.Data, kp)
-	reads := 1 + kp
-	var readErr error
-	afterReads := func() {
-		if readErr != nil {
-			// Nothing was written: the stripe is untouched, no hole.
-			done(readErr)
-			return
-		}
-		newData := data.Slice(cr.off, cr.n)
-		newParity := make([]content.Data, kp)
-		for j := 0; j < kp; j++ {
-			coeff := a.code.ParityCoeff(j, cr.didx)
-			old := oldParity[j]
-			newParity[j] = content.Gather(cr.n, func(i int) content.Fingerprint {
-				delta := uint64(oldData.Page(i)) ^ uint64(newData.Page(i))
-				return content.Fingerprint(uint64(old.Page(i)) ^ gfMulFP(coeff, delta))
-			})
-		}
-		writes := 1 + kp
-		acked := 0
-		var dataErr, parityErr error
-		afterWrites := func() {
-			if acked > 0 && acked < 1+kp {
-				a.stats.WriteHoles++
-				a.tele.writeHoles.Inc()
-				a.tele.sc.Instant(a.k.Now(), obs.KindInstant, "write_hole", int64(cr.mlpn))
-			}
-			if dataErr != nil {
-				done(dataErr)
-			} else {
-				done(parityErr)
-			}
-		}
-		a.memberSubmit(cr.member, blockdev.OpWrite, cr.mlpn, cr.n, newData, func(err error, _ content.Data) {
-			dataErr = err
-			if err == nil {
-				acked++
-			}
-			writes--
-			if writes == 0 {
-				afterWrites()
-			}
-		})
-		for j := 0; j < kp; j++ {
-			a.memberSubmit(a.parityMember(cr.parity, j), blockdev.OpWrite, cr.mlpn, cr.n, newParity[j], func(err error, _ content.Data) {
-				if err != nil {
-					if parityErr == nil {
-						parityErr = err
-					}
-				} else {
-					acked++
-				}
-				writes--
-				if writes == 0 {
-					afterWrites()
-				}
-			})
-		}
+	st := &rmw{a: a, cr: cr, newData: data.Slice(cr.off, cr.n), done: done, pending: 1 + kp}
+	if kp <= len(st.slots) {
+		st.parity = st.slots[:kp]
+	} else {
+		st.parity = make([]content.Data, kp)
 	}
 	a.memberSubmit(cr.member, blockdev.OpRead, cr.mlpn, cr.n, content.Data{}, func(err error, res content.Data) {
-		if err != nil && readErr == nil {
-			readErr = err
-		}
-		oldData = res
-		reads--
-		if reads == 0 {
-			afterReads()
-		}
+		st.oldData = res
+		st.readDone(err)
 	})
 	for j := 0; j < kp; j++ {
-		j := j
 		a.memberSubmit(a.parityMember(cr.parity, j), blockdev.OpRead, cr.mlpn, cr.n, content.Data{}, func(err error, res content.Data) {
-			if err != nil && readErr == nil {
-				readErr = err
-			}
-			oldParity[j] = res
-			reads--
-			if reads == 0 {
-				afterReads()
-			}
+			st.parity[j] = res
+			st.readDone(err)
 		})
+	}
+}
+
+func (st *rmw) readDone(err error) {
+	if err != nil && st.readErr == nil {
+		st.readErr = err
+	}
+	if st.pending--; st.pending > 0 {
+		return
+	}
+	if st.readErr != nil {
+		// Nothing was written: the stripe is untouched, no hole.
+		st.done(st.readErr)
+		return
+	}
+	a, cr := st.a, st.cr
+	for j, old := range st.parity {
+		coeff := a.code.ParityCoeff(j, cr.didx)
+		st.parity[j] = content.Gather(cr.n, func(i int) content.Fingerprint {
+			delta := uint64(st.oldData.Page(i)) ^ uint64(st.newData.Page(i))
+			return content.Fingerprint(uint64(old.Page(i)) ^ gfMulFP(coeff, delta))
+		})
+	}
+	st.pending = 1 + len(st.parity)
+	a.memberSubmit(cr.member, blockdev.OpWrite, cr.mlpn, cr.n, st.newData, st.dataWritten)
+	parityWritten := st.parityWritten
+	for j, p := range st.parity {
+		a.memberSubmit(a.parityMember(cr.parity, j), blockdev.OpWrite, cr.mlpn, cr.n, p, parityWritten)
+	}
+}
+
+func (st *rmw) dataWritten(err error, _ content.Data) {
+	st.dataErr = err
+	st.writeDone(err)
+}
+
+func (st *rmw) parityWritten(err error, _ content.Data) {
+	if err != nil && st.parityErr == nil {
+		st.parityErr = err
+	}
+	st.writeDone(err)
+}
+
+func (st *rmw) writeDone(err error) {
+	if err == nil {
+		st.acked++
+	}
+	if st.pending--; st.pending > 0 {
+		return
+	}
+	if st.acked > 0 && st.acked < 1+len(st.parity) {
+		a := st.a
+		a.stats.WriteHoles++
+		a.tele.writeHoles.Inc()
+		a.tele.sc.Instant(a.k.Now(), obs.KindInstant, "write_hole", int64(st.cr.mlpn))
+	}
+	if st.dataErr != nil {
+		st.done(st.dataErr)
+	} else {
+		st.done(st.parityErr)
 	}
 }

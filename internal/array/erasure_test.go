@@ -1,6 +1,7 @@
 package array
 
 import (
+	"slices"
 	"testing"
 
 	"powerfail/internal/addr"
@@ -56,7 +57,7 @@ func TestCodedGeometry(t *testing.T) {
 }
 
 func TestCodedRoundTripAndParity(t *testing.T) {
-	for _, cfg := range []Config{raidConfig(RAID6, 4), rsConfig(6, 3)} {
+	for _, cfg := range []Config{raidConfig(RAID5, 3), raidConfig(RAID6, 4), rsConfig(6, 3)} {
 		r := newRig(t, cfg)
 		sp := r.arr.Config().StripePages
 		kp := r.arr.parityCount()
@@ -103,73 +104,82 @@ func TestCodedRoundTripAndParity(t *testing.T) {
 // for every chunk of a written range, reconstruction from the other
 // members must reproduce the direct read, whichever member is missing.
 func TestCodedReconstructEveryChunk(t *testing.T) {
-	r := newRig(t, rsConfig(6, 3))
-	sp := r.arr.Config().StripePages
-	payload := content.Random(sim.NewRNG(6), 3*sp)
-	if err := r.write(t, 0, payload); err != nil {
-		t.Fatal(err)
-	}
-	before := r.arr.Stats().Reconstructions
-	for _, cr := range r.arr.chunksOf(0, 3*sp) {
-		direct := readMember(t, r, cr.member, cr.mlpn, cr.n)
-		result := make([]content.Fingerprint, cr.off+cr.n)
-		done := false
-		var rerr error
-		r.arr.codeReconstruct(cr, result, func(err error) { rerr = err; done = true })
-		r.k.RunWhile(func() bool { return !done })
-		if rerr != nil {
-			t.Fatalf("reconstruct chunk %+v: %v", cr, rerr)
+	for _, cfg := range []Config{raidConfig(RAID5, 4), rsConfig(6, 3)} {
+		r := newRig(t, cfg)
+		sp := r.arr.Config().StripePages
+		payload := content.Random(sim.NewRNG(6), 3*sp)
+		if err := r.write(t, 0, payload); err != nil {
+			t.Fatalf("%v: %v", cfg.Level, err)
 		}
-		for i := 0; i < cr.n; i++ {
-			if result[cr.off+i] != direct.Page(i) {
-				t.Fatalf("chunk %+v page %d: reconstructed %x, direct %x", cr, i, result[cr.off+i], direct.Page(i))
+		before := r.arr.Stats().Reconstructions
+		for _, cr := range r.arr.chunksOf(0, 3*sp) {
+			direct := readMember(t, r, cr.member, cr.mlpn, cr.n)
+			result := make([]content.Fingerprint, cr.off+cr.n)
+			done := false
+			var rerr error
+			r.arr.codeReconstruct(cr, result, func(err error) { rerr = err; done = true })
+			r.k.RunWhile(func() bool { return !done })
+			if rerr != nil {
+				t.Fatalf("%v: reconstruct chunk %+v: %v", cfg.Level, cr, rerr)
+			}
+			for i := 0; i < cr.n; i++ {
+				if result[cr.off+i] != direct.Page(i) {
+					t.Fatalf("%v: chunk %+v page %d: reconstructed %x, direct %x", cfg.Level, cr, i, result[cr.off+i], direct.Page(i))
+				}
 			}
 		}
-	}
-	if got := r.arr.Stats().Reconstructions - before; got == 0 {
-		t.Fatal("no reconstructions recorded")
+		if got := r.arr.Stats().Reconstructions - before; got == 0 {
+			t.Fatalf("%v: no reconstructions recorded", cfg.Level)
+		}
 	}
 }
 
-// TestAttributeRedundancyExceeded generalizes the RAID-5 double-failure
-// rule: a RAID-6 array tolerates any two dark members and only counts a
-// redundancy-exceeded loss at the third.
+// TestAttributeRedundancyExceeded: an m+k array tolerates any k dark
+// members (one for RAID-5, two for RAID-6) and only counts a
+// redundancy-exceeded loss at the (k+1)-th.
 func TestAttributeRedundancyExceeded(t *testing.T) {
-	r := newRig(t, raidConfig(RAID6, 5))
+	for _, cfg := range []Config{raidConfig(RAID5, 4), raidConfig(RAID6, 5)} {
+		r := newRig(t, cfg)
+		kp := r.arr.parityCount()
+		order := []int{1, 3, 0}
 
-	// One and two members down: ordinary data+parity attribution, no loss.
-	r.arr.onMemberDown(1)
-	r.arr.onMemberDown(3)
-	got := r.arr.Attribute(0, 1)
-	if len(got) != 3 { // data member + 2 parity members of the stripe
-		t.Fatalf("two-failure attribution %v, want data+2 parity", got)
-	}
-	if n := r.arr.Stats().RedundancyExceededLosses; n != 0 {
-		t.Fatalf("k simultaneous failures counted as loss: %d", n)
-	}
+		// Up to k members down: ordinary data+parity attribution, no loss.
+		for _, m := range order[:kp] {
+			r.arr.onMemberDown(m)
+		}
+		got := r.arr.Attribute(0, 1)
+		if len(got) != 1+kp {
+			t.Fatalf("%v: %d-failure attribution %v, want data+%d parity", cfg.Level, kp, got, kp)
+		}
+		if n := r.arr.Stats().RedundancyExceededLosses; n != 0 {
+			t.Fatalf("%v: k simultaneous failures counted as loss: %d", cfg.Level, n)
+		}
 
-	// Third member down: the code's tolerance is exceeded.
-	r.arr.onMemberDown(0)
-	got = r.arr.Attribute(0, 1)
-	if len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 3 {
-		t.Fatalf("k+1-failure attribution %v, want the down members [0 1 3]", got)
-	}
-	if n := r.arr.Stats().RedundancyExceededLosses; n != 1 {
-		t.Fatalf("RedundancyExceededLosses = %d, want 1", n)
-	}
+		// One more member down: the code's tolerance is exceeded, and the
+		// down members are the casualties.
+		r.arr.onMemberDown(order[kp])
+		want := append([]int(nil), order[:kp+1]...)
+		slices.Sort(want)
+		if got = r.arr.Attribute(0, 1); !slices.Equal(got, want) {
+			t.Fatalf("%v: k+1-failure attribution %v, want the down members %v", cfg.Level, got, want)
+		}
+		if n := r.arr.Stats().RedundancyExceededLosses; n != 1 {
+			t.Fatalf("%v: RedundancyExceededLosses = %d, want 1", cfg.Level, n)
+		}
 
-	// Recovery drops back below the threshold.
-	r.arr.onMemberReady(0)
-	if got = r.arr.Attribute(0, 1); len(got) != 3 {
-		t.Fatalf("post-recovery attribution %v, want data+2 parity", got)
-	}
-	if n := r.arr.Stats().RedundancyExceededLosses; n != 1 {
-		t.Fatalf("RedundancyExceededLosses = %d, want 1", n)
+		// Recovery drops back below the threshold.
+		r.arr.onMemberReady(order[kp])
+		if got = r.arr.Attribute(0, 1); len(got) != 1+kp {
+			t.Fatalf("%v: post-recovery attribution %v, want data+%d parity", cfg.Level, got, kp)
+		}
+		if n := r.arr.Stats().RedundancyExceededLosses; n != 1 {
+			t.Fatalf("%v: RedundancyExceededLosses = %d, want 1", cfg.Level, n)
+		}
 	}
 }
 
 func TestCodedFaultRecovery(t *testing.T) {
-	for _, cfg := range []Config{raidConfig(RAID6, 4), rsConfig(5, 2)} {
+	for _, cfg := range []Config{raidConfig(RAID5, 3), raidConfig(RAID6, 4), rsConfig(5, 2)} {
 		r := newRig(t, cfg)
 		payload := content.Random(sim.NewRNG(7), 4)
 		if err := r.write(t, 10, payload); err != nil {
@@ -188,6 +198,12 @@ func TestCodedConfigValidation(t *testing.T) {
 	}
 	if _, err := New(sim.New(), sim.NewRNG(1), rsConfig(3, 2), nil); err == nil {
 		t.Fatal("rs leaving one data member validated")
+	}
+	for _, level := range []Level{RAID5, RAID6, RS} {
+		// GF(256) caps every coded stripe at 255 shards.
+		if err := raidConfig(level, 256).withDefaults().Validate(); err == nil {
+			t.Fatalf("%v with 256 members validated", level)
+		}
 	}
 	cfg := rsConfig(4, 0) // Parity 0 defaults to 2
 	arr, err := New(sim.New(), sim.NewRNG(1), cfg, nil)

@@ -4,7 +4,6 @@ import (
 	"powerfail/internal/addr"
 	"powerfail/internal/blockdev"
 	"powerfail/internal/content"
-	"powerfail/internal/obs"
 )
 
 // --- RAID-0: striping ---
@@ -110,161 +109,5 @@ func (a *Array) mirrorRead(lpn addr.LPN, pages, member, tried int, done func(err
 			return
 		}
 		done(err, content.Data{})
-	})
-}
-
-// --- RAID-5: rotating parity with read-modify-write ---
-
-func (a *Array) submitRAID5(op blockdev.Op, lpn addr.LPN, pages int, data content.Data, done func(error, content.Data)) {
-	chunks := a.chunksOf(lpn, pages)
-	result := make([]content.Fingerprint, pages)
-	parts := len(chunks)
-	var firstErr error
-	finishChunk := func(err error) {
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-		parts--
-		if parts == 0 {
-			a.finishStriped(op, pages, result, firstErr, done)
-		}
-	}
-	for _, cr := range chunks {
-		cr := cr
-		if op == blockdev.OpRead {
-			a.raid5Read(cr, result, finishChunk)
-		} else {
-			a.lockStripe(cr.stripe, func(release func()) {
-				a.raid5RMW(cr, data, func(err error) {
-					release()
-					finishChunk(err)
-				})
-			})
-		}
-	}
-}
-
-// raid5Read reads the data member directly and falls back to
-// reconstruction from the surviving members plus parity on error.
-func (a *Array) raid5Read(cr chunkRange, result []content.Fingerprint, done func(error)) {
-	a.memberSubmit(cr.member, blockdev.OpRead, cr.mlpn, cr.n, content.Data{}, func(err error, res content.Data) {
-		if err == nil {
-			for i := 0; i < cr.n; i++ {
-				result[cr.off+i] = res.Page(i)
-			}
-			done(nil)
-			return
-		}
-		a.raid5Reconstruct(cr, result, done)
-	})
-}
-
-// raid5Reconstruct recovers cr's pages as the XOR of the same rows on
-// every other member (the data siblings and the parity chunk).
-func (a *Array) raid5Reconstruct(cr chunkRange, result []content.Fingerprint, done func(error)) {
-	a.stats.Reconstructions++
-	a.tele.reconstructions.Inc()
-	a.tele.sc.Instant(a.k.Now(), obs.KindInstant, "reconstruction", int64(cr.mlpn))
-	acc := make([]uint64, cr.n)
-	parts := 0
-	var firstErr error
-	for m := range a.members {
-		if m == cr.member {
-			continue
-		}
-		parts++
-		a.memberSubmit(m, blockdev.OpRead, cr.mlpn, cr.n, content.Data{}, func(err error, res content.Data) {
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-			} else {
-				for i := 0; i < cr.n; i++ {
-					acc[i] ^= uint64(res.Page(i))
-				}
-			}
-			parts--
-			if parts == 0 {
-				if firstErr != nil {
-					done(firstErr)
-					return
-				}
-				for i := 0; i < cr.n; i++ {
-					result[cr.off+i] = content.Fingerprint(acc[i])
-				}
-				done(nil)
-			}
-		})
-	}
-}
-
-// raid5RMW performs the small-write cycle on one chunk range: read old
-// data and old parity, delta the parity, then write both concurrently.
-// A fault landing between the two write acknowledgements is the write
-// hole; it is counted when exactly one side lands.
-func (a *Array) raid5RMW(cr chunkRange, data content.Data, done func(error)) {
-	a.stats.ParityRMWs++
-	a.tele.parityRMWs.Inc()
-	var oldData, oldParity content.Data
-	reads := 2
-	var readErr error
-	afterReads := func() {
-		if readErr != nil {
-			// Nothing was written: the stripe is untouched, no hole.
-			done(readErr)
-			return
-		}
-		newData := data.Slice(cr.off, cr.n)
-		newParity := content.Gather(cr.n, func(i int) content.Fingerprint {
-			return content.Fingerprint(uint64(oldParity.Page(i)) ^ uint64(oldData.Page(i)) ^ uint64(newData.Page(i)))
-		})
-		writes := 2
-		var dataErr, parityErr error
-		afterWrites := func() {
-			if (dataErr == nil) != (parityErr == nil) {
-				a.stats.WriteHoles++
-				a.tele.writeHoles.Inc()
-				a.tele.sc.Instant(a.k.Now(), obs.KindInstant, "write_hole", int64(cr.mlpn))
-			}
-			if dataErr != nil {
-				done(dataErr)
-			} else {
-				done(parityErr)
-			}
-		}
-		a.memberSubmit(cr.member, blockdev.OpWrite, cr.mlpn, cr.n, newData, func(err error, _ content.Data) {
-			dataErr = err
-			writes--
-			if writes == 0 {
-				afterWrites()
-			}
-		})
-		a.memberSubmit(cr.parity, blockdev.OpWrite, cr.mlpn, cr.n, newParity, func(err error, _ content.Data) {
-			parityErr = err
-			writes--
-			if writes == 0 {
-				afterWrites()
-			}
-		})
-	}
-	a.memberSubmit(cr.member, blockdev.OpRead, cr.mlpn, cr.n, content.Data{}, func(err error, res content.Data) {
-		if err != nil && readErr == nil {
-			readErr = err
-		}
-		oldData = res
-		reads--
-		if reads == 0 {
-			afterReads()
-		}
-	})
-	a.memberSubmit(cr.parity, blockdev.OpRead, cr.mlpn, cr.n, content.Data{}, func(err error, res content.Data) {
-		if err != nil && readErr == nil {
-			readErr = err
-		}
-		oldParity = res
-		reads--
-		if reads == 0 {
-			afterReads()
-		}
 	})
 }

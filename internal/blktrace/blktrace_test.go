@@ -233,15 +233,6 @@ func TestTracerRecordAndReset(t *testing.T) {
 	}
 }
 
-func TestTracerDisable(t *testing.T) {
-	tr := NewTracer()
-	tr.SetEnabled(false)
-	tr.Record(Event{Act: ActQueue})
-	if tr.Len() != 0 {
-		t.Fatal("disabled tracer recorded")
-	}
-}
-
 func TestParseErrors(t *testing.T) {
 	if _, err := ParseEvents(bytes.NewBufferString("not an event line\n")); err == nil {
 		t.Fatal("garbage accepted")

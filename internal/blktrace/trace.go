@@ -1,10 +1,12 @@
 // Package blktrace reimplements, inside the simulation, the IO tracing
 // pipeline the paper builds on: blktrace-style block-layer events, a
 // blkparse-style text format, and a btt-style per-IO assembler (the paper
-// modified btt's --per-io-dump to track sub-request completion). The
-// Analyzer decides whether a request "completed" — all of its block-layer
-// sub-requests reached the C state before the 30 s timeout — from this
-// trace alone, just as the paper's software part does.
+// modified btt's --per-io-dump to track sub-request completion). On real
+// hardware the trace is the host's only view of whether a request
+// "completed" — all of its block-layer sub-requests reached the C state
+// before the 30 s timeout. Inside the simulation the block layer reports
+// that flag directly as a nil request error; Assemble re-derives it from
+// the events, and a blockdev test pins the two equal on every request.
 package blktrace
 
 import (
@@ -71,25 +73,17 @@ func (e Event) String() string {
 		e.At.Seconds(), e.Act, e.Op, e.Req, e.Sub, e.LPN, e.Pages)
 }
 
-// Tracer accumulates events. It is append-only; the analyzer folds the
-// whole stream into its packets after each fault and Resets it.
+// Tracer accumulates events. It is append-only; its owner folds the
+// stream (Assemble) and Resets it.
 type Tracer struct {
-	events  []Event
-	enabled bool
+	events []Event
 }
 
-// NewTracer returns an enabled tracer.
-func NewTracer() *Tracer { return &Tracer{enabled: true} }
+// NewTracer returns an empty tracer.
+func NewTracer() *Tracer { return &Tracer{} }
 
-// SetEnabled toggles recording.
-func (t *Tracer) SetEnabled(on bool) { t.enabled = on }
-
-// Record appends an event if tracing is enabled.
-func (t *Tracer) Record(e Event) {
-	if t.enabled {
-		t.events = append(t.events, e)
-	}
-}
+// Record appends an event.
+func (t *Tracer) Record(e Event) { t.events = append(t.events, e) }
 
 // Len returns the number of recorded events.
 func (t *Tracer) Len() int { return len(t.events) }

@@ -292,3 +292,139 @@ func TestOpStrings(t *testing.T) {
 		t.Fatal("op strings wrong")
 	}
 }
+
+// chaosDevice answers each sub-request after a random latency that may
+// outlast the host timeout, fails a share of them, and models power
+// loss: while off it fails new commands fast, and commands in flight at
+// the cut never answer.
+type chaosDevice struct {
+	k       *sim.Kernel
+	rng     *sim.RNG
+	timeout sim.Duration
+	on      bool
+	epoch   int
+
+	errors, late, dropped int
+}
+
+var errMedia = errors.New("chaos: media error")
+
+func (d *chaosDevice) Submit(op Op, _ addr.LPN, pages int, _ content.Data, done func(error, content.Data)) {
+	if !d.on {
+		d.errors++
+		d.k.After(10*sim.Microsecond, func() { done(ErrDeviceGone, content.Data{}) })
+		return
+	}
+	epoch := d.epoch
+	lat := d.rng.DurationRange(10*sim.Microsecond, 200*sim.Microsecond)
+	if d.rng.Prob(0.05) {
+		lat = d.rng.DurationRange(d.timeout/2, 3*d.timeout/2) // a stall
+	}
+	fail := d.rng.Prob(0.1)
+	d.k.After(lat, func() {
+		if d.epoch != epoch {
+			d.dropped++
+			return
+		}
+		if lat > d.timeout {
+			// Dispatch never precedes queueing, so the request's timer
+			// has already fired: this is a late sub-request completion.
+			d.late++
+		}
+		if fail {
+			d.errors++
+			done(errMedia, content.Data{})
+			return
+		}
+		var res content.Data
+		if op == OpRead {
+			res = content.Zeroes(pages)
+		}
+		done(nil, res)
+	})
+}
+
+// TestCompletionMatchesTraceAssembly cross-checks the block layer's two
+// views of the paper's "completed" flag over seeded random request
+// shapes: the request's own outcome (a nil Err) and the btt-style
+// assembly of its trace events. Splits, sub-request errors, the timeout
+// with late sub-request completions, queue-full rejects and power loss
+// are all exercised, and every request must agree.
+func TestCompletionMatchesTraceAssembly(t *testing.T) {
+	var reqs, completed, rejects, timeouts, splits, errs, late, dropped int
+	for seed := uint64(1); seed <= 40; seed++ {
+		rng := sim.NewRNG(seed)
+		k := sim.New()
+		cfg := Config{
+			MaxSegPages: rng.IntRange(1, 8),
+			Depth:       rng.IntRange(1, 4),
+			PendingCap:  rng.IntRange(4, 32),
+			Timeout:     sim.Duration(rng.IntRange(1, 5)) * sim.Millisecond,
+		}
+		dev := &chaosDevice{k: k, rng: rng.Fork("dev"), timeout: cfg.Timeout, on: true}
+		tr := blktrace.NewTracer()
+		q, err := New(k, dev, tr, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		outcome := map[uint64]bool{} // request id -> Err == nil
+		for i := 0; i < 200; i++ {
+			at := rng.DurationRange(0, 200*sim.Millisecond)
+			k.After(at, func() {
+				req := q.NewRequest()
+				req.Op = Op(rng.Intn(3))
+				if req.Op != OpFlush {
+					req.LPN = addr.LPN(rng.Intn(1000))
+					req.Pages = rng.IntRange(1, 20)
+				}
+				if req.Op == OpWrite {
+					req.Data = content.Zeroes(req.Pages)
+				}
+				req.Done = func(r *Request) {
+					if _, dup := outcome[r.ID]; dup {
+						t.Errorf("seed %d: request %d completed twice", seed, r.ID)
+					}
+					outcome[r.ID] = r.Err == nil
+				}
+				q.Submit(req)
+			})
+		}
+		for c := 0; c < 3; c++ {
+			cut := rng.DurationRange(0, 200*sim.Millisecond)
+			k.After(cut, func() { dev.on = false; dev.epoch++ })
+			k.After(cut+rng.DurationRange(sim.Millisecond, 5*sim.Millisecond), func() { dev.on = true })
+		}
+		k.Run()
+
+		ios := blktrace.Assemble(tr.Events())
+		if len(ios) != 200 || len(outcome) != 200 {
+			t.Fatalf("seed %d: %d assembled IOs and %d completions, want 200 each", seed, len(ios), len(outcome))
+		}
+		for _, io := range ios {
+			ok, seen := outcome[io.Req]
+			if !seen {
+				t.Fatalf("seed %d: traced request %d never completed", seed, io.Req)
+			}
+			if io.Complete() != ok {
+				t.Fatalf("seed %d: request %d assembled complete=%v, but Err==nil is %v (%+v)", seed, io.Req, io.Complete(), ok, *io)
+			}
+		}
+		st := q.Stats()
+		reqs += len(ios)
+		completed += int(st.Completed)
+		rejects += int(st.Rejected)
+		timeouts += int(st.TimedOut)
+		splits += int(st.Splits)
+		errs += dev.errors
+		late += dev.late
+		dropped += dev.dropped
+	}
+	t.Logf("%d requests: %d completed, %d rejected, %d timed out, %d splits, %d sub errors, %d late, %d dropped at a cut",
+		reqs, completed, rejects, timeouts, splits, errs, late, dropped)
+	for name, n := range map[string]int{"completions": completed, "rejects": rejects, "timeouts": timeouts, "splits": splits,
+		"sub-request errors": errs, "late completions": late, "power-loss drops": dropped} {
+		if n == 0 {
+			t.Errorf("no %s exercised", name)
+		}
+	}
+}

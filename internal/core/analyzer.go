@@ -2,7 +2,6 @@ package core
 
 import (
 	"powerfail/internal/addr"
-	"powerfail/internal/blktrace"
 	"powerfail/internal/blockdev"
 	"powerfail/internal/content"
 	"powerfail/internal/sim"
@@ -11,7 +10,7 @@ import (
 
 // Analyzer is the failure-detection component. It shadows the expected
 // content of every written page, captures each packet's initial checksum
-// at issue time, merges the btt per-IO completion state, and classifies
+// at issue time, records each request's completion state, and classifies
 // packets after each fault by reading the drive back.
 type Analyzer struct {
 	k *sim.Kernel
@@ -181,6 +180,10 @@ func (a *Analyzer) OnComplete(req *blockdev.Request) {
 	pkt.CompleteTime = req.Completed
 	pkt.Err = req.Err
 	pkt.NotIssued = req.NotIssued
+	// The paper's "completed" flag: every sub-request reached C before the
+	// timeout. The block layer sets Err for rejects, timeouts and failed
+	// sub-requests, so a nil Err is exactly that.
+	pkt.Completed = req.Err == nil
 	if req.Err == nil {
 		a.counts.Completed++
 	} else {
@@ -195,17 +198,6 @@ func (a *Analyzer) OnComplete(req *blockdev.Request) {
 		return
 	}
 	a.pending = append(a.pending, pkt)
-}
-
-// AttachTrace merges the btt per-IO assembly into the packets: the
-// Completed flag the classification rules hinge on comes from the trace,
-// exactly as in the paper's modified btt flow.
-func (a *Analyzer) AttachTrace(ios []*blktrace.IO) {
-	for _, io := range ios {
-		if pkt, ok := a.byReq[io.Req]; ok {
-			pkt.Completed = io.Complete()
-		}
-	}
 }
 
 // VerifyCandidates returns the packets to verify after a fault: all

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"powerfail/internal/addr"
-	"powerfail/internal/blktrace"
 	"powerfail/internal/blockdev"
 	"powerfail/internal/content"
 	"powerfail/internal/sim"
@@ -22,7 +21,6 @@ func issueWrite(a *Analyzer, id uint64, lpn int64, data content.Data) *Packet {
 	req := &blockdev.Request{ID: id, Op: blockdev.OpWrite, LPN: addr.LPN(lpn), Pages: data.Pages(), Data: data}
 	pkt := a.OnIssue(req)
 	a.OnComplete(req)
-	pkt.Completed = true
 	a.pending = a.pending[:0]
 	return pkt
 }
@@ -84,8 +82,7 @@ func TestClassifyIOError(t *testing.T) {
 	_, a := newAnalyzer()
 	req := &blockdev.Request{ID: 1, Op: blockdev.OpWrite, LPN: 0, Pages: 1, Data: content.Make(1), Err: errors.New("x")}
 	pkt := a.OnIssue(req)
-	a.OnComplete(req)
-	pkt.Completed = false
+	a.OnComplete(req) // the request error alone marks it incomplete
 	if got := a.Classify(pkt, content.Data{}, 0); got != FailIOError {
 		t.Fatalf("classify = %v, want io error", got)
 	}
@@ -96,7 +93,6 @@ func TestClassifyReadNeverDataFailure(t *testing.T) {
 	req := &blockdev.Request{ID: 1, Op: blockdev.OpRead, LPN: 0, Pages: 4}
 	pkt := a.OnIssue(req)
 	a.OnComplete(req)
-	pkt.Completed = true
 	if got := a.Classify(pkt, content.Data{}, 0); got != FailNone {
 		t.Fatalf("read classified %v", got)
 	}
@@ -197,19 +193,6 @@ func TestLateCorruptionCountsOnce(t *testing.T) {
 	a.Classify(pkt, bad, 2)
 	if a.Counters().DataFailures != 1 {
 		t.Fatal("packet double counted")
-	}
-}
-
-func TestAttachTrace(t *testing.T) {
-	_, a := newAnalyzer()
-	req := &blockdev.Request{ID: 42, Op: blockdev.OpWrite, LPN: 0, Pages: 1, Data: content.Make(1)}
-	a.OnIssue(req)
-	a.OnComplete(req) // stays pending so VerifyCandidates returns it
-	ios := []*blktrace.IO{{Req: 42, Subs: 1, SubsDone: 1}}
-	a.AttachTrace(ios)
-	pkt := a.VerifyCandidates(0)[0]
-	if !pkt.Completed {
-		t.Fatal("trace completion not attached")
 	}
 }
 

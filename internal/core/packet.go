@@ -1,7 +1,7 @@
 // Package core implements the software part of the paper's test platform:
 // the Scheduler that commands the hardware to inject power faults, the IO
 // Generator that issues data packets, and the Analyzer that decides — from
-// the blktrace-style per-IO assembly plus checksum comparison — whether
+// each request's block-layer completion plus checksum comparison — whether
 // each request suffered a data failure, a false write-acknowledge (FWA),
 // or an IO error. A Runner sequences whole experiments: workload, fault
 // cycles (cut, discharge, restore, recovery), and verification passes.
@@ -72,8 +72,9 @@ type Packet struct {
 
 	Err       error
 	NotIssued bool
-	// Completed mirrors the btt-derived flag: all block-layer
-	// sub-requests reached the complete state.
+	// Completed is the paper's btt "completed" flag: all block-layer
+	// sub-requests reached the complete state before the timeout, which
+	// the block layer reports as a nil request error.
 	Completed bool
 
 	Verified bool

@@ -110,9 +110,6 @@ type Options struct {
 	// entirely: reports are byte-identical to builds without the layer,
 	// and the instrumented paths cost one nil check each.
 	Obs *obs.Config
-	// Trace disables blktrace recording when false is forced; tracing is
-	// on by default (required for completed/incomplete detection).
-	DisableTrace bool
 }
 
 func (o Options) withDefaults() Options {
@@ -164,7 +161,7 @@ type Platform struct {
 	HDD     *hdd.Disk    // single-HDD topology
 	Array   *array.Array // array topology
 	Host    *blockdev.Queue
-	Tracer  *blktrace.Tracer
+	Tracer  *blktrace.Tracer // nil unless obs tracing is on
 	Sched   *FaultScheduler
 	Obs     *obs.Set // nil unless Options.Obs enabled something
 }
@@ -218,7 +215,9 @@ func NewPlatform(opts Options) (*Platform, error) {
 		return nil, fmt.Errorf("core: unknown topology kind %d", int(opts.Topology.Kind))
 	}
 
-	if !opts.DisableTrace {
+	if p.ObsScope("blk").TracingOn() {
+		// Block-layer events feed only the obs blkio spans; packet
+		// completion comes from the requests themselves.
 		p.Tracer = blktrace.NewTracer()
 	}
 	host, err := blockdev.New(k, p.Dev, p.Tracer, opts.Host)

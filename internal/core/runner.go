@@ -37,10 +37,8 @@ type Runner struct {
 	// src is the experiment's one IO source (synthetic generator,
 	// transaction engine or trace replayer behind the same interface);
 	// recovery is non-nil when the source wants a post-fault read-back
-	// pass (the transaction oracle). wlSrc devirtualizes the per-IO
-	// Next/Done dispatch for the common synthetic-workload source.
+	// pass (the transaction oracle).
 	src      Source
-	wlSrc    *workloadSource
 	recovery RecoverySource
 
 	// Per-IO bookkeeping free lists (experiments are single-threaded).
@@ -97,9 +95,6 @@ func NewRunner(p *Platform, spec ExperimentSpec) (*Runner, error) {
 		return nil, err
 	}
 	r.src = src
-	if ws, ok := src.(*workloadSource); ok {
-		r.wlSrc = ws
-	}
 	if rs, ok := src.(RecoverySource); ok {
 		r.recovery = rs
 	}
@@ -236,11 +231,7 @@ func (r *Runner) getIssueRec(io SourceIO) *issueRec {
 			io := rec.io
 			rec.io = SourceIO{}
 			r.recFree = append(r.recFree, rec)
-			if r.wlSrc == nil {
-				// The synthetic workload source's Done is a no-op; calling
-				// through the interface would devirtualize nothing else.
-				r.src.Done(io, req.Err)
-			}
+			r.src.Done(io, req.Err)
 			r.onIOComplete(req)
 		}
 	}
@@ -254,13 +245,7 @@ func (r *Runner) getIssueRec(io SourceIO) *issueRec {
 // makes application-level verdicts corroborable by the device-level
 // taxonomy. Barrier flushes carry no payload and are not packets.
 func (r *Runner) issueOne() bool {
-	var io SourceIO
-	var ok bool
-	if r.wlSrc != nil {
-		io, ok = r.wlSrc.Next()
-	} else {
-		io, ok = r.src.Next()
-	}
+	io, ok := r.src.Next()
 	if !ok {
 		return false
 	}
@@ -394,23 +379,17 @@ func (r *Runner) maybeStartVerify() {
 	if r.ph != phaseVerify || r.outstanding > 0 || r.verifyQueue != nil {
 		return
 	}
-	// Fold the trace into the packets, then reset it to bound memory: the
-	// merged Completed flags survive on the packets, so events never need
-	// to be replayed and no cursor into the stream has to be kept.
-	if r.p.Tracer != nil {
-		ios := blktrace.Assemble(r.p.Tracer.Events())
-		r.analyzer.AttachTrace(ios)
-		// Fold the fault cycle's block IOs into the obs trace as
-		// queue-to-complete spans before the raw events are discarded, so
-		// block and obs traces share one clock and one export.
-		if sc := r.p.ObsScope("blk"); sc.TracingOn() {
-			for _, bio := range ios {
-				if bio.Complete() {
-					sc.Span(bio.QueueAt, bio.Q2C(), obs.KindBlockIO, bio.Op.String(), int64(bio.Req))
-				}
+	// Fold the fault cycle's block IOs into the obs trace as
+	// queue-to-complete spans, so block and obs traces share one clock and
+	// one export, then reset the stream to bound memory.
+	if t := r.p.Tracer; t != nil {
+		sc := r.p.ObsScope("blk")
+		for _, bio := range blktrace.Assemble(t.Events()) {
+			if bio.Complete() {
+				sc.Span(bio.QueueAt, bio.Q2C(), obs.KindBlockIO, bio.Op.String(), int64(bio.Req))
 			}
 		}
-		r.p.Tracer.Reset()
+		t.Reset()
 	}
 	r.verifyQueue = r.analyzer.VerifyCandidates(r.p.K.Now())
 	r.newControlPump(len(r.verifyQueue), r.verifyOne, r.finishVerification).pump()

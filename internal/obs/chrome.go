@@ -4,18 +4,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-
-	"powerfail/internal/blktrace"
 )
 
-// Process groups one simulation's events for Chrome trace export: obs
-// events plus (optionally) raw block-layer events, all on the same
-// simulated clock. Each Process renders as one Perfetto process row;
-// components become named threads inside it.
+// Process groups one simulation's obs events for Chrome trace export,
+// block IOs included as KindBlockIO spans. Each Process renders as one
+// Perfetto process row; components become named threads inside it.
 type Process struct {
 	Name   string
 	Events []Event
-	Blk    []blktrace.Event
 }
 
 // chromeEvent is one record of the Chrome trace-event format
@@ -97,27 +93,6 @@ func WriteChromeTrace(w io.Writer, procs []Process) error {
 				ce.Args = map[string]any{"value": e.Value}
 			}
 			out.TraceEvents = append(out.TraceEvents, ce)
-		}
-		if len(p.Blk) > 0 {
-			tid := tidOf("blk")
-			for _, bio := range blktrace.Assemble(p.Blk) {
-				ce := chromeEvent{
-					Pid: pid, Tid: tid, Cat: "blkio",
-					Args: map[string]any{"req": bio.Req, "lpn": int64(bio.LPN), "pages": bio.Pages},
-				}
-				if bio.Complete() {
-					ce.Name = fmt.Sprintf("%c %dp", bio.Op, bio.Pages)
-					ce.Ph = "X"
-					ce.Ts = usOf(int64(bio.QueueAt))
-					ce.Dur = usOf(int64(bio.Q2C()))
-				} else {
-					ce.Name = fmt.Sprintf("%c %dp incomplete", bio.Op, bio.Pages)
-					ce.Ph = "i"
-					ce.S = "t"
-					ce.Ts = usOf(int64(bio.QueueAt))
-				}
-				out.TraceEvents = append(out.TraceEvents, ce)
-			}
 		}
 	}
 	enc := json.NewEncoder(w)

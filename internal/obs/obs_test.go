@@ -258,15 +258,10 @@ func TestChromeTraceWriteValidate(t *testing.T) {
 		{At: 2000, Dur: 500, Kind: KindTxn, Comp: "txn", Name: "commit", Value: 17},
 		{At: 2500, Kind: KindQueueDepth, Comp: "blockdev", Name: "inflight", Value: 3},
 		{At: 3000, Kind: KindState, Comp: "fleet", Name: "g0/bay1 healthy>degraded"},
-	}
-	blk := []blktrace.Event{
-		{At: 100, Act: blktrace.ActQueue, Op: blktrace.OpWrite, Req: 9, Sub: -1, LPN: 5, Pages: 4},
-		{At: 100, Act: blktrace.ActSplit, Op: blktrace.OpWrite, Req: 9, Sub: 0, LPN: 5, Pages: 4},
-		{At: 150, Act: blktrace.ActDispatch, Op: blktrace.OpWrite, Req: 9, Sub: 0, LPN: 5, Pages: 4},
-		{At: 900, Act: blktrace.ActComplete, Op: blktrace.OpWrite, Req: 9, Sub: 0, LPN: 5, Pages: 4},
+		{At: 100, Dur: 800, Kind: KindBlockIO, Comp: "blk", Name: "W", Value: 9},
 	}
 	var a, b bytes.Buffer
-	procs := []Process{{Name: "item-0", Events: events, Blk: blk}}
+	procs := []Process{{Name: "item-0", Events: events}}
 	if err := WriteChromeTrace(&a, procs); err != nil {
 		t.Fatal(err)
 	}
@@ -280,11 +275,11 @@ func TestChromeTraceWriteValidate(t *testing.T) {
 	if err != nil {
 		t.Fatalf("self-validation failed: %v\n%s", err, a.String())
 	}
-	// process_name + 5 thread_names (4 comps + blk) + 4 obs events + 1 blk span.
+	// process_name + 5 thread_names + 5 events, the block IO among them.
 	if n != 11 {
 		t.Fatalf("validated %d events, want 11:\n%s", n, a.String())
 	}
-	if !strings.Contains(a.String(), `"name":"W 4p","ph":"X"`) {
+	if !strings.Contains(a.String(), `"name":"W","ph":"X"`) {
 		t.Fatalf("complete block IO should render as a span:\n%s", a.String())
 	}
 	if _, err := ValidateChromeTrace(strings.NewReader(`{"foo":1}`)); err == nil {

@@ -372,16 +372,19 @@ func (d *Device) supercapComplete() {
 	d.metaInFlight = false
 	d.gcActive = false
 	if d.cache != nil {
+	drain:
 		for {
 			ents := d.cache.PopDirty(1024)
 			if len(ents) == 0 {
 				break
 			}
-			for _, e := range ents {
+			for i, e := range ents {
 				t, err := d.ftlm.BeginWrite(e.LPN)
 				if err != nil {
-					d.cache.FlushFailed(e.LPN, e.Seq)
-					break
+					// Out of free blocks: the unplaced pages stay dirty
+					// and die with the DRAM.
+					d.requeueDirty(ents[i:])
+					break drain
 				}
 				must(d.chip.Program(t.PPN, e.FP))
 				d.ftlm.CompleteWrite(t, d.k.Now())

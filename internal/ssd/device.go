@@ -519,17 +519,28 @@ func (d *Device) drainCache() {
 			break
 		}
 		per := d.perPageProg()
-		for _, e := range ents {
+		for i, e := range ents {
 			t, err := d.ftlm.BeginWrite(e.LPN)
 			if err != nil {
-				d.cache.FlushFailed(e.LPN, e.Seq)
-				continue
+				// Out of free blocks: the unplaced pages stay dirty, and
+				// GC completion reschedules the flusher.
+				d.requeueDirty(ents[i:])
+				d.enqueueBatches()
+				return
 			}
 			d.batchOp(d.channelOf(t.PPN), itemProgram, per, nil, pageOp{ppn: t.PPN, fp: e.FP, lpn: e.LPN, seq: e.Seq, ticket: t})
 		}
 		d.enqueueBatches()
 	}
 	d.hasDirtySince = false
+}
+
+// requeueDirty returns popped pages the FTL could not place to the head
+// of the dirty queue, in their original order.
+func (d *Device) requeueDirty(ents []dram.Entry) {
+	for i := len(ents) - 1; i >= 0; i-- {
+		d.cache.FlushFailed(ents[i].LPN, ents[i].Seq)
+	}
 }
 
 // afterBackgroundWork runs the controller's housekeeping after any program

@@ -278,24 +278,63 @@ func TestReadyNotification(t *testing.T) {
 }
 
 func TestGCUnderSteadyOverwrites(t *testing.T) {
-	p := smallProfile()
-	p.CapacityGB = 1
-	r := newRig(t, p)
+	r := newRig(t, smallProfile())
 	rng := sim.NewRNG(9)
-	// Overwrite a small region repeatedly: roughly 4x the drive's spare
-	// blocks worth of churn, forcing collections.
-	for round := 0; round < 6; round++ {
-		for i := 0; i < 40; i++ {
-			if err := r.write(t, addr.LPN(i*64), content.Random(rng, 64)); err != nil {
-				t.Fatalf("round %d write %d: %v", round, i, err)
+	// Overwrite a small region until the writes exceed the drive's
+	// physical pages: every pass leaves the previous copies stale, so the
+	// free pool drains below the GC low watermark and collections must
+	// reclaim whole blocks of stale pages.
+	const region, chunk = 2560, 64
+	phys := r.dev.Chip().Geometry().Pages()
+	for written := int64(0); written < phys+phys/4; written += region {
+		for lpn := 0; lpn < region; lpn += chunk {
+			if err := r.write(t, addr.LPN(lpn), content.Random(rng, chunk)); err != nil {
+				t.Fatalf("write %d at %d pages written: %v", lpn, written, err)
 			}
 		}
-		r.k.RunFor(time500())
+	}
+	last := content.Random(rng, chunk)
+	if err := r.write(t, 0, last); err != nil {
+		t.Fatal(err)
 	}
 	r.flush(t)
-	r.k.RunFor(2 * sim.Second)
 	if r.dev.FTL().Stats().GCCollections == 0 {
-		t.Skip("churn did not reach GC pressure on this geometry")
+		t.Fatal("steady overwrites beyond the physical capacity never ran GC")
+	}
+	if got, err := r.read(t, 0, chunk); err != nil || !got.Equal(last) {
+		t.Fatalf("read back after GC: err=%v", err)
+	}
+}
+
+// TestFullDriveFlushReachesGC fills a 1 GB drive and overwrites it. The
+// second pass drives the free pool to empty while the cache flusher is
+// draining: BeginWrite returns ErrNoSpace, the unplaced pages must go back
+// to the dirty queue, and GC completion must restart the flusher so the
+// writes finish.
+func TestFullDriveFlushReachesGC(t *testing.T) {
+	r := newRig(t, smallProfile())
+	rng := sim.NewRNG(11)
+	const chunk = 256
+	user := r.dev.UserPages()
+	var last content.Data
+	for pass := 0; pass < 2; pass++ {
+		for lpn := int64(0); lpn+chunk <= user; lpn += chunk {
+			last = content.Random(rng, chunk)
+			if err := r.write(t, addr.LPN(lpn), last); err != nil {
+				t.Fatalf("pass %d write at %d: %v", pass, lpn, err)
+			}
+		}
+	}
+	r.flush(t)
+	if r.dev.DirtyCachePages() != 0 {
+		t.Fatalf("dirty=%d after flush", r.dev.DirtyCachePages())
+	}
+	if r.dev.FTL().Stats().GCCollections == 0 {
+		t.Fatal("overwriting a full drive never ran GC")
+	}
+	tail := addr.LPN((user/chunk - 1) * chunk)
+	if got, err := r.read(t, tail, chunk); err != nil || !got.Equal(last) {
+		t.Fatalf("read back after GC: err=%v", err)
 	}
 }
 

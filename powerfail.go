@@ -51,8 +51,8 @@
 // capacitive discharge the drive under test experiences — and the drives
 // themselves are modelled in detail (see DESIGN.md); the software part of
 // the platform (fault scheduler, IO generator with checksummed data
-// packets, blktrace/btt-based analyzer, and the data-failure / FWA /
-// IO-error taxonomy) is implemented as published.
+// packets, an analyzer applying the paper's btt "completed" rule, and the
+// data-failure / FWA / IO-error taxonomy) is implemented as published.
 //
 // Above the single-rig platform sits the fleet layer (Options.Fleet): a
 // fault-domain tree of rooms, racks, enclosures and PSUs carrying hundreds
