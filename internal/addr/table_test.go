@@ -1,0 +1,161 @@
+package addr
+
+import (
+	"math/rand/v2"
+	"testing"
+
+	"powerfail/internal/racedet"
+)
+
+// lastLPN256GB is the last logical page of a 256 GB drive, the largest
+// device the simulator models.
+const lastLPN256GB = LPN(256<<30>>PageShift) - 1
+
+// pickLPN maps a selector and two bytes onto the address regions a page
+// table must get right: a dense run from LPN 0, a dense run across leaf
+// and mid-node boundaries, sparse single pages over the whole drive, and
+// the top of a 256 GB drive.
+func pickLPN(sel, a, b byte) LPN {
+	off := LPN(a)<<8 | LPN(b)
+	switch sel % 4 {
+	case 0:
+		return off % 64
+	case 1:
+		return 4000 + off%1100
+	case 2:
+		return off * 1021
+	default:
+		return lastLPN256GB - off%40
+	}
+}
+
+// runTableOps decodes ops three bytes at a time into stores, stores of
+// the zero value and lookups, applies them to a Table and to a map, and
+// fails on the first disagreement. It ends with a full Range check.
+func runTableOps(tb testing.TB, ops []byte) {
+	tb.Helper()
+	var tab Table[uint32]
+	ref := map[LPN]uint32{}
+	for ; len(ops) >= 3; ops = ops[3:] {
+		kind, a, b := ops[0], ops[1], ops[2]
+		l := pickLPN(kind>>2, a, b)
+		switch kind & 3 {
+		case 0, 1:
+			v := uint32(kind)<<16 | uint32(a)<<8 | uint32(b) | 1
+			*tab.Ref(l) = v
+			ref[l] = v
+		case 2:
+			*tab.Ref(l) = 0
+			delete(ref, l)
+		default:
+			if got := tab.Get(l); got != ref[l] {
+				tb.Fatalf("Get(%d) = %d, want %d", l, got, ref[l])
+			}
+		}
+	}
+	checkRange(tb, &tab, ref)
+}
+
+// checkRange verifies that Range visits exactly the map's entries, in
+// ascending LPN order, and that Get agrees on each of them.
+func checkRange(tb testing.TB, tab *Table[uint32], ref map[LPN]uint32) {
+	tb.Helper()
+	n, last := 0, LPN(-1)
+	for l, v := range tab.Range {
+		if l <= last {
+			tb.Fatalf("Range visited %d after %d", l, last)
+		}
+		if want, ok := ref[l]; !ok || v != want {
+			tb.Fatalf("Range gave %d=%d, map has %d (present %v)", l, v, want, ok)
+		}
+		last = l
+		n++
+	}
+	if n != len(ref) {
+		tb.Fatalf("Range visited %d entries, map has %d", n, len(ref))
+	}
+	for l, want := range ref {
+		if got := tab.Get(l); got != want {
+			tb.Fatalf("Get(%d) = %d, want %d", l, got, want)
+		}
+	}
+}
+
+func TestTableMatchesMap(t *testing.T) {
+	for seed := uint64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 99))
+		ops := make([]byte, 3*20000)
+		for i := range ops {
+			ops[i] = byte(rng.Uint32())
+		}
+		runTableOps(t, ops)
+	}
+
+	var tab Table[uint32]
+	if tab.Get(0) != 0 || tab.Get(lastLPN256GB) != 0 || tab.Get(-1) != 0 {
+		t.Fatal("empty table reports an entry")
+	}
+	count := 0
+	for range tab.Range {
+		count++
+	}
+	if count != 0 {
+		t.Fatalf("empty table ranged over %d entries", count)
+	}
+	// A zero store creates the path but no entry.
+	*tab.Ref(77) = 0
+	for range tab.Range {
+		t.Fatal("a stored zero is visited by Range")
+	}
+	*tab.Ref(lastLPN256GB) = 5
+	*tab.Ref(0) = 3
+	*tab.Ref(17) = 4
+	// Range stops when fn returns false.
+	var seen []LPN
+	for l := range tab.Range {
+		seen = append(seen, l)
+		if len(seen) == 2 {
+			break
+		}
+	}
+	if len(seen) != 2 || seen[0] != 0 || seen[1] != 17 {
+		t.Fatalf("early-stopped Range visited %v", seen)
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Ref of a negative LPN did not panic")
+		}
+	}()
+	tab.Ref(-1)
+}
+
+// TestTableRefAllocatesNothing pins the hot-path contract: once a page's
+// path exists, Ref and Get on it allocate nothing.
+func TestTableRefAllocatesNothing(t *testing.T) {
+	if racedet.Enabled {
+		t.Skip("the race detector allocates for its own bookkeeping")
+	}
+	var tab Table[uint64]
+	lpns := []LPN{0, 15, 16, 511, 512, 123457, lastLPN256GB}
+	for _, l := range lpns {
+		tab.Ref(l)
+	}
+	n := testing.AllocsPerRun(100, func() {
+		for _, l := range lpns {
+			*tab.Ref(l) += tab.Get(l) + 1
+		}
+	})
+	if n != 0 {
+		t.Fatalf("Ref/Get on allocated paths made %v allocs, want 0", n)
+	}
+}
+
+func FuzzTable(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 0, 0, 3, 0, 0})            // store then read LPN 0
+	f.Add([]byte{12, 0, 0, 14, 0, 0})          // store, then zero, the drive's last page
+	f.Add([]byte{4, 0, 15, 4, 0, 16, 7})       // across a leaf boundary
+	f.Add([]byte{8, 1, 0, 10, 1, 0, 11, 1, 0}) // sparse store, zero, read
+	f.Fuzz(func(t *testing.T, ops []byte) { runTableOps(t, ops) })
+}

@@ -15,8 +15,9 @@ import (
 type Analyzer struct {
 	k *sim.Kernel
 
-	shadow  map[addr.LPN]content.Fingerprint
-	byReq   map[uint64]*Packet
+	// shadow is the newest expected content of every written page; a
+	// zero fingerprint means never written.
+	shadow  addr.Table[content.Fingerprint]
 	pending []*Packet // completed or errored, awaiting verification
 	recent  []*Packet // verified clean, rechecked while young
 
@@ -60,8 +61,6 @@ func NewAnalyzer(k *sim.Kernel, recheckWindow sim.Duration) *Analyzer {
 	}
 	return &Analyzer{
 		k:             k,
-		shadow:        make(map[addr.LPN]content.Fingerprint),
-		byReq:         make(map[uint64]*Packet),
 		recheckWindow: recheckWindow,
 	}
 }
@@ -129,22 +128,22 @@ func (a *Analyzer) newPacket() *Packet {
 	return &Packet{pooled: true}
 }
 
-// release retires a packet whose verification story has ended: it leaves
-// the request index and joins the free list. Idempotent, so a recheck or
-// test touching a terminally classified packet cannot double-free it.
+// release retires a packet whose verification story has ended: it joins
+// the free list. Idempotent, so a recheck or test touching a terminally
+// classified packet cannot double-free it.
 func (a *Analyzer) release(pkt *Packet) {
 	if !pkt.pooled || pkt.released {
 		return
 	}
 	pkt.released = true
-	delete(a.byReq, pkt.ReqID)
 	a.pktFree = append(a.pktFree, pkt)
 }
 
 // OnIssue registers a submitted workload request; the packet direction
 // is taken from the request itself. For writes it captures the initial
 // (pre-request) checksums and advances the shadow expectation, so
-// overlapping writes chain correctly (WAW sequences).
+// overlapping writes chain correctly (WAW sequences). The caller keeps
+// the returned packet and hands it to OnComplete.
 func (a *Analyzer) OnIssue(req *blockdev.Request) *Packet {
 	pkt := a.newPacket()
 	pkt.ReqID = req.ID
@@ -158,25 +157,21 @@ func (a *Analyzer) OnIssue(req *blockdev.Request) *Packet {
 		pkt.Want = req.Data
 		prev := pkt.Prev[:0]
 		for i := 0; i < req.Pages; i++ {
-			lpn := req.LPN + addr.LPN(i)
-			prev = append(prev, a.shadow[lpn])
-			a.shadow[lpn] = req.Data.Page(i)
+			fp := a.shadow.Ref(req.LPN + addr.LPN(i))
+			prev = append(prev, *fp)
+			*fp = req.Data.Page(i)
 		}
 		pkt.Prev = prev
 	} else {
 		pkt.Op = workload.OpRead
 		a.counts.Reads++
 	}
-	a.byReq[req.ID] = pkt
 	return pkt
 }
 
-// OnComplete records the host-visible completion of a workload request.
-func (a *Analyzer) OnComplete(req *blockdev.Request) {
-	pkt, ok := a.byReq[req.ID]
-	if !ok {
-		return
-	}
+// OnComplete records the host-visible completion of the workload request
+// OnIssue turned into pkt.
+func (a *Analyzer) OnComplete(pkt *Packet, req *blockdev.Request) {
 	pkt.CompleteTime = req.Completed
 	pkt.Err = req.Err
 	pkt.NotIssued = req.NotIssued
@@ -272,9 +267,8 @@ func (a *Analyzer) Classify(pkt *Packet, obs content.Data, faultIdx int) Failure
 	// re-expected by a later (still unverified) write are left alone.
 	if pkt.Op == workload.OpWrite && obs.Pages() == pkt.Pages && outcome != FailNone {
 		for i := 0; i < pkt.Pages; i++ {
-			lpn := pkt.LPN + addr.LPN(i)
-			if a.shadow[lpn] == pkt.Want.Page(i) {
-				a.shadow[lpn] = obs.Page(i)
+			if fp := a.shadow.Ref(pkt.LPN + addr.LPN(i)); *fp == pkt.Want.Page(i) {
+				*fp = obs.Page(i)
 			}
 		}
 	}
@@ -304,7 +298,7 @@ func (a *Analyzer) classify(pkt *Packet, obs content.Data) FailureKind {
 	// the newest expectation for every page, nothing was lost.
 	matchesNewest := true
 	for i := 0; i < pkt.Pages; i++ {
-		if obs.Page(i) != a.shadow[pkt.LPN+addr.LPN(i)] {
+		if obs.Page(i) != a.shadow.Get(pkt.LPN+addr.LPN(i)) {
 			matchesNewest = false
 			break
 		}
@@ -325,7 +319,3 @@ func (a *Analyzer) fault(idx int) *FaultOutcome {
 	}
 	return &a.perFault[idx]
 }
-
-// Forget drops bookkeeping for packets that can no longer be verified;
-// used to bound memory in very long runs.
-func (a *Analyzer) Forget(pkt *Packet) { delete(a.byReq, pkt.ReqID) }

@@ -20,7 +20,7 @@ func newAnalyzer() (*sim.Kernel, *Analyzer) {
 func issueWrite(a *Analyzer, id uint64, lpn int64, data content.Data) *Packet {
 	req := &blockdev.Request{ID: id, Op: blockdev.OpWrite, LPN: addr.LPN(lpn), Pages: data.Pages(), Data: data}
 	pkt := a.OnIssue(req)
-	a.OnComplete(req)
+	a.OnComplete(pkt, req)
 	a.pending = a.pending[:0]
 	return pkt
 }
@@ -82,7 +82,7 @@ func TestClassifyIOError(t *testing.T) {
 	_, a := newAnalyzer()
 	req := &blockdev.Request{ID: 1, Op: blockdev.OpWrite, LPN: 0, Pages: 1, Data: content.Make(1), Err: errors.New("x")}
 	pkt := a.OnIssue(req)
-	a.OnComplete(req) // the request error alone marks it incomplete
+	a.OnComplete(pkt, req) // the request error alone marks it incomplete
 	if got := a.Classify(pkt, content.Data{}, 0); got != FailIOError {
 		t.Fatalf("classify = %v, want io error", got)
 	}
@@ -92,7 +92,7 @@ func TestClassifyReadNeverDataFailure(t *testing.T) {
 	_, a := newAnalyzer()
 	req := &blockdev.Request{ID: 1, Op: blockdev.OpRead, LPN: 0, Pages: 4}
 	pkt := a.OnIssue(req)
-	a.OnComplete(req)
+	a.OnComplete(pkt, req)
 	if got := a.Classify(pkt, content.Data{}, 0); got != FailNone {
 		t.Fatalf("read classified %v", got)
 	}
@@ -150,8 +150,8 @@ func TestPrevCaptureChains(t *testing.T) {
 func TestNotIssuedSkipsVerification(t *testing.T) {
 	_, a := newAnalyzer()
 	req := &blockdev.Request{ID: 1, Op: blockdev.OpWrite, LPN: 0, Pages: 1, Data: content.Make(1), NotIssued: true, Err: blockdev.ErrQueueFull}
-	a.OnIssue(req)
-	a.OnComplete(req) // not-issued packets never join the pending set
+	pkt := a.OnIssue(req)
+	a.OnComplete(pkt, req) // not-issued packets never join the pending set
 	if got := len(a.VerifyCandidates(0)); got != 0 {
 		t.Fatalf("not-issued packet in verify set (%d)", got)
 	}

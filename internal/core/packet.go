@@ -64,7 +64,7 @@ type Packet struct {
 	// Want is the written payload (its Sum is the "data checksum").
 	Want content.Data
 	// Prev is the per-page content of the target address prior to issuing
-	// (the "initial checksum"), captured from the analyzer's shadow map.
+	// (the "initial checksum"), captured from the analyzer's shadow.
 	Prev []content.Fingerprint
 
 	QueueTime    sim.Time

@@ -210,13 +210,14 @@ func (r *Runner) scheduleArrival() {
 }
 
 // issueRec is the pooled per-IO bookkeeping of the issue path: it carries
-// the SourceIO across the request's lifetime and its cached fn is the
-// request's Done callback, so issuing an IO allocates nothing in steady
-// state.
+// the SourceIO and the analyzer packet (nil for a flush) across the
+// request's lifetime and its cached fn is the request's Done callback, so
+// issuing an IO allocates nothing in steady state.
 type issueRec struct {
-	r  *Runner
-	io SourceIO
-	fn func(*blockdev.Request)
+	r   *Runner
+	io  SourceIO
+	pkt *Packet
+	fn  func(*blockdev.Request)
 }
 
 func (r *Runner) getIssueRec(io SourceIO) *issueRec {
@@ -228,11 +229,11 @@ func (r *Runner) getIssueRec(io SourceIO) *issueRec {
 		rec = &issueRec{r: r}
 		rec.fn = func(req *blockdev.Request) {
 			r := rec.r
-			io := rec.io
-			rec.io = SourceIO{}
+			io, pkt := rec.io, rec.pkt
+			rec.io, rec.pkt = SourceIO{}, nil
 			r.recFree = append(r.recFree, rec)
 			r.src.Done(io, req.Err)
-			r.onIOComplete(req)
+			r.onIOComplete(req, pkt)
 		}
 	}
 	rec.io = io
@@ -254,19 +255,22 @@ func (r *Runner) issueOne() bool {
 	req.LPN = io.LPN
 	req.Pages = io.Pages
 	req.Data = io.Data
-	req.Done = r.getIssueRec(io).fn
+	rec := r.getIssueRec(io)
+	req.Done = rec.fn
 	r.outstanding++
 	r.issuedTotal++
 	r.p.Host.Submit(req)
 	if req.Op != blockdev.OpFlush {
-		r.analyzer.OnIssue(req)
+		rec.pkt = r.analyzer.OnIssue(req)
 	}
 	return true
 }
 
-func (r *Runner) onIOComplete(req *blockdev.Request) {
+func (r *Runner) onIOComplete(req *blockdev.Request, pkt *Packet) {
 	r.outstanding--
-	r.analyzer.OnComplete(req)
+	if pkt != nil {
+		r.analyzer.OnComplete(pkt, req)
+	}
 	if !req.NotIssued {
 		// Host-queue rejections never reached the drive and do not count
 		// toward fault spacing.

@@ -11,7 +11,8 @@
 //
 // Entries live in a slot arena linked by int32 indices: both lists are
 // intrusive, freed slots go on a free list, and a power loss resets the
-// arena in place, so the steady state allocates nothing.
+// arena in place, so the steady state allocates nothing. A page table
+// maps each resident page to its slot.
 package dram
 
 import (
@@ -43,9 +44,9 @@ const (
 type slot struct {
 	lpn        addr.LPN
 	fp         content.Fingerprint
-	seq        uint64
-	prev, next int32 // links on the list named by on; next doubles as the free-list link
-	flights    int32 // outstanding flusher pops for this entry
+	seq        uint64 // never 0 in a live slot
+	prev, next int32  // links on the list named by on; next doubles as the free-list link
+	flights    int32  // outstanding flusher pops for this entry
 	dirty      bool
 	on         listID
 }
@@ -73,7 +74,8 @@ type Stats struct {
 // Cache is the volatile write-back cache.
 type Cache struct {
 	capPages int
-	m        map[addr.LPN]int32
+	m        addr.Table[int32] // 1 + the slot of each resident page
+	resident int               // pages m maps
 	slots    []slot
 	free     int32   // head of the free-slot list
 	dirtyQ   list    // FIFO by first-dirty time
@@ -91,7 +93,6 @@ func New(capPages int) (*Cache, error) {
 	}
 	return &Cache{
 		capPages: capPages,
-		m:        make(map[addr.LPN]int32),
 		free:     nilSlot,
 		dirtyQ:   list{id: onDirty, head: nilSlot, tail: nilSlot},
 		cleanLRU: list{id: onClean, head: nilSlot, tail: nilSlot},
@@ -102,7 +103,7 @@ func New(capPages int) (*Cache, error) {
 func (c *Cache) Cap() int { return c.capPages }
 
 // Len returns the number of resident pages.
-func (c *Cache) Len() int { return len(c.m) }
+func (c *Cache) Len() int { return c.resident }
 
 // DirtyPages returns the number of dirty (including flushing) pages.
 func (c *Cache) DirtyPages() int { return c.dirtyQ.n + c.flushing }
@@ -127,7 +128,8 @@ func (c *Cache) alloc() int32 {
 
 // release unmaps a slot and returns it to the free list.
 func (c *Cache) release(i int32) {
-	delete(c.m, c.slots[i].lpn)
+	*c.m.Ref(c.slots[i].lpn) = 0
+	c.resident--
 	c.slots[i] = slot{next: c.free}
 	c.free = i
 }
@@ -188,7 +190,9 @@ func (c *Cache) unlink(i int32) {
 // cache is full of dirty pages and cannot accept more; the controller must
 // let the flusher drain before retrying (write backpressure).
 func (c *Cache) Write(lpn addr.LPN, fp content.Fingerprint) bool {
-	if i, ok := c.m[lpn]; ok {
+	e := c.m.Ref(lpn)
+	if *e != 0 {
+		i := *e - 1
 		s := &c.slots[i]
 		s.fp = fp
 		c.seq++
@@ -213,14 +217,15 @@ func (c *Cache) Write(lpn addr.LPN, fp content.Fingerprint) bool {
 		c.stats.Inserts++
 		return true
 	}
-	if len(c.m) >= c.capPages && !c.evictClean() {
+	if c.resident >= c.capPages && !c.evictClean() {
 		return false
 	}
 	c.seq++
 	i := c.alloc()
 	c.slots[i] = slot{lpn: lpn, fp: fp, seq: c.seq, dirty: true}
 	c.pushBack(&c.dirtyQ, i)
-	c.m[lpn] = i
+	*e = i + 1
+	c.resident++
 	c.stats.Inserts++
 	return true
 }
@@ -240,8 +245,8 @@ func (c *Cache) evictClean() bool {
 
 // Read looks a page up, refreshing its LRU position when clean.
 func (c *Cache) Read(lpn addr.LPN) (content.Fingerprint, bool) {
-	i, ok := c.m[lpn]
-	if !ok {
+	i := c.m.Get(lpn) - 1
+	if i < 0 {
 		c.stats.Misses++
 		return content.Zero, false
 	}
@@ -287,8 +292,8 @@ func (c *Cache) PopDirty(max int) []Entry {
 // flush was in flight (sequence mismatch) it stays dirty; otherwise it
 // becomes clean and joins the LRU.
 func (c *Cache) FlushDone(lpn addr.LPN, seq uint64) {
-	i, ok := c.m[lpn]
-	if !ok {
+	i := c.m.Get(lpn) - 1
+	if i < 0 {
 		return
 	}
 	s := &c.slots[i]
@@ -317,8 +322,8 @@ func (c *Cache) retireFlight(s *slot) {
 // FlushFailed requeues a page whose flush was interrupted before the
 // program completed; the data is still only in DRAM.
 func (c *Cache) FlushFailed(lpn addr.LPN, seq uint64) {
-	i, ok := c.m[lpn]
-	if !ok {
+	i := c.m.Get(lpn) - 1
+	if i < 0 {
 		return
 	}
 	s := &c.slots[i]
@@ -334,8 +339,8 @@ func (c *Cache) FlushFailed(lpn addr.LPN, seq uint64) {
 
 // Invalidate drops a page (trim or host discard).
 func (c *Cache) Invalidate(lpn addr.LPN) {
-	i, ok := c.m[lpn]
-	if !ok {
+	i := c.m.Get(lpn) - 1
+	if i < 0 {
 		return
 	}
 	s := &c.slots[i]
@@ -347,17 +352,23 @@ func (c *Cache) Invalidate(lpn addr.LPN) {
 }
 
 // DropAll models power loss: every entry vanishes. It returns the number
-// of dirty pages (acknowledged data) that were lost. The arena, the map
-// and the pop buffer keep their storage for the next power cycle.
+// of dirty pages (acknowledged data) that were lost. The arena, the page
+// table and the pop buffer keep their storage for the next power cycle.
 func (c *Cache) DropAll() int {
 	lost := 0
 	for i := range c.slots {
-		// Free slots are zeroed, so they never count.
-		if s := &c.slots[i]; s.dirty || s.flushing() {
+		s := &c.slots[i]
+		if s.seq == 0 {
+			// A free slot: zeroed, so it holds no page. Its LPN 0 may
+			// be resident in another slot.
+			continue
+		}
+		if s.dirty || s.flushing() {
 			lost++
 		}
+		*c.m.Ref(s.lpn) = 0
 	}
-	clear(c.m)
+	c.resident = 0
 	c.slots = c.slots[:0]
 	c.free = nilSlot
 	c.dirtyQ = list{id: onDirty, head: nilSlot, tail: nilSlot}

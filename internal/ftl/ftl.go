@@ -206,7 +206,10 @@ type FTL struct {
 	chip *flash.Chip
 	geo  flash.Geometry
 
-	l2p map[addr.LPN]addr.PPN
+	// l2p holds 1 + the physical page of every mapped logical page, 0
+	// for unmapped ones; mapped counts its entries.
+	l2p    addr.Table[addr.PPN]
+	mapped int
 
 	// The reverse map (physical page to logical page) is one array per
 	// block, allocated when the block first opens; revOf[b] is 1 + the
@@ -270,7 +273,6 @@ func New(chip *flash.Chip, cfg Config) (*FTL, error) {
 		cfg:      cfg,
 		chip:     chip,
 		geo:      geo,
-		l2p:      make(map[addr.LPN]addr.PPN),
 		revOf:    make([]int32, geo.Blocks()),
 		valid:    make([]int32, geo.Blocks()),
 		pinned:   make([]int32, geo.Blocks()),
@@ -311,8 +313,8 @@ func (f *FTL) OpenRunLen() int {
 
 // Lookup translates a logical page. ok is false for never-written pages.
 func (f *FTL) Lookup(lpn addr.LPN) (addr.PPN, bool) {
-	p, ok := f.l2p[lpn]
-	return p, ok
+	p := f.l2p.Get(lpn)
+	return p - 1, p != 0
 }
 
 // ErrNoSpace reports allocation failure; it means GC could not keep up.
@@ -406,18 +408,47 @@ func (f *FTL) BeginWrite(lpn addr.LPN) (Ticket, error) {
 	return Ticket{LPN: lpn, PPN: ppn, Lane: lane}, nil
 }
 
+// CanReserve reports whether n BeginWrite calls in a row would all
+// succeed: each lane's round-robin share of the n pages fits in the rest
+// of its active block plus the free blocks. Callers that must place a
+// command whole check it first, because a reserved page that is never
+// programmed leaves a gap NAND cannot fill: a block programs in order.
+func (f *FTL) CanReserve(n int) bool {
+	lanes, ppb := f.cfg.Lanes, f.geo.PagesPerBlock
+	first := int(f.stats.WritesMapped) % lanes
+	need := 0
+	for lane := range lanes {
+		k := n / lanes
+		if (lane-first+lanes)%lanes < n%lanes {
+			k++
+		}
+		room := 0
+		if f.active[lane] >= 0 {
+			room = max(ppb-f.nextIdx[lane], 0)
+		}
+		if k > room {
+			need += (k - room + ppb - 1) / ppb
+		}
+	}
+	return need <= f.FreeBlocks()
+}
+
 // CompleteWrite applies a host write that finished programming: the
 // mapping flips to the new page and the update joins the journal (as part
 // of a sequential run when it extends one).
 func (f *FTL) CompleteWrite(t Ticket, now sim.Time) {
 	old := addr.InvalidPPN
-	if cur, ok := f.l2p[t.LPN]; ok {
+	e := f.l2p.Ref(t.LPN)
+	if *e != 0 {
+		cur := *e - 1
 		old = cur
 		f.valid[f.geo.BlockOf(cur)]--
 		f.clearRev(cur)
 		f.pinned[f.geo.BlockOf(cur)]++
+	} else {
+		f.mapped++
 	}
-	f.l2p[t.LPN] = t.PPN
+	*e = t.PPN + 1
 	f.setRev(t.PPN, t.LPN)
 	f.valid[f.geo.BlockOf(t.PPN)]++
 
@@ -442,8 +473,8 @@ func (f *FTL) CompleteWrite(t Ticket, now sim.Time) {
 // the source; otherwise the destination page is wasted and the move is
 // dropped (the host overwrote the data mid-migration).
 func (f *FTL) CompleteMove(t Ticket, from addr.PPN, now sim.Time) bool {
-	cur, ok := f.l2p[t.LPN]
-	if !ok || cur != from {
+	e := f.l2p.Ref(t.LPN)
+	if *e != from+1 {
 		f.stats.MovesAborted++
 		f.stats.WastedPages++
 		return false
@@ -451,7 +482,7 @@ func (f *FTL) CompleteMove(t Ticket, from addr.PPN, now sim.Time) bool {
 	f.valid[f.geo.BlockOf(from)]--
 	f.clearRev(from)
 	f.pinned[f.geo.BlockOf(from)]++
-	f.l2p[t.LPN] = t.PPN
+	*e = t.PPN + 1
 	f.setRev(t.PPN, t.LPN)
 	f.valid[f.geo.BlockOf(t.PPN)]++
 	f.closeRun()
@@ -571,20 +602,23 @@ func (f *FTL) Crash(now sim.Time) CrashStats {
 			f.stats.RecoveredByOOB++
 		}
 		lpn, final := g.lpn, g.final
-		cur, hasCur := f.l2p[lpn]
-		if hasCur && cur == final {
+		e := f.l2p.Ref(lpn)
+		if *e != 0 && *e == final+1 {
 			continue // newest update survived
 		}
-		if hasCur {
+		if *e != 0 {
+			cur := *e - 1
 			f.valid[f.geo.BlockOf(cur)]--
 			f.clearRev(cur)
+			f.mapped--
 		}
 		if final != addr.InvalidPPN {
-			f.l2p[lpn] = final
+			*e = final + 1
 			f.setRev(final, lpn)
 			f.valid[f.geo.BlockOf(final)]++
+			f.mapped++
 		} else {
-			delete(f.l2p, lpn)
+			*e = 0
 		}
 		cs.Lost++
 		f.stats.LostMappings++
@@ -687,15 +721,17 @@ func (f *FTL) ValidPages(block int) int { return int(f.valid[block]) }
 // randomised operation sequences.
 func (f *FTL) CheckInvariants() error {
 	counts := make([]int32, f.geo.Blocks())
-	for lpn, ppn := range f.l2p {
-		got, ok := f.lpnAt(ppn)
-		if !ok || got != lpn {
+	n := 0
+	for lpn, e := range f.l2p.Range {
+		ppn := e - 1
+		if got, ok := f.lpnAt(ppn); !ok || got != lpn {
 			return fmt.Errorf("ftl: l2p/p2l mismatch at %v -> %v", lpn, ppn)
 		}
 		counts[f.geo.BlockOf(ppn)]++
+		n++
 	}
-	if len(f.l2p) != f.revLen {
-		return fmt.Errorf("ftl: map size mismatch l2p=%d p2l=%d", len(f.l2p), f.revLen)
+	if n != f.mapped || n != f.revLen {
+		return fmt.Errorf("ftl: map size mismatch l2p=%d mapped=%d p2l=%d", n, f.mapped, f.revLen)
 	}
 	for b, want := range counts {
 		if f.valid[b] != want {

@@ -500,3 +500,40 @@ func TestBlockAllocationOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestCanReserveMatchesBeginWrite checks CanReserve against the calls it
+// predicts. From states with different lane offsets and partly filled
+// active blocks, it counts how many BeginWrite calls succeed in a row, m;
+// CanReserve(n) must hold exactly for n <= m.
+func TestCanReserveMatchesBeginWrite(t *testing.T) {
+	for _, lanes := range []int{1, 2, 3} {
+		for k := 0; k < 1024; k += 13 {
+			_, f := testFTL(t, func(c *Config) { c.Lanes = lanes })
+			for i := 0; i < k; i++ {
+				if _, err := f.BeginWrite(addr.LPN(i % 300)); err != nil {
+					break
+				}
+			}
+			limit := f.FreeBlocks()*f.geo.PagesPerBlock + lanes*f.geo.PagesPerBlock
+			can := make([]bool, limit+2)
+			for n := range can {
+				can[n] = f.CanReserve(n)
+			}
+			m := 0
+			for ; ; m++ {
+				if _, err := f.BeginWrite(addr.LPN(m % 300)); err != nil {
+					break
+				}
+			}
+			if m > limit {
+				t.Fatalf("lanes=%d k=%d: %d calls succeeded, over the %d-page bound", lanes, k, m, limit)
+			}
+			for n, ok := range can {
+				if ok != (n <= m) {
+					t.Fatalf("lanes=%d k=%d: CanReserve(%d)=%v, but %d BeginWrite calls succeed",
+						lanes, k, n, ok, m)
+				}
+			}
+		}
+	}
+}

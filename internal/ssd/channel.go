@@ -83,7 +83,7 @@ func (d *Device) newItem(kind itemKind, perPage sim.Duration, cmd *command) *chI
 		it = d.freeItems[n-1]
 		d.freeItems = d.freeItems[:n-1]
 	} else {
-		it = &chItem{}
+		it = &chItem{ops: make([]pageOp, 0, d.opsCap)}
 	}
 	it.kind, it.perPage, it.cmd = kind, perPage, cmd
 	if cmd != nil {
@@ -138,16 +138,6 @@ func (d *Device) enqueueBatches() int {
 		}
 	}
 	return n
-}
-
-// discardBatches drops the batches built so far.
-func (d *Device) discardBatches() {
-	for ch, it := range d.batches {
-		if it != nil {
-			d.batches[ch] = nil
-			d.dropItem(it)
-		}
-	}
 }
 
 func (d *Device) enqueue(ch int, it *chItem) {

@@ -125,6 +125,7 @@ type Device struct {
 
 	freeCmds  []*command
 	freeItems []*chItem
+	opsCap    int       // ops capacity of a new item: one channel's share of a flush batch
 	batches   []*chItem // per-channel batch scratch, nil where empty
 
 	gcPlan  *ftl.GCPlan           // collection in progress
@@ -185,6 +186,7 @@ func New(k *sim.Kernel, r *sim.RNG, prof Profile, psu *power.PSU) (*Device, erro
 		d.channels[i] = c
 	}
 	d.batches = make([]*chItem, prof.Channels)
+	d.opsCap = (prof.FlushBatchPages + prof.Channels - 1) / prof.Channels
 	d.flushTickFn, d.journalTickFn = d.flushTick, d.journalTick
 	if psu != nil {
 		psu.Connect("ssd-"+prof.Name, prof.LoadOhms)
@@ -430,16 +432,17 @@ func (d *Device) noteDirty() {
 }
 
 // writeThrough programs pages synchronously (internal cache disabled); the
-// ACK waits for every program to finish.
+// ACK waits for every program to finish. A command that does not fit in
+// the free space fails whole, before it reserves a page.
 func (d *Device) writeThrough(cmd *command) {
+	if !d.ftlm.CanReserve(cmd.pages) {
+		d.completeCmd(cmd, ErrNoSpace)
+		return
+	}
 	per := d.perPageProg()
 	for i := 0; i < cmd.pages; i++ {
 		t, err := d.ftlm.BeginWrite(cmd.lpn + addr.LPN(i))
-		if err != nil {
-			d.discardBatches()
-			d.completeCmd(cmd, ErrNoSpace)
-			return
-		}
+		must(err)
 		d.batchOp(d.channelOf(t.PPN), itemProgram, per, cmd, pageOp{ppn: t.PPN, fp: cmd.data.Page(i), lpn: t.LPN, ticket: t})
 	}
 	cmd.parts = d.enqueueBatches()
@@ -654,14 +657,16 @@ func (d *Device) gcProgram() {
 		return
 	}
 	plan := d.gcPlan
+	if !d.ftlm.CanReserve(len(plan.Moves)) {
+		// Like a write-through command, the migration is placed whole
+		// or not at all.
+		d.gcActive = false
+		return
+	}
 	per := d.perPageProg()
 	for i, mv := range plan.Moves {
 		t, err := d.ftlm.BeginWrite(mv.LPN)
-		if err != nil {
-			d.discardBatches()
-			d.gcActive = false
-			return
-		}
+		must(err)
 		d.batchOp(d.channelOf(t.PPN), itemMove, per, nil, pageOp{ppn: t.PPN, fp: d.gcFps[i], lpn: mv.LPN, ticket: t, from: mv.From})
 	}
 	d.gcParts = d.enqueueBatches()

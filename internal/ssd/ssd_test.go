@@ -1,6 +1,7 @@
 package ssd
 
 import (
+	"errors"
 	"testing"
 
 	"powerfail/internal/addr"
@@ -335,6 +336,50 @@ func TestFullDriveFlushReachesGC(t *testing.T) {
 	tail := addr.LPN((user/chunk - 1) * chunk)
 	if got, err := r.read(t, tail, chunk); err != nil || !got.Equal(last) {
 		t.Fatalf("read back after GC: err=%v", err)
+	}
+}
+
+// TestWriteThroughFullDrive fills a 1 GB drive with the cache disabled
+// and overwrites it in 8 MiB commands, each larger than the free pool
+// once the drive is full. Commands that find no free block fail with
+// ErrNoSpace; none may leave a reserved but unprogrammed page behind, or
+// a later program in that block would break the chip's sequential
+// programming rule. The FTL must stay consistent throughout.
+func TestWriteThroughFullDrive(t *testing.T) {
+	r := newRig(t, smallProfile().WithCacheDisabled())
+	rng := sim.NewRNG(13)
+	const chunk = 2048
+	user := r.dev.UserPages()
+	noSpace := 0
+	for pass := 0; pass < 2; pass++ {
+		for lpn := int64(0); lpn+chunk <= user; lpn += chunk {
+			err := r.write(t, addr.LPN(lpn), content.Random(rng, chunk))
+			if errors.Is(err, ErrNoSpace) {
+				// A small write right after the failure programs into
+				// the same active blocks.
+				noSpace++
+				err = r.write(t, addr.LPN(lpn), content.Random(rng, 16))
+			}
+			if err != nil && !errors.Is(err, ErrNoSpace) {
+				t.Fatalf("pass %d write at %d: %v", pass, lpn, err)
+			}
+			if err := r.dev.FTL().CheckInvariants(); err != nil {
+				t.Fatalf("pass %d after write at %d: %v", pass, lpn, err)
+			}
+		}
+	}
+	if r.dev.FTL().Stats().GCCollections == 0 {
+		t.Fatal("overwriting a full drive never ran GC")
+	}
+	t.Logf("%d of %d writes failed with ErrNoSpace", noSpace, 2*user/chunk)
+	// Once GC has caught up, writes succeed and read back.
+	r.k.RunUntil(r.k.Now().Add(time500()))
+	last := content.Random(rng, chunk)
+	if err := r.write(t, 0, last); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := r.read(t, 0, chunk); err != nil || !got.Equal(last) {
+		t.Fatalf("read back: err=%v", err)
 	}
 }
 
