@@ -185,11 +185,8 @@ func Fig7Items(scale float64) []CatalogItem {
 // failure count, with open-loop arrivals; >=600 faults per point at
 // scale 1. The host queue is capped so outage-time backlogs stay bounded.
 //
-// Substitution note (see EXPERIMENTS.md): the paper states 4 KiB-1 MiB
-// request sizes yet reports responded IOPS saturating at ~6900, which is
-// >3.5 GB/s — beyond SATA. We use a 4-64 KiB mix so the responded-IOPS
-// saturation knee lands in the paper's range while preserving the
-// rise-then-plateau shape of both series.
+// Requests are 4-64 KiB rather than the paper's stated 4 KiB-1 MiB; see
+// "Substitutions against the paper" in DESIGN.md.
 func Fig8Items(scale float64) []CatalogItem {
 	var items []CatalogItem
 	for i, iops := range []float64{1200, 2400, 6000, 12000, 20000, 25000, 30000} {

@@ -1,6 +1,10 @@
 package sim
 
-import "testing"
+import (
+	"testing"
+
+	"powerfail/internal/racedet"
+)
 
 // BenchmarkKernelScheduleFire measures the schedule→fire round trip that
 // every simulated event pays. The callback is hoisted so the benchmark
@@ -16,9 +20,10 @@ func BenchmarkKernelScheduleFire(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelDeepQueue keeps a deep pending queue (the fleet steady
-// state: thousands of member completions in flight) while scheduling and
-// firing, exercising real sift depths instead of a near-empty heap.
+// BenchmarkKernelDeepQueue keeps 4096 timers pending while scheduling and
+// firing: a stress depth, ~15x the deepest queue the fleet workload
+// reaches (~125 pending on average, 276 at most; see
+// BenchmarkKernelFleetMix for that traffic).
 func BenchmarkKernelDeepQueue(b *testing.B) {
 	k := New()
 	fn := func() {}
@@ -35,7 +40,7 @@ func BenchmarkKernelDeepQueue(b *testing.B) {
 
 // BenchmarkKernelScheduleStop measures the cancel path: timeout timers
 // are scheduled per IO and almost always stopped. Eager reclamation makes
-// this allocation-free and keeps the heap from accumulating dead entries.
+// this allocation-free and keeps the queue from accumulating dead entries.
 func BenchmarkKernelScheduleStop(b *testing.B) {
 	k := New()
 	fn := func() {}
@@ -46,7 +51,84 @@ func BenchmarkKernelScheduleStop(b *testing.B) {
 		tm.Stop()
 	}
 	b.StopTimer()
-	if len(k.heap) != 0 {
-		b.Fatalf("heap holds %d entries after stop-only load", len(k.heap))
+	if n := k.Pending(); n != 0 {
+		b.Fatalf("%d timers pending after stop-only load", n)
+	}
+}
+
+// fleetMix replays the kernel traffic measured on the perfbench fleet
+// workload: schedules split into thirds between zero-delay completions,
+// +30 s request timeouts that are always stopped before they fire, and
+// near-term timers (service completions and arrivals, here exponential
+// with a 20 ms mean), at ~128 pending. Each round schedules one of each,
+// stops the oldest of mixTimeouts timeouts and fires two events, so
+// mixNear near-term timers stay in flight.
+type fleetMix struct {
+	k        *Kernel
+	fn       func()
+	timeouts [mixTimeouts]Timer
+	delays   [1024]Duration
+	round    int
+}
+
+const (
+	mixTimeouts = 42
+	mixNear     = 85
+)
+
+func newFleetMix() *fleetMix {
+	m := &fleetMix{k: New(), fn: func() {}}
+	rng := NewRNG(1)
+	for i := range m.delays {
+		m.delays[i] = Duration(rng.ExpMean(float64(20 * Millisecond)))
+	}
+	for i := range m.timeouts {
+		m.timeouts[i] = m.k.After(30*Second, m.fn)
+	}
+	for i := 0; i < mixNear; i++ {
+		m.k.After(m.delays[i], m.fn)
+	}
+	return m
+}
+
+func (m *fleetMix) step() {
+	m.k.After(0, m.fn)
+	t := &m.timeouts[m.round%mixTimeouts]
+	t.Stop()
+	*t = m.k.After(30*Second, m.fn)
+	m.k.After(m.delays[m.round%len(m.delays)], m.fn)
+	m.round++
+	m.k.Step()
+	m.k.Step()
+}
+
+// BenchmarkKernelFleetMix measures one fleetMix round: three schedules,
+// one stop and two fires at the fleet's queue depth.
+func BenchmarkKernelFleetMix(b *testing.B) {
+	m := newFleetMix()
+	for i := 0; i < 4096; i++ {
+		m.step()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.step()
+	}
+	b.ReportMetric(float64(m.k.Pending()), "pending")
+}
+
+func TestKernelFleetMixAllocatesNothing(t *testing.T) {
+	if racedet.Enabled {
+		t.Skip("the race detector allocates for its own bookkeeping")
+	}
+	m := newFleetMix()
+	for i := 0; i < 4096; i++ {
+		m.step()
+	}
+	if n := m.k.Pending(); n < 120 || n > 136 {
+		t.Fatalf("fleet mix holds %d timers pending, want ~128", n)
+	}
+	if n := testing.AllocsPerRun(1000, m.step); n != 0 {
+		t.Fatalf("a fleet-mix round made %v allocs, want 0", n)
 	}
 }
