@@ -152,13 +152,14 @@ type Stats struct {
 type Chip struct {
 	cfg    Config
 	r      *sim.RNG
-	blocks []*block // lazily allocated
+	blocks []*block // up to the highest block touched; see blk and touched
 	seq    uint64
 	stats  Stats
 }
 
-// New builds a chip. Blocks are allocated lazily so very large arrays cost
-// memory only for the blocks actually touched.
+// New builds a chip. Blocks are allocated on first touch so a chip costs
+// memory only for the blocks a run programs or erases, whatever its
+// geometry.
 func New(cfg Config, r *sim.RNG) (*Chip, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -166,11 +167,7 @@ func New(cfg Config, r *sim.RNG) (*Chip, error) {
 	if r == nil {
 		return nil, errors.New("flash: nil RNG")
 	}
-	return &Chip{
-		cfg:    cfg,
-		r:      r,
-		blocks: make([]*block, cfg.Geometry.Blocks()),
-	}, nil
+	return &Chip{cfg: cfg, r: r}, nil
 }
 
 // Config returns the chip configuration.
@@ -185,38 +182,58 @@ func (c *Chip) Timing() Timing { return c.cfg.Timing }
 // Stats returns a snapshot of the operation counters.
 func (c *Chip) Stats() Stats { return c.stats }
 
+// blk returns block i, which must lie in the geometry, opening it on
+// first touch. The fast path, a block already open, stays inlinable.
 func (c *Chip) blk(i int) *block {
-	b := c.blocks[i]
-	if b == nil {
-		b = &block{pages: make([]page, c.cfg.Geometry.PagesPerBlock)}
-		c.blocks[i] = b
+	if uint(i) < uint(len(c.blocks)) && c.blocks[i] != nil {
+		return c.blocks[i]
 	}
+	return c.open(i)
+}
+
+// open allocates block i, growing blocks to reach it.
+func (c *Chip) open(i int) *block {
+	if n := i + 1 - len(c.blocks); n > 0 {
+		c.blocks = append(c.blocks, make([]*block, n)...)
+	}
+	b := &block{pages: make([]page, c.cfg.Geometry.PagesPerBlock)}
+	c.blocks[i] = b
 	return b
+}
+
+// touched returns block i, nil if it was never programmed or erased: an
+// index past the end of blocks, or a nil entry, is a block in its factory
+// state, erased with zero counts.
+func (c *Chip) touched(i int) *block {
+	if uint(i) < uint(len(c.blocks)) {
+		return c.blocks[i]
+	}
+	return nil
 }
 
 // EraseCount returns the erase cycles consumed by a block.
 func (c *Chip) EraseCount(blockIdx int) int {
-	if c.blocks[blockIdx] == nil {
-		return 0
+	if b := c.touched(blockIdx); b != nil {
+		return b.eraseCount
 	}
-	return c.blocks[blockIdx].eraseCount
+	return 0
 }
 
 // ReadCount returns the reads a block has absorbed since its last erase.
 func (c *Chip) ReadCount(blockIdx int) int64 {
-	if c.blocks[blockIdx] == nil {
-		return 0
+	if b := c.touched(blockIdx); b != nil {
+		return b.readCount
 	}
-	return c.blocks[blockIdx].readCount
+	return 0
 }
 
 // NextPage returns the program pointer of a block (the only page index a
 // Program may target next).
 func (c *Chip) NextPage(blockIdx int) int {
-	if c.blocks[blockIdx] == nil {
-		return 0
+	if b := c.touched(blockIdx); b != nil {
+		return b.nextPage
 	}
-	return c.blocks[blockIdx].nextPage
+	return 0
 }
 
 // State returns the state of a physical page.
@@ -224,7 +241,7 @@ func (c *Chip) State(p addr.PPN) PageState {
 	if !c.cfg.Geometry.Contains(p) {
 		return PageErased
 	}
-	b := c.blocks[c.cfg.Geometry.BlockOf(p)]
+	b := c.touched(c.cfg.Geometry.BlockOf(p))
 	if b == nil {
 		return PageErased
 	}
@@ -337,7 +354,7 @@ func interruptedBER(remaining float64) float64 {
 
 // Erase resets all pages of a block and consumes one endurance cycle.
 func (c *Chip) Erase(blockIdx int) error {
-	if blockIdx < 0 || blockIdx >= len(c.blocks) {
+	if blockIdx < 0 || blockIdx >= c.cfg.Geometry.Blocks() {
 		return ErrBadAddress
 	}
 	b := c.blk(blockIdx)
@@ -356,7 +373,7 @@ func (c *Chip) Erase(blockIdx int) error {
 // page that still held data becomes unreliable, and the block must be
 // fully erased before it can be programmed again.
 func (c *Chip) ErasePartial(blockIdx int, frac float64) error {
-	if blockIdx < 0 || blockIdx >= len(c.blocks) {
+	if blockIdx < 0 || blockIdx >= c.cfg.Geometry.Blocks() {
 		return ErrBadAddress
 	}
 	b := c.blk(blockIdx)
@@ -413,7 +430,7 @@ func (c *Chip) Read(p addr.PPN) (ReadResult, error) {
 		return ReadResult{}, ErrBadAddress
 	}
 	c.stats.Reads++
-	b := c.blocks[g.BlockOf(p)]
+	b := c.touched(g.BlockOf(p))
 	if b == nil {
 		return ReadResult{FP: content.Zero, Status: ReadClean}, nil
 	}

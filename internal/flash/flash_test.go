@@ -147,6 +147,53 @@ func TestBadAddresses(t *testing.T) {
 	}
 }
 
+// TestUntouchedBlocksCostNothing: reading any block of a fresh chip, the
+// last one included, sees it erased with zero counts and opens nothing;
+// programming the last block opens it; erase bounds follow the geometry,
+// not the blocks opened so far.
+func TestUntouchedBlocksCostNothing(t *testing.T) {
+	c := testChip(t, nil)
+	g := c.Geometry()
+	last := g.Blocks() - 1
+	p := g.PPNOf(last, 0)
+	if c.State(p) != PageErased || c.FullyProgrammed(p) {
+		t.Fatalf("untouched page state %v", c.State(p))
+	}
+	if res, err := c.Read(p); err != nil || res.FP != content.Zero || res.Status != ReadClean {
+		t.Fatalf("untouched read = %+v, %v", res, err)
+	}
+	if c.NextPage(last) != 0 || c.EraseCount(last) != 0 || c.ReadCount(last) != 0 {
+		t.Fatalf("untouched block: next=%d erases=%d reads=%d",
+			c.NextPage(last), c.EraseCount(last), c.ReadCount(last))
+	}
+	if len(c.blocks) != 0 {
+		t.Fatalf("reads opened %d blocks", len(c.blocks))
+	}
+	for _, b := range []int{-1, g.Blocks()} {
+		if err := c.Erase(b); err != ErrBadAddress {
+			t.Fatalf("Erase(%d) = %v, want ErrBadAddress", b, err)
+		}
+		if err := c.ErasePartial(b, 0.5); err != ErrBadAddress {
+			t.Fatalf("ErasePartial(%d) = %v, want ErrBadAddress", b, err)
+		}
+	}
+	if err := c.Program(p, 7); err != nil {
+		t.Fatalf("program on the last block: %v", err)
+	}
+	if len(c.blocks) != g.Blocks() || c.NextPage(last) != 1 || c.State(p) != PageProgrammed {
+		t.Fatalf("after program: %d blocks, next=%d, state %v", len(c.blocks), c.NextPage(last), c.State(p))
+	}
+	if res, err := c.Read(p); err != nil || res.FP != 7 {
+		t.Fatalf("read back = %+v, %v", res, err)
+	}
+	if c.NextPage(0) != 0 || c.EraseCount(0) != 0 {
+		t.Fatal("growing to the last block touched the first")
+	}
+	if err := c.Erase(1); err != nil || c.EraseCount(1) != 1 {
+		t.Fatalf("erase of an untouched block: %v, erases=%d", err, c.EraseCount(1))
+	}
+}
+
 // TestProgramPartialEarlyCorrupts: a program interrupted early leaves the
 // page unreadable even through ECC.
 func TestProgramPartialEarlyCorrupts(t *testing.T) {

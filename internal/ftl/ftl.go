@@ -211,22 +211,20 @@ type FTL struct {
 	l2p    addr.Table[addr.PPN]
 	mapped int
 
-	// The reverse map (physical page to logical page) is one array per
-	// block, allocated when the block first opens; revOf[b] is 1 + the
-	// index of block b's array in revs, 0 while it has none. revLen
-	// counts the mapped entries.
-	revOf  []int32
-	revs   [][]addr.LPN
+	// blocks holds the state of every block that has ever opened.
+	// allocBlock opens never-used blocks strictly in index order and GC
+	// recycles only opened ones, so the opened blocks are exactly
+	// 0..len(blocks)-1, and len(blocks) is the next never-used block:
+	// blocks grows by one entry per first open, with the blocks a run
+	// touches, not with the geometry. revLen counts the mapped
+	// reverse-map entries.
+	blocks []blockState
 	revLen int
 
-	valid  []int32 // live pages per block
-	pinned []int32 // uncommitted-journal references per block (GC must skip)
-
-	// Free blocks are the never-allocated blocks fresh..Blocks()-1, all
-	// with zero erases, plus a heap of blocks recycled by GC. allocBlock
-	// takes the smaller of the two heads in freeBlock order, which is the
-	// order one heap of every free block would give.
-	fresh    int
+	// Free blocks are the never-allocated blocks len(blocks)..Blocks()-1,
+	// all with zero erases, plus a heap of blocks recycled by GC.
+	// allocBlock takes the smaller of the two heads in freeBlock order,
+	// which is the order one heap of every free block would give.
 	recycled freeHeap
 	active   []int // active block per lane, -1 if none
 	nextIdx  []int // next page index to reserve per lane
@@ -237,7 +235,7 @@ type FTL struct {
 	seqLast addr.LPN // last written lpn, for run detection
 
 	gcVictim int    // block mid-collection, -1 if none
-	gcMark   []bool // GCPlan scratch: free or active blocks
+	gcMark   []bool // GCPlan scratch: free or active opened blocks
 
 	// Crash scratch, reused crash to crash.
 	atRisk  []record
@@ -245,6 +243,13 @@ type FTL struct {
 	groups  []crashGroup
 
 	stats Stats
+}
+
+// blockState is the bookkeeping of one opened block.
+type blockState struct {
+	valid  int32      // live pages
+	pinned int32      // uncommitted-journal references (GC must skip)
+	rev    []addr.LPN // reverse map: the logical page of each page, noLPN if none
 }
 
 // crashGroup folds the at-risk records of one logical page: the mapping
@@ -273,9 +278,6 @@ func New(chip *flash.Chip, cfg Config) (*FTL, error) {
 		cfg:      cfg,
 		chip:     chip,
 		geo:      geo,
-		revOf:    make([]int32, geo.Blocks()),
-		valid:    make([]int32, geo.Blocks()),
-		pinned:   make([]int32, geo.Blocks()),
 		active:   make([]int, cfg.Lanes),
 		nextIdx:  make([]int, cfg.Lanes),
 		seqLast:  -2,
@@ -298,7 +300,7 @@ func (f *FTL) UserPages() int64 { return f.cfg.UserPages }
 func (f *FTL) Stats() Stats { return f.stats }
 
 // FreeBlocks returns the number of blocks available for allocation.
-func (f *FTL) FreeBlocks() int { return f.geo.Blocks() - f.fresh + len(f.recycled) }
+func (f *FTL) FreeBlocks() int { return f.geo.Blocks() - len(f.blocks) + len(f.recycled) }
 
 // PendingRecords returns uncommitted journal records (excluding the open run).
 func (f *FTL) PendingRecords() int { return len(f.pending) }
@@ -324,23 +326,19 @@ var ErrNoSpace = errors.New("ftl: out of free blocks")
 var ErrBadLPN = errors.New("ftl: logical page out of range")
 
 func (f *FTL) allocBlock() (int, error) {
-	var b int
+	b, fresh := 0, len(f.blocks)
 	switch {
-	case len(f.recycled) > 0 && (f.fresh == f.geo.Blocks() || f.recycled[0].less(freeBlock{idx: f.fresh})):
+	case len(f.recycled) > 0 && (fresh == f.geo.Blocks() || f.recycled[0].less(freeBlock{idx: fresh})):
 		b = f.recycled.pop().idx
-	case f.fresh < f.geo.Blocks():
-		b = f.fresh
-		f.fresh++
-	default:
-		return 0, ErrNoSpace
-	}
-	if f.revOf[b] == 0 {
+	case fresh < f.geo.Blocks():
+		b = fresh
 		rev := make([]addr.LPN, f.geo.PagesPerBlock)
 		for i := range rev {
 			rev[i] = noLPN
 		}
-		f.revs = append(f.revs, rev)
-		f.revOf[b] = int32(len(f.revs))
+		f.blocks = append(f.blocks, blockState{rev: rev})
+	default:
+		return 0, ErrNoSpace
 	}
 	return b, nil
 }
@@ -348,11 +346,11 @@ func (f *FTL) allocBlock() (int, error) {
 // revSlot returns the reverse-map entry of ppn, nil if its block never
 // opened.
 func (f *FTL) revSlot(ppn addr.PPN) *addr.LPN {
-	r := f.revOf[f.geo.BlockOf(ppn)]
-	if r == 0 {
+	b := f.geo.BlockOf(ppn)
+	if uint(b) >= uint(len(f.blocks)) {
 		return nil
 	}
-	return &f.revs[r-1][f.geo.PageOf(ppn)]
+	return &f.blocks[b].rev[f.geo.PageOf(ppn)]
 }
 
 // lpnAt returns the logical page mapped to ppn.
@@ -442,15 +440,16 @@ func (f *FTL) CompleteWrite(t Ticket, now sim.Time) {
 	if *e != 0 {
 		cur := *e - 1
 		old = cur
-		f.valid[f.geo.BlockOf(cur)]--
+		st := &f.blocks[f.geo.BlockOf(cur)]
+		st.valid--
+		st.pinned++
 		f.clearRev(cur)
-		f.pinned[f.geo.BlockOf(cur)]++
 	} else {
 		f.mapped++
 	}
 	*e = t.PPN + 1
 	f.setRev(t.PPN, t.LPN)
-	f.valid[f.geo.BlockOf(t.PPN)]++
+	f.blocks[f.geo.BlockOf(t.PPN)].valid++
 
 	rec := record{lpn: t.LPN, old: old, new: t.PPN}
 	extends := f.runOpen && len(f.run.recs) < f.cfg.RunMaxPages &&
@@ -479,12 +478,13 @@ func (f *FTL) CompleteMove(t Ticket, from addr.PPN, now sim.Time) bool {
 		f.stats.WastedPages++
 		return false
 	}
-	f.valid[f.geo.BlockOf(from)]--
+	st := &f.blocks[f.geo.BlockOf(from)]
+	st.valid--
+	st.pinned++
 	f.clearRev(from)
-	f.pinned[f.geo.BlockOf(from)]++
 	*e = t.PPN + 1
 	f.setRev(t.PPN, t.LPN)
-	f.valid[f.geo.BlockOf(t.PPN)]++
+	f.blocks[f.geo.BlockOf(t.PPN)].valid++
 	f.closeRun()
 	f.pending = append(f.pending, record{lpn: t.LPN, old: from, new: t.PPN})
 	f.stats.MovesCompleted++
@@ -534,7 +534,7 @@ func (f *FTL) CommitJournal() (metaPages, records int) {
 	metaPages = (records + recordsPerMetaPage - 1) / recordsPerMetaPage
 	for _, r := range f.pending {
 		if r.old != addr.InvalidPPN {
-			f.pinned[f.geo.BlockOf(r.old)]--
+			f.blocks[f.geo.BlockOf(r.old)].pinned--
 		}
 	}
 	f.pending = f.pending[:0]
@@ -608,14 +608,14 @@ func (f *FTL) Crash(now sim.Time) CrashStats {
 		}
 		if *e != 0 {
 			cur := *e - 1
-			f.valid[f.geo.BlockOf(cur)]--
+			f.blocks[f.geo.BlockOf(cur)].valid--
 			f.clearRev(cur)
 			f.mapped--
 		}
 		if final != addr.InvalidPPN {
 			*e = final + 1
 			f.setRev(final, lpn)
-			f.valid[f.geo.BlockOf(final)]++
+			f.blocks[f.geo.BlockOf(final)].valid++
 			f.mapped++
 		} else {
 			*e = 0
@@ -627,7 +627,7 @@ func (f *FTL) Crash(now sim.Time) CrashStats {
 	// record was at risk, so unpinning their old blocks clears them all.
 	for _, r := range atRisk {
 		if r.old != addr.InvalidPPN {
-			f.pinned[f.geo.BlockOf(r.old)] = 0
+			f.blocks[f.geo.BlockOf(r.old)].pinned = 0
 		}
 	}
 	// Re-synchronise allocation pointers with the chip: reserved pages
@@ -659,10 +659,10 @@ func (f *FTL) GCSatisfied() bool { return f.FreeBlocks() >= f.cfg.GCHighBlocks }
 // active, and journal-pinned blocks) and lists the migrations required.
 // It returns nil when no block is collectable.
 func (f *FTL) GCPlan() *GCPlan {
-	// Blocks from fresh on are free and never programmed; mark the
-	// recycled free blocks and the active ones.
-	if f.gcMark == nil {
-		f.gcMark = make([]bool, f.geo.Blocks())
+	// Blocks that never opened are free and never programmed; mark the
+	// recycled free blocks and the active ones, all opened.
+	if n := len(f.blocks) - len(f.gcMark); n > 0 {
+		f.gcMark = append(f.gcMark, make([]bool, n)...)
 	}
 	mark := f.gcMark
 	for _, fb := range f.recycled {
@@ -674,18 +674,19 @@ func (f *FTL) GCPlan() *GCPlan {
 		}
 	}
 	best, bestValid := -1, int32(1<<30)
-	for b := 0; b < f.fresh; b++ {
-		if mark[b] || f.pinned[b] > 0 || b == f.gcVictim {
+	for b := range f.blocks {
+		st := &f.blocks[b]
+		if mark[b] || st.pinned > 0 || b == f.gcVictim {
 			continue
 		}
 		if f.chip.NextPage(b) == 0 && f.chip.State(f.geo.PPNOf(b, 0)) == flash.PageErased {
 			continue // untouched block
 		}
-		if f.valid[b] < bestValid {
-			best, bestValid = b, f.valid[b]
+		if st.valid < bestValid {
+			best, bestValid = b, st.valid
 		}
 	}
-	clear(mark[:f.fresh])
+	clear(mark[:len(f.blocks)])
 	if best < 0 {
 		return nil
 	}
@@ -705,7 +706,7 @@ func (f *FTL) GCFinish(victim int) {
 	if victim == f.gcVictim {
 		f.gcVictim = -1
 	}
-	f.valid[victim] = 0
+	f.blocks[victim].valid = 0
 	f.recycled.push(freeBlock{idx: victim, erases: f.chip.EraseCount(victim)})
 	f.stats.GCCollections++
 }
@@ -714,13 +715,21 @@ func (f *FTL) GCFinish(victim int) {
 // collection; the block will be picked again later.
 func (f *FTL) GCAbort() { f.gcVictim = -1 }
 
-// ValidPages returns the live-page count of a block (for tests).
-func (f *FTL) ValidPages(block int) int { return int(f.valid[block]) }
+// ValidPages returns the live-page count of a block (for tests); blocks
+// that never opened hold none.
+func (f *FTL) ValidPages(block int) int {
+	if uint(block) >= uint(len(f.blocks)) {
+		return 0
+	}
+	return int(f.blocks[block].valid)
+}
 
 // CheckInvariants verifies internal consistency; tests call it after
 // randomised operation sequences.
 func (f *FTL) CheckInvariants() error {
-	counts := make([]int32, f.geo.Blocks())
+	// Blocks that never opened hold no mappings and no pins: lpnAt
+	// rejects their pages, and a pin's old page was once mapped.
+	counts := make([]int32, len(f.blocks))
 	n := 0
 	for lpn, e := range f.l2p.Range {
 		ppn := e - 1
@@ -734,8 +743,8 @@ func (f *FTL) CheckInvariants() error {
 		return fmt.Errorf("ftl: map size mismatch l2p=%d mapped=%d p2l=%d", n, f.mapped, f.revLen)
 	}
 	for b, want := range counts {
-		if f.valid[b] != want {
-			return fmt.Errorf("ftl: block %d valid=%d want %d", b, f.valid[b], want)
+		if got := f.blocks[b].valid; got != want {
+			return fmt.Errorf("ftl: block %d valid=%d want %d", b, got, want)
 		}
 	}
 	// Pins count the uncommitted records whose old page lies in a block.
@@ -752,8 +761,8 @@ func (f *FTL) CheckInvariants() error {
 		pin(f.run.recs)
 	}
 	for b, want := range counts {
-		if f.pinned[b] != want {
-			return fmt.Errorf("ftl: block %d pinned=%d want %d", b, f.pinned[b], want)
+		if got := f.blocks[b].pinned; got != want {
+			return fmt.Errorf("ftl: block %d pinned=%d want %d", b, got, want)
 		}
 	}
 	return nil

@@ -1,0 +1,306 @@
+package ftl
+
+import (
+	"slices"
+	"testing"
+
+	"powerfail/internal/addr"
+	"powerfail/internal/content"
+	"powerfail/internal/flash"
+	"powerfail/internal/sim"
+)
+
+// ftlScript drives an FTL and its chip through the controller's calls as a
+// byte script dictates, on a drive small enough that a few dozen writes
+// exhaust the never-used blocks and GC recycles them. Every call keeps the
+// controller's contract: pages of a lane are programmed in reservation
+// order, and a reservation that is never programmed is aborted and
+// followed by a crash, which is the only way a real controller drops one.
+type ftlScript struct {
+	t    *testing.T
+	ops  []byte
+	chip *flash.Chip
+	f    *FTL
+	now  sim.Time
+	fp   content.Fingerprint
+}
+
+func newFTLScript(t *testing.T, ops []byte) *ftlScript {
+	chip, err := flash.New(flash.Config{
+		Geometry:        flash.Geometry{Dies: 1, PlanesPerDie: 2, BlocksPerPlane: 6, PagesPerBlock: 4},
+		Cell:            flash.MLC,
+		Timing:          flash.TimingFor(flash.MLC),
+		ECC:             flash.ECCConfig{Scheme: "BCH", CorrectPerKB: 40},
+		WearBERMult:     4,
+		EnduranceCycles: 3000,
+	}, sim.NewRNG(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := New(chip, Config{
+		UserPages:         16,
+		Lanes:             2,
+		GCLowBlocks:       2,
+		GCHighBlocks:      3,
+		JournalBatchPages: 6,
+		RunMaxPages:       5,
+		RunStaleAfter:     4 * sim.Millisecond,
+		ScanWindowPages:   2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &ftlScript{t: t, ops: ops, chip: chip, f: f}
+}
+
+// next consumes one script byte, 0 once the script is exhausted.
+func (s *ftlScript) next() byte {
+	if len(s.ops) == 0 {
+		return 0
+	}
+	b := s.ops[0]
+	s.ops = s.ops[1:]
+	return b
+}
+
+// check asserts the FTL's invariants after the operation named by what.
+func (s *ftlScript) check(what string) {
+	s.t.Helper()
+	if err := s.f.CheckInvariants(); err != nil {
+		s.t.Fatalf("after %s: %v", what, err)
+	}
+}
+
+func (s *ftlScript) must(err error, what string) {
+	s.t.Helper()
+	if err != nil {
+		s.t.Fatalf("%s: %v", what, err)
+	}
+}
+
+// program programs a reserved page with fresh content.
+func (s *ftlScript) program(tk Ticket) {
+	s.fp++
+	s.must(s.chip.Program(tk.PPN, s.fp), "Program")
+}
+
+// cut models a power cut with tk's program in flight and rest reserved
+// but not started: tk is partly programmed or not at all, both are
+// aborted, and the FTL crashes.
+func (s *ftlScript) cut(tk Ticket, rest []Ticket) {
+	if b := s.next(); b&1 != 0 {
+		s.fp++
+		s.must(s.chip.ProgramPartial(tk.PPN, s.fp, float64(b>>1)/128), "ProgramPartial")
+	}
+	s.f.AbortWrite(tk)
+	for _, r := range rest {
+		s.f.AbortWrite(r)
+	}
+	s.f.Crash(s.now)
+	s.check("Crash after a cut write")
+}
+
+// makeRoom runs GC as the controller does when free space is low.
+func (s *ftlScript) makeRoom() {
+	for i := 0; i < 4 && s.f.NeedGC() && !s.f.GCSatisfied(); i++ {
+		if !s.collect(false) {
+			s.f.CommitJournal()
+			s.check("CommitJournal")
+		}
+	}
+}
+
+// write maps a batch of host pages: reserve them all, then program and
+// complete them, or cut the power partway.
+func (s *ftlScript) write(cutting bool) {
+	n := 1 + int(s.next()%4)
+	base, mode := addr.LPN(s.next()), s.next()
+	s.makeRoom()
+	if !s.f.CanReserve(n) {
+		return
+	}
+	tks := make([]Ticket, n)
+	for i := range tks {
+		lpn := base + addr.LPN(i) // a sequential stream extends the open run
+		if mode&1 != 0 {
+			lpn = addr.LPN(s.next())
+		}
+		tk, err := s.f.BeginWrite(lpn % addr.LPN(s.f.UserPages()))
+		s.must(err, "BeginWrite after CanReserve")
+		tks[i] = tk
+	}
+	done := n
+	if cutting {
+		done = int(s.next()) % n
+	}
+	for _, tk := range tks[:done] {
+		s.program(tk)
+	}
+	// Pages finish programming on their channels in either order.
+	for i := range tks[:done] {
+		if mode&2 != 0 {
+			i = done - 1 - i
+		}
+		s.f.CompleteWrite(tks[i], s.now)
+		s.check("CompleteWrite")
+	}
+	if done < n {
+		s.cut(tks[done], tks[done+1:])
+	}
+}
+
+// collect runs one collection as the script dictates: plan, migrate the
+// victim's valid pages (a host write may overwrite one mid-migration, or
+// the power may fail), commit the journal, then erase the victim, or fail
+// mid-erase. It reports whether a victim was found.
+func (s *ftlScript) collect(scripted bool) bool {
+	want := s.greedyVictim()
+	plan := s.f.GCPlan()
+	s.check("GCPlan")
+	got := -1
+	if plan != nil {
+		got = plan.Victim
+	}
+	if got != want {
+		s.t.Fatalf("GCPlan picked block %d, the greedy rule picks %d", got, want)
+	}
+	if plan == nil {
+		return false
+	}
+	if len(plan.Moves) != s.f.ValidPages(plan.Victim) {
+		s.t.Fatalf("GCPlan moves %d pages of block %d, which holds %d",
+			len(plan.Moves), plan.Victim, s.f.ValidPages(plan.Victim))
+	}
+	mode := byte(0)
+	if scripted {
+		mode = s.next()
+	}
+	for _, mv := range plan.Moves {
+		if mode&1 != 0 && s.next()&1 != 0 && s.f.CanReserve(2) {
+			tk, err := s.f.BeginWrite(mv.LPN)
+			s.must(err, "BeginWrite of a host overwrite")
+			s.program(tk)
+			s.f.CompleteWrite(tk, s.now)
+			s.check("CompleteWrite mid-migration")
+		}
+		if !s.f.CanReserve(1) {
+			return true // the collection stalls; a later one picks again
+		}
+		tk, err := s.f.BeginWrite(mv.LPN)
+		s.must(err, "BeginWrite of a move")
+		if mode&2 != 0 && s.next()%8 == 0 {
+			s.cut(tk, nil)
+			return true
+		}
+		res, err := s.chip.Read(mv.From)
+		s.must(err, "Read")
+		s.must(s.chip.Program(tk.PPN, res.FP), "Program of a move")
+		s.f.CompleteMove(tk, mv.From, s.now)
+		s.check("CompleteMove")
+	}
+	// The move records, and host overwrites of the victim's pages, pin
+	// the victim: they must be durable before its erase, or a crash would
+	// revert their logical pages into an erased block, which allocation
+	// may then hand out again.
+	s.f.ForceCloseRun()
+	s.f.CommitJournal()
+	s.check("CommitJournal before the erase")
+	if mode&4 != 0 {
+		s.must(s.chip.ErasePartial(plan.Victim, float64(s.next())/256), "ErasePartial")
+		s.f.GCAbort()
+		s.f.Crash(s.now)
+		s.check("Crash mid-erase")
+		return true
+	}
+	s.must(s.chip.Erase(plan.Victim), "Erase")
+	s.f.GCFinish(plan.Victim)
+	s.check("GCFinish")
+	return true
+}
+
+// greedyVictim is GCPlan's rule applied to every block of the geometry:
+// the programmed block with the fewest valid pages, lowest index first,
+// that is not free, active, pinned or the collection already in flight.
+// -1 if there is none.
+func (s *ftlScript) greedyVictim() int {
+	f, geo := s.f, s.f.geo
+	best, bestValid := -1, 0
+	for b := 0; b < geo.Blocks(); b++ {
+		if s.chip.NextPage(b) == 0 && s.chip.State(geo.PPNOf(b, 0)) == flash.PageErased {
+			continue // never programmed, or erased and free
+		}
+		if b == f.gcVictim || slices.Contains(f.active, b) || f.blocks[b].pinned > 0 ||
+			slices.ContainsFunc(f.recycled, func(fb freeBlock) bool { return fb.idx == b }) {
+			continue
+		}
+		if v := f.ValidPages(b); best < 0 || v < bestValid {
+			best, bestValid = b, v
+		}
+	}
+	return best
+}
+
+func (s *ftlScript) run() {
+	for len(s.ops) > 0 {
+		s.now = s.now.Add(sim.Duration(s.next()) * 100 * sim.Microsecond)
+		switch s.next() % 8 {
+		case 0, 1:
+			s.write(false)
+		case 2:
+			s.write(true)
+		case 3:
+			s.f.CommitJournal()
+			s.check("CommitJournal")
+		case 4:
+			s.f.MaybeCloseRun(s.now)
+			s.check("MaybeCloseRun")
+		case 5:
+			s.f.ForceCloseRun()
+			s.check("ForceCloseRun")
+		case 6:
+			s.f.Crash(s.now)
+			s.check("Crash")
+		case 7:
+			s.collect(true)
+		}
+	}
+}
+
+// churnScript overwrites the 16 user pages round after round, with a
+// scripted collection, commit or crash between rounds: enough writes to
+// use every never-used block and recycle them.
+func churnScript(rounds int) []byte {
+	var ops []byte
+	for r := range rounds {
+		ops = append(ops, 1, 0, 3, byte(r*4), 0) // four sequential pages
+		if r%2 == 0 {
+			ops = append(ops, 1, 3) // commit
+		} else {
+			ops = append(ops, 1, 7, 0) // collect
+		}
+	}
+	return ops
+}
+
+// FuzzFTL runs byte scripts of writes, cuts, journal commits, crashes and
+// collections and checks the FTL's invariants after every call.
+func FuzzFTL(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 0, 3, 0, 0, 0, 1, 3, 4, 0, 1, 0, 0, 6})        // a sequential run, then a crash
+	f.Add([]byte{0, 0, 3, 2, 1, 5, 9, 13, 0, 2, 3, 0, 1, 1, 0, 3}) // scattered writes, cut mid-batch
+	f.Add(churnScript(40))
+	// GC's greedy pick is the newest block opened.
+	f.Add([]byte("000017007C0007000078007000700007010000007Z0000000C00700001700070000700007000000000200007000"))
+	f.Fuzz(func(t *testing.T, ops []byte) { newFTLScript(t, ops).run() })
+}
+
+// TestChurnScriptRecycles checks that the tiny drive forces what the
+// fuzzer is for: every never-used block opens and GC recycles blocks.
+func TestChurnScriptRecycles(t *testing.T) {
+	s := newFTLScript(t, churnScript(40))
+	s.run()
+	if len(s.f.blocks) != s.f.geo.Blocks() || s.f.Stats().GCCollections == 0 {
+		t.Fatalf("churn opened %d of %d blocks with %d collections",
+			len(s.f.blocks), s.f.geo.Blocks(), s.f.Stats().GCCollections)
+	}
+}

@@ -133,16 +133,22 @@ func (r *RNG) Poisson(lambda float64) int {
 		}
 		return v
 	}
+	// Knuth's loop multiplies uniforms until the product falls to e^-λ;
+	// most reads have λ far below 1 and stop at the first draw. Since
+	// e^-λ > 1-λ and math.Exp is within one ulp, a first draw below
+	// 1-λ-2^-50 (the margin covers both roundings) is below the computed
+	// e^-λ too, so the loop would return 0: skip the Exp. The value and
+	// the draws consumed are those of the plain loop.
+	u := r.Float64()
+	if u < 1-lambda-0x1p-50 {
+		return 0
+	}
 	l := math.Exp(-lambda)
 	k := 0
-	p := 1.0
-	for {
-		p *= r.Float64()
-		if p <= l {
-			return k
-		}
+	for p := u; p > l; p *= r.Float64() {
 		k++
 	}
+	return k
 }
 
 // Perm returns a pseudo-random permutation of [0, n).

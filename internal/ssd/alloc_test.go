@@ -1,6 +1,7 @@
 package ssd
 
 import (
+	"runtime"
 	"testing"
 
 	"powerfail/internal/addr"
@@ -91,5 +92,55 @@ func BenchmarkWriteAckDrain(b *testing.B) {
 			b.StartTimer()
 		}
 		w.round(i)
+	}
+}
+
+// newCost returns the mallocs and heap bytes one New of prof costs, the
+// kernel and PSU it hangs on included.
+func newCost(tb testing.TB, prof Profile) (allocs float64, bytes uint64) {
+	tb.Helper()
+	build := func() {
+		k := sim.New()
+		psu, err := power.New(k, power.DefaultConfig())
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if _, err := New(k, sim.NewRNG(7), prof, psu); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	const runs = 20
+	allocs = testing.AllocsPerRun(runs, build)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		build()
+	}
+	runtime.ReadMemStats(&after)
+	return allocs, (after.TotalAlloc - before.TotalAlloc) / runs
+}
+
+// TestNewCostIndependentOfCapacity pins a drive's construction cost to
+// the blocks it opens, not its geometry: Profile A at 256 GB and at 4 TB
+// cost the same, and little. A per-block make sized by the geometry
+// anywhere in the stack fails it.
+func TestNewCostIndependentOfCapacity(t *testing.T) {
+	if racedet.Enabled {
+		t.Skip("the race detector allocates for its own bookkeeping")
+	}
+	small, big := ProfileA(), ProfileA()
+	big.CapacityGB = 4096
+	if b, s := big.Geometry().Blocks(), small.Geometry().Blocks(); b < 15*s {
+		t.Fatalf("4 TB geometry has %d blocks, 256 GB %d", b, s)
+	}
+	sa, sb := newCost(t, small)
+	ba, bb := newCost(t, big)
+	t.Logf("New: 256 GB %v allocs %d B, 4 TB %v allocs %d B", sa, sb, ba, bb)
+	if sa != ba || sb != bb {
+		t.Fatalf("New costs %v allocs %d B at 256 GB but %v allocs %d B at 4 TB", sa, sb, ba, bb)
+	}
+	if sb >= 64<<10 {
+		t.Fatalf("New allocates %d B, want under 64 KiB", sb)
 	}
 }
