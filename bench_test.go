@@ -6,6 +6,7 @@
 package powerfail_test
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -27,10 +28,14 @@ func printSeries(b *testing.B, figure, title string) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		out, err := powerfail.NewCampaign(items).Run(context.Background())
+		if err != nil {
+			b.Fatal(err)
+		}
 		fmt.Printf("\n=== %s ===\n", title)
 		fmt.Printf("%-22s %8s %8s %8s %8s %12s %10s\n",
 			"point", "faults", "data", "fwa", "ioerr", "loss/fault", "iops")
-		for _, res := range powerfail.RunCatalog(items, nil) {
+		for _, res := range out.Results {
 			if res.Err != nil {
 				b.Fatalf("%s: %v", res.Item.Label, res.Err)
 			}

@@ -51,9 +51,9 @@ type campaignConfig struct {
 // CampaignOption configures a Campaign.
 type CampaignOption func(*campaignConfig)
 
-// WithParallelism sets the number of worker goroutines (default 1, the
-// sequential behaviour of the old RunCatalog loop). Values above the item
-// count are clamped; values below 1 select 1.
+// WithParallelism sets the number of worker goroutines (default 1: items
+// run one after another in item order). Values above the item count are
+// clamped; values below 1 select 1.
 func WithParallelism(n int) CampaignOption {
 	return func(c *campaignConfig) { c.parallelism = n }
 }

@@ -79,19 +79,16 @@ func main() {
 	if strings.EqualFold(*pattern, "sequential") {
 		w.Pattern = powerfail.SequentialPattern
 	}
-	switch strings.ToUpper(*sequence) {
-	case "":
-	case "RAR":
-		w.Sequence = powerfail.RAR
-	case "RAW":
-		w.Sequence = powerfail.RAW
-	case "WAR":
-		w.Sequence = powerfail.WAR
-	case "WAW":
-		w.Sequence = powerfail.WAW
-	default:
-		fmt.Fprintf(os.Stderr, "unknown sequence %q\n", *sequence)
-		os.Exit(2)
+	if *sequence != "" {
+		for m := powerfail.RAR; m <= powerfail.WAW; m++ {
+			if strings.EqualFold(*sequence, m.String()) {
+				w.Sequence = m
+			}
+		}
+		if w.Sequence == powerfail.SeqNone {
+			fmt.Fprintf(os.Stderr, "unknown sequence %q\n", *sequence)
+			os.Exit(2)
+		}
 	}
 
 	spec := powerfail.Experiment{

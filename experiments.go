@@ -1,7 +1,6 @@
 package powerfail
 
 import (
-	"context"
 	"embed"
 	"encoding/json"
 	"fmt"
@@ -10,7 +9,6 @@ import (
 	"time"
 
 	"powerfail/internal/array"
-	"powerfail/internal/core"
 	"powerfail/internal/fleet"
 	"powerfail/internal/hdd"
 	"powerfail/internal/power"
@@ -51,14 +49,6 @@ type CatalogResult struct {
 	// resume archive; MarshalJSON re-emits it verbatim so a resumed
 	// campaign's output is byte-identical to an uninterrupted run.
 	raw json.RawMessage
-}
-
-// RunCatalog executes items sequentially, invoking progress (if non-nil)
-// after each. It is a compatibility wrapper over NewCampaign; new code
-// should build a Campaign directly for parallelism and cancellation.
-func RunCatalog(items []CatalogItem, progress func(CatalogResult)) []CatalogResult {
-	out, _ := NewCampaign(items, WithProgress(progress)).Run(context.Background())
-	return out.Results
 }
 
 func scaled(n int, scale float64) int {
@@ -936,6 +926,3 @@ func DischargeCurve(withSSD bool, step, horizon sim.Duration) (curve []VoltagePo
 	}
 	return curve, brownoutAt
 }
-
-// Ensure the catalog compiles against the core types.
-var _ = core.ExperimentSpec{}

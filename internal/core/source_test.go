@@ -31,7 +31,7 @@ func testTrace(n int) *trace.Trace {
 // TestTraceSourceClosedLoop: trace replay drives the whole fault pipeline
 // end to end — the report records the source kind and replay coverage,
 // and a write-heavy trace on a volatile-cache SSD loses data exactly like
-// the synthetic generator does.
+// the synthetic generator does on the same drive and seed.
 func TestTraceSourceClosedLoop(t *testing.T) {
 	spec := ExperimentSpec{
 		Name:   "trace-closed",
@@ -63,6 +63,18 @@ func TestTraceSourceClosedLoop(t *testing.T) {
 	}
 	if rep.Counters.OKVerified == 0 {
 		t.Fatal("nothing verified clean either; harness broken")
+	}
+
+	// The synthetic generator on the same drive and seed is the contrast:
+	// it loses data too, and its report names the other source.
+	synth := runSmall(t, smallOpts(61), ExperimentSpec{
+		Name: "synthetic", Workload: tinyWrites(256), Faults: 10, RequestsPerFault: 14,
+	})
+	if synth.Source != "workload" || synth.TraceStats != nil {
+		t.Fatalf("synthetic report source = %q, trace stats %+v", synth.Source, synth.TraceStats)
+	}
+	if synth.DataLosses() == 0 {
+		t.Fatal("synthetic write workload lost nothing across 10 faults")
 	}
 }
 

@@ -97,23 +97,15 @@ func (m SeqMode) String() string {
 // MarshalJSON renders the sequence mode by name.
 func (m SeqMode) MarshalJSON() ([]byte, error) { return []byte(`"` + m.String() + `"`), nil }
 
-// UnmarshalJSON parses a sequence-mode name.
+// UnmarshalJSON parses a sequence-mode name, exactly as String spells it.
 func (m *SeqMode) UnmarshalJSON(b []byte) error {
-	switch string(b) {
-	case `"none"`:
-		*m = SeqNone
-	case `"RAR"`:
-		*m = RAR
-	case `"RAW"`:
-		*m = RAW
-	case `"WAR"`:
-		*m = WAR
-	case `"WAW"`:
-		*m = WAW
-	default:
-		return fmt.Errorf("workload: unknown sequence mode %s", b)
+	for mode := SeqNone; mode <= WAW; mode++ {
+		if string(b) == `"`+mode.String()+`"` {
+			*m = mode
+			return nil
+		}
 	}
-	return nil
+	return fmt.Errorf("workload: unknown sequence mode %s", b)
 }
 
 // ops returns the pair (first, second) for a sequence mode. The name

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"encoding/json"
 	"math"
 	"testing"
 	"testing/quick"
@@ -206,8 +207,19 @@ func TestStringers(t *testing.T) {
 		t.Fatal("pattern strings")
 	}
 	for _, m := range []SeqMode{SeqNone, RAR, RAW, WAR, WAW} {
-		if m.String() == "" {
-			t.Fatal("seq mode string empty")
+		b, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back SeqMode
+		if err := json.Unmarshal(b, &back); err != nil || back != m {
+			t.Fatalf("seq mode %v round-tripped through %s to %v (err %v)", m, b, back, err)
+		}
+	}
+	for _, bad := range []string{`"raw"`, `"XAW"`, `""`, `3`} {
+		var m SeqMode
+		if err := json.Unmarshal([]byte(bad), &m); err == nil {
+			t.Fatalf("seq mode %s accepted as %v", bad, m)
 		}
 	}
 	if DefaultSpec().String() == "" {

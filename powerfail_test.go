@@ -1,6 +1,7 @@
 package powerfail_test
 
 import (
+	"context"
 	"testing"
 
 	"powerfail"
@@ -136,8 +137,11 @@ func TestArrayFigureRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := powerfail.RunCatalog(items[:2], nil) // raid0x2 and raid0x4
-	for _, r := range res {
+	out, err := powerfail.NewCampaign(items[:2]).Run(context.Background()) // raid0x2 and raid0x4
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range out.Results {
 		if r.Err != nil {
 			t.Fatalf("%s: %v", r.Item.Label, r.Err)
 		}
@@ -171,25 +175,5 @@ func TestDischargeCurve(t *testing.T) {
 	unloaded, _ := powerfail.DischargeCurve(false, 10*sim.Millisecond, sim.Second)
 	if unloaded[len(unloaded)-1].V <= curve[len(curve)-1].V {
 		t.Fatal("unloaded rail should sit higher than loaded at equal times")
-	}
-}
-
-func TestRunCatalogSmall(t *testing.T) {
-	items, err := powerfail.ItemsFor("seqrand", 0.02)
-	if err != nil {
-		t.Fatal(err)
-	}
-	calls := 0
-	results := powerfail.RunCatalog(items, func(powerfail.CatalogResult) { calls++ })
-	if len(results) != len(items) || calls != len(items) {
-		t.Fatalf("results=%d calls=%d items=%d", len(results), calls, len(items))
-	}
-	for _, res := range results {
-		if res.Err != nil {
-			t.Fatalf("%s: %v", res.Item.Label, res.Err)
-		}
-		if res.Report.Faults == 0 {
-			t.Fatalf("%s: no faults ran", res.Item.Label)
-		}
 	}
 }
