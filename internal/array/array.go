@@ -255,11 +255,16 @@ type Array struct {
 	// RAID geometry.
 	memberPages int64 // usable pages per member (stripe-rounded for the striped levels)
 	userPages   int64
-	code        *Code // erasure code of the RAID6/RS levels (nil otherwise)
+	code        *Code // erasure code of the RAID5/RAID6/RS levels (nil otherwise)
 
-	rrNext      int // raid1 read rotation cursor
-	stripeLocks map[int64][]func()
+	rrNext      int                   // raid1 read rotation cursor
+	stripeLocks map[int64]stripeQueue // coded levels: busy stripes and their waiting RMW cycles
 	tele        arrayObs
+
+	// Pooled per-IO records (experiments are single-threaded).
+	ops    freeList[codedOp]
+	chunks freeList[chunkOp]
+	calls  freeList[memberCall]
 
 	// Cached level state.
 	lines     map[addr.LPN]*cline
@@ -283,7 +288,7 @@ func New(k *sim.Kernel, r *sim.RNG, cfg Config, psu *power.PSU) (*Array, error) 
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	a := &Array{k: k, cfg: cfg, stripeLocks: make(map[int64][]func())}
+	a := &Array{k: k, cfg: cfg, stripeLocks: make(map[int64]stripeQueue)}
 
 	if cfg.Level == Cached {
 		cache, err := ssd.New(k, r.Fork("cache"), cfg.Cache, psu)
@@ -448,8 +453,70 @@ func (a *Array) onMemberReady(i int) {
 	}
 }
 
-// memberSubmit routes one operation to member i, keeping service counters.
-func (a *Array) memberSubmit(i int, op blockdev.Op, lpn addr.LPN, pages int, data content.Data, done func(error, content.Data)) {
+// freeList is a LIFO of pooled records. made counts the records ever
+// built, so a test can check that every one came back.
+type freeList[T any] struct {
+	free []*T
+	made int
+}
+
+// get pops a record, or builds one and reports it fresh.
+func (l *freeList[T]) get() (*T, bool) {
+	if n := len(l.free); n > 0 {
+		r := l.free[n-1]
+		l.free = l.free[:n-1]
+		return r, false
+	}
+	l.made++
+	return new(T), true
+}
+
+func (l *freeList[T]) put(r *T) { l.free = append(l.free, r) }
+
+// memberCall is a pooled member-completion record. cb is created once,
+// capturing the record; each use refills it and hands the same closure
+// to the member, so a member IO allocates nothing in steady state. A
+// coded chunk's IO names its chunk, role and shard; the other levels
+// pass their continuation as done.
+type memberCall struct {
+	member int
+	chunk  *chunkOp
+	role   callRole
+	j      int
+	done   func(error, content.Data)
+	cb     func(error, content.Data)
+}
+
+func (a *Array) newCall() *memberCall {
+	c, fresh := a.calls.get()
+	if fresh {
+		c.cb = func(err error, res content.Data) {
+			member, ch, role, j, done := c.member, c.chunk, c.role, c.j, c.done
+			c.chunk, c.done = nil, nil
+			a.calls.put(c)
+			if err != nil {
+				a.perMember[member].Errors++
+			}
+			if done != nil {
+				done(err, res)
+				return
+			}
+			a.chunkDone(ch, role, j, err, res)
+		}
+	}
+	return c
+}
+
+// call wraps a continuation in a pooled member-completion record.
+func (a *Array) call(done func(error, content.Data)) *memberCall {
+	c := a.newCall()
+	c.done = done
+	return c
+}
+
+// memberSubmit routes one operation to member i, keeping service counters;
+// c's record receives the completion.
+func (a *Array) memberSubmit(i int, op blockdev.Op, lpn addr.LPN, pages int, data content.Data, c *memberCall) {
 	ms := &a.perMember[i]
 	switch op {
 	case blockdev.OpRead:
@@ -457,12 +524,8 @@ func (a *Array) memberSubmit(i int, op blockdev.Op, lpn addr.LPN, pages int, dat
 	case blockdev.OpWrite:
 		ms.Writes++
 	}
-	a.members[i].Submit(op, lpn, pages, data, func(err error, res content.Data) {
-		if err != nil {
-			ms.Errors++
-		}
-		done(err, res)
-	})
+	c.member = i
+	a.members[i].Submit(op, lpn, pages, data, c.cb)
 }
 
 // Submit implements blockdev.Device.
@@ -472,19 +535,12 @@ func (a *Array) Submit(op blockdev.Op, lpn addr.LPN, pages int, data content.Dat
 		a.k.After(500*sim.Microsecond, func() { done(ErrOutOfRange, content.Data{}) })
 		return
 	}
+	if op != blockdev.OpFlush && a.code != nil {
+		a.submitCoded(op, lpn, pages, data, done)
+		return
+	}
 	finish := func(err error, res content.Data) {
-		if err != nil {
-			a.stats.HostErrors++
-		} else {
-			switch op {
-			case blockdev.OpRead:
-				a.stats.HostReads++
-			case blockdev.OpWrite:
-				a.stats.HostWrites++
-			default:
-				a.stats.HostFlushes++
-			}
-		}
+		a.countHost(op, err)
 		done(err, res)
 	}
 	if op == blockdev.OpFlush {
@@ -496,10 +552,24 @@ func (a *Array) Submit(op blockdev.Op, lpn addr.LPN, pages int, data content.Dat
 		a.submitRAID0(op, lpn, pages, data, finish)
 	case RAID1:
 		a.submitRAID1(op, lpn, pages, data, finish)
-	case RAID5, RAID6, RS:
-		a.submitCoded(op, lpn, pages, data, finish)
 	default:
 		a.submitCached(op, lpn, pages, data, finish)
+	}
+}
+
+// countHost records one host request's outcome.
+func (a *Array) countHost(op blockdev.Op, err error) {
+	if err != nil {
+		a.stats.HostErrors++
+		return
+	}
+	switch op {
+	case blockdev.OpRead:
+		a.stats.HostReads++
+	case blockdev.OpWrite:
+		a.stats.HostWrites++
+	default:
+		a.stats.HostFlushes++
 	}
 }
 
@@ -512,7 +582,7 @@ func (a *Array) submitFlush(done func(error, content.Data)) {
 	parts := len(a.members)
 	var firstErr error
 	for i := range a.members {
-		a.memberSubmit(i, blockdev.OpFlush, 0, 0, content.Data{}, func(err error, _ content.Data) {
+		a.memberSubmit(i, blockdev.OpFlush, 0, 0, content.Data{}, a.call(func(err error, _ content.Data) {
 			if err != nil && firstErr == nil {
 				firstErr = err
 			}
@@ -520,7 +590,7 @@ func (a *Array) submitFlush(done func(error, content.Data)) {
 			if parts == 0 {
 				done(firstErr, content.Data{})
 			}
-		})
+		}))
 	}
 }
 
@@ -577,20 +647,23 @@ func (a *Array) Attribute(lpn addr.LPN, pages int) []int {
 		}
 		return out
 	}
-	seen := make(map[int]bool)
+	// Members in first-seen order; at most 255 of them (Validate).
+	var seen [4]uint64
 	var out []int
 	add := func(m int) {
-		if !seen[m] {
-			seen[m] = true
+		if bit := uint64(1) << (m & 63); seen[m>>6]&bit == 0 {
+			seen[m>>6] |= bit
 			out = append(out, m)
 		}
 	}
 	kp := a.parityCount()
-	for _, cr := range a.chunksOf(lpn, pages) {
+	for off := 0; off < pages; {
+		cr := a.chunkAt(lpn, off, pages)
 		add(cr.member)
 		for j := 0; j < kp; j++ {
 			add(a.parityMember(cr.parity, j))
 		}
+		off += cr.n
 	}
 	return out
 }
@@ -666,64 +739,44 @@ func (a *Array) slotOf(p0, m int) int {
 	return slot
 }
 
-// chunksOf splits [lpn, lpn+pages) into per-member chunk ranges for the
-// striped levels (RAID-0 and the parity levels).
-func (a *Array) chunksOf(lpn addr.LPN, pages int) []chunkRange {
-	sp := int64(a.cfg.StripePages)
-	n := int64(len(a.members))
-	var out []chunkRange
-	for off := 0; off < pages; {
-		cur := int64(lpn) + int64(off)
-		chunk := cur / sp
-		in := cur % sp
-		run := int(sp - in)
-		if rem := pages - off; run > rem {
-			run = rem
-		}
-		cr := chunkRange{off: off, n: run}
-		switch a.cfg.Level {
-		case RAID5, RAID6, RS:
-			dataPer := n - int64(a.cfg.Parity)
-			stripe := chunk / dataPer
-			idx := int(chunk % dataPer)
-			parity := int(stripe % n)
-			cr.member = a.dataMember(parity, idx)
-			cr.parity = parity
-			cr.didx = idx
-			cr.stripe = stripe
-			cr.mlpn = addr.LPN(stripe*sp + in)
-		default: // RAID0
-			cr.member = int(chunk % n)
-			cr.mlpn = addr.LPN((chunk/n)*sp + in)
-		}
-		out = append(out, cr)
-		off += run
+// chunkCount returns how many chunk ranges [lpn, lpn+pages) spans on the
+// striped levels.
+func (a *Array) chunkCount(lpn addr.LPN, pages int) int {
+	if pages <= 0 {
+		return 0
 	}
-	return out
+	sp := int64(a.cfg.StripePages)
+	return int((int64(lpn)+int64(pages)-1)/sp - int64(lpn)/sp + 1)
 }
 
-// lockStripe serializes parity read-modify-write cycles per stripe; fn
-// runs once the stripe is free and must call the returned release exactly
-// once when its updates are complete.
-func (a *Array) lockStripe(stripe int64, fn func(release func())) {
-	release := func() {
-		q, ok := a.stripeLocks[stripe]
-		if !ok {
-			return
-		}
-		if len(q) == 0 {
-			delete(a.stripeLocks, stripe)
-			return
-		}
-		next := q[0]
-		a.stripeLocks[stripe] = q[1:]
-		next()
+// chunkAt returns the chunk range that starts off pages into the request
+// [lpn, lpn+pages) on the striped levels (RAID-0 and the parity levels);
+// walking off by each range's n visits them all in address order.
+func (a *Array) chunkAt(lpn addr.LPN, off, pages int) chunkRange {
+	sp := int64(a.cfg.StripePages)
+	n := int64(len(a.members))
+	cur := int64(lpn) + int64(off)
+	chunk := cur / sp
+	in := cur % sp
+	run := int(sp - in)
+	if rem := pages - off; run > rem {
+		run = rem
 	}
-	run := func() { fn(release) }
-	if _, busy := a.stripeLocks[stripe]; busy {
-		a.stripeLocks[stripe] = append(a.stripeLocks[stripe], run)
-		return
+	cr := chunkRange{off: off, n: run}
+	switch a.cfg.Level {
+	case RAID5, RAID6, RS:
+		dataPer := n - int64(a.cfg.Parity)
+		stripe := chunk / dataPer
+		idx := int(chunk % dataPer)
+		parity := int(stripe % n)
+		cr.member = a.dataMember(parity, idx)
+		cr.parity = parity
+		cr.didx = idx
+		cr.stripe = stripe
+		cr.mlpn = addr.LPN(stripe*sp + in)
+	default: // RAID0
+		cr.member = int(chunk % n)
+		cr.mlpn = addr.LPN((chunk/n)*sp + in)
 	}
-	a.stripeLocks[stripe] = nil
-	run()
+	return cr
 }

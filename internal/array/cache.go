@@ -157,7 +157,7 @@ func (a *Array) cachedRead(lpn addr.LPN, pages int, done func(error, content.Dat
 	var firstErr error
 	for _, r := range runs {
 		r := r
-		a.memberSubmit(r.member, blockdev.OpRead, r.at, r.n, content.Data{}, func(err error, res content.Data) {
+		a.memberSubmit(r.member, blockdev.OpRead, r.at, r.n, content.Data{}, a.call(func(err error, res content.Data) {
 			if err != nil {
 				if firstErr == nil {
 					firstErr = err
@@ -169,9 +169,9 @@ func (a *Array) cachedRead(lpn addr.LPN, pages int, done func(error, content.Dat
 			}
 			parts--
 			if parts == 0 {
-				a.finishStriped(blockdev.OpRead, pages, result, firstErr, done)
+				a.finishStriped(blockdev.OpRead, result, firstErr, done)
 			}
-		})
+		}))
 	}
 }
 
@@ -216,7 +216,7 @@ func (a *Array) cachedWrite(lpn addr.LPN, pages int, data content.Data, done fun
 			}
 		}
 		a.stats.Bypasses++
-		a.memberSubmit(backingIdx, blockdev.OpWrite, lpn, pages, data, func(err error, _ content.Data) {
+		a.memberSubmit(backingIdx, blockdev.OpWrite, lpn, pages, data, a.call(func(err error, _ content.Data) {
 			for _, ln := range dirtyOverlaps {
 				ln.pins--
 				if err == nil {
@@ -224,7 +224,7 @@ func (a *Array) cachedWrite(lpn addr.LPN, pages int, data content.Data, done fun
 				}
 			}
 			done(err, content.Data{})
-		})
+		}))
 		return
 	}
 
@@ -285,20 +285,20 @@ func (a *Array) cachedWrite(lpn addr.LPN, pages int, data content.Data, done fun
 	}
 	for _, r := range runs {
 		r := r
-		a.memberSubmit(cacheIdx, blockdev.OpWrite, r.at, r.n, data.Slice(r.off, r.n), func(err error, _ content.Data) {
+		a.memberSubmit(cacheIdx, blockdev.OpWrite, r.at, r.n, data.Slice(r.off, r.n), a.call(func(err error, _ content.Data) {
 			if err != nil && ssdErr == nil {
 				ssdErr = err
 			}
 			parts--
 			finish()
-		})
+		}))
 	}
 	if a.cfg.Policy == WriteThrough {
-		a.memberSubmit(backingIdx, blockdev.OpWrite, lpn, pages, data, func(err error, _ content.Data) {
+		a.memberSubmit(backingIdx, blockdev.OpWrite, lpn, pages, data, a.call(func(err error, _ content.Data) {
 			hddErr = err
 			hddPending = false
 			finish()
-		})
+		}))
 	}
 }
 
@@ -368,7 +368,7 @@ func (a *Array) destageLine(ln *cline) {
 		requeue()
 		return
 	}
-	a.memberSubmit(cacheIdx, blockdev.OpRead, ln.slot, 1, content.Data{}, func(err error, res content.Data) {
+	a.memberSubmit(cacheIdx, blockdev.OpRead, ln.slot, 1, content.Data{}, a.call(func(err error, res content.Data) {
 		if err != nil {
 			requeue()
 			return
@@ -380,7 +380,7 @@ func (a *Array) destageLine(ln *cline) {
 			requeue()
 			return
 		}
-		a.memberSubmit(backingIdx, blockdev.OpWrite, ln.lpn, 1, res, func(err error, _ content.Data) {
+		a.memberSubmit(backingIdx, blockdev.OpWrite, ln.lpn, 1, res, a.call(func(err error, _ content.Data) {
 			if err != nil {
 				requeue()
 				return
@@ -394,6 +394,6 @@ func (a *Array) destageLine(ln *cline) {
 					a.scheduleDestage()
 				}
 			}
-		})
-	})
+		}))
+	}))
 }

@@ -17,49 +17,115 @@ import (
 // the 1+k write acknowledgements leaves the stripe internally
 // inconsistent whenever a proper, non-empty subset of the writes landed:
 // the write hole, which for RAID-5 is "exactly one of data and parity".
+//
+// The path allocates only payloads. A host request is one pooled
+// codedOp, each of its chunk ranges one pooled chunkOp (which also
+// waits in the stripe lock's intrusive FIFO), and each member IO one
+// pooled memberCall; every record goes back on its free list before its
+// continuation runs. What remains allocated per cycle is the k new
+// parity buffers, the members' own read results and, for a read that
+// spans chunks, one result slice. Reconstruction and flushes, a few per
+// fault cycle, keep their closures.
+
+// codedOp is one host request on the coded path: it counts its chunk
+// ranges down and answers the host once the last one retires.
+type codedOp struct {
+	op    blockdev.Op
+	done  func(error, content.Data)
+	parts int
+	err   error
+	// A read spanning chunks gathers into result; a one-chunk read hands
+	// the member's payload (res) straight through unless it had to be
+	// reconstructed.
+	result []content.Fingerprint
+	res    content.Data
+}
+
+// chunkOp is one chunk range of a coded request: a direct read, or one
+// parity read-modify-write cycle. parity carries the k old parities
+// after the read phase and is overwritten in place with the new ones;
+// its backing array stays with the record across reuses.
+type chunkOp struct {
+	req     *codedOp
+	cr      chunkRange
+	newData content.Data
+	oldData content.Data
+	parity  []content.Data
+
+	pending, acked              int
+	readErr, dataErr, parityErr error
+
+	next *chunkOp // stripe-lock FIFO link
+}
+
+// stripeQueue is the FIFO of RMW cycles waiting on one locked stripe.
+type stripeQueue struct{ head, tail *chunkOp }
 
 func (a *Array) submitCoded(op blockdev.Op, lpn addr.LPN, pages int, data content.Data, done func(error, content.Data)) {
-	chunks := a.chunksOf(lpn, pages)
-	result := make([]content.Fingerprint, pages)
-	parts := len(chunks)
-	var firstErr error
-	finishChunk := func(err error) {
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-		parts--
-		if parts == 0 {
-			a.finishStriped(op, pages, result, firstErr, done)
-		}
+	parts := a.chunkCount(lpn, pages)
+	if parts == 0 {
+		return // no chunk to answer; the block layer never sends an empty IO
 	}
-	for _, cr := range chunks {
-		cr := cr
+	req, _ := a.ops.get()
+	req.op, req.done, req.parts = op, done, parts
+	if op == blockdev.OpRead && parts > 1 {
+		req.result = make([]content.Fingerprint, pages)
+	}
+	for off := 0; off < pages; {
+		ch, _ := a.chunks.get()
+		ch.req, ch.cr = req, a.chunkAt(lpn, off, pages)
+		off += ch.cr.n
 		if op == blockdev.OpRead {
-			a.codeRead(cr, result, finishChunk)
-		} else {
-			a.lockStripe(cr.stripe, func(release func()) {
-				a.codeRMW(cr, data, func(err error) {
-					release()
-					finishChunk(err)
-				})
-			})
+			a.memberSubmit(ch.cr.member, blockdev.OpRead, ch.cr.mlpn, ch.cr.n, content.Data{}, a.chunkCall(ch, roleRead, 0))
+			continue
 		}
+		ch.newData = data.Slice(ch.cr.off, ch.cr.n)
+		a.lockStripe(ch)
 	}
 }
 
-// codeRead reads the data member directly and falls back to
+// partDone retires one chunk range of req; the last one answers the host.
+func (a *Array) partDone(req *codedOp, err error) {
+	if err != nil && req.err == nil {
+		req.err = err
+	}
+	if req.parts--; req.parts > 0 {
+		return
+	}
+	op, done, err, result, res := req.op, req.done, req.err, req.result, req.res
+	*req = codedOp{}
+	a.ops.put(req)
+	a.countHost(op, err)
+	switch {
+	case err != nil:
+		done(err, content.Data{})
+	case result != nil:
+		done(nil, content.Wrap(result))
+	default:
+		done(nil, res) // a write's res is empty
+	}
+}
+
+// chunkRead takes a direct data-member read's answer, falling back to
 // reconstruction from the surviving shards on error.
-func (a *Array) codeRead(cr chunkRange, result []content.Fingerprint, done func(error)) {
-	a.memberSubmit(cr.member, blockdev.OpRead, cr.mlpn, cr.n, content.Data{}, func(err error, res content.Data) {
-		if err == nil {
+func (a *Array) chunkRead(ch *chunkOp, err error, res content.Data) {
+	req, cr := ch.req, ch.cr
+	a.freeChunk(ch)
+	if err == nil {
+		if req.result == nil {
+			req.res = res
+		} else {
 			for i := 0; i < cr.n; i++ {
-				result[cr.off+i] = res.Page(i)
+				req.result[cr.off+i] = res.Page(i)
 			}
-			done(nil)
-			return
 		}
-		a.codeReconstruct(cr, result, done)
-	})
+		a.partDone(req, nil)
+		return
+	}
+	if req.result == nil {
+		req.result = make([]content.Fingerprint, cr.n)
+	}
+	a.codeReconstruct(cr, req.result, func(err error) { a.partDone(req, err) })
 }
 
 // codeReconstruct recovers cr's pages from the same rows on the other
@@ -115,7 +181,7 @@ func (a *Array) codeReconstruct(cr chunkRange, result []content.Fingerprint, don
 		}
 		mm := mm
 		parts++
-		a.memberSubmit(mm, blockdev.OpRead, cr.mlpn, cr.n, content.Data{}, func(err error, res content.Data) {
+		a.memberSubmit(mm, blockdev.OpRead, cr.mlpn, cr.n, content.Data{}, a.call(func(err error, res content.Data) {
 			if err != nil {
 				if firstErr == nil {
 					firstErr = err
@@ -128,111 +194,169 @@ func (a *Array) codeReconstruct(cr chunkRange, result []content.Fingerprint, don
 			if parts == 0 {
 				finish()
 			}
-		})
+		}))
 	}
 }
 
-// rmw is one parity read-modify-write cycle. A single allocation holds
-// everything the member callbacks share: the phase counter, the errors,
-// and the parity slots, which carry the k old parities after the read
-// phase and are overwritten in place with the new ones.
-type rmw struct {
-	a       *Array
-	cr      chunkRange
-	newData content.Data
-	done    func(error)
-
-	oldData content.Data
-	parity  []content.Data
-	slots   [2]content.Data // backs parity for RAID-5 and RAID-6
-
-	pending, acked              int
-	readErr, dataErr, parityErr error
+// lockStripe serializes parity read-modify-write cycles per stripe: ch
+// starts at once on a free stripe and otherwise queues behind the
+// stripe's earlier cycles. A present map entry marks the stripe busy.
+func (a *Array) lockStripe(ch *chunkOp) {
+	s := ch.cr.stripe
+	if q, busy := a.stripeLocks[s]; busy {
+		if q.tail == nil {
+			q.head = ch
+		} else {
+			q.tail.next = ch
+		}
+		q.tail = ch
+		a.stripeLocks[s] = q
+		return
+	}
+	a.stripeLocks[s] = stripeQueue{}
+	a.codeRMW(ch)
 }
 
-// codeRMW performs the small-write cycle on one chunk range: read the old
-// data and all k old parities, delta every parity with the coded data
-// delta, then write the data and all parities concurrently. A fault
-// landing between the acknowledgements is the write hole; it is counted
-// when a proper, non-empty subset of the 1+k writes lands.
-func (a *Array) codeRMW(cr chunkRange, data content.Data, done func(error)) {
+// unlockStripe hands the stripe to its next queued cycle, or frees it.
+func (a *Array) unlockStripe(s int64) {
+	q, ok := a.stripeLocks[s]
+	if !ok {
+		return
+	}
+	next := q.head
+	if next == nil {
+		delete(a.stripeLocks, s)
+		return
+	}
+	q.head, next.next = next.next, nil
+	if q.head == nil {
+		q.tail = nil
+	}
+	a.stripeLocks[s] = q
+	a.codeRMW(next)
+}
+
+// codeRMW performs the small-write cycle on one chunk range once its
+// stripe is locked: read the old data and all k old parities, delta
+// every parity with the coded data delta, then write the data and all
+// parities concurrently. A fault landing between the acknowledgements is
+// the write hole; it is counted when a proper, non-empty subset of the
+// 1+k writes lands.
+func (a *Array) codeRMW(ch *chunkOp) {
 	a.stats.ParityRMWs++
 	a.tele.parityRMWs.Inc()
 	kp := a.parityCount()
-	st := &rmw{a: a, cr: cr, newData: data.Slice(cr.off, cr.n), done: done, pending: 1 + kp}
-	if kp <= len(st.slots) {
-		st.parity = st.slots[:kp]
-	} else {
-		st.parity = make([]content.Data, kp)
+	if cap(ch.parity) < kp {
+		ch.parity = make([]content.Data, kp)
 	}
-	a.memberSubmit(cr.member, blockdev.OpRead, cr.mlpn, cr.n, content.Data{}, func(err error, res content.Data) {
-		st.oldData = res
-		st.readDone(err)
-	})
+	ch.parity = ch.parity[:kp]
+	ch.pending = 1 + kp
+	cr := ch.cr
+	a.memberSubmit(cr.member, blockdev.OpRead, cr.mlpn, cr.n, content.Data{}, a.chunkCall(ch, roleOldData, 0))
 	for j := 0; j < kp; j++ {
-		a.memberSubmit(a.parityMember(cr.parity, j), blockdev.OpRead, cr.mlpn, cr.n, content.Data{}, func(err error, res content.Data) {
-			st.parity[j] = res
-			st.readDone(err)
-		})
+		a.memberSubmit(a.parityMember(cr.parity, j), blockdev.OpRead, cr.mlpn, cr.n, content.Data{}, a.chunkCall(ch, roleOldParity, j))
 	}
 }
 
-func (st *rmw) readDone(err error) {
-	if err != nil && st.readErr == nil {
-		st.readErr = err
+func (a *Array) rmwReadDone(ch *chunkOp, err error) {
+	if err != nil && ch.readErr == nil {
+		ch.readErr = err
 	}
-	if st.pending--; st.pending > 0 {
+	if ch.pending--; ch.pending > 0 {
 		return
 	}
-	if st.readErr != nil {
+	if ch.readErr != nil {
 		// Nothing was written: the stripe is untouched, no hole.
-		st.done(st.readErr)
+		a.rmwDone(ch, ch.readErr)
 		return
 	}
-	a, cr := st.a, st.cr
-	for j, old := range st.parity {
+	cr := ch.cr
+	for j, old := range ch.parity {
 		coeff := a.code.ParityCoeff(j, cr.didx)
-		st.parity[j] = content.Gather(cr.n, func(i int) content.Fingerprint {
-			delta := uint64(st.oldData.Page(i)) ^ uint64(st.newData.Page(i))
-			return content.Fingerprint(uint64(old.Page(i)) ^ gfMulFP(coeff, delta))
-		})
+		p := make([]content.Fingerprint, cr.n)
+		for i := range p {
+			delta := uint64(ch.oldData.Page(i)) ^ uint64(ch.newData.Page(i))
+			p[i] = content.Fingerprint(uint64(old.Page(i)) ^ gfMulFP(coeff, delta))
+		}
+		ch.parity[j] = content.Wrap(p)
 	}
-	st.pending = 1 + len(st.parity)
-	a.memberSubmit(cr.member, blockdev.OpWrite, cr.mlpn, cr.n, st.newData, st.dataWritten)
-	parityWritten := st.parityWritten
-	for j, p := range st.parity {
-		a.memberSubmit(a.parityMember(cr.parity, j), blockdev.OpWrite, cr.mlpn, cr.n, p, parityWritten)
+	ch.pending = 1 + len(ch.parity)
+	a.memberSubmit(cr.member, blockdev.OpWrite, cr.mlpn, cr.n, ch.newData, a.chunkCall(ch, roleNewData, 0))
+	for j, p := range ch.parity {
+		a.memberSubmit(a.parityMember(cr.parity, j), blockdev.OpWrite, cr.mlpn, cr.n, p, a.chunkCall(ch, roleNewParity, j))
 	}
 }
 
-func (st *rmw) dataWritten(err error, _ content.Data) {
-	st.dataErr = err
-	st.writeDone(err)
-}
-
-func (st *rmw) parityWritten(err error, _ content.Data) {
-	if err != nil && st.parityErr == nil {
-		st.parityErr = err
-	}
-	st.writeDone(err)
-}
-
-func (st *rmw) writeDone(err error) {
+func (a *Array) rmwWriteDone(ch *chunkOp, err error) {
 	if err == nil {
-		st.acked++
+		ch.acked++
 	}
-	if st.pending--; st.pending > 0 {
+	if ch.pending--; ch.pending > 0 {
 		return
 	}
-	if st.acked > 0 && st.acked < 1+len(st.parity) {
-		a := st.a
+	if ch.acked > 0 && ch.acked < 1+len(ch.parity) {
 		a.stats.WriteHoles++
 		a.tele.writeHoles.Inc()
-		a.tele.sc.Instant(a.k.Now(), obs.KindInstant, "write_hole", int64(st.cr.mlpn))
+		a.tele.sc.Instant(a.k.Now(), obs.KindInstant, "write_hole", int64(ch.cr.mlpn))
 	}
-	if st.dataErr != nil {
-		st.done(st.dataErr)
+	if ch.dataErr != nil {
+		a.rmwDone(ch, ch.dataErr)
 	} else {
-		st.done(st.parityErr)
+		a.rmwDone(ch, ch.parityErr)
+	}
+}
+
+// rmwDone ends a cycle: the record goes back to the pool, the stripe
+// passes to its next waiter, and only then does the chunk retire.
+func (a *Array) rmwDone(ch *chunkOp, err error) {
+	req, s := ch.req, ch.cr.stripe
+	a.freeChunk(ch)
+	a.unlockStripe(s)
+	a.partDone(req, err)
+}
+
+func (a *Array) freeChunk(ch *chunkOp) {
+	clear(ch.parity)
+	*ch = chunkOp{parity: ch.parity[:0]}
+	a.chunks.put(ch)
+}
+
+// callRole names what a member IO is for within its chunk range.
+type callRole uint8
+
+const (
+	roleRead      callRole = iota // direct data read of a host read
+	roleOldData                   // RMW: old data read
+	roleOldParity                 // RMW: old parity j read
+	roleNewData                   // RMW: new data write
+	roleNewParity                 // RMW: new parity j write
+)
+
+// chunkCall aims a pooled member-completion record at chunk ch.
+func (a *Array) chunkCall(ch *chunkOp, role callRole, j int) *memberCall {
+	c := a.newCall()
+	c.chunk, c.role, c.j = ch, role, j
+	return c
+}
+
+// chunkDone routes one member completion to its chunk's state machine.
+func (a *Array) chunkDone(ch *chunkOp, role callRole, j int, err error, res content.Data) {
+	switch role {
+	case roleRead:
+		a.chunkRead(ch, err, res)
+	case roleOldData:
+		ch.oldData = res
+		a.rmwReadDone(ch, err)
+	case roleOldParity:
+		ch.parity[j] = res
+		a.rmwReadDone(ch, err)
+	case roleNewData:
+		ch.dataErr = err
+		a.rmwWriteDone(ch, err)
+	case roleNewParity:
+		if err != nil && ch.parityErr == nil {
+			ch.parityErr = err
+		}
+		a.rmwWriteDone(ch, err)
 	}
 }

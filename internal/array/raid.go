@@ -9,17 +9,20 @@ import (
 // --- RAID-0: striping ---
 
 func (a *Array) submitRAID0(op blockdev.Op, lpn addr.LPN, pages int, data content.Data, done func(error, content.Data)) {
-	chunks := a.chunksOf(lpn, pages)
-	result := make([]content.Fingerprint, pages)
-	parts := len(chunks)
+	var result []content.Fingerprint
+	if op == blockdev.OpRead {
+		result = make([]content.Fingerprint, pages)
+	}
+	parts := a.chunkCount(lpn, pages)
 	var firstErr error
-	for _, cr := range chunks {
-		cr := cr
+	for off := 0; off < pages; {
+		cr := a.chunkAt(lpn, off, pages)
+		off += cr.n
 		var payload content.Data
 		if op == blockdev.OpWrite {
 			payload = data.Slice(cr.off, cr.n)
 		}
-		a.memberSubmit(cr.member, op, cr.mlpn, cr.n, payload, func(err error, res content.Data) {
+		a.memberSubmit(cr.member, op, cr.mlpn, cr.n, payload, a.call(func(err error, res content.Data) {
 			if err != nil {
 				if firstErr == nil {
 					firstErr = err
@@ -31,19 +34,21 @@ func (a *Array) submitRAID0(op blockdev.Op, lpn addr.LPN, pages int, data conten
 			}
 			parts--
 			if parts == 0 {
-				a.finishStriped(op, pages, result, firstErr, done)
+				a.finishStriped(op, result, firstErr, done)
 			}
-		})
+		}))
 	}
 }
 
-func (a *Array) finishStriped(op blockdev.Op, pages int, result []content.Fingerprint, err error, done func(error, content.Data)) {
+// finishStriped answers a request whose member parts gathered into
+// result, a slice of its own that the read's Data takes over.
+func (a *Array) finishStriped(op blockdev.Op, result []content.Fingerprint, err error, done func(error, content.Data)) {
 	if err != nil {
 		done(err, content.Data{})
 		return
 	}
 	if op == blockdev.OpRead {
-		done(nil, content.Gather(pages, func(i int) content.Fingerprint { return result[i] }))
+		done(nil, content.Wrap(result))
 		return
 	}
 	done(nil, content.Data{})
@@ -57,7 +62,7 @@ func (a *Array) submitRAID1(op blockdev.Op, lpn addr.LPN, pages int, data conten
 		acks := 0
 		var firstErr error
 		for i := range a.members {
-			a.memberSubmit(i, op, lpn, pages, data, func(err error, _ content.Data) {
+			a.memberSubmit(i, op, lpn, pages, data, a.call(func(err error, _ content.Data) {
 				if err != nil {
 					if firstErr == nil {
 						firstErr = err
@@ -74,7 +79,7 @@ func (a *Array) submitRAID1(op blockdev.Op, lpn addr.LPN, pages int, data conten
 					}
 					done(firstErr, content.Data{})
 				}
-			})
+			}))
 		}
 		return
 	}
@@ -98,7 +103,7 @@ func (a *Array) nextReplica() int {
 // mirrorRead serves the read from one replica, redirecting to the next on
 // error until every mirror has been tried.
 func (a *Array) mirrorRead(lpn addr.LPN, pages, member, tried int, done func(error, content.Data)) {
-	a.memberSubmit(member, blockdev.OpRead, lpn, pages, content.Data{}, func(err error, res content.Data) {
+	a.memberSubmit(member, blockdev.OpRead, lpn, pages, content.Data{}, a.call(func(err error, res content.Data) {
 		if err == nil {
 			done(nil, res)
 			return
@@ -109,5 +114,5 @@ func (a *Array) mirrorRead(lpn addr.LPN, pages, member, tried int, done func(err
 			return
 		}
 		done(err, content.Data{})
-	})
+	}))
 }

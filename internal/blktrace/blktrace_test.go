@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"powerfail/internal/addr"
+	"powerfail/internal/racedet"
 	"powerfail/internal/sim"
 )
 
@@ -246,4 +247,24 @@ func TestActionValid(t *testing.T) {
 	if !ActQueue.Valid() || Action('z').Valid() {
 		t.Fatal("Valid wrong")
 	}
+}
+
+func TestOpKindString(t *testing.T) {
+	for op, want := range map[OpKind]string{OpRead: "R", OpWrite: "W", OpFlush: "F", OpKind('D'): "D"} {
+		if got := op.String(); got != want {
+			t.Fatalf("OpKind(%q).String() = %q, want %q", byte(op), got, want)
+		}
+	}
+	if racedet.Enabled {
+		t.Skip("the race detector allocates for its own bookkeeping")
+	}
+	var sink string
+	if n := testing.AllocsPerRun(100, func() {
+		sink = OpRead.String()
+		sink = OpWrite.String()
+		sink = OpFlush.String()
+	}); n != 0 {
+		t.Fatalf("OpKind.String made %v allocs, want 0", n)
+	}
+	_ = sink
 }

@@ -53,8 +53,20 @@ const (
 	OpFlush OpKind = 'F'
 )
 
-// String implements fmt.Stringer.
-func (o OpKind) String() string { return string(rune(o)) }
+// String implements fmt.Stringer. The three operations return constant
+// strings, so naming a request's direction (the obs blkio span fold does
+// it once per request) allocates nothing.
+func (o OpKind) String() string {
+	switch o {
+	case OpRead:
+		return "R"
+	case OpWrite:
+		return "W"
+	case OpFlush:
+		return "F"
+	}
+	return string(rune(o))
+}
 
 // Event is one block-layer trace record.
 type Event struct {

@@ -44,6 +44,8 @@ type Runner struct {
 	// Per-IO bookkeeping free lists (experiments are single-threaded).
 	recFree []*issueRec
 	ctlFree []*ctlRec
+	// thinkFn is the closed loop's post-think-time reissue, bound once.
+	thinkFn func()
 
 	analyzer *Analyzer
 	rng      *sim.RNG
@@ -90,6 +92,7 @@ func NewRunner(p *Platform, spec ExperimentSpec) (*Runner, error) {
 		analyzer: NewAnalyzer(p.K, p.Opts.RecheckWindow),
 		rng:      p.RNG.Fork("runner"),
 	}
+	r.thinkFn = r.reissue
 	src, err := newSource(kind, p, spec)
 	if err != nil {
 		return nil, err
@@ -312,18 +315,20 @@ func (r *Runner) reissueAfterThink() {
 	if r.src.OpenLoop() {
 		return // open loop: arrivals are self-scheduled
 	}
-	r.p.K.After(r.p.Opts.ThinkTime, func() {
-		if (r.ph == phaseRun || r.ph == phaseArming || r.ph == phaseFaulting) &&
-			r.outstanding < r.p.Opts.Concurrency {
-			if !r.issueOne() {
-				return
-			}
-			// One completion can unlock several source IOs (a commit ACK
-			// queues a batch of home writes); keep the closed loop full
-			// outside fault cycles.
-			r.fillClosedLoop()
+	r.p.K.After(r.p.Opts.ThinkTime, r.thinkFn)
+}
+
+func (r *Runner) reissue() {
+	if (r.ph == phaseRun || r.ph == phaseArming || r.ph == phaseFaulting) &&
+		r.outstanding < r.p.Opts.Concurrency {
+		if !r.issueOne() {
+			return
 		}
-	})
+		// One completion can unlock several source IOs (a commit ACK
+		// queues a batch of home writes); keep the closed loop full
+		// outside fault cycles.
+		r.fillClosedLoop()
+	}
 }
 
 // --- fault cycle ---
@@ -415,10 +420,13 @@ type controlPump struct {
 	// no read (done must not be called then).
 	issue  func(i int, done func()) bool
 	finish func()
+	done   func() // the done every item gets, bound once per pass
 }
 
 func (r *Runner) newControlPump(n int, issue func(i int, done func()) bool, finish func()) *controlPump {
-	return &controlPump{r: r, n: n, issue: issue, finish: finish}
+	p := &controlPump{r: r, n: n, issue: issue, finish: finish}
+	p.done = func() { p.inFlight--; p.pump() }
+	return p
 }
 
 func (p *controlPump) pump() {
@@ -427,7 +435,7 @@ func (p *controlPump) pump() {
 		p.pos++
 		// Completions are their own kernel events, so done can never run
 		// before issue returns and the in-flight accounting stays exact.
-		if p.issue(i, func() { p.inFlight--; p.pump() }) {
+		if p.issue(i, p.done) {
 			p.inFlight++
 		}
 	}
