@@ -34,6 +34,7 @@ import (
 	"powerfail/internal/content"
 	"powerfail/internal/hdd"
 	"powerfail/internal/obs"
+	"powerfail/internal/pool"
 	"powerfail/internal/power"
 	"powerfail/internal/sim"
 	"powerfail/internal/ssd"
@@ -262,9 +263,9 @@ type Array struct {
 	tele        arrayObs
 
 	// Pooled per-IO records (experiments are single-threaded).
-	ops    freeList[codedOp]
-	chunks freeList[chunkOp]
-	calls  freeList[memberCall]
+	ops    pool.FreeList[codedOp]
+	chunks pool.FreeList[chunkOp]
+	calls  pool.FreeList[memberCall]
 
 	// Cached level state.
 	lines     map[addr.LPN]*cline
@@ -453,26 +454,6 @@ func (a *Array) onMemberReady(i int) {
 	}
 }
 
-// freeList is a LIFO of pooled records. made counts the records ever
-// built, so a test can check that every one came back.
-type freeList[T any] struct {
-	free []*T
-	made int
-}
-
-// get pops a record, or builds one and reports it fresh.
-func (l *freeList[T]) get() (*T, bool) {
-	if n := len(l.free); n > 0 {
-		r := l.free[n-1]
-		l.free = l.free[:n-1]
-		return r, false
-	}
-	l.made++
-	return new(T), true
-}
-
-func (l *freeList[T]) put(r *T) { l.free = append(l.free, r) }
-
 // memberCall is a pooled member-completion record. cb is created once,
 // capturing the record; each use refills it and hands the same closure
 // to the member, so a member IO allocates nothing in steady state. A
@@ -488,12 +469,12 @@ type memberCall struct {
 }
 
 func (a *Array) newCall() *memberCall {
-	c, fresh := a.calls.get()
+	c, fresh := a.calls.Get()
 	if fresh {
 		c.cb = func(err error, res content.Data) {
 			member, ch, role, j, done := c.member, c.chunk, c.role, c.j, c.done
 			c.chunk, c.done = nil, nil
-			a.calls.put(c)
+			a.calls.Put(c)
 			if err != nil {
 				a.perMember[member].Errors++
 			}

@@ -441,9 +441,9 @@ func (s *codedScript) check() {
 	if len(a.stripeLocks) != 0 {
 		t.Fatalf("%d stripes still locked on an idle array", len(a.stripeLocks))
 	}
-	if len(a.ops.free) != a.ops.made || len(a.chunks.free) != a.chunks.made || len(a.calls.free) != a.calls.made {
-		t.Fatalf("pooled records not all free: ops %d/%d, chunks %d/%d, calls %d/%d",
-			len(a.ops.free), a.ops.made, len(a.chunks.free), a.chunks.made, len(a.calls.free), a.calls.made)
+	if a.ops.InUse() != 0 || a.chunks.InUse() != 0 || a.calls.InUse() != 0 {
+		t.Fatalf("pooled records not all free: %d ops, %d chunks, %d calls in use",
+			a.ops.InUse(), a.chunks.InUse(), a.calls.InUse())
 	}
 	if s.cut {
 		return // lost writes and write holes are the model's output

@@ -66,13 +66,13 @@ func (a *Array) submitCoded(op blockdev.Op, lpn addr.LPN, pages int, data conten
 	if parts == 0 {
 		return // no chunk to answer; the block layer never sends an empty IO
 	}
-	req, _ := a.ops.get()
+	req, _ := a.ops.Get()
 	req.op, req.done, req.parts = op, done, parts
 	if op == blockdev.OpRead && parts > 1 {
 		req.result = make([]content.Fingerprint, pages)
 	}
 	for off := 0; off < pages; {
-		ch, _ := a.chunks.get()
+		ch, _ := a.chunks.Get()
 		ch.req, ch.cr = req, a.chunkAt(lpn, off, pages)
 		off += ch.cr.n
 		if op == blockdev.OpRead {
@@ -94,7 +94,7 @@ func (a *Array) partDone(req *codedOp, err error) {
 	}
 	op, done, err, result, res := req.op, req.done, req.err, req.result, req.res
 	*req = codedOp{}
-	a.ops.put(req)
+	a.ops.Put(req)
 	a.countHost(op, err)
 	switch {
 	case err != nil:
@@ -318,7 +318,7 @@ func (a *Array) rmwDone(ch *chunkOp, err error) {
 func (a *Array) freeChunk(ch *chunkOp) {
 	clear(ch.parity)
 	*ch = chunkOp{parity: ch.parity[:0]}
-	a.chunks.put(ch)
+	a.chunks.Put(ch)
 }
 
 // callRole names what a member IO is for within its chunk range.

@@ -11,11 +11,15 @@
 // parent request, the dispatch FIFO is a reusable ring of direct
 // {request, index} entries (no per-sub map), device completion callbacks
 // come from a free list of records with cached closures, and requests
-// obtained from NewRequest are recycled through a per-queue free list.
-// Queues are single-threaded (campaign parallelism is across
+// obtained from NewRequest are recycled through a free list. The free
+// lists live in a Pools that several queues may share (a fleet hands one
+// to every member queue), so the record a queue reuses is the one any
+// queue returned last, still in cache. Queues sharing a Pools run on one
+// kernel and are single-threaded (campaign parallelism is across
 // experiments), so the free lists need no locking. Generation counters
 // on recycled requests make stale dispatch entries and late device
-// completions safely ignorable, replacing the old map-deletion protocol.
+// completions safely ignorable, also after a record has moved to another
+// queue of the same Pools.
 package blockdev
 
 import (
@@ -25,6 +29,7 @@ import (
 	"powerfail/internal/addr"
 	"powerfail/internal/blktrace"
 	"powerfail/internal/content"
+	"powerfail/internal/pool"
 	"powerfail/internal/sim"
 )
 
@@ -74,7 +79,7 @@ var (
 // Submit it; Done fires exactly once with the final state.
 //
 // Requests may be built directly (&Request{...}) or taken from the
-// queue's free list with NewRequest. Pooled requests are recycled
+// queue's pools with NewRequest. Pooled requests are recycled
 // automatically after Done returns, so callers must not retain them (or
 // their Result slice headers may be cleared; the page data itself is
 // immutable and safe to keep).
@@ -107,8 +112,9 @@ type Request struct {
 
 	// Pooling state. gen identifies the current occupancy of a recycled
 	// request: dispatch entries and device callbacks carry the gen they
-	// were created under and are ignored once it is stale. The closures
-	// are allocated once per pooled request and reused for its lifetime.
+	// were created under and are ignored once it is stale. q is the queue
+	// the request was last handed out by. The closures are allocated once
+	// per pooled request and reused for its lifetime.
 	q         *Queue
 	gen       uint32
 	pooled    bool
@@ -134,7 +140,7 @@ type pendingSub struct {
 }
 
 // subCall is a pooled device-completion record. cb is created once,
-// capturing the record; each dispatch refills r/idx/gen and hands the
+// capturing the record; each dispatch refills q/r/idx/gen and hands the
 // same closure to the device, so steady-state dispatch allocates nothing.
 type subCall struct {
 	q   *Queue
@@ -222,20 +228,37 @@ type Queue struct {
 	stats    Stats
 	obs      queueObs
 
-	reqFree  []*Request
-	callFree []*subCall
+	pools *Pools
 }
 
-// New builds a block layer over dev, recording events into tracer (which
-// may be nil to disable tracing).
+// Pools holds the request and device-completion free lists that queues
+// draw their records from. The zero value is ready. Queues sharing one
+// Pools must run on one kernel.
+type Pools struct {
+	reqs  pool.FreeList[Request]
+	calls pool.FreeList[subCall]
+}
+
+// InUse returns the pooled requests and device-completion records handed
+// out and not yet returned.
+func (p *Pools) InUse() (requests, calls int) { return p.reqs.InUse(), p.calls.InUse() }
+
+// New builds a block layer over dev with pools of its own, recording
+// events into tracer (which may be nil to disable tracing).
 func New(k *sim.Kernel, dev Device, tracer *blktrace.Tracer, cfg Config) (*Queue, error) {
+	return NewWithPools(k, dev, tracer, cfg, &Pools{})
+}
+
+// NewWithPools builds a block layer over dev that draws its pooled
+// records from p, which other queues on the same kernel may share.
+func NewWithPools(k *sim.Kernel, dev Device, tracer *blktrace.Tracer, cfg Config, p *Pools) (*Queue, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if dev == nil {
 		return nil, errors.New("blockdev: nil device")
 	}
-	return &Queue{k: k, dev: dev, tracer: tracer, cfg: cfg}, nil
+	return &Queue{k: k, dev: dev, tracer: tracer, cfg: cfg, pools: p}, nil
 }
 
 // Stats returns a snapshot of the counters.
@@ -247,36 +270,43 @@ func (q *Queue) Inflight() int { return q.inflight }
 // PendingSubs returns sub-requests waiting for dispatch.
 func (q *Queue) PendingSubs() int { return len(q.pending) - q.pendHead }
 
-// NewRequest returns a zeroed request from the queue's free list,
-// allocating one with cached callback closures on a miss. The request
-// must be submitted to this queue with a non-nil Done; it is recycled
+// NewRequest returns a zeroed request from the queue's pools, allocating
+// one with cached callback closures on a miss. The request must be
+// submitted to this queue with a non-nil Done; it is recycled
 // automatically after Done returns.
 func (q *Queue) NewRequest() *Request {
-	if n := len(q.reqFree); n > 0 {
-		r := q.reqFree[n-1]
-		q.reqFree = q.reqFree[:n-1]
-		return r
+	r, fresh := q.pools.reqs.Get()
+	if fresh {
+		r.pooled = true
+		r.timeoutFn = func() { r.q.onTimeout(r) }
+		r.doneEv = func() {
+			r.Done(r)
+			r.q.release(r)
+		}
 	}
-	r := &Request{q: q, pooled: true}
-	r.timeoutFn = func() { r.q.onTimeout(r) }
-	r.doneEv = func() {
-		r.Done(r)
-		r.q.release(r)
-	}
+	r.q = q
 	return r
 }
 
 // release recycles a pooled request. Advancing gen first makes every
 // outstanding reference (pending ring entries after a timeout, late
-// device completions) stale before the fields are cleared.
+// device completions) stale. Then only the fields a use can leave set
+// are cleared, one by one, instead of copying a whole zero Request over
+// it: remaining and timeout are always rewritten by Submit before they
+// are read, and split rewrites every sub it uses. Each sub's result is
+// dropped so the pool keeps no payload alive.
 func (q *Queue) release(r *Request) {
-	gen := r.gen + 1
+	r.gen++
 	for i := range r.subs {
-		r.subs[i] = subRequest{}
+		r.subs[i].result = content.Data{}
 	}
-	subs := r.subs[:0]
-	*r = Request{q: q, pooled: true, gen: gen, subs: subs, timeoutFn: r.timeoutFn, doneEv: r.doneEv}
-	q.reqFree = append(q.reqFree, r)
+	r.subs = r.subs[:0]
+	r.ID, r.Op, r.LPN, r.Pages = 0, 0, 0, 0
+	r.Data, r.Result = content.Data{}, content.Data{}
+	r.Control, r.NotIssued, r.finished = false, false, false
+	r.Queued, r.Completed = 0, 0
+	r.Err, r.Done = nil, nil
+	q.pools.reqs.Put(r)
 }
 
 func (q *Queue) trace(e blktrace.Event) {
@@ -369,20 +399,16 @@ func (q *Queue) popPending() pendingSub {
 
 // getCall pops (or allocates) a completion record aimed at sub idx of r.
 func (q *Queue) getCall(r *Request, idx int) *subCall {
-	var c *subCall
-	if n := len(q.callFree); n > 0 {
-		c = q.callFree[n-1]
-		q.callFree = q.callFree[:n-1]
-	} else {
-		c = &subCall{q: q}
+	c, fresh := q.pools.calls.Get()
+	if fresh {
 		c.cb = func(err error, result content.Data) {
-			r, idx, gen := c.r, c.idx, c.gen
+			q, r, idx, gen := c.q, c.r, c.idx, c.gen
 			c.r = nil
-			c.q.callFree = append(c.q.callFree, c)
-			c.q.onSubDone(r, idx, gen, err, result)
+			q.pools.calls.Put(c)
+			q.onSubDone(r, idx, gen, err, result)
 		}
 	}
-	c.r, c.idx, c.gen = r, idx, r.gen
+	c.q, c.r, c.idx, c.gen = q, r, idx, r.gen
 	return c
 }
 

@@ -428,3 +428,109 @@ func TestCompletionMatchesTraceAssembly(t *testing.T) {
 		}
 	}
 }
+
+// heldDevice keeps every completion callback until the test answers it.
+type heldDevice struct {
+	held []func(error, content.Data)
+}
+
+func (d *heldDevice) Submit(_ Op, _ addr.LPN, _ int, _ content.Data, done func(error, content.Data)) {
+	d.held = append(d.held, done)
+}
+
+// TestSharedPoolsCrossQueueRecycling pins what makes one Pools safe to
+// share between queues: a request abandoned by queue A and handed out
+// again by queue B leaves A holding a stale dispatch entry and a late
+// device completion for it, and both must be ignored. The record must
+// also answer to B afterwards, so B's timeout is B's.
+func TestSharedPoolsCrossQueueRecycling(t *testing.T) {
+	k := sim.New()
+	cfg := DefaultConfig()
+	cfg.MaxSegPages, cfg.Depth, cfg.Timeout = 1, 1, sim.Millisecond
+	pools := &Pools{}
+	devA, devB := &heldDevice{}, &heldDevice{}
+	qa, err := NewWithPools(k, devA, nil, cfg, pools)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qb, err := NewWithPools(k, devB, nil, cfg, pools)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// A two-sub write on A: sub 0 goes to A's silent device, sub 1 waits
+	// in A's dispatch FIFO, and the request times out.
+	ra := qa.NewRequest()
+	ra.Op, ra.Pages, ra.Data = OpWrite, 2, content.Zeroes(2)
+	aDone := 0
+	ra.Done = func(r *Request) {
+		aDone++
+		if r.Err != ErrTimeout {
+			t.Errorf("A's request finished with %v, want a timeout", r.Err)
+		}
+	}
+	qa.Submit(ra)
+	k.Run()
+	if aDone != 1 || len(devA.held) != 1 || qa.Inflight() != 1 || qa.PendingSubs() != 1 {
+		t.Fatalf("A after timeout: done %d, dispatched %d, inflight %d, pending %d; want 1, 1, 1, 1",
+			aDone, len(devA.held), qa.Inflight(), qa.PendingSubs())
+	}
+
+	// B reuses the record for a one-page read.
+	rb := qb.NewRequest()
+	if rb != ra {
+		t.Fatal("B did not reuse the request A released")
+	}
+	rb.Op, rb.LPN, rb.Pages = OpRead, 7, 1
+	bDone := 0
+	var bRes content.Data
+	var bErr error
+	rb.Done = func(r *Request) {
+		bDone++
+		bRes, bErr = r.Result, r.Err
+	}
+	qb.Submit(rb)
+
+	// A's device answers the old occupancy late: the completion and the
+	// stale FIFO entry A's pump then meets must both be ignored.
+	devA.held[0](nil, content.Make(0xdead))
+	if bDone != 0 {
+		t.Fatalf("A's late completion finished B's request (result %v, err %v)", bRes, bErr)
+	}
+	if len(devA.held) != 1 || qa.Inflight() != 0 || qa.PendingSubs() != 0 {
+		t.Fatalf("A after its late completion: dispatched %d, inflight %d, pending %d; want 1, 0, 0",
+			len(devA.held), qa.Inflight(), qa.PendingSubs())
+	}
+
+	want := content.Make(0xbeef)
+	devB.held[0](nil, want)
+	k.Run()
+	if bDone != 1 || bErr != nil || !bRes.Equal(want) {
+		t.Fatalf("B's read: done %d times, err %v, result %v; want once, nil, %v", bDone, bErr, bRes, want)
+	}
+	if qb.Inflight() != 0 || qb.PendingSubs() != 0 {
+		t.Fatalf("B after completion: inflight %d, pending %d", qb.Inflight(), qb.PendingSubs())
+	}
+
+	// The same record again on B, this time timing out: the timeout is
+	// charged to B, the queue that handed it out, not to A.
+	rb2 := qb.NewRequest()
+	if rb2 != ra {
+		t.Fatal("B did not reuse its own released request")
+	}
+	rb2.Op, rb2.Pages, rb2.Data = OpWrite, 1, content.Zeroes(1)
+	rb2.Done = func(*Request) {}
+	qb.Submit(rb2)
+	k.Run()
+	devB.held[1](nil, content.Data{})
+	k.Run()
+	if qa.Stats().TimedOut != 1 || qb.Stats().TimedOut != 1 {
+		t.Fatalf("timeouts: A %d, B %d; want 1 each", qa.Stats().TimedOut, qb.Stats().TimedOut)
+	}
+	if qb.Inflight() != 0 || qb.PendingSubs() != 0 {
+		t.Fatalf("B after its late completion: inflight %d, pending %d", qb.Inflight(), qb.PendingSubs())
+	}
+	if reqs, calls := pools.InUse(); reqs != 0 || calls != 0 {
+		t.Fatalf("records still out: %d requests, %d calls", reqs, calls)
+	}
+}

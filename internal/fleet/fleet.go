@@ -7,6 +7,7 @@ import (
 
 	"powerfail/internal/addr"
 	"powerfail/internal/blockdev"
+	"powerfail/internal/pool"
 	"powerfail/internal/sim"
 )
 
@@ -341,25 +342,37 @@ type Sim struct {
 	members []*Member
 	groups  []*Group
 	spares  []*Member
-	assign  map[*Member]*Slot
 
 	activeRebuilds int
 	end            sim.Time
 	stats          Stats
 	obs            fleetObs
 
-	// Foreground-path scratch: target slices reused across arrivals and a
-	// free list of completion records with cached callbacks, so serving a
-	// foreground op allocates nothing in steady state.
-	scratchR []*Member
-	scratchW []*Member
-	fgFree   []*fgRec
+	// Hot-path scratch: target slices reused across arrivals and rebuild
+	// chunks.
+	scratchR  []*Member
+	scratchW  []*Member
+	survivors []*Member
+
+	// Fleet-wide free lists of the records, with cached callbacks, that
+	// every member IO, foreground op and rebuild chunk runs on; every
+	// member's block layer draws from pools. With one set for the whole
+	// fleet the next record handed out is the one returned last, still in
+	// cache; per-member lists would hand out a record untouched for tens
+	// of simulated milliseconds.
+	pools  blockdev.Pools
+	svcs   pool.FreeList[svcCall]
+	ios    pool.FreeList[ioRec]
+	fgs    pool.FreeList[fgRec]
+	chunks pool.FreeList[chunkRec]
+
+	// tick is the cached controller pass.
+	tick func()
 }
 
 // fgRec tracks one foreground op's fan-out: a pooled record whose cached
 // fn is handed to every per-member submitIO as the completion callback.
 type fgRec struct {
-	f         *Sim
 	start     sim.Time
 	degraded  bool
 	remaining int
@@ -368,12 +381,8 @@ type fgRec struct {
 }
 
 func (f *Sim) getFg(start sim.Time, degraded bool, remaining int) *fgRec {
-	var rec *fgRec
-	if n := len(f.fgFree); n > 0 {
-		rec = f.fgFree[n-1]
-		f.fgFree = f.fgFree[:n-1]
-	} else {
-		rec = &fgRec{f: f}
+	rec, fresh := f.fgs.Get()
+	if fresh {
 		rec.fn = func(err error) {
 			if err != nil {
 				rec.anyErr = true
@@ -382,9 +391,8 @@ func (f *Sim) getFg(start sim.Time, degraded bool, remaining int) *fgRec {
 			if rec.remaining > 0 {
 				return
 			}
-			f := rec.f
 			start, degraded, anyErr := rec.start, rec.degraded, rec.anyErr
-			f.fgFree = append(f.fgFree, rec)
+			f.fgs.Put(rec)
 			f.fgDone(start, degraded, anyErr)
 		}
 	}
@@ -434,7 +442,6 @@ func NewSim(cfg Config, seed uint64) (*Sim, error) {
 		tree:     tree,
 		sched:    NewSchedule(),
 		schedIdx: make(map[*Node]int),
-		assign:   make(map[*Member]*Slot),
 		end:      sim.Time(0).Add(cfg.Duration),
 	}
 	for _, l := range Levels() {
@@ -447,15 +454,12 @@ func NewSim(cfg Config, seed uint64) (*Sim, error) {
 	perRack := cfg.Domains.EnclosuresPerRack * cfg.Domains.PSUsPerEnclosure
 	nextID := 0
 	newMemberOn := func(leaf *Node) (*Member, error) {
-		m, err := newMember(f.k, cfg.Member, nextID, leaf, cfg.Host)
+		m, err := newMember(f, nextID, leaf)
 		if err != nil {
 			return nil, err
 		}
 		nextID++
 		f.members = append(f.members, m)
-		mm := m
-		m.NotifyDown(func() { f.onMemberDown(mm) })
-		m.NotifyReady(func() { f.onMemberReady(mm) })
 		return m, nil
 	}
 	for g := 0; g < cfg.Arrays; g++ {
@@ -509,20 +513,8 @@ func (f *Sim) takeSpare() *Member {
 // retireToSpares sends a replaced (usually dark) drive to the spare pool;
 // it becomes eligible again once it answers the host.
 func (f *Sim) retireToSpares(m *Member) {
-	delete(f.assign, m)
+	m.slot = nil
 	f.spares = append(f.spares, m)
-}
-
-func (f *Sim) onMemberDown(m *Member) {
-	if s := f.assign[m]; s != nil && s.member == m {
-		s.memberDown()
-	}
-}
-
-func (f *Sim) onMemberReady(m *Member) {
-	if s := f.assign[m]; s != nil && s.member == m {
-		s.memberReady()
-	}
 }
 
 // scheduleFaults lays the fault plan onto the kernel: either the script
@@ -578,14 +570,17 @@ func (f *Sim) scheduleFaults() {
 
 // scheduleController starts the periodic controller pass.
 func (f *Sim) scheduleController() {
-	f.k.After(f.cfg.Rebuild.ControllerTick, func() {
-		for _, g := range f.groups {
-			for _, s := range g.slots {
-				s.controllerTick()
+	if f.tick == nil {
+		f.tick = func() {
+			for _, g := range f.groups {
+				for _, s := range g.slots {
+					s.controllerTick()
+				}
 			}
+			f.scheduleController()
 		}
-		f.scheduleController()
-	})
+	}
+	f.k.After(f.cfg.Rebuild.ControllerTick, f.tick)
 }
 
 // startWorkload launches one open-loop arrival process per group.
@@ -609,20 +604,24 @@ func (f *Sim) scheduleArrival(g *Group) {
 	f.k.After(d, g.arrive)
 }
 
-// issueForeground serves one request against the group: reads hit one bay
-// (or reconstruct from the survivors when that bay is out), writes hit the
-// data bay plus its parity peer. Requests against a down group fail.
+// issueForeground draws one request against the group and serves it.
 func (f *Sim) issueForeground(g *Group) {
 	w := f.cfg.Workload
-	f.stats.FgOps++
-	pages := w.IOPages
 	lpn := int64(0)
-	if max := f.cfg.Member.Pages - int64(pages); max > 0 {
+	if max := f.cfg.Member.Pages - int64(w.IOPages); max > 0 {
 		lpn = f.wl.Int63n(max + 1)
 	}
 	si := f.wl.Intn(len(g.slots))
+	f.serveForeground(g, si, lpn, f.wl.Prob(w.ReadFraction))
+}
+
+// serveForeground serves one request on bay si of the group: reads hit
+// the bay (or reconstruct from the survivors when it is out), writes hit
+// the data bay plus its parity peers. Requests against a down group fail.
+func (f *Sim) serveForeground(g *Group, si int, lpn int64, isRead bool) {
+	f.stats.FgOps++
+	pages := f.cfg.Workload.IOPages
 	slot := g.slots[si]
-	isRead := f.wl.Prob(w.ReadFraction)
 	degraded := g.class != classUp
 	start := f.k.Now()
 

@@ -114,7 +114,7 @@ func newGroup(f *Sim, id int, members []*Member) *Group {
 	for i, m := range members {
 		s := &Slot{g: g, idx: i, member: m, state: SlotHealthy, rebuilt: m.prof.Pages}
 		g.slots = append(g.slots, s)
-		f.assign[m] = s
+		m.slot = s
 	}
 	return g
 }
@@ -249,7 +249,7 @@ func (s *Slot) declare() {
 	if spare := f.takeSpare(); spare != nil {
 		f.retireToSpares(old)
 		s.member = spare
-		f.assign[spare] = s
+		spare.slot = s
 		f.stats.SpareTakes++
 		s.startRebuild()
 	} else {
@@ -288,7 +288,9 @@ func (s *Slot) closeWindow() {
 	f.stats.RebuildCompleted++
 	f.obs.active.Set(int64(f.activeRebuilds))
 	f.obs.windowHist.ObserveDuration(w)
-	f.obs.sc.Span(s.windowStart, w, obs.KindSpan, "rebuild "+s.bayName(), s.rebuilt)
+	if f.obs.sc.TracingOn() {
+		f.obs.sc.Span(s.windowStart, w, obs.KindSpan, "rebuild "+s.bayName(), s.rebuilt)
+	}
 }
 
 // stall pauses the chunk loop; the periodic controller retries it.
@@ -341,29 +343,14 @@ func (s *Slot) step(gen uint64) {
 	if s.mode == rebuildInter {
 		// One chunk from backup: pace the fetch, then write it out.
 		pause := sim.Duration(float64(chunk*4096) / float64(f.cfg.Rebuild.BackupBandwidth) * float64(sim.Second))
-		f.k.After(pause, func() {
-			if gen != s.rbGen || s.stalled {
-				return
-			}
-			s.member.submitIO(blockdev.OpWrite, lpnOf(lpn), int(chunk), true, func(err error) {
-				if gen != s.rbGen || s.stalled {
-					return
-				}
-				if err != nil {
-					s.stall()
-					return
-				}
-				s.rebuilt += chunk
-				s.step(gen)
-			})
-		})
+		f.k.After(pause, f.getChunk(s, gen, lpn, chunk, 0).onFetch)
 		return
 	}
 
 	// Intra-group: any m of the other bays suffice to reconstruct (all of
 	// them when Parity is 1).
 	need := len(s.g.slots) - f.cfg.Parity
-	var survivors []*Member
+	survivors := f.survivors[:0]
 	for _, o := range s.g.slots {
 		if o == s || o.state != SlotHealthy || !o.member.Ready() {
 			continue
@@ -373,41 +360,78 @@ func (s *Slot) step(gen uint64) {
 			break
 		}
 	}
+	f.survivors = survivors[:0]
 	if len(survivors) < need {
 		s.stall()
 		return
 	}
-	remaining := len(survivors)
-	failed := false
+	c := f.getChunk(s, gen, lpn, chunk, len(survivors))
 	for _, m := range survivors {
-		m.submitIO(blockdev.OpRead, lpnOf(lpn), int(chunk), true, func(err error) {
+		m.submitIO(blockdev.OpRead, lpnOf(lpn), int(chunk), true, c.onRead)
+	}
+}
+
+// chunkRec is one rebuild chunk in flight: the survivor reads (or the
+// paced backup fetch) and then the target write, on a pooled record whose
+// callbacks are built once. The record returns to the pool before the
+// continuation runs, so a chunk allocates nothing in steady state.
+type chunkRec struct {
+	s         *Slot
+	gen       uint64
+	lpn       int64
+	chunk     int64
+	remaining int // survivor reads outstanding
+	failed    bool
+	onRead    func(error)
+	onFetch   func()
+	onWrite   func(error)
+}
+
+func (f *Sim) getChunk(s *Slot, gen uint64, lpn, chunk int64, reads int) *chunkRec {
+	c, fresh := f.chunks.Get()
+	if fresh {
+		c.onRead = func(err error) {
 			if err != nil {
-				failed = true
+				c.failed = true
 			}
-			remaining--
-			if remaining > 0 {
-				return
+			c.remaining--
+			if c.remaining == 0 {
+				c.fetched()
 			}
+		}
+		c.onFetch = c.fetched
+		c.onWrite = func(err error) {
+			s, gen, chunk := c.s, c.gen, c.chunk
+			f.chunks.Put(c)
 			if gen != s.rbGen || s.stalled {
 				return
 			}
-			if failed {
+			if err != nil {
 				s.stall()
 				return
 			}
-			s.member.submitIO(blockdev.OpWrite, lpnOf(lpn), int(chunk), true, func(err error) {
-				if gen != s.rbGen || s.stalled {
-					return
-				}
-				if err != nil {
-					s.stall()
-					return
-				}
-				s.rebuilt += chunk
-				s.step(gen)
-			})
-		})
+			s.rebuilt += chunk
+			s.step(gen)
+		}
 	}
+	c.s, c.gen, c.lpn, c.chunk, c.remaining, c.failed = s, gen, lpn, chunk, reads, false
+	return c
+}
+
+// fetched writes the chunk to the rebuilding bay once its data is in
+// hand: reconstructed from the survivors' reads or fetched from backup.
+func (c *chunkRec) fetched() {
+	s := c.s
+	if c.gen != s.rbGen || s.stalled {
+		s.g.f.chunks.Put(c)
+		return
+	}
+	if c.failed {
+		s.g.f.chunks.Put(c)
+		s.stall()
+		return
+	}
+	s.member.submitIO(blockdev.OpWrite, lpnOf(c.lpn), int(c.chunk), true, c.onWrite)
 }
 
 // finishRebuild returns the bay to service.
@@ -433,7 +457,7 @@ func (s *Slot) controllerTick() {
 			old := s.member
 			f.retireToSpares(old)
 			s.member = spare
-			f.assign[spare] = s
+			spare.slot = s
 			f.stats.SpareTakes++
 			s.startRebuild()
 		}

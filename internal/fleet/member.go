@@ -14,6 +14,9 @@ import (
 // still spinning up after a restore.
 var ErrMemberDown = errors.New("fleet: member drive down")
 
+// errOutOfRange answers a request beyond the member's capacity.
+var errOutOfRange = errors.New("fleet: member address out of range")
+
 // MemberProfile is the lightweight service model of a fleet drive: a
 // single-server queue with a fixed per-IO overhead and a page-transfer
 // time. The detailed FTL/DRAM models of the single-device platform are too
@@ -70,8 +73,10 @@ type MemberIOStats struct {
 // blockdev.Drive, powered by a PSU leaf of the fault-domain tree and
 // fronted by its own ordinary blockdev.Queue. Both foreground requests and
 // rebuild traffic go through that queue, which is what makes rebuilds
-// steal real member bandwidth.
+// steal real member bandwidth. Its pooled records come from the Sim's
+// fleet-wide free lists.
 type Member struct {
+	f    *Sim
 	k    *sim.Kernel
 	prof MemberProfile
 	id   int
@@ -84,47 +89,51 @@ type Member struct {
 
 	queue *blockdev.Queue
 	stats MemberIOStats
+	// slot is the bay the drive serves, nil while it is a spare. The
+	// bay hears of the drive's power transitions before any listener.
+	slot *Slot
 
 	readyFns []func()
 	downFns  []func()
-
-	svcFree []*svcCall
-	ioFree  []*ioRec
 }
 
 // svcCall is a pooled service-completion record: one per IO in flight at
-// the member's single-server queue, recycled when its event fires. fn is
-// created once and reused, so steady-state Submit allocates nothing.
+// a member's single-server queue, recycled when its event fires. fn is
+// created once and reused, so steady-state Submit allocates nothing. A
+// set err is the answer itself: the not-ready and out-of-range replies
+// ride the same record.
 type svcCall struct {
 	m     *Member
 	op    blockdev.Op
 	pages int
 	gen   uint64
+	err   error
 	done  func(err error, result content.Data)
 	fn    func()
 }
 
-func (m *Member) getSvc(op blockdev.Op, pages int, gen uint64, done func(err error, result content.Data)) *svcCall {
-	var c *svcCall
-	if n := len(m.svcFree); n > 0 {
-		c = m.svcFree[n-1]
-		m.svcFree = m.svcFree[:n-1]
-	} else {
-		c = &svcCall{m: m}
+func (m *Member) getSvc(op blockdev.Op, pages int, err error, done func(err error, result content.Data)) *svcCall {
+	f := m.f
+	c, fresh := f.svcs.Get()
+	if fresh {
 		c.fn = func() {
-			op, pages, gen, done := c.op, c.pages, c.gen, c.done
+			m, op, pages, gen, err, done := c.m, c.op, c.pages, c.gen, c.err, c.done
 			c.done = nil
-			c.m.svcFree = append(c.m.svcFree, c)
-			c.m.svcDone(op, pages, gen, done)
+			f.svcs.Put(c)
+			m.svcDone(op, pages, gen, err, done)
 		}
 	}
-	c.op, c.pages, c.gen, c.done = op, pages, gen, done
+	c.m, c.op, c.pages, c.gen, c.err, c.done = m, op, pages, m.gen, err, done
 	return c
 }
 
 // svcDone delivers one service completion (the body of the old per-IO
 // closure in Submit).
-func (m *Member) svcDone(op blockdev.Op, pages int, gen uint64, done func(err error, result content.Data)) {
+func (m *Member) svcDone(op blockdev.Op, pages int, gen uint64, err error, done func(err error, result content.Data)) {
+	if err != nil {
+		done(err, content.Data{})
+		return
+	}
 	if m.gen != gen || !m.ready {
 		done(ErrMemberDown, content.Data{})
 		return
@@ -149,20 +158,17 @@ type ioRec struct {
 }
 
 func (m *Member) getIORec(op blockdev.Op, pages int, rebuild bool, done func(error)) *ioRec {
-	var rec *ioRec
-	if n := len(m.ioFree); n > 0 {
-		rec = m.ioFree[n-1]
-		m.ioFree = m.ioFree[:n-1]
-	} else {
-		rec = &ioRec{m: m}
+	f := m.f
+	rec, fresh := f.ios.Get()
+	if fresh {
 		rec.fn = func(req *blockdev.Request) {
-			op, pages, rebuild, done := rec.op, rec.pages, rec.rebuild, rec.done
+			m, op, pages, rebuild, done := rec.m, rec.op, rec.pages, rec.rebuild, rec.done
 			rec.done = nil
-			rec.m.ioFree = append(rec.m.ioFree, rec)
-			rec.m.ioDone(req, op, pages, rebuild, done)
+			f.ios.Put(rec)
+			m.ioDone(req, op, pages, rebuild, done)
 		}
 	}
-	rec.op, rec.pages, rec.rebuild, rec.done = op, pages, rebuild, done
+	rec.m, rec.op, rec.pages, rec.rebuild, rec.done = m, op, pages, rebuild, done
 	return rec
 }
 
@@ -184,11 +190,11 @@ func (m *Member) ioDone(req *blockdev.Request, op blockdev.Op, pages int, rebuil
 	done(req.Err)
 }
 
-// newMember builds a drive on the given PSU leaf and wires its power
-// transitions.
-func newMember(k *sim.Kernel, prof MemberProfile, id int, psu *Node, host blockdev.Config) (*Member, error) {
-	m := &Member{k: k, prof: prof, id: id, psu: psu, powered: psu.Powered(), ready: psu.Powered()}
-	q, err := blockdev.New(k, m, nil, host)
+// newMember builds a drive of the fleet on the given PSU leaf and wires
+// its power transitions.
+func newMember(f *Sim, id int, psu *Node) (*Member, error) {
+	m := &Member{f: f, k: f.k, prof: f.cfg.Member, id: id, psu: psu, powered: psu.Powered(), ready: psu.Powered()}
+	q, err := blockdev.NewWithPools(f.k, m, nil, f.cfg.Host, &f.pools)
 	if err != nil {
 		return nil, err
 	}
@@ -232,6 +238,9 @@ func (m *Member) onPower(on bool) {
 			}
 			m.ready = true
 			m.nextFree = m.k.Now()
+			if m.slot != nil {
+				m.slot.memberReady()
+			}
 			for _, fn := range m.readyFns {
 				fn()
 			}
@@ -243,6 +252,9 @@ func (m *Member) onPower(on bool) {
 	m.ready = false
 	m.gen++ // in-flight service completions observe the stale generation
 	if wasReady {
+		if m.slot != nil {
+			m.slot.memberDown()
+		}
 		for _, fn := range m.downFns {
 			fn()
 		}
@@ -255,11 +267,11 @@ func (m *Member) onPower(on bool) {
 // ErrMemberDown at their scheduled instant, like a died-mid-flight drive.
 func (m *Member) Submit(op blockdev.Op, lpn addr.LPN, pages int, data content.Data, done func(err error, result content.Data)) {
 	if !m.ready {
-		m.k.After(100*sim.Microsecond, func() { done(ErrMemberDown, content.Data{}) })
+		m.k.After(100*sim.Microsecond, m.getSvc(op, pages, ErrMemberDown, done).fn)
 		return
 	}
 	if op != blockdev.OpFlush && (lpn < 0 || int64(lpn)+int64(pages) > m.prof.Pages) {
-		m.k.After(100*sim.Microsecond, func() { done(fmt.Errorf("fleet: member address out of range"), content.Data{}) })
+		m.k.After(100*sim.Microsecond, m.getSvc(op, pages, errOutOfRange, done).fn)
 		return
 	}
 	start := m.k.Now()
@@ -268,7 +280,7 @@ func (m *Member) Submit(op blockdev.Op, lpn addr.LPN, pages int, data content.Da
 	}
 	finish := start.Add(m.prof.IOLatency + sim.Duration(pages)*m.prof.PageTime)
 	m.nextFree = finish
-	m.k.At(finish, m.getSvc(op, pages, m.gen, done).fn)
+	m.k.At(finish, m.getSvc(op, pages, nil, done).fn)
 }
 
 // submitIO routes one fleet request (foreground or rebuild) through the
