@@ -5,8 +5,8 @@
 //
 // Event logs use the unified powerfail-events v2 format (integer-ns
 // timestamps, block and structured observability events interleaved on
-// one clock; see internal/obs). Legacy headerless float-seconds logs are
-// rejected with a hint; re-parse them with -legacy.
+// one clock; see internal/obs). Stdin is read only in that format: a log
+// without its header is an error.
 //
 // Usage:
 //
@@ -14,13 +14,10 @@
 //	blkreport -demo -events         # print the unified event log instead
 //	blkreport < events.log          # summarize a saved unified event log
 //	blkreport -timeline < events.log  # readable timeline of obs events
-//	blkreport -legacy < old.log     # summarize a pre-v2 float-seconds log
-//	blkreport -per-io < dump.txt    # summarize a saved per-IO dump
 //	blkreport -validate-chrome f.json # check a Chrome trace-event export
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -38,8 +35,6 @@ import (
 func main() {
 	demo := flag.Bool("demo", false, "generate a demonstration trace")
 	events := flag.Bool("events", false, "with -demo: print the unified event log instead of the per-IO dump")
-	perIO := flag.Bool("per-io", false, "parse stdin as a per-IO dump rather than an event log")
-	legacy := flag.Bool("legacy", false, "parse stdin as a pre-v2 headerless float-seconds event log")
 	timeline := flag.Bool("timeline", false, "print a readable timeline of the structured obs events on stdin")
 	validateChrome := flag.String("validate-chrome", "", "validate a Chrome trace-event JSON file and exit")
 	flag.Parse()
@@ -65,42 +60,16 @@ func main() {
 		return
 	}
 
-	var ios []*blktrace.IO
-	switch {
-	case *perIO:
-		parsed, err := blktrace.ParsePerIO(os.Stdin)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		ios = parsed
-	case *legacy:
-		evs, err := blktrace.ParseEvents(os.Stdin)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		ios = blktrace.Assemble(evs)
-	default:
-		obsEvents, blkEvents, err := obs.ReadUnifiedEvents(os.Stdin)
-		if errors.Is(err, obs.ErrLegacyFormat) {
-			fmt.Fprintf(os.Stderr, "blkreport: %v\nhint: re-run with -legacy to parse the old headerless float-seconds format\n", err)
-			os.Exit(2)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if *timeline {
-			must(obs.WriteTimeline(os.Stdout, obsEvents))
-			return
-		}
-		ios = blktrace.Assemble(blkEvents)
-		if n := len(obsEvents); n > 0 {
-			fmt.Printf("obs events=%d (use -timeline for the event timeline)\n", n)
-		}
+	obsEvents, blkEvents, err := obs.ReadUnifiedEvents(os.Stdin)
+	must(err)
+	if *timeline {
+		must(obs.WriteTimeline(os.Stdout, obsEvents))
+		return
 	}
-	printSummary(ios)
+	if n := len(obsEvents); n > 0 {
+		fmt.Printf("obs events=%d (use -timeline for the event timeline)\n", n)
+	}
+	printSummary(blktrace.Assemble(blkEvents))
 }
 
 func runDemo(rawEvents bool) {
@@ -122,14 +91,13 @@ func runDemo(rawEvents bool) {
 	// dump shows errored and incomplete IOs too.
 	for i := 0; i < 12; i++ {
 		data := content.Random(rng, 1+rng.Intn(256))
-		lpn := addr.LPN(rng.Intn(1 << 18))
-		host.Submit(&blockdev.Request{Op: blockdev.OpWrite, LPN: lpn, Pages: data.Pages(), Data: data, Done: func(*blockdev.Request) {}})
+		submitWrite(host, addr.LPN(rng.Intn(1<<18)), data)
 	}
 	k.RunFor(20 * sim.Millisecond)
 	psu.PowerOff()
 	for i := 0; i < 4; i++ {
 		data := content.Random(rng, 8)
-		host.Submit(&blockdev.Request{Op: blockdev.OpWrite, LPN: 4096, Pages: 8, Data: data, Done: func(*blockdev.Request) {}})
+		submitWrite(host, 4096, data)
 		k.RunFor(30 * sim.Millisecond)
 	}
 	k.RunFor(2 * sim.Second)
@@ -142,6 +110,17 @@ func runDemo(rawEvents bool) {
 	must(blktrace.DumpPerIO(os.Stdout, ios))
 	fmt.Println()
 	printSummary(ios)
+}
+
+// submitWrite puts one write of data at lpn on the host queue.
+func submitWrite(host *blockdev.Queue, lpn addr.LPN, data content.Data) {
+	req := host.NewRequest()
+	req.Op = blockdev.OpWrite
+	req.LPN = lpn
+	req.Pages = data.Pages()
+	req.Data = data
+	req.Done = func(*blockdev.Request) {}
+	host.Submit(req)
 }
 
 func printSummary(ios []*blktrace.IO) {

@@ -1,11 +1,9 @@
 package blktrace
 
 import (
-	"bytes"
+	"strings"
 	"testing"
-	"testing/quick"
 
-	"powerfail/internal/addr"
 	"powerfail/internal/racedet"
 	"powerfail/internal/sim"
 )
@@ -108,115 +106,15 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
-func TestPerIODumpRoundTrip(t *testing.T) {
-	ios := Assemble(mkEvents())
-	var buf bytes.Buffer
-	if err := DumpPerIO(&buf, ios); err != nil {
+func TestDumpPerIO(t *testing.T) {
+	var b strings.Builder
+	if err := DumpPerIO(&b, Assemble(mkEvents())); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ParsePerIO(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != 1 {
-		t.Fatalf("parsed %d ios", len(back))
-	}
-	got, want := back[0], ios[0]
-	if got.Req != want.Req || got.Op != want.Op || got.LPN != want.LPN ||
-		got.Pages != want.Pages || got.Subs != want.Subs || got.SubsDone != want.SubsDone {
-		t.Fatalf("round trip mismatch: %+v vs %+v", got, want)
-	}
-	if got.Complete() != want.Complete() {
-		t.Fatal("completeness lost in round trip")
-	}
-}
-
-func TestEventLogRoundTrip(t *testing.T) {
-	evs := mkEvents()
-	var buf bytes.Buffer
-	if err := WriteEvents(&buf, evs); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ParseEvents(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != len(evs) {
-		t.Fatalf("parsed %d events, want %d", len(back), len(evs))
-	}
-	for i := range evs {
-		if back[i].Act != evs[i].Act || back[i].Req != evs[i].Req ||
-			back[i].LPN != evs[i].LPN || back[i].Pages != evs[i].Pages {
-			t.Fatalf("event %d mismatch: %+v vs %+v", i, back[i], evs[i])
-		}
-	}
-}
-
-// Property: any synthetic event stream survives the write/parse round trip
-// with action, ids and geometry intact.
-func TestQuickEventRoundTrip(t *testing.T) {
-	acts := []Action{ActQueue, ActSplit, ActDispatch, ActComplete, ActError, ActTimeout, ActReject}
-	ops := []OpKind{OpRead, OpWrite, OpFlush}
-	f := func(n uint8, seed uint16) bool {
-		count := int(n%20) + 1
-		evs := make([]Event, count)
-		s := uint64(seed)
-		for i := range evs {
-			s = s*6364136223846793005 + 1442695040888963407
-			evs[i] = Event{
-				At:    sim.Time(s % 1e9),
-				Act:   acts[s%uint64(len(acts))],
-				Op:    ops[(s>>8)%uint64(len(ops))],
-				Req:   s % 1000,
-				Sub:   int(s % 7),
-				LPN:   addr.LPN(s % 100000),
-				Pages: int(s%256) + 1,
-			}
-		}
-		var buf bytes.Buffer
-		if WriteEvents(&buf, evs) != nil {
-			return false
-		}
-		back, err := ParseEvents(&buf)
-		if err != nil || len(back) != len(evs) {
-			return false
-		}
-		for i := range evs {
-			if back[i].Act != evs[i].Act || back[i].Req != evs[i].Req || back[i].Pages != evs[i].Pages {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestLatencies(t *testing.T) {
-	var ios []*IO
-	for i := 1; i <= 100; i++ {
-		ios = append(ios, &IO{Req: uint64(i), QueueAt: 0,
-			LastComplete: sim.Time(i) * sim.Time(sim.Millisecond),
-			Subs:         1, SubsDone: 1})
-	}
-	// One incomplete IO must be excluded.
-	ios = append(ios, &IO{Req: 999, Subs: 2, SubsDone: 1})
-	l := Latencies(ios)
-	if l.N != 100 {
-		t.Fatalf("N = %d", l.N)
-	}
-	if l.Min != sim.Millisecond || l.Max != 100*sim.Millisecond {
-		t.Fatalf("min=%v max=%v", l.Min, l.Max)
-	}
-	if l.P50 < 49*sim.Millisecond || l.P50 > 51*sim.Millisecond {
-		t.Fatalf("p50 = %v", l.P50)
-	}
-	if l.P99 < 98*sim.Millisecond || l.P99 > 100*sim.Millisecond {
-		t.Fatalf("p99 = %v", l.P99)
-	}
-	if empty := Latencies(nil); empty.N != 0 {
-		t.Fatal("empty latency set")
+	want := "io req=1 op=W lpn=100 pages=256 subs=2 done=2 err=0 state=complete\n" +
+		"  q=0.000001000 d=0.000001100 c=0.000002500\n"
+	if b.String() != want {
+		t.Fatalf("dump:\n%s\nwant:\n%s", b.String(), want)
 	}
 }
 
@@ -231,15 +129,6 @@ func TestTracerRecordAndReset(t *testing.T) {
 	tr.Reset()
 	if tr.Len() != 0 {
 		t.Fatal("Reset failed")
-	}
-}
-
-func TestParseErrors(t *testing.T) {
-	if _, err := ParseEvents(bytes.NewBufferString("not an event line\n")); err == nil {
-		t.Fatal("garbage accepted")
-	}
-	if _, err := ParsePerIO(bytes.NewBufferString("  q=1 d=2 c=3\n")); err == nil {
-		t.Fatal("timing before header accepted")
 	}
 }
 

@@ -1,7 +1,6 @@
 package blktrace
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"sort"
@@ -139,43 +138,7 @@ func Summarize(ios []*IO) Summary {
 	return s
 }
 
-// Latency summarises the Q2C distribution of completed IOs, btt-style.
-type Latency struct {
-	N   int
-	Min sim.Duration
-	P50 sim.Duration
-	P90 sim.Duration
-	P99 sim.Duration
-	Max sim.Duration
-}
-
-// Latencies computes Q2C percentiles over the completed IOs in ios.
-func Latencies(ios []*IO) Latency {
-	var vals []sim.Duration
-	for _, io := range ios {
-		if io.Complete() {
-			vals = append(vals, io.Q2C())
-		}
-	}
-	if len(vals) == 0 {
-		return Latency{}
-	}
-	sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
-	pick := func(q float64) sim.Duration {
-		i := int(q * float64(len(vals)-1))
-		return vals[i]
-	}
-	return Latency{
-		N:   len(vals),
-		Min: vals[0],
-		P50: pick(0.50),
-		P90: pick(0.90),
-		P99: pick(0.99),
-		Max: vals[len(vals)-1],
-	}
-}
-
-// DumpPerIO writes IOs in the modified btt --per-io-dump text format:
+// DumpPerIO writes IOs in the text format of the modified btt per-IO dump:
 // one header line per request followed by indented timing fields.
 func DumpPerIO(w io.Writer, ios []*IO) error {
 	for _, io := range ios {
@@ -197,103 +160,4 @@ func DumpPerIO(w io.Writer, ios []*IO) error {
 		}
 	}
 	return nil
-}
-
-// ParsePerIO reads the DumpPerIO format back into per-IO records; the
-// round trip is exercised by cmd/blkreport and tests.
-func ParsePerIO(r io.Reader) ([]*IO, error) {
-	sc := bufio.NewScanner(r)
-	var out []*IO
-	var cur *IO
-	line := 0
-	for sc.Scan() {
-		line++
-		text := sc.Text()
-		if len(text) == 0 {
-			continue
-		}
-		if text[0] != ' ' {
-			var op, state string
-			io := &IO{}
-			_, err := fmt.Sscanf(text, "io req=%d op=%s lpn=%d pages=%d subs=%d done=%d err=%d state=%s",
-				&io.Req, &op, (*int64)(&io.LPN), &io.Pages, &io.Subs, &io.SubsDone, &io.SubsErrored, &state)
-			if err != nil {
-				return nil, fmt.Errorf("blktrace: parse line %d: %w", line, err)
-			}
-			if len(op) != 1 {
-				return nil, fmt.Errorf("blktrace: parse line %d: bad op %q", line, op)
-			}
-			io.Op = OpKind(op[0])
-			switch state {
-			case "timeout":
-				io.TimedOut = true
-			case "rejected":
-				io.Rejected = true
-			}
-			out = append(out, io)
-			cur = io
-			continue
-		}
-		if cur == nil {
-			return nil, fmt.Errorf("blktrace: parse line %d: timing before header", line)
-		}
-		var q, d, c float64
-		if _, err := fmt.Sscanf(text, "  q=%f d=%f c=%f", &q, &d, &c); err != nil {
-			return nil, fmt.Errorf("blktrace: parse line %d: %w", line, err)
-		}
-		cur.QueueAt = sim.Time(sim.Seconds(q))
-		cur.FirstDispatch = sim.Time(sim.Seconds(d))
-		cur.LastComplete = sim.Time(sim.Seconds(c))
-		cur.haveDispatch = cur.FirstDispatch != 0
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// WriteEvents emits the raw event stream in the blkparse-like line format.
-func WriteEvents(w io.Writer, events []Event) error {
-	for _, e := range events {
-		if _, err := fmt.Fprintln(w, e.String()); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ParseEvents reads the WriteEvents format.
-func ParseEvents(r io.Reader) ([]Event, error) {
-	sc := bufio.NewScanner(r)
-	var out []Event
-	line := 0
-	for sc.Scan() {
-		line++
-		text := sc.Text()
-		if len(text) == 0 {
-			continue
-		}
-		var secs float64
-		var act, op string
-		var e Event
-		_, err := fmt.Sscanf(text, "%f %s %s req=%d sub=%d lpn=%d pages=%d",
-			&secs, &act, &op, &e.Req, &e.Sub, (*int64)(&e.LPN), &e.Pages)
-		if err != nil {
-			return nil, fmt.Errorf("blktrace: parse line %d: %w", line, err)
-		}
-		if len(act) != 1 || len(op) != 1 {
-			return nil, fmt.Errorf("blktrace: parse line %d: bad action/op", line)
-		}
-		e.At = sim.Time(sim.Seconds(secs))
-		e.Act = Action(act[0])
-		e.Op = OpKind(op[0])
-		if !e.Act.Valid() {
-			return nil, fmt.Errorf("blktrace: parse line %d: unknown action %q", line, act)
-		}
-		out = append(out, e)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
 }

@@ -1,17 +1,16 @@
 // Package blktrace reimplements, inside the simulation, the IO tracing
-// pipeline the paper builds on: blktrace-style block-layer events, a
-// blkparse-style text format, and a btt-style per-IO assembler (the paper
-// modified btt's --per-io-dump to track sub-request completion). On real
-// hardware the trace is the host's only view of whether a request
-// "completed" — all of its block-layer sub-requests reached the C state
-// before the 30 s timeout. Inside the simulation the block layer reports
+// pipeline the paper builds on: blktrace-style block-layer events and a
+// btt-style per-IO assembler and dump (the paper modified btt's per-IO
+// dump to track sub-request completion). The events' text form is the
+// unified powerfail-events v2 log in internal/obs. On real hardware the
+// trace is the host's only view of whether a request "completed" — all
+// of its block-layer sub-requests reached the C state before the 30 s
+// timeout. Inside the simulation the block layer reports
 // that flag directly as a nil request error; Assemble re-derives it from
 // the events, and a blockdev test pins the two equal on every request.
 package blktrace
 
 import (
-	"fmt"
-
 	"powerfail/internal/addr"
 	"powerfail/internal/sim"
 )
@@ -77,12 +76,6 @@ type Event struct {
 	Sub   int    // sub-request index within the request, -1 for whole-request events
 	LPN   addr.LPN
 	Pages int
-}
-
-// String renders the event in a blkparse-like single-line format.
-func (e Event) String() string {
-	return fmt.Sprintf("%.9f %c %c req=%d sub=%d lpn=%d pages=%d",
-		e.At.Seconds(), e.Act, e.Op, e.Req, e.Sub, e.LPN, e.Pages)
 }
 
 // Tracer accumulates events. It is append-only; its owner folds the

@@ -9,7 +9,7 @@ import (
 )
 
 // benchDevice completes every sub-request after a fixed latency without
-// allocating: completion records are pooled with their fire closure
+// allocating: completion records are recycled with their fire closure
 // created once, mirroring the queue's own free-list discipline so the
 // benchmark isolates the block layer's allocations.
 type benchDevice struct {
@@ -42,7 +42,7 @@ func (d *benchDevice) Submit(op Op, lpn addr.LPN, pages int, data content.Data, 
 
 func nopDone(*Request) {}
 
-// BenchmarkQueueSubmitComplete drives one pooled write request through
+// BenchmarkQueueSubmitComplete drives one recycled write request through
 // submit → split → dispatch → complete per iteration; allocs/op is the
 // figure of merit for the per-IO hot path.
 func BenchmarkQueueSubmitComplete(b *testing.B) {

@@ -10,10 +10,10 @@
 // allocation-free in steady state: sub-requests are inline values in the
 // parent request, the dispatch FIFO is a reusable ring of direct
 // {request, index} entries (no per-sub map), device completion callbacks
-// come from a free list of records with cached closures, and requests
-// obtained from NewRequest are recycled through a free list. The free
-// lists live in a Pools that several queues may share (a fleet hands one
-// to every member queue), so the record a queue reuses is the one any
+// come from a free list of records with cached closures, and every
+// request comes from NewRequest and is recycled through a free list. The
+// free lists live in a Pools that several queues may share (a fleet hands
+// one to every member queue), so the record a queue reuses is the one any
 // queue returned last, still in cache. Queues sharing a Pools run on one
 // kernel and are single-threaded (campaign parallelism is across
 // experiments), so the free lists need no locking. Generation counters
@@ -75,14 +75,11 @@ var (
 	ErrDeviceGone = errors.New("blockdev: device unavailable")
 )
 
-// Request is one host IO. Fill Op, LPN, Pages and (for writes) Data, then
-// Submit it; Done fires exactly once with the final state.
-//
-// Requests may be built directly (&Request{...}) or taken from the
-// queue's pools with NewRequest. Pooled requests are recycled
-// automatically after Done returns, so callers must not retain them (or
-// their Result slice headers may be cleared; the page data itself is
-// immutable and safe to keep).
+// Request is one host IO. Take it from the queue with NewRequest, fill Op,
+// LPN, Pages and (for writes) Data, then Submit it; Done fires exactly
+// once with the final state. The request is recycled automatically after
+// Done returns, so callers must not retain it (or its Result slice header
+// may be cleared; the page data itself is immutable and safe to keep).
 type Request struct {
 	ID    uint64
 	Op    Op
@@ -114,10 +111,9 @@ type Request struct {
 	// request: dispatch entries and device callbacks carry the gen they
 	// were created under and are ignored once it is stale. q is the queue
 	// the request was last handed out by. The closures are allocated once
-	// per pooled request and reused for its lifetime.
+	// per request and reused for its lifetime.
 	q         *Queue
 	gen       uint32
-	pooled    bool
 	timeoutFn func()
 	doneEv    func()
 }
@@ -139,7 +135,7 @@ type pendingSub struct {
 	gen uint32
 }
 
-// subCall is a pooled device-completion record. cb is created once,
+// subCall is a recycled device-completion record. cb is created once,
 // capturing the record; each dispatch refills q/r/idx/gen and hands the
 // same closure to the device, so steady-state dispatch allocates nothing.
 type subCall struct {
@@ -151,9 +147,13 @@ type subCall struct {
 }
 
 // Device is the disk interface the block layer drives. Submit must invoke
-// done exactly once at the simulated completion instant, with the read
-// payload for reads. Devices are free to fail fast (unavailable) or never
-// answer (dead mid-operation); the block layer's timeout covers the rest.
+// done exactly once for every command it accepts, at the simulated
+// completion instant, with the read payload for reads; a device that
+// cannot serve a command (unavailable, dead mid-operation) answers it
+// with an error. The queue frees a Depth slot only when done runs: the
+// request timeout finishes the host request but keeps the slot, so a
+// command never answered holds its slot for good. hdd.Disk does not keep
+// this contract yet: a power cut can leave a queued write unanswered.
 type Device interface {
 	Submit(op Op, lpn addr.LPN, pages int, data content.Data, done func(err error, result content.Data))
 }
@@ -239,8 +239,8 @@ type Pools struct {
 	calls pool.FreeList[subCall]
 }
 
-// InUse returns the pooled requests and device-completion records handed
-// out and not yet returned.
+// InUse returns the requests and device-completion records handed out
+// and not yet returned.
 func (p *Pools) InUse() (requests, calls int) { return p.reqs.InUse(), p.calls.InUse() }
 
 // New builds a block layer over dev with pools of its own, recording
@@ -249,7 +249,7 @@ func New(k *sim.Kernel, dev Device, tracer *blktrace.Tracer, cfg Config) (*Queue
 	return NewWithPools(k, dev, tracer, cfg, &Pools{})
 }
 
-// NewWithPools builds a block layer over dev that draws its pooled
+// NewWithPools builds a block layer over dev that draws its recycled
 // records from p, which other queues on the same kernel may share.
 func NewWithPools(k *sim.Kernel, dev Device, tracer *blktrace.Tracer, cfg Config, p *Pools) (*Queue, error) {
 	if err := cfg.Validate(); err != nil {
@@ -277,7 +277,6 @@ func (q *Queue) PendingSubs() int { return len(q.pending) - q.pendHead }
 func (q *Queue) NewRequest() *Request {
 	r, fresh := q.pools.reqs.Get()
 	if fresh {
-		r.pooled = true
 		r.timeoutFn = func() { r.q.onTimeout(r) }
 		r.doneEv = func() {
 			r.Done(r)
@@ -288,7 +287,7 @@ func (q *Queue) NewRequest() *Request {
 	return r
 }
 
-// release recycles a pooled request. Advancing gen first makes every
+// release recycles a request. Advancing gen first makes every
 // outstanding reference (pending ring entries after a timeout, late
 // device completions) stale. Then only the fields a use can leave set
 // are cleared, one by one, instead of copying a whole zero Request over
@@ -315,10 +314,13 @@ func (q *Queue) trace(e blktrace.Event) {
 	}
 }
 
-// Submit queues a request. The request's Done callback fires exactly once;
-// rejected requests complete immediately with ErrQueueFull and NotIssued
-// set.
+// Submit queues a request this queue's NewRequest handed out. The
+// request's Done callback fires exactly once; rejected requests complete
+// immediately with ErrQueueFull and NotIssued set.
 func (q *Queue) Submit(r *Request) {
+	if r.q != q {
+		panic("blockdev: request not from this queue's NewRequest")
+	}
 	if r.Op != OpFlush && r.Pages <= 0 {
 		panic("blockdev: request with no pages")
 	}
@@ -348,11 +350,7 @@ func (q *Queue) Submit(r *Request) {
 		q.pending = append(q.pending, pendingSub{r: r, idx: i, gen: r.gen})
 	}
 	r.remaining = len(r.subs)
-	if r.pooled {
-		r.timeout = q.k.After(q.cfg.Timeout, r.timeoutFn)
-	} else {
-		r.timeout = q.k.After(q.cfg.Timeout, func() { q.onTimeout(r) })
-	}
+	r.timeout = q.k.After(q.cfg.Timeout, r.timeoutFn)
 	q.pump()
 }
 
@@ -508,10 +506,6 @@ func (q *Queue) finish(r *Request) {
 	if r.Done != nil {
 		// Completion callbacks run as their own event so that device
 		// callback stacks unwind first.
-		if r.pooled {
-			q.k.After(0, r.doneEv)
-		} else {
-			q.k.After(0, func() { r.Done(r) })
-		}
+		q.k.After(0, r.doneEv)
 	}
 }

@@ -67,22 +67,30 @@ func harness(t *testing.T, cfg Config) (*sim.Kernel, *fakeDevice, *Queue, *blktr
 	return k, dev, q, tr
 }
 
+// request takes a request from q and fills it from tmpl's public fields,
+// so a test can write the request as a literal.
+func request(q *Queue, tmpl Request) *Request {
+	r := q.NewRequest()
+	r.Op, r.LPN, r.Pages, r.Data, r.Done = tmpl.Op, tmpl.LPN, tmpl.Pages, tmpl.Data, tmpl.Done
+	return r
+}
+
 func TestWriteReadRoundTrip(t *testing.T) {
 	k, _, q, _ := harness(t, DefaultConfig())
 	r := sim.NewRNG(1)
 	payload := content.Random(r, 300) // splits into 128+128+44
 	var wrote, read bool
-	q.Submit(&Request{Op: OpWrite, LPN: 1000, Pages: 300, Data: payload, Done: func(req *Request) {
+	q.Submit(request(q, Request{Op: OpWrite, LPN: 1000, Pages: 300, Data: payload, Done: func(req *Request) {
 		if req.Err != nil {
 			t.Errorf("write err: %v", req.Err)
 		}
 		wrote = true
-	}})
+	}}))
 	k.Run()
 	if !wrote {
 		t.Fatal("write never completed")
 	}
-	q.Submit(&Request{Op: OpRead, LPN: 1000, Pages: 300, Done: func(req *Request) {
+	q.Submit(request(q, Request{Op: OpRead, LPN: 1000, Pages: 300, Done: func(req *Request) {
 		if req.Err != nil {
 			t.Errorf("read err: %v", req.Err)
 		}
@@ -90,7 +98,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 			t.Error("read payload differs from written")
 		}
 		read = true
-	}})
+	}}))
 	k.Run()
 	if !read {
 		t.Fatal("read never completed")
@@ -102,7 +110,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 
 func TestSplitBoundaries(t *testing.T) {
 	k, _, q, tr := harness(t, DefaultConfig())
-	q.Submit(&Request{Op: OpWrite, LPN: 0, Pages: 257, Data: content.Zeroes(257), Done: func(*Request) {}})
+	q.Submit(request(q, Request{Op: OpWrite, LPN: 0, Pages: 257, Data: content.Zeroes(257), Done: func(*Request) {}}))
 	k.Run()
 	var subs []blktrace.Event
 	for _, e := range tr.Events() {
@@ -126,7 +134,7 @@ func TestDepthRespected(t *testing.T) {
 	cfg.Depth = 4
 	k, dev, q, _ := harness(t, cfg)
 	for i := 0; i < 20; i++ {
-		q.Submit(&Request{Op: OpWrite, LPN: addr.LPN(i * 10), Pages: 1, Data: content.Zeroes(1), Done: func(*Request) {}})
+		q.Submit(request(q, Request{Op: OpWrite, LPN: addr.LPN(i * 10), Pages: 1, Data: content.Zeroes(1), Done: func(*Request) {}}))
 	}
 	k.Run()
 	if dev.maxInfly > 4 {
@@ -145,14 +153,14 @@ func TestQueueFullRejection(t *testing.T) {
 	dev.latency = 10 * sim.Millisecond
 	rejected := 0
 	for i := 0; i < 10; i++ {
-		q.Submit(&Request{Op: OpWrite, LPN: addr.LPN(i), Pages: 1, Data: content.Zeroes(1), Done: func(req *Request) {
+		q.Submit(request(q, Request{Op: OpWrite, LPN: addr.LPN(i), Pages: 1, Data: content.Zeroes(1), Done: func(req *Request) {
 			if req.NotIssued {
 				if req.Err != ErrQueueFull {
 					t.Errorf("rejected with %v", req.Err)
 				}
 				rejected++
 			}
-		}})
+		}}))
 	}
 	k.Run()
 	if rejected == 0 {
@@ -176,9 +184,9 @@ func TestDeviceErrorPropagates(t *testing.T) {
 	k, dev, q, tr := harness(t, DefaultConfig())
 	dev.failAll = true
 	var gotErr error
-	q.Submit(&Request{Op: OpWrite, LPN: 0, Pages: 200, Data: content.Zeroes(200), Done: func(req *Request) {
+	q.Submit(request(q, Request{Op: OpWrite, LPN: 0, Pages: 200, Data: content.Zeroes(200), Done: func(req *Request) {
 		gotErr = req.Err
-	}})
+	}}))
 	k.Run()
 	if gotErr == nil {
 		t.Fatal("device error not surfaced")
@@ -204,10 +212,10 @@ func TestTimeout(t *testing.T) {
 	dev.silent = true
 	var gotErr error
 	done := false
-	q.Submit(&Request{Op: OpWrite, LPN: 0, Pages: 1, Data: content.Zeroes(1), Done: func(req *Request) {
+	q.Submit(request(q, Request{Op: OpWrite, LPN: 0, Pages: 1, Data: content.Zeroes(1), Done: func(req *Request) {
 		gotErr = req.Err
 		done = true
-	}})
+	}}))
 	k.Run()
 	if !done || gotErr != ErrTimeout {
 		t.Fatalf("timeout not delivered: done=%v err=%v", done, gotErr)
@@ -229,12 +237,12 @@ func TestTimeout(t *testing.T) {
 func TestFlushRequest(t *testing.T) {
 	k, _, q, _ := harness(t, DefaultConfig())
 	done := false
-	q.Submit(&Request{Op: OpFlush, Done: func(req *Request) {
+	q.Submit(request(q, Request{Op: OpFlush, Done: func(req *Request) {
 		if req.Err != nil {
 			t.Errorf("flush err: %v", req.Err)
 		}
 		done = true
-	}})
+	}}))
 	k.Run()
 	if !done {
 		t.Fatal("flush never completed")
@@ -243,7 +251,7 @@ func TestFlushRequest(t *testing.T) {
 
 func TestTraceLifecycle(t *testing.T) {
 	k, _, q, tr := harness(t, DefaultConfig())
-	q.Submit(&Request{Op: OpWrite, LPN: 5, Pages: 1, Data: content.Zeroes(1), Done: func(*Request) {}})
+	q.Submit(request(q, Request{Op: OpWrite, LPN: 5, Pages: 1, Data: content.Zeroes(1), Done: func(*Request) {}}))
 	k.Run()
 	var acts []blktrace.Action
 	for _, e := range tr.Events() {
@@ -271,10 +279,12 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestPanicsOnBadRequests(t *testing.T) {
-	k, _, q, _ := harness(t, DefaultConfig())
-	assertPanics(t, func() { q.Submit(&Request{Op: OpWrite, Pages: 0}) })
-	assertPanics(t, func() { q.Submit(&Request{Op: OpWrite, Pages: 2, Data: content.Zeroes(1)}) })
-	_ = k
+	_, _, q, _ := harness(t, DefaultConfig())
+	_, _, other, _ := harness(t, DefaultConfig())
+	assertPanics(t, func() { q.Submit(request(q, Request{Op: OpWrite, Pages: 0})) })
+	assertPanics(t, func() { q.Submit(request(q, Request{Op: OpWrite, Pages: 2, Data: content.Zeroes(1)})) })
+	// A request this queue's NewRequest did not hand out.
+	assertPanics(t, func() { q.Submit(request(other, Request{Op: OpWrite, Pages: 1, Data: content.Zeroes(1)})) })
 }
 
 func assertPanics(t *testing.T, fn func()) {

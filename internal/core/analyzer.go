@@ -4,6 +4,7 @@ import (
 	"powerfail/internal/addr"
 	"powerfail/internal/blockdev"
 	"powerfail/internal/content"
+	"powerfail/internal/pool"
 	"powerfail/internal/sim"
 	"powerfail/internal/workload"
 )
@@ -33,7 +34,7 @@ type Analyzer struct {
 	// pktFree recycles packets whose verification story has ended (failed
 	// terminally, aged out of the recheck window, or rejected by the host
 	// queue). Experiments are single-threaded, so no locking.
-	pktFree []*Packet
+	pktFree pool.FreeList[Packet]
 }
 
 // MemberFailureCounts is the per-member slice of the failure taxonomy for
@@ -118,14 +119,9 @@ func (a *Analyzer) BeginFault(at sim.Time) int {
 // newPacket pops a recycled packet (or allocates one), reset and ready to
 // fill. The Prev backing array survives recycling.
 func (a *Analyzer) newPacket() *Packet {
-	if n := len(a.pktFree); n > 0 {
-		pkt := a.pktFree[n-1]
-		a.pktFree = a.pktFree[:n-1]
-		prev := pkt.Prev[:0]
-		*pkt = Packet{pooled: true, Prev: prev}
-		return pkt
-	}
-	return &Packet{pooled: true}
+	pkt, _ := a.pktFree.Get()
+	*pkt = Packet{pooled: true, Prev: pkt.Prev[:0]}
+	return pkt
 }
 
 // release retires a packet whose verification story has ended: it joins
@@ -136,7 +132,7 @@ func (a *Analyzer) release(pkt *Packet) {
 		return
 	}
 	pkt.released = true
-	a.pktFree = append(a.pktFree, pkt)
+	a.pktFree.Put(pkt)
 }
 
 // OnIssue registers a submitted workload request; the packet direction

@@ -11,6 +11,7 @@ import (
 	"powerfail/internal/content"
 	"powerfail/internal/hdd"
 	"powerfail/internal/obs"
+	"powerfail/internal/pool"
 	"powerfail/internal/sim"
 	"powerfail/internal/ssd"
 )
@@ -42,8 +43,8 @@ type Runner struct {
 	recovery RecoverySource
 
 	// Per-IO bookkeeping free lists (experiments are single-threaded).
-	recFree []*issueRec
-	ctlFree []*ctlRec
+	recFree pool.FreeList[issueRec]
+	ctlFree pool.FreeList[ctlRec]
 	// thinkFn is the closed loop's post-think-time reissue, bound once.
 	thinkFn func()
 
@@ -224,17 +225,14 @@ type issueRec struct {
 }
 
 func (r *Runner) getIssueRec(io SourceIO) *issueRec {
-	var rec *issueRec
-	if n := len(r.recFree); n > 0 {
-		rec = r.recFree[n-1]
-		r.recFree = r.recFree[:n-1]
-	} else {
-		rec = &issueRec{r: r}
+	rec, fresh := r.recFree.Get()
+	if fresh {
+		rec.r = r
 		rec.fn = func(req *blockdev.Request) {
 			r := rec.r
 			io, pkt := rec.io, rec.pkt
 			rec.io, rec.pkt = SourceIO{}, nil
-			r.recFree = append(r.recFree, rec)
+			r.recFree.Put(rec)
 			r.src.Done(io, req.Err)
 			r.onIOComplete(req, pkt)
 		}
@@ -480,12 +478,9 @@ type ctlRec struct {
 }
 
 func (r *Runner) getCtlRec(lpn addr.LPN, pages, attempt int, done func(result content.Data, err error)) *ctlRec {
-	var rec *ctlRec
-	if n := len(r.ctlFree); n > 0 {
-		rec = r.ctlFree[n-1]
-		r.ctlFree = r.ctlFree[:n-1]
-	} else {
-		rec = &ctlRec{r: r}
+	rec, fresh := r.ctlFree.Get()
+	if fresh {
+		rec.r = r
 		rec.retry = func() { rec.r.issueControl(rec) }
 		rec.fn = func(req *blockdev.Request) {
 			r := rec.r
@@ -497,13 +492,13 @@ func (r *Runner) getCtlRec(lpn addr.LPN, pages, attempt int, done func(result co
 				}
 				done := rec.done
 				rec.done = nil
-				r.ctlFree = append(r.ctlFree, rec)
+				r.ctlFree.Put(rec)
 				done(content.Data{}, req.Err)
 				return
 			}
 			done := rec.done
 			rec.done = nil
-			r.ctlFree = append(r.ctlFree, rec)
+			r.ctlFree.Put(rec)
 			done(req.Result, nil)
 		}
 	}

@@ -43,9 +43,6 @@ func (g Geometry) Pages() int64 { return int64(g.Blocks()) * int64(g.PagesPerBlo
 // CapacityBytes returns the raw array capacity.
 func (g Geometry) CapacityBytes() int64 { return g.Pages() * addr.PageBytes }
 
-// BlockBytes returns the size of one erase block.
-func (g Geometry) BlockBytes() int64 { return int64(g.PagesPerBlock) * addr.PageBytes }
-
 // BlockOf returns the erase block containing ppn.
 func (g Geometry) BlockOf(p addr.PPN) int { return int(int64(p) / int64(g.PagesPerBlock)) }
 
@@ -56,11 +53,6 @@ func (g Geometry) PageOf(p addr.PPN) int { return int(int64(p) % int64(g.PagesPe
 func (g Geometry) PPNOf(block, page int) addr.PPN {
 	return addr.PPN(int64(block)*int64(g.PagesPerBlock) + int64(page))
 }
-
-// DieOf returns the die owning the block. Blocks are laid out die-major so
-// that consecutive block numbers rotate across dies, which is what lets the
-// FTL stripe active blocks over independent channels.
-func (g Geometry) DieOf(block int) int { return block % g.Dies }
 
 // Contains reports whether ppn addresses a real page.
 func (g Geometry) Contains(p addr.PPN) bool {

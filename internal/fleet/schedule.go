@@ -43,9 +43,6 @@ func (s *Schedule) Add(t Target) int {
 	return len(s.targets) - 1
 }
 
-// Targets returns the number of registered targets.
-func (s *Schedule) Targets() int { return len(s.targets) }
-
 // Target returns the registered target with id i.
 func (s *Schedule) Target(i int) Target { return s.targets[i] }
 

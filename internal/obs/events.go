@@ -13,16 +13,10 @@ import (
 )
 
 // EventsHeader is the first line of the unified obs/blktrace event
-// format. Version 2 supersedes the headerless blkparse-like format that
-// blktrace.WriteEvents emits; the version bump buys exact integer-
-// nanosecond timestamps (the old format roundtripped through float
-// seconds) and one merged clock for block and obs events.
+// format. Version 2 superseded a headerless float-seconds blkparse-like
+// log, which is no longer read; the version bump bought exact integer-
+// nanosecond timestamps and one merged clock for block and obs events.
 const EventsHeader = "# powerfail-events v2"
-
-// ErrLegacyFormat is wrapped by ReadUnifiedEvents when fed a headerless
-// pre-v2 blktrace event dump, so tools can show a usage hint instead of
-// misparsing.
-var ErrLegacyFormat = fmt.Errorf("legacy blktrace event format (missing %q header)", EventsHeader)
 
 // WriteUnifiedEvents writes obs and block events merged onto one clock in
 // the v2 text format:
@@ -65,8 +59,8 @@ func WriteUnifiedEvents(w io.Writer, events []Event, blk []blktrace.Event) error
 }
 
 // ReadUnifiedEvents parses the WriteUnifiedEvents format back into its
-// two streams. A headerless legacy blktrace dump yields an error
-// wrapping ErrLegacyFormat.
+// two streams. Input that does not open with EventsHeader (empty,
+// headerless or another version) is an error naming the header.
 func ReadUnifiedEvents(r io.Reader) ([]Event, []blktrace.Event, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
@@ -82,7 +76,7 @@ func ReadUnifiedEvents(r io.Reader) ([]Event, []blktrace.Event, error) {
 		}
 		if !sawHeader {
 			if !strings.HasPrefix(text, "# powerfail-events") {
-				return nil, nil, fmt.Errorf("obs: line %d: %w", line, ErrLegacyFormat)
+				return nil, nil, fmt.Errorf("obs: line %d: missing %q header", line, EventsHeader)
 			}
 			if text != EventsHeader {
 				return nil, nil, fmt.Errorf("obs: line %d: unsupported events version %q (want %q)", line, text, EventsHeader)
@@ -129,7 +123,7 @@ func ReadUnifiedEvents(r io.Reader) ([]Event, []blktrace.Event, error) {
 		return nil, nil, err
 	}
 	if !sawHeader {
-		return nil, nil, fmt.Errorf("obs: empty input: %w", ErrLegacyFormat)
+		return nil, nil, fmt.Errorf("obs: empty input: missing %q header", EventsHeader)
 	}
 	return events, blk, nil
 }

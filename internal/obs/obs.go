@@ -140,9 +140,6 @@ func (sc Scope) Enabled() bool { return sc.set != nil }
 // behind this.
 func (sc Scope) TracingOn() bool { return sc.set != nil && sc.set.tr != nil }
 
-// Component returns the component name ("" for the zero Scope).
-func (sc Scope) Component() string { return sc.comp }
-
 // Sub returns a child scope named "component/name".
 func (sc Scope) Sub(name string) Scope {
 	if sc.set == nil {

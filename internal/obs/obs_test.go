@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"errors"
 	"math"
 	"math/rand"
 	"reflect"
@@ -231,24 +230,17 @@ func TestUnifiedEventsRoundtrip(t *testing.T) {
 }
 
 func TestUnifiedEventsRejectsLegacy(t *testing.T) {
-	// The pre-v2 blkparse-like format must error cleanly, not misparse.
-	var legacy bytes.Buffer
-	if err := blktrace.WriteEvents(&legacy, []blktrace.Event{
-		{At: 10, Act: blktrace.ActQueue, Op: blktrace.OpRead, Req: 1, Sub: -1, LPN: 1, Pages: 1},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	_, _, err := ReadUnifiedEvents(bytes.NewReader(legacy.Bytes()))
-	if !errors.Is(err, ErrLegacyFormat) {
-		t.Fatalf("legacy input: got %v, want ErrLegacyFormat", err)
-	}
-	_, _, err = ReadUnifiedEvents(strings.NewReader(""))
-	if !errors.Is(err, ErrLegacyFormat) {
-		t.Fatalf("empty input: got %v, want ErrLegacyFormat", err)
-	}
-	_, _, err = ReadUnifiedEvents(strings.NewReader("# powerfail-events v99\n"))
-	if err == nil || errors.Is(err, ErrLegacyFormat) {
-		t.Fatalf("future version: got %v, want version error", err)
+	// Input without the v2 header must error cleanly, not misparse, and
+	// the error must name the header it wanted.
+	for name, in := range map[string]string{
+		"legacy":  "0.000000010 Q R req=1 sub=-1 lpn=1 pages=1\n",
+		"empty":   "",
+		"version": "# powerfail-events v99\n",
+	} {
+		_, _, err := ReadUnifiedEvents(strings.NewReader(in))
+		if err == nil || !strings.Contains(err.Error(), EventsHeader) {
+			t.Fatalf("%s input: got %v, want an error naming %q", name, err, EventsHeader)
+		}
 	}
 }
 

@@ -1,6 +1,8 @@
 // Package pool holds the free list the simulator's hot paths recycle
-// their records through: array stripe ops and member calls, block-layer
-// requests and sub-calls, fleet service and rebuild records. A record is
+// their records through: the experiment runner's issue and control-read
+// records, analyzer packets, SSD commands and channel items, block-layer
+// requests and sub-calls, array stripe ops and member calls, fleet
+// service and rebuild records. A record is
 // built once, with any callback closure it caches, and then handed out
 // and returned for the rest of the run, so steady-state IO allocates
 // nothing. Lists are single-threaded, like the kernel that drives them.

@@ -72,9 +72,6 @@ type Load struct {
 // Name returns the label given at Connect time.
 func (l *Load) Name() string { return l.name }
 
-// Ohms returns the load's equivalent resistance.
-func (l *Load) Ohms() float64 { return l.ohms }
-
 // Connected reports whether the load currently draws from the rail.
 func (l *Load) Connected() bool { return l.connected }
 

@@ -86,11 +86,6 @@ func (r *RNG) Prob(p float64) bool {
 	return r.Float64() < p
 }
 
-// Uniform returns a uniform float in [lo, hi).
-func (r *RNG) Uniform(lo, hi float64) float64 {
-	return lo + (hi-lo)*r.Float64()
-}
-
 // DurationRange returns a uniform duration in [lo, hi] inclusive.
 func (r *RNG) DurationRange(lo, hi Duration) Duration {
 	if hi < lo {

@@ -71,6 +71,9 @@ func must(err error) {
 	}
 }
 
+// channelOf maps a page to the channel serving its block. Blocks are laid
+// out die-major, so consecutive block numbers rotate across dies, which is
+// what lets the FTL stripe active blocks over independent channels.
 func (d *Device) channelOf(p addr.PPN) int {
 	return d.chip.Geometry().BlockOf(p) % len(d.channels)
 }
@@ -78,12 +81,9 @@ func (d *Device) channelOf(p addr.PPN) int {
 // newItem takes an item from the pool. A host command it serves is pinned
 // until the item is released.
 func (d *Device) newItem(kind itemKind, perPage sim.Duration, cmd *command) *chItem {
-	var it *chItem
-	if n := len(d.freeItems); n > 0 {
-		it = d.freeItems[n-1]
-		d.freeItems = d.freeItems[:n-1]
-	} else {
-		it = &chItem{ops: make([]pageOp, 0, d.opsCap)}
+	it, fresh := d.freeItems.Get()
+	if fresh {
+		it.ops = make([]pageOp, 0, d.opsCap)
 	}
 	it.kind, it.perPage, it.cmd = kind, perPage, cmd
 	if cmd != nil {
@@ -98,7 +98,7 @@ func (d *Device) releaseItem(it *chItem) *command {
 	cmd := it.cmd
 	clear(it.ops)
 	*it = chItem{ops: it.ops[:0]}
-	d.freeItems = append(d.freeItems, it)
+	d.freeItems.Put(it)
 	if cmd != nil {
 		cmd.pins--
 	}

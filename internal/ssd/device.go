@@ -11,6 +11,7 @@ import (
 	"powerfail/internal/dram"
 	"powerfail/internal/flash"
 	"powerfail/internal/ftl"
+	"powerfail/internal/pool"
 	"powerfail/internal/power"
 	"powerfail/internal/sim"
 )
@@ -123,8 +124,8 @@ type Device struct {
 	outstanding   []*command
 	flushWaiters  []cmdRef
 
-	freeCmds  []*command
-	freeItems []*chItem
+	freeCmds  pool.FreeList[command]
+	freeItems pool.FreeList[chItem]
 	opsCap    int       // ops capacity of a new item: one channel's share of a flush batch
 	batches   []*chItem // per-channel batch scratch, nil where empty
 
@@ -285,12 +286,10 @@ func (d *Device) Submit(op blockdev.Op, lpn addr.LPN, pages int, data content.Da
 
 // newCommand takes a command from the pool.
 func (d *Device) newCommand() *command {
-	if n := len(d.freeCmds); n > 0 {
-		cmd := d.freeCmds[n-1]
-		d.freeCmds = d.freeCmds[:n-1]
+	cmd, fresh := d.freeCmds.Get()
+	if !fresh {
 		return cmd
 	}
-	cmd := &command{}
 	cmd.stepFn = func() { d.step(cmd) }
 	cmd.retryFn = func() {
 		if d.unpin(cmd) {
@@ -328,7 +327,7 @@ func (d *Device) maybeRelease(cmd *command) {
 		retryFn:   cmd.retryFn,
 		respondFn: cmd.respondFn,
 	}
-	d.freeCmds = append(d.freeCmds, cmd)
+	d.freeCmds.Put(cmd)
 }
 
 // step runs a command's first controller step: the link transfer of a

@@ -546,15 +546,23 @@ func TestPooledCommandsUnderPowerCuts(t *testing.T) {
 			if len(d.outstanding) != 0 || d.Stats().Deaths == 0 {
 				t.Fatalf("outstanding %d, deaths %d", len(d.outstanding), d.Stats().Deaths)
 			}
+			// Every record is back in its pool, once and reset: drain each
+			// pool until it builds a fresh record.
+			if n := d.freeCmds.InUse(); n != 0 {
+				t.Fatalf("%d commands never returned to the pool", n)
+			}
+			if n := d.freeItems.InUse(); n != 0 {
+				t.Fatalf("%d channel items never returned to the pool", n)
+			}
 			seen := map[*command]bool{}
-			for _, c := range d.freeCmds {
+			for c, fresh := d.freeCmds.Get(); !fresh; c, fresh = d.freeCmds.Get() {
 				if seen[c] || c.pins != 0 || c.finished {
 					t.Fatalf("pooled command %p: duplicate %v, pins %d, finished %v", c, seen[c], c.pins, c.finished)
 				}
 				seen[c] = true
 			}
 			seenItem := map[*chItem]bool{}
-			for _, it := range d.freeItems {
+			for it, fresh := d.freeItems.Get(); !fresh; it, fresh = d.freeItems.Get() {
 				if seenItem[it] || it.cmd != nil || len(it.ops) != 0 {
 					t.Fatalf("pooled item %p: duplicate %v, cmd %p, %d ops", it, seenItem[it], it.cmd, len(it.ops))
 				}

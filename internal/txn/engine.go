@@ -246,9 +246,6 @@ func (t *Txn) ID() uint64 { return t.id }
 // Stream returns the WAL stream the transaction ran on (for tests).
 func (t *Txn) Stream() int { return t.stream }
 
-// Acked reports whether the application observed the commit.
-func (t *Txn) Acked() bool { return t.acked }
-
 // slotWrite is one generation of content written to a log slot; the
 // history lets the oracle tell "current record", "stale previous content"
 // and "corrupted" apart by fingerprint.
@@ -359,9 +356,6 @@ func NewEngine(cfg Config, k *sim.Kernel, rng *sim.RNG, userPages int64) (*Engin
 
 // Config returns the effective (defaulted) configuration.
 func (e *Engine) Config() Config { return e.cfg }
-
-// Outstanding returns engine IOs issued but not yet completed.
-func (e *Engine) Outstanding() int { return e.outstanding }
 
 // logSlotLPN maps an absolute log slot to its device address: the log
 // region is the first LogPages pages of the device.
