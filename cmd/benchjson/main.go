@@ -7,8 +7,8 @@
 //
 // Usage:
 //
-//	go test -bench . -benchtime 1x -count=6 ./... | benchjson > BENCH_2026-08-08.json
-//	benchjson -in bench.txt -o BENCH_2026-08-08.json
+//	go test -bench . -benchtime 1x -count=6 ./... | benchjson > BENCH_<date>.json
+//	benchjson -in bench.txt -o BENCH_<date>.json
 //
 // Repeated runs of one benchmark (-count > 1) fold into a single entry:
 // each metric records its sample count n, the mean, and the half-width of

@@ -34,6 +34,11 @@ const (
 // the table's lifetime. Nodes are never freed: storing the zero V leaves
 // the path in place for the next store.
 //
+// The table remembers the leaf its last Get or Ref found or made, so a
+// lookup in the same leaf as the one before skips the walk. Get therefore
+// writes to the table: a Table is not safe for concurrent use, readers
+// included.
+//
 // The zero Table is empty and ready to use. Negative LPNs are never
 // present; the top level grows to the highest LPN stored.
 type Table[V comparable] struct {
@@ -42,11 +47,16 @@ type Table[V comparable] struct {
 	leaves  []*[slabNodes][leafSize]V
 	nMids   int32
 	nLeaves int32
+	leaf    *[leafSize]V // the last leaf found or made, or nil
+	leafNo  LPN          // leaf's first LPN >> leafBits
 }
 
 // Get returns the value stored at l, or the zero V when none is. It never
 // allocates.
 func (t *Table[V]) Get(l LPN) V {
+	if t.leaf != nil && l>>leafBits == t.leafNo {
+		return t.leaf[l&(leafSize-1)]
+	}
 	var zero V
 	hi := l >> spanBits
 	if l < 0 || hi >= LPN(len(t.top)) {
@@ -62,12 +72,16 @@ func (t *Table[V]) Get(l LPN) V {
 		return zero
 	}
 	lf--
-	return t.leaves[lf>>slabShift][lf&(slabNodes-1)][l&(leafSize-1)]
+	t.leaf, t.leafNo = &t.leaves[lf>>slabShift][lf&(slabNodes-1)], l>>leafBits
+	return t.leaf[l&(leafSize-1)]
 }
 
 // Ref returns a pointer to l's entry, creating the path to it if needed.
 // Once the path exists Ref allocates nothing. It panics on a negative LPN.
 func (t *Table[V]) Ref(l LPN) *V {
+	if t.leaf != nil && l>>leafBits == t.leafNo {
+		return &t.leaf[l&(leafSize-1)]
+	}
 	if l < 0 {
 		panic(fmt.Sprintf("addr: Table.Ref(%v): negative page", l))
 	}
@@ -88,7 +102,8 @@ func (t *Table[V]) Ref(l LPN) *V {
 		*mp = take(&t.leaves, &t.nLeaves)
 	}
 	lf := *mp - 1
-	return &t.leaves[lf>>slabShift][lf&(slabNodes-1)][l&(leafSize-1)]
+	t.leaf, t.leafNo = &t.leaves[lf>>slabShift][lf&(slabNodes-1)], l>>leafBits
+	return &t.leaf[l&(leafSize-1)]
 }
 
 // take takes the next node of a slab list holding n nodes, adding a slab

@@ -81,7 +81,39 @@ func checkRange(tb testing.TB, tab *Table[uint32], ref map[LPN]uint32) {
 	}
 }
 
+// tableSeeds are op sequences (see runTableOps) aimed at the cached
+// leaf. Kinds 0, 2 and 3 store, store zero and Get a page below 64, named
+// by the third byte; kinds 4 and 7 store and Get page 4000 + (a<<8|b)%1100.
+var tableSeeds = [][]byte{
+	{},
+	{0, 0, 0, 3, 0, 0},            // store then read LPN 0
+	{12, 0, 0, 14, 0, 0},          // store, then zero, the drive's last page
+	{4, 0, 15, 4, 0, 16, 7},       // across a leaf boundary
+	{8, 1, 0, 10, 1, 0, 11, 1, 0}, // sparse store, zero, read
+	// A run inside one leaf: stores, a zero store, then reads of every
+	// entry and of an absent one.
+	{0, 0, 1, 0, 0, 2, 0, 0, 3, 2, 0, 2, 3, 0, 1, 3, 0, 2, 3, 0, 3, 3, 0, 9},
+	// A run across the boundary between leaves 0 and 1, read back in an
+	// order that switches leaf on every Get.
+	{0, 0, 14, 0, 0, 15, 0, 0, 16, 0, 0, 17, 3, 0, 15, 3, 0, 16, 3, 0, 14, 3, 0, 17},
+	// Get absent pages in the leaves either side of the cached one, whose
+	// mid node exists, then read the cached leaf again.
+	{0, 0, 20, 3, 0, 20, 3, 0, 32, 3, 0, 15, 3, 0, 21, 3, 0, 20},
+	// Ref right after a Get that missed: the store must land in the new
+	// leaf, not the one cached before the miss.
+	{0, 0, 3, 3, 0, 3, 3, 0, 40, 0, 0, 40, 3, 0, 40, 3, 0, 3, 3, 0, 41},
+	// The same where the Get misses because page 5052 lies beyond the top
+	// level.
+	{0, 0, 3, 7, 17, 0, 4, 17, 0, 7, 17, 0, 3, 0, 3},
+	// The same where the Get misses its whole path: page 4600's span has
+	// no mid node, though page 5052's has grown the top level past it.
+	{4, 4, 28, 0, 0, 3, 7, 2, 88, 4, 2, 88, 7, 2, 88, 3, 0, 3},
+}
+
 func TestTableMatchesMap(t *testing.T) {
+	for _, ops := range tableSeeds {
+		runTableOps(t, ops)
+	}
 	for seed := uint64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewPCG(seed, 99))
 		ops := make([]byte, 3*20000)
@@ -152,10 +184,8 @@ func TestTableRefAllocatesNothing(t *testing.T) {
 }
 
 func FuzzTable(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{0, 0, 0, 3, 0, 0})            // store then read LPN 0
-	f.Add([]byte{12, 0, 0, 14, 0, 0})          // store, then zero, the drive's last page
-	f.Add([]byte{4, 0, 15, 4, 0, 16, 7})       // across a leaf boundary
-	f.Add([]byte{8, 1, 0, 10, 1, 0, 11, 1, 0}) // sparse store, zero, read
+	for _, ops := range tableSeeds {
+		f.Add(ops)
+	}
 	f.Fuzz(func(t *testing.T, ops []byte) { runTableOps(t, ops) })
 }

@@ -76,7 +76,7 @@ var (
 )
 
 // Request is one host IO. Take it from the queue with NewRequest, fill Op,
-// LPN, Pages and (for writes) Data, then Submit it; Done fires exactly
+// LPN, Pages, Done and (for writes) Data, then Submit it; Done fires exactly
 // once with the final state. The request is recycled automatically after
 // Done returns, so callers must not retain it (or its Result slice header
 // may be cleared; the page data itself is immutable and safe to keep).
@@ -314,9 +314,9 @@ func (q *Queue) trace(e blktrace.Event) {
 	}
 }
 
-// Submit queues a request this queue's NewRequest handed out. The
-// request's Done callback fires exactly once; rejected requests complete
-// immediately with ErrQueueFull and NotIssued set.
+// Submit queues a request this queue's NewRequest handed out, with Done
+// set. The request's Done callback fires exactly once; rejected requests
+// complete immediately with ErrQueueFull and NotIssued set.
 func (q *Queue) Submit(r *Request) {
 	if r.q != q {
 		panic("blockdev: request not from this queue's NewRequest")
@@ -326,6 +326,9 @@ func (q *Queue) Submit(r *Request) {
 	}
 	if r.Op == OpWrite && r.Data.Pages() != r.Pages {
 		panic("blockdev: write payload size mismatch")
+	}
+	if r.Done == nil {
+		panic("blockdev: request with no Done callback")
 	}
 	q.nextID++
 	r.ID = q.nextID
@@ -503,9 +506,7 @@ func (q *Queue) finish(r *Request) {
 	}
 	r.finished = true
 	r.Completed = q.k.Now()
-	if r.Done != nil {
-		// Completion callbacks run as their own event so that device
-		// callback stacks unwind first.
-		q.k.After(0, r.doneEv)
-	}
+	// Completion callbacks run as their own event so that device callback
+	// stacks unwind first.
+	q.k.After(0, r.doneEv)
 }

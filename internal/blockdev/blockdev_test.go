@@ -281,10 +281,13 @@ func TestConfigValidation(t *testing.T) {
 func TestPanicsOnBadRequests(t *testing.T) {
 	_, _, q, _ := harness(t, DefaultConfig())
 	_, _, other, _ := harness(t, DefaultConfig())
-	assertPanics(t, func() { q.Submit(request(q, Request{Op: OpWrite, Pages: 0})) })
-	assertPanics(t, func() { q.Submit(request(q, Request{Op: OpWrite, Pages: 2, Data: content.Zeroes(1)})) })
+	done := func(*Request) {}
+	assertPanics(t, func() { q.Submit(request(q, Request{Op: OpWrite, Pages: 0, Done: done})) })
+	assertPanics(t, func() { q.Submit(request(q, Request{Op: OpWrite, Pages: 2, Data: content.Zeroes(1), Done: done})) })
 	// A request this queue's NewRequest did not hand out.
-	assertPanics(t, func() { q.Submit(request(other, Request{Op: OpWrite, Pages: 1, Data: content.Zeroes(1)})) })
+	assertPanics(t, func() { q.Submit(request(other, Request{Op: OpWrite, Pages: 1, Data: content.Zeroes(1), Done: done})) })
+	// A request with no Done would never be recycled.
+	assertPanics(t, func() { q.Submit(request(q, Request{Op: OpWrite, Pages: 1, Data: content.Zeroes(1)})) })
 }
 
 func assertPanics(t *testing.T, fn func()) {

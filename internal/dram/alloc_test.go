@@ -47,3 +47,40 @@ func BenchmarkCacheCycle(b *testing.B) {
 		cycle(c, i+1)
 	}
 }
+
+// BenchmarkCacheCrash drops a full cache of dirty pages, the power-loss
+// path. The runs case fills it with 64-page requests at random starts, as
+// the simulator's multi-page writes do; the scatter case with single
+// pages at random. One op is one DropAll.
+func BenchmarkCacheCrash(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		run  int
+	}{{"runs", 64}, {"scatter", 1}} {
+		b.Run(bc.name, func(b *testing.B) {
+			const cachePages = 32 << 20 >> addr.PageShift // Profile A's 32 MiB
+			const wssPages = 16 << 30 >> addr.PageShift   // a 16 GB working set
+			c, err := New(cachePages)
+			if err != nil {
+				b.Fatal(err)
+			}
+			fill := func(round int) {
+				for i := 0; i < cachePages; i++ {
+					r := uint64(round*cachePages+i) / uint64(bc.run)
+					l := addr.LPN(r*2654435761%(wssPages-uint64(bc.run))) + addr.LPN(i%bc.run)
+					c.Write(l, content.Fingerprint(i+1))
+				}
+			}
+			fill(0)
+			c.DropAll()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				fill(i + 1)
+				b.StartTimer()
+				c.DropAll()
+			}
+		})
+	}
+}

@@ -1,0 +1,41 @@
+package flash
+
+import (
+	"testing"
+
+	"powerfail/internal/addr"
+	"powerfail/internal/content"
+	"powerfail/internal/sim"
+)
+
+// BenchmarkChipRead reads programmed pages of a fresh MLC chip through the
+// ECC model, whose raw bit error rate gives each read a Poisson draw with
+// λ ≈ 0.33, the same λ for every page.
+func BenchmarkChipRead(b *testing.B) {
+	cfg := Config{
+		Geometry:        Geometry{Dies: 4, PlanesPerDie: 2, BlocksPerPlane: 128, PagesPerBlock: 256},
+		Cell:            MLC,
+		Timing:          TimingFor(MLC),
+		ECC:             ECCConfig{Scheme: "BCH", CorrectPerKB: 40},
+		BaseBER:         DefaultBER(MLC),
+		WearBERMult:     4,
+		EnduranceCycles: DefaultEndurance(MLC),
+	}
+	c, err := New(cfg, sim.NewRNG(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	const programmed = 1 << 16
+	for i := 0; i < programmed; i++ {
+		if err := c.Program(addr.PPN(i), content.Fingerprint(i+1)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.Read(addr.PPN(i % programmed)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

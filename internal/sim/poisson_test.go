@@ -107,4 +107,29 @@ func TestPoissonMatchesKnuth(t *testing.T) {
 			}
 		}
 	}
+
+	// Poisson remembers e^-λ of its last λ, which the fresh generators
+	// above never reuse. One generator pair over repeated and alternating
+	// λ, including neighbours one ulp apart, makes the memo hit and miss.
+	up := math.Nextafter(1, 2)
+	seq := []float64{1, 1, 1, up, 1, up, up, 0.999, 1.5, 1.5, 0.33, 63.9, 63.9, 1, 64, 1, 1e-8, up}
+	a, b := NewRNG(1), NewRNG(1)
+	for range seeds / len(seq) {
+		for _, lambda := range seq {
+			check(lambda, a, b, "on a reused generator")
+		}
+	}
+	// A first draw at the edge of e^-λ, right after a call with the λ one
+	// ulp away: a memo matched loosely would use the neighbour's e^-λ.
+	for _, pair := range [][2]float64{{1, up}, {up, 1}, {1.5, math.Nextafter(1.5, 0)}} {
+		prev, lambda := pair[0], pair[1]
+		c := math.Floor(math.Exp(-lambda)*(1<<53)) / (1 << 53)
+		for d := -64; d <= 64; d++ {
+			u := c + float64(d)*0x1p-53
+			a, b := rngAt(u), rngAt(u)
+			a.Poisson(prev) // leaves prev's e^-λ in the memo
+			a.state = b.state
+			check(lambda, a, b, "at an edge draw after a neighbouring λ")
+		}
+	}
 }

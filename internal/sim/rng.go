@@ -9,6 +9,9 @@ import "math"
 // component does not perturb another.
 type RNG struct {
 	state uint64
+	// Poisson's last λ and its math.Exp(-λ): callers draw from one λ
+	// many times over.
+	expLambda, expNeg float64
 }
 
 // NewRNG returns a generator seeded with seed. Distinct seeds yield
@@ -138,7 +141,10 @@ func (r *RNG) Poisson(lambda float64) int {
 	if u < 1-lambda-0x1p-50 {
 		return 0
 	}
-	l := math.Exp(-lambda)
+	if lambda != r.expLambda {
+		r.expLambda, r.expNeg = lambda, math.Exp(-lambda)
+	}
+	l := r.expNeg
 	k := 0
 	for p := u; p > l; p *= r.Float64() {
 		k++

@@ -76,6 +76,16 @@ func (c Config) Validate() error {
 	if c.TimeScale < 0 {
 		return fmt.Errorf("trace: negative TimeScale %g", c.TimeScale)
 	}
+	if c.Mode == OpenLoop {
+		// Arrivals closer than the 1 ns clock tick land on one instant,
+		// so the clock would all but stop. The mean gap is the length of
+		// one lap of NewReplayer's schedule over the records in it.
+		period := c.Trace.Duration() + c.Trace.lapGap()
+		gap := float64(period) / float64(len(c.Trace.Records)) * c.withDefaults().TimeScale
+		if !(gap >= 1) {
+			return fmt.Errorf("trace: TimeScale %g puts the mean open-loop arrival gap (%.3g ns) under the 1 ns clock tick", c.TimeScale, gap)
+		}
+	}
 	return nil
 }
 
@@ -170,12 +180,7 @@ func NewReplayer(cfg Config, devPages int64, rng *sim.RNG) (*Replayer, error) {
 	}
 	r := &Replayer{cfg: cfg, rng: rng, devPages: devPages, extent: cfg.Trace.Extent(), armed: -1}
 	r.stats.Records = len(cfg.Trace.Records)
-	// A wrapped lap restarts the arrival schedule one mean gap after the
-	// last record, so looped open-loop replay keeps the trace's cadence.
-	gap := cfg.Trace.Duration() / sim.Duration(len(cfg.Trace.Records))
-	if gap < sim.Microsecond {
-		gap = sim.Microsecond
-	}
+	gap := cfg.Trace.lapGap()
 	r.period = cfg.Trace.Duration() + gap
 	r.idleGap = sim.Duration(float64(gap) * cfg.TimeScale)
 	if r.idleGap < sim.Microsecond {

@@ -91,6 +91,13 @@ func (t *Trace) Extent() int64 {
 	return max
 }
 
+// lapGap is the pause between the last record of one open-loop lap and
+// the first of the next: the trace's mean inter-arrival gap, at least
+// 1 µs. A wrapped lap so keeps the trace's cadence. t must hold records.
+func (t *Trace) lapGap() sim.Duration {
+	return max(t.Duration()/sim.Duration(len(t.Records)), sim.Microsecond)
+}
+
 // Duration returns the arrival offset of the last record.
 func (t *Trace) Duration() sim.Duration {
 	if len(t.Records) == 0 {

@@ -320,10 +320,22 @@ func TestConfigValidate(t *testing.T) {
 		{Trace: &Trace{Name: "empty"}},
 		{Trace: smallTrace(), Mode: Mode(9)},
 		{Trace: smallTrace(), TimeScale: -1},
+		// smallTrace's open-loop lap is 500 µs over 4 records: a mean gap
+		// of 125 µs, which this scale puts under the 1 ns tick.
+		{Trace: smallTrace(), Mode: OpenLoop, TimeScale: 1e-6},
 	}
 	for i, c := range bad {
 		if c.Validate() == nil {
 			t.Errorf("config %d accepted", i)
+		}
+	}
+	for _, c := range []Config{
+		{Trace: smallTrace(), Mode: OpenLoop, TimeScale: 1e-5}, // 1.25 ns
+		{Trace: smallTrace(), TimeScale: 1e-6},                 // closed loop ignores the scale
+		{Trace: &Trace{Records: smallTrace().Records[:1]}, Mode: OpenLoop},
+	} {
+		if err := c.Validate(); err != nil {
+			t.Errorf("config %+v rejected: %v", c, err)
 		}
 	}
 	if _, err := NewReplayer(Config{Trace: smallTrace()}, 0, sim.NewRNG(1)); err == nil {

@@ -147,6 +147,11 @@ type Spec struct {
 	IOPS float64 `json:"iops,omitempty"`
 }
 
+// maxIOPS is the highest open-loop rate whose mean arrival gap, 1/IOPS,
+// the 1 ns simulation clock can represent. Faster rates draw gaps that
+// truncate to 0, so the clock would stop.
+const maxIOPS = 1e9
+
 // Validate checks the specification.
 func (s Spec) Validate() error {
 	if s.WSSBytes < addr.PageBytes {
@@ -164,6 +169,9 @@ func (s Spec) Validate() error {
 	}
 	if s.IOPS < 0 {
 		return fmt.Errorf("workload: negative IOPS")
+	}
+	if !(s.IOPS <= maxIOPS) {
+		return fmt.Errorf("workload: IOPS %g puts the mean arrival gap under the 1 ns clock tick (max %g)", s.IOPS, maxIOPS)
 	}
 	maxPages := addr.PagesFor(int64(s.maxBytes()))
 	if int64(maxPages) > s.WSSBytes>>addr.PageShift {

@@ -156,7 +156,8 @@ func TestValidation(t *testing.T) {
 		{WSSBytes: 1 << 30, FixedSize: -1},
 		{WSSBytes: 1 << 30, FixedSize: 4096, ReadPct: 101},
 		{WSSBytes: 1 << 30, FixedSize: 4096, IOPS: -1},
-		{WSSBytes: 1 << 20, FixedSize: 2 << 20}, // request larger than WSS
+		{WSSBytes: 1 << 30, FixedSize: 4096, IOPS: 1e10}, // gaps under the 1 ns tick
+		{WSSBytes: 1 << 20, FixedSize: 2 << 20},          // request larger than WSS
 	}
 	for i, s := range bad {
 		if s.Validate() == nil {
@@ -165,6 +166,9 @@ func TestValidation(t *testing.T) {
 	}
 	if DefaultSpec().Validate() != nil {
 		t.Fatal("default spec invalid")
+	}
+	if err := (Spec{WSSBytes: 1 << 30, FixedSize: 4096, IOPS: 1e9}).Validate(); err != nil {
+		t.Fatalf("1e9 IOPS, a 1 ns mean gap, rejected: %v", err)
 	}
 }
 

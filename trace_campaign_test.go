@@ -116,3 +116,31 @@ func TestTraceFigureContrast(t *testing.T) {
 		t.Fatal("trace replay on the volatile-cache SSD lost nothing")
 	}
 }
+
+// TestRunRejectsUnclockableRates: open-loop rates whose mean arrival gap
+// is under the simulator's 1 ns clock tick would stop the clock, so the
+// run would never reach its next cut. Run must refuse them up front.
+func TestRunRejectsUnclockableRates(t *testing.T) {
+	prof := powerfail.ProfileA()
+	prof.CapacityGB = 8
+	opts := powerfail.Options{Seed: 5, Profile: prof}
+
+	w := powerfail.DefaultWorkload()
+	w.WSSBytes = 1 << 30
+	w.IOPS = 1e10
+	if _, err := powerfail.Run(opts, powerfail.Experiment{Workload: w, Faults: 1, RequestsPerFault: 4}); err == nil ||
+		!strings.Contains(err.Error(), "1 ns clock tick") {
+		t.Errorf("IOPS 1e10: err = %v, want the clock-tick rejection", err)
+	}
+
+	tr, err := powerfail.BundledTrace("msr-web")
+	if err != nil {
+		t.Fatal(err)
+	}
+	replay := powerfail.TraceReplay(tr, powerfail.TraceOpenLoop)
+	replay.TimeScale = 1e-6
+	if _, err := powerfail.Run(opts, powerfail.Experiment{Trace: replay, Faults: 1, RequestsPerFault: 4}); err == nil ||
+		!strings.Contains(err.Error(), "1 ns clock tick") {
+		t.Errorf("msr-web open loop at TimeScale 1e-6: err = %v, want the clock-tick rejection", err)
+	}
+}
