@@ -5,8 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -141,7 +141,8 @@ func deriveSeed(base uint64, i int) uint64 {
 }
 
 // Stat summarizes a sample of per-item values: mean with a 95% confidence
-// half-width (normal approximation, 1.96·s/√n), plus the extremes.
+// half-width (Student t with n-1 degrees of freedom, t·s/√n, as
+// runstore.MeanCI95), plus the extremes.
 type Stat struct {
 	N    int     `json:"n"`
 	Mean float64 `json:"mean"`
@@ -157,23 +158,8 @@ func newStat(samples []float64) Stat {
 	if s.N == 0 {
 		return s
 	}
-	s.Min, s.Max = samples[0], samples[0]
-	var sum float64
-	for _, v := range samples {
-		sum += v
-		s.Min = math.Min(s.Min, v)
-		s.Max = math.Max(s.Max, v)
-	}
-	s.Mean = sum / float64(s.N)
-	if s.N < 2 {
-		return s
-	}
-	var ss float64
-	for _, v := range samples {
-		d := v - s.Mean
-		ss += d * d
-	}
-	s.CI95 = 1.96 * math.Sqrt(ss/float64(s.N-1)) / math.Sqrt(float64(s.N))
+	s.Mean, s.CI95, _ = runstore.MeanCI95(samples)
+	s.Min, s.Max = slices.Min(samples), slices.Max(samples)
 	return s
 }
 

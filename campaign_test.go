@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -255,6 +256,24 @@ func TestCampaignAggregation(t *testing.T) {
 	if s.LossPerFault.Min > s.LossPerFault.Mean || s.LossPerFault.Mean > s.LossPerFault.Max {
 		t.Fatalf("stat ordering: %+v", s.LossPerFault)
 	}
+	// The half-width is Student's t·s/√n; fig5 has five items, so t has
+	// four degrees of freedom.
+	if len(items) != 5 {
+		t.Fatalf("fig5 has %d items, want 5", len(items))
+	}
+	var mean, ss float64
+	for _, res := range out.Results {
+		mean += res.Report.DataLossPerFault
+	}
+	mean /= 5
+	for _, res := range out.Results {
+		d := res.Report.DataLossPerFault - mean
+		ss += d * d
+	}
+	want := 2.776 * math.Sqrt(ss/4) / math.Sqrt(5)
+	if want == 0 || math.Abs(s.LossPerFault.CI95-want) > 1e-12*want {
+		t.Fatalf("ci95 = %v, want %v", s.LossPerFault.CI95, want)
+	}
 	if out.SimTime <= 0 {
 		t.Fatal("no simulated time accumulated")
 	}
@@ -373,6 +392,9 @@ func TestCacheCampaignParallelDeterminism(t *testing.T) {
 		if seqEnc[i] != parEnc[i] {
 			t.Fatalf("cache item %d (%s) diverged between parallelism 1 and 8:\n%s\n%s",
 				i, items[i].Label, seqEnc[i], parEnc[i])
+		}
+		if n := seq.Results[i].Report.HostStats.TimedOut; n != 0 {
+			t.Fatalf("cache item %d (%s): %d requests timed out", i, items[i].Label, n)
 		}
 	}
 }

@@ -381,6 +381,11 @@ func main() {
 		os.Exit(130)
 	case err != nil:
 		os.Exit(1)
+	case out.Failed > 0:
+		// Every table and summary is out; the exit code carries the
+		// failed items to scripts and CI.
+		fmt.Fprintf(os.Stderr, "sweep: %d of %d items failed\n", out.Failed, out.Items)
+		os.Exit(1)
 	}
 }
 

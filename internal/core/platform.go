@@ -97,14 +97,6 @@ type Options struct {
 	// verification/recovery reads stay in flight at once, so values above
 	// 1 shorten fault cycles on multi-channel devices.
 	Concurrency int
-	// ThinkTime separates a completion from the next closed-loop issue.
-	ThinkTime sim.Duration
-	// SettleAfterOff holds the rail at the floor before restoring power.
-	SettleAfterOff sim.Duration
-	// OffFloorVolts is the rail voltage treated as fully discharged.
-	OffFloorVolts float64
-	// RecheckWindow bounds re-verification of already verified packets.
-	RecheckWindow sim.Duration
 	// Obs enables the observability layer (sim-time metrics registry and
 	// typed trace events) for this run. Nil — the default — disables it
 	// entirely: reports are byte-identical to builds without the layer,
@@ -127,18 +119,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Concurrency == 0 {
 		o.Concurrency = 1
-	}
-	if o.ThinkTime == 0 {
-		o.ThinkTime = 300 * sim.Microsecond
-	}
-	if o.SettleAfterOff == 0 {
-		o.SettleAfterOff = 150 * sim.Millisecond
-	}
-	if o.OffFloorVolts == 0 {
-		o.OffFloorVolts = 0.25
-	}
-	if o.RecheckWindow == 0 {
-		o.RecheckWindow = 2 * sim.Second
 	}
 	return o
 }

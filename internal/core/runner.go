@@ -29,6 +29,18 @@ const (
 	phaseDone
 )
 
+// The scheduler's fixed settings.
+const (
+	// thinkTime separates a completion from the next closed-loop issue.
+	thinkTime = 300 * sim.Microsecond
+	// settleAfterOff holds the rail at the floor before restoring power.
+	settleAfterOff = 150 * sim.Millisecond
+	// offFloorVolts is the rail voltage treated as fully discharged.
+	offFloorVolts = 0.25
+	// recheckWindow bounds re-verification of already verified packets.
+	recheckWindow = 2 * sim.Second
+)
+
 // Runner executes one experiment on a platform. A platform instance runs
 // one experiment; build a fresh platform per run for independence.
 type Runner struct {
@@ -90,7 +102,7 @@ func NewRunner(p *Platform, spec ExperimentSpec) (*Runner, error) {
 	r := &Runner{
 		p:        p,
 		spec:     spec,
-		analyzer: NewAnalyzer(p.K, p.Opts.RecheckWindow),
+		analyzer: NewAnalyzer(p.K, recheckWindow),
 		rng:      p.RNG.Fork("runner"),
 	}
 	r.thinkFn = r.reissue
@@ -139,7 +151,7 @@ func (r *Runner) Run(ctx context.Context) (*Report, error) {
 
 	// Hardware hooks: discharge-floor watch drives the restore, device
 	// readiness drives verification.
-	r.p.PSU.NotifyBelow(r.p.Opts.OffFloorVolts, r.onRailFloor)
+	r.p.PSU.NotifyBelow(offFloorVolts, r.onRailFloor)
 	r.p.Dev.NotifyReady(r.onDeviceReady)
 
 	deadline := k.Now().Add(r.spec.MaxSimTime)
@@ -313,7 +325,7 @@ func (r *Runner) reissueAfterThink() {
 	if r.src.OpenLoop() {
 		return // open loop: arrivals are self-scheduled
 	}
-	r.p.K.After(r.p.Opts.ThinkTime, r.thinkFn)
+	r.p.K.After(thinkTime, r.thinkFn)
 }
 
 func (r *Runner) reissue() {
@@ -365,7 +377,7 @@ func (r *Runner) onRailFloor() {
 	if r.ph != phaseFaulting {
 		return
 	}
-	r.p.K.After(r.p.Opts.SettleAfterOff, func() {
+	r.p.K.After(settleAfterOff, func() {
 		if r.ph != phaseFaulting {
 			return
 		}
@@ -646,7 +658,7 @@ func (r *Runner) report() *Report {
 				mr.Deaths, mr.Recoveries, mr.DirtyPagesLost = ds.Deaths, ds.Recoveries, ds.DirtyPagesLost
 			case *hdd.Disk:
 				ds := d.Stats()
-				mr.Deaths, mr.Recoveries, mr.DirtyPagesLost = ds.Deaths, ds.Recoveries, ds.CacheLost
+				mr.Deaths, mr.Recoveries = ds.Deaths, ds.Recoveries
 			}
 			if i < len(fails) {
 				mr.DataFailures, mr.FWA, mr.IOErrors = fails[i].DataFailures, fails[i].FWA, fails[i].IOErrors

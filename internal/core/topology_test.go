@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"powerfail/internal/array"
@@ -68,6 +69,33 @@ func TestHDDTopology(t *testing.T) {
 	}
 	if losses := rep.DataLosses(); losses != 0 {
 		t.Fatalf("write-through HDD lost %d acknowledged requests", losses)
+	}
+}
+
+// TestHDDAnswersEveryCommandOverManyCuts: a write-through HDD must answer
+// every command it accepted, or each cut leaks a block-layer slot and the
+// queue wedges once Depth of them are gone. A hundred faults of the
+// default workload go well past the 32-slot depth.
+func TestHDDAnswersEveryCommandOverManyCuts(t *testing.T) {
+	p, err := NewPlatform(Options{Seed: 7, Topology: Topology{Kind: TopoHDD}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewRunner(p, ExperimentSpec{
+		Name: "hdd-law", Workload: workload.DefaultSpec(), Faults: 100, RequestsPerFault: 12,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := r.Run(context.Background())
+	if err != nil {
+		t.Fatalf("after %d faults: %v", rep.Faults, err)
+	}
+	if rep.HostStats.TimedOut != 0 {
+		t.Fatalf("%d requests timed out", rep.HostStats.TimedOut)
+	}
+	if n, m := p.Host.Inflight(), p.Host.PendingSubs(); n != 0 || m != 0 {
+		t.Fatalf("block layer holds %d in-flight and %d pending sub-requests", n, m)
 	}
 }
 

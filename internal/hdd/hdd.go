@@ -2,9 +2,10 @@
 // the SSDs under test. The paper's platform drives "the under test SSDs
 // (or HDDs)" from the same PSU; an HDD makes a useful baseline because its
 // write path is mechanical and write-through (no multi-millisecond ISPP,
-// no volatile mapping table), so power faults produce a very different
-// failure profile: at most the sector being written at the instant of the
-// cut is torn, and nothing previously acknowledged is disturbed.
+// no volatile cache or mapping table), so power faults produce a very
+// different failure profile: a cut tears the sector under the head,
+// errors every command the drive has accepted and not yet answered, and
+// disturbs nothing previously acknowledged.
 //
 // The model implements blockdev.Device, so the whole platform — block
 // layer, tracer, analyzer — runs unchanged against it.
@@ -13,6 +14,7 @@ package hdd
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"powerfail/internal/addr"
 	"powerfail/internal/blockdev"
@@ -31,19 +33,17 @@ type Profile struct {
 	AvgSeek sim.Duration
 	// MediaBytesPerSec is the sustained transfer rate at the platter.
 	MediaBytesPerSec float64
-	// WriteCache enables the small volatile write buffer most desktop
-	// drives ship with (the paper-relevant risk knob).
-	WriteCache      bool
-	WriteCachePages int
 	// BrownoutVolts drops the host link, as for the SSDs.
 	BrownoutVolts float64
 	LoadOhms      float64
-	FailFast      sim.Duration
-	RecoveryTime  sim.Duration
+	// FailFast is how long the drive takes to answer a command it cannot
+	// serve: one submitted while it is off the bus or out of range, a
+	// flush, and every command a cut interrupts.
+	FailFast     sim.Duration
+	RecoveryTime sim.Duration
 }
 
-// DefaultProfile is a 7200 RPM desktop drive with its write cache off
-// (write-through), the configuration that makes HDDs power-fault tolerant.
+// DefaultProfile is a 7200 RPM desktop drive.
 func DefaultProfile() Profile {
 	return Profile{
 		Name:             "HDD",
@@ -51,8 +51,6 @@ func DefaultProfile() Profile {
 		RPM:              7200,
 		AvgSeek:          8 * sim.Millisecond,
 		MediaBytesPerSec: 150e6,
-		WriteCache:       false,
-		WriteCachePages:  2048,
 		BrownoutVolts:    4.5,
 		LoadOhms:         30,
 		FailFast:         500 * sim.Microsecond,
@@ -84,7 +82,6 @@ type Stats struct {
 	Writes      int64
 	Errors      int64
 	TornSectors int64
-	CacheLost   int64
 	Deaths      int64
 	Recoveries  int64
 }
@@ -96,27 +93,24 @@ type Disk struct {
 	prof Profile
 
 	media map[addr.LPN]content.Fingerprint
-	// cacheQ holds volatile write-cache entries awaiting the platter.
-	cacheQ []cacheEnt
 
 	available bool
 	busyUntil sim.Time
 	spinup    sim.Timer // pending recovery; cancelled by a new power loss
-	// inFlightWrite tracks the page being written at any instant so a cut
-	// can tear exactly that sector.
-	cur   *writeJob
+	// jobs holds every accepted command not yet answered, in submission
+	// order, so a cut can tear the write under the head and error the rest.
+	jobs  []*job
 	stats Stats
 
 	readyListeners []func()
 	downListeners  []func()
 }
 
-type cacheEnt struct {
-	lpn addr.LPN
-	fp  content.Fingerprint
-}
-
-type writeJob struct {
+// job is one accepted command. Reads and writes occupy the head from
+// startAt for perPage per page; a flush has nothing to do on a
+// write-through drive and is answered after FailFast.
+type job struct {
+	op      blockdev.Op
 	lpn     addr.LPN
 	pages   int
 	data    content.Data
@@ -171,14 +165,6 @@ func (d *Disk) NotifyReady(fn func()) { d.readyListeners = append(d.readyListene
 // NotifyDown registers fn to run every time the drive drops off the bus.
 func (d *Disk) NotifyDown(fn func()) { d.downListeners = append(d.downListeners, fn) }
 
-func (d *Disk) serviceStart() sim.Time {
-	now := d.k.Now()
-	if d.busyUntil > now {
-		return d.busyUntil
-	}
-	return now
-}
-
 // Submit implements blockdev.Device.
 func (d *Disk) Submit(op blockdev.Op, lpn addr.LPN, pages int, data content.Data, done func(err error, result content.Data)) {
 	if !d.available {
@@ -191,88 +177,42 @@ func (d *Disk) Submit(op blockdev.Op, lpn addr.LPN, pages int, data content.Data
 		d.k.After(d.prof.FailFast, func() { done(errors.New("hdd: out of range"), content.Data{}) })
 		return
 	}
-	mech := d.prof.AvgSeek + d.prof.rotHalf()
-	xfer := sim.Duration(float64(pages*addr.PageBytes) / d.prof.MediaBytesPerSec * 1e9)
-	start := d.serviceStart().Add(mech)
-	switch op {
+	j := &job{op: op, lpn: lpn, pages: pages, data: data, done: done}
+	at := d.k.Now().Add(d.prof.FailFast)
+	if op != blockdev.OpFlush {
+		xfer := sim.Duration(float64(pages*addr.PageBytes) / d.prof.MediaBytesPerSec * 1e9)
+		j.startAt = max(d.k.Now(), d.busyUntil).Add(d.prof.AvgSeek + d.prof.rotHalf())
+		j.perPage = xfer / sim.Duration(pages)
+		d.busyUntil = j.startAt.Add(xfer)
+		at = d.busyUntil
+	}
+	d.jobs = append(d.jobs, j)
+	j.timer = d.k.At(at, func() { d.finish(j) })
+}
+
+// finish answers a job the drive served to the end: a write commits its
+// sectors and ACKs, a read returns the platter's contents.
+func (d *Disk) finish(j *job) {
+	at := slices.Index(d.jobs, j)
+	d.jobs = slices.Delete(d.jobs, at, at+1)
+	var result content.Data
+	switch j.op {
 	case blockdev.OpRead:
-		d.busyUntil = start.Add(xfer)
-		d.k.At(d.busyUntil, func() {
-			if !d.available {
-				done(ErrUnavailable, content.Data{})
-				return
-			}
-			d.stats.Reads++
-			done(nil, content.Gather(pages, func(i int) content.Fingerprint {
-				return d.readPage(lpn + addr.LPN(i))
-			}))
-		})
+		d.stats.Reads++
+		result = content.Gather(j.pages, func(i int) content.Fingerprint { return d.media[j.lpn+addr.LPN(i)] })
 	case blockdev.OpWrite:
-		if d.prof.WriteCache && len(d.cacheQ)+pages <= d.prof.WriteCachePages {
-			// Volatile buffer: instant ACK, platter catches up lazily.
-			for i := 0; i < pages; i++ {
-				d.cacheQ = append(d.cacheQ, cacheEnt{lpn + addr.LPN(i), data.Page(i)})
-			}
-			d.busyUntil = start.Add(xfer)
-			d.k.At(d.busyUntil, func() { d.drainCache(pages) })
-			d.k.After(100*sim.Microsecond, func() { done(nil, content.Data{}) })
-			d.stats.Writes++
-			return
+		for i := 0; i < j.pages; i++ {
+			d.media[j.lpn+addr.LPN(i)] = j.data.Page(i)
 		}
-		// Write-through: the head commits sector by sector; completion
-		// and ACK coincide.
-		job := &writeJob{
-			lpn: lpn, pages: pages, data: data,
-			startAt: start,
-			perPage: xfer / sim.Duration(pages),
-			done:    done,
-		}
-		d.busyUntil = start.Add(xfer)
-		d.cur = job
-		job.timer = d.k.At(d.busyUntil, func() {
-			d.cur = nil
-			for i := 0; i < pages; i++ {
-				d.media[lpn+addr.LPN(i)] = data.Page(i)
-			}
-			d.stats.Writes++
-			done(nil, content.Data{})
-		})
-	default: // flush
-		d.k.After(d.prof.FailFast, func() {
-			d.cacheQ = d.flushAll()
-			done(nil, content.Data{})
-		})
+		d.stats.Writes++
 	}
+	j.done(nil, result)
 }
 
-func (d *Disk) readPage(lpn addr.LPN) content.Fingerprint {
-	// The volatile buffer is readable while powered.
-	for i := len(d.cacheQ) - 1; i >= 0; i-- {
-		if d.cacheQ[i].lpn == lpn {
-			return d.cacheQ[i].fp
-		}
-	}
-	return d.media[lpn]
-}
-
-func (d *Disk) drainCache(n int) {
-	for i := 0; i < n && len(d.cacheQ) > 0; i++ {
-		e := d.cacheQ[0]
-		d.cacheQ = d.cacheQ[1:]
-		d.media[e.lpn] = e.fp
-	}
-}
-
-func (d *Disk) flushAll() []cacheEnt {
-	for _, e := range d.cacheQ {
-		d.media[e.lpn] = e.fp
-	}
-	return nil
-}
-
-// onPowerLoss models the cut: the sector under the head right now is
-// torn; any volatile write-cache content is gone; the drive drops off the
-// bus until power and spin-up return.
+// onPowerLoss models the cut: the write under the head keeps the sectors
+// it has passed and tears the one under the head; every accepted command
+// loses its completion and errors once the host notices the link drop;
+// the drive stays off the bus until power and spin-up return.
 func (d *Disk) onPowerLoss() {
 	// A cut during spin-up aborts the recovery; the drive stays off the
 	// bus until the next power-good restarts it.
@@ -288,26 +228,33 @@ func (d *Disk) onPowerLoss() {
 	for _, fn := range d.downListeners {
 		fn()
 	}
-	if job := d.cur; job != nil {
-		job.timer.Stop()
-		elapsed := d.k.Now().Sub(job.startAt)
-		if elapsed > 0 && job.perPage > 0 {
-			done := int(elapsed / job.perPage)
-			for i := 0; i < done && i < job.pages; i++ {
-				d.media[job.lpn+addr.LPN(i)] = job.data.Page(i)
-			}
-			if done < job.pages {
-				// The sector under the head is torn: unreadable garbage.
-				d.media[job.lpn+addr.LPN(done)] = content.Mix(job.data.Page(done), d.r.Uint64())
-				d.stats.TornSectors++
-			}
+	now := d.k.Now()
+	lost := d.jobs
+	d.jobs = nil
+	for _, j := range lost {
+		j.timer.Stop()
+		if j.op != blockdev.OpWrite || j.startAt > now || j.perPage <= 0 {
+			continue
 		}
-		// The host never hears the ACK; its block layer errors/times out.
-		d.cur = nil
+		passed := int(now.Sub(j.startAt) / j.perPage)
+		for i := 0; i < passed && i < j.pages; i++ {
+			d.media[j.lpn+addr.LPN(i)] = j.data.Page(i)
+		}
+		if passed < j.pages {
+			// The sector under the head is torn: unreadable garbage.
+			d.media[j.lpn+addr.LPN(passed)] = content.Mix(j.data.Page(passed), d.r.Uint64())
+			d.stats.TornSectors++
+		}
 	}
-	d.stats.CacheLost += int64(len(d.cacheQ))
-	d.cacheQ = nil
 	d.busyUntil = 0
+	if len(lost) > 0 {
+		d.stats.Errors += int64(len(lost))
+		d.k.After(d.prof.FailFast, func() {
+			for _, j := range lost {
+				j.done(ErrUnavailable, content.Data{})
+			}
+		})
+	}
 }
 
 func (d *Disk) onPowerGood() {

@@ -1,6 +1,7 @@
 package hdd
 
 import (
+	"errors"
 	"testing"
 
 	"powerfail/internal/addr"
@@ -146,30 +147,87 @@ func TestTornSectorOnCut(t *testing.T) {
 	}
 }
 
-// TestWriteCacheLosesDataLikeSSDs: enabling the HDD's volatile write
-// buffer reintroduces the SSD-style FWA failure mode.
-func TestWriteCacheLosesDataLikeSSDs(t *testing.T) {
-	prof := DefaultProfile()
-	prof.WriteCache = true
-	r := newRig(t, prof)
-	payload := content.Random(sim.NewRNG(7), 8)
-	if err := r.write(t, 10, payload); err != nil {
+// TestCutAnswersEveryCommand: a cut errors every command the drive has
+// accepted and not answered, not only the last one submitted. Three writes
+// and a read are queued back to back and the rail drops while the second
+// write is under the head: the first write ACKs, the torn sector lies in
+// the second, the third never reaches the platter, and every completion
+// fires exactly once.
+func TestCutAnswersEveryCommand(t *testing.T) {
+	r := newRig(t, DefaultProfile())
+	// 2048 pages is ~55 ms of media time per write, so with seek and
+	// rotation the second write holds the head from ~79 ms to ~134 ms.
+	const pages = 2048
+	lpns := [3]addr.LPN{0, 10000, 20000}
+	old := content.Random(sim.NewRNG(9), pages)
+	if err := r.write(t, lpns[2], old); err != nil {
 		t.Fatal(err)
 	}
-	// ACK arrived (cache); cut before the platter catches up.
+	var payload [3]content.Data
+	calls := make([]int, 4)
+	errs := make([]error, 4)
+	for i, lpn := range lpns {
+		payload[i] = content.Random(sim.NewRNG(uint64(10+i)), pages)
+		r.disk.Submit(blockdev.OpWrite, lpn, pages, payload[i], func(err error, _ content.Data) {
+			calls[i]++
+			errs[i] = err
+		})
+	}
+	r.disk.Submit(blockdev.OpRead, lpns[0], pages, content.Data{}, func(err error, _ content.Data) {
+		calls[3]++
+		errs[3] = err
+	})
+	// The rail falls below brownout ~41 ms after the cut command.
+	r.k.RunFor(60 * sim.Millisecond)
 	r.psu.PowerOff()
 	r.k.RunFor(2 * sim.Second)
+	if errs[0] != nil {
+		t.Fatalf("first write, done before the cut, failed: %v", errs[0])
+	}
+	for i := 1; i < 4; i++ {
+		if !errors.Is(errs[i], ErrUnavailable) {
+			t.Fatalf("command %d err = %v, want ErrUnavailable", i, errs[i])
+		}
+	}
+	if len(r.disk.jobs) != 0 {
+		t.Fatalf("%d commands still outstanding after the cut", len(r.disk.jobs))
+	}
+	if r.disk.Stats().TornSectors != 1 {
+		t.Fatalf("torn sectors = %d, want 1", r.disk.Stats().TornSectors)
+	}
 	r.psu.PowerOn()
 	r.k.RunFor(3 * sim.Second)
-	got, err := r.read(t, 10, 8)
-	if err != nil {
-		t.Fatal(err)
+	for i, lpn := range lpns {
+		got, err := r.read(t, lpn, pages)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := payload[i]
+		if i == 2 {
+			want = old
+		}
+		committed, torn := 0, 0
+		for p := 0; p < pages; p++ {
+			switch got.Page(p) {
+			case want.Page(p):
+				committed++
+			case content.Zero:
+				// past the torn sector: never reached
+			default:
+				torn++
+			}
+		}
+		switch {
+		case i == 1 && (torn != 1 || committed == 0):
+			t.Fatalf("second write: %d torn, %d committed; want 1 torn after some committed", torn, committed)
+		case i != 1 && committed != pages:
+			t.Fatalf("write %d: %d of %d pages hold the expected content", i, committed, pages)
+		}
 	}
-	if got.Equal(payload) {
-		t.Skip("platter caught up before the cut on this timing")
-	}
-	if r.disk.Stats().CacheLost == 0 {
-		t.Fatal("no cache loss recorded")
+	for i, n := range calls {
+		if n != 1 {
+			t.Fatalf("command %d answered %d times, want once", i, n)
+		}
 	}
 }
 

@@ -70,6 +70,9 @@ func TestTraceCampaignParallelDeterminism(t *testing.T) {
 			t.Fatalf("trace item %d (%s): nothing replayed: %+v",
 				i, items[i].Label, rep.TraceStats)
 		}
+		if rep.HostStats.TimedOut != 0 {
+			t.Fatalf("trace item %d (%s): %d requests timed out", i, items[i].Label, rep.HostStats.TimedOut)
+		}
 		if rep.DataLosses() > 0 {
 			anyLoss = true
 		}

@@ -38,6 +38,9 @@ func TestTxnCampaignParallelDeterminism(t *testing.T) {
 		if seq.Results[i].Report.TxnStats == nil {
 			t.Fatalf("txn item %d (%s): no TxnStats in report", i, items[i].Label)
 		}
+		if n := seq.Results[i].Report.HostStats.TimedOut; n != 0 {
+			t.Fatalf("txn item %d (%s): %d requests timed out", i, items[i].Label, n)
+		}
 	}
 }
 
