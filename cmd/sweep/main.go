@@ -588,17 +588,14 @@ func printFig4() {
 		if withSSD {
 			label = "(b) one SSD attached"
 		}
-		curve, brownout := powerfail.DischargeCurve(withSSD, 100*sim.Millisecond, 1600*sim.Millisecond)
+		curve, _ := powerfail.DischargeCurve(withSSD, 100*sim.Millisecond, 1600*sim.Millisecond)
 		fmt.Printf("%s:\n\n| t (ms) | V |\n|---:|---:|\n", label)
 		for _, pt := range curve {
 			fmt.Printf("| %.0f | %.2f |\n", pt.T.Millis(), pt.V)
 		}
 		if withSSD {
-			fine, b := powerfail.DischargeCurve(true, sim.Millisecond, 100*sim.Millisecond)
-			_ = fine
+			_, b := powerfail.DischargeCurve(true, sim.Millisecond, 100*sim.Millisecond)
 			fmt.Printf("\nSSD brownout (4.5 V) crossing: %.0f ms after the cut\n", b.Millis())
-		} else {
-			_ = brownout
 		}
 		fmt.Println()
 	}

@@ -912,7 +912,7 @@ func DischargeCurve(withSSD bool, step, horizon sim.Duration) (curve []VoltagePo
 		panic(err)
 	}
 	if withSSD {
-		psu.Connect("ssd", ssd.ProfileA().LoadOhms)
+		psu.Connect(ssd.ProfileA().LoadOhms)
 	}
 	psu.PowerOff()
 	cut := k.Now()

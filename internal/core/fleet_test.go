@@ -2,64 +2,11 @@ package core
 
 import (
 	"context"
-	"encoding/json"
 	"testing"
 
 	"powerfail/internal/fleet"
 	"powerfail/internal/sim"
 )
-
-// TestDegenerateTreeEquivalence proves the classic single-PSU platform is
-// the degenerate case of the fault-domain tree: a scheduler routed through
-// an explicit multi-level single-path tree (room → rack → enclosure → PSU,
-// fan-out 1 everywhere, cutting the root) produces a byte-identical report
-// to the stock scheduler's one-node tree.
-func TestDegenerateTreeEquivalence(t *testing.T) {
-	spec := ExperimentSpec{Name: "equiv", Workload: smallWrites(), Faults: 4, RequestsPerFault: 12}
-
-	run := func(mutate func(p *Platform)) *Report {
-		p, err := NewPlatform(smallOpts(77))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if mutate != nil {
-			mutate(p)
-		}
-		r, err := NewRunner(p, spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := r.Run(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
-	}
-
-	base := run(nil)
-	deep := run(func(p *Platform) {
-		tree, err := fleet.NewTree(fleet.DomainConfig{Racks: 1, EnclosuresPerRack: 1, PSUsPerEnclosure: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		p.Sched = NewFaultSchedulerOverTree(p.K, p.Arduino, tree)
-	})
-
-	jb, err := json.Marshal(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jd, err := json.Marshal(deep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(jb) != string(jd) {
-		t.Fatalf("single-path tree diverged from one-node tree:\n%s\n%s", jb, jd)
-	}
-	if base.Cuts != spec.Faults || base.Restores != spec.Faults {
-		t.Fatalf("cut/restore accounting changed: cuts=%d restores=%d want %d", base.Cuts, base.Restores, spec.Faults)
-	}
-}
 
 // TestFleetExperimentThroughCore runs the fleet path via the ordinary
 // RunExperiment entry point.

@@ -157,7 +157,7 @@ func NewPlatform(opts Options) (*Platform, error) {
 		return nil, fmt.Errorf("core: psu: %w", err)
 	}
 	atx := power.NewATX(psu)
-	ard := power.NewArduino(k, power.DefaultSerialLatency, atx.SetPin16)
+	ard := power.NewArduino(k, atx.SetPin16)
 
 	p := &Platform{
 		Opts:    opts,
@@ -207,7 +207,7 @@ func NewPlatform(opts Options) (*Platform, error) {
 	p.Host = host
 	host.Observe(p.Obs.Scope("blockdev"))
 	p.Sched = NewFaultScheduler(k, ard)
-	p.Sched.Instrument(p.Obs.Scope("power"), k)
+	p.Sched.Instrument(p.Obs.Scope("power"))
 	return p, nil
 }
 
@@ -216,61 +216,56 @@ func NewPlatform(opts Options) (*Platform, error) {
 func (p *Platform) ObsScope(comp string) obs.Scope { return p.Obs.Scope(comp) }
 
 // FaultScheduler is the paper's Scheduler component: it decides fault
-// instants and sends On/Off commands to the microcontroller. Since the
-// fleet layer arrived it is built over a fault-domain tree and the shared
-// fleet.Schedule bookkeeping: the classic platform is the degenerate
-// one-node tree whose root transitions drive the Arduino, so Cuts/Restores
-// semantics are unchanged while multi-domain scheduling reuses the same
-// accounting instead of duplicating it.
+// instants and sends On/Off commands straight to the microcontroller,
+// whose pin 13 drives the PSU's PS_ON#.
 type FaultScheduler struct {
-	tree  *fleet.Tree
-	sched *fleet.Schedule
-	root  int // schedule id of the tree root
+	k        *sim.Kernel
+	ard      *power.Arduino
+	cuts     int
+	restores int
+
+	sc      obs.Scope
+	obsCuts *obs.Counter
+	obsRest *obs.Counter
 }
 
-// NewFaultScheduler wires a scheduler to the Arduino through the degenerate
-// single-PSU tree, the paper's rig.
+// NewFaultScheduler wires a scheduler to the Arduino, the paper's rig.
 func NewFaultScheduler(k *sim.Kernel, ard *power.Arduino) *FaultScheduler {
-	return NewFaultSchedulerOverTree(k, ard, fleet.Degenerate("psu"))
+	return &FaultScheduler{k: k, ard: ard}
 }
-
-// NewFaultSchedulerOverTree wires a scheduler to the Arduino through an
-// arbitrary fault-domain tree: the root's power transitions send the
-// hardware commands, so any single-path tree behaves byte-identically to
-// the classic one-PSU scheduler.
-func NewFaultSchedulerOverTree(_ *sim.Kernel, ard *power.Arduino, tree *fleet.Tree) *FaultScheduler {
-	tree.Root().OnPower(func(on bool) {
-		cmd := power.CmdCut
-		if on {
-			cmd = power.CmdRestore
-		}
-		if err := ard.Send(cmd); err != nil {
-			panic(err)
-		}
-	})
-	s := &FaultScheduler{tree: tree, sched: fleet.NewSchedule()}
-	s.root = s.sched.Add(tree.Root())
-	return s
-}
-
-// Tree returns the fault-domain tree the scheduler targets.
-func (s *FaultScheduler) Tree() *fleet.Tree { return s.tree }
 
 // Cut commands the hardware to drop PS_ON#, starting the PSU discharge.
-func (s *FaultScheduler) Cut() { s.sched.Cut(s.root) }
+func (s *FaultScheduler) Cut() {
+	s.cuts++
+	s.obsCuts.Inc()
+	s.sc.Instant(s.k.Now(), obs.KindPower, "psu", 1)
+	s.send(power.CmdCut)
+}
 
 // Restore commands the hardware to re-assert PS_ON#.
-func (s *FaultScheduler) Restore() { s.sched.Restore(s.root) }
+func (s *FaultScheduler) Restore() {
+	s.restores++
+	s.obsRest.Inc()
+	s.sc.Instant(s.k.Now(), obs.KindPower, "psu", 0)
+	s.send(power.CmdRestore)
+}
+
+func (s *FaultScheduler) send(cmd byte) {
+	if err := s.ard.Send(cmd); err != nil {
+		panic(err)
+	}
+}
 
 // Cuts returns the number of Cut commands sent.
-func (s *FaultScheduler) Cuts() int { return s.sched.Cuts() }
+func (s *FaultScheduler) Cuts() int { return s.cuts }
 
 // Restores returns the number of Restore commands sent.
-func (s *FaultScheduler) Restores() int { return s.sched.Restores() }
+func (s *FaultScheduler) Restores() int { return s.restores }
 
 // Instrument records every cut/restore command into sc as KindPower
-// trace events plus counters, stamped on k's clock. A disabled scope is
-// a no-op.
-func (s *FaultScheduler) Instrument(sc obs.Scope, k *sim.Kernel) {
-	s.sched.Observe(sc, func() sim.Time { return k.Now() })
+// trace events plus counters. A disabled scope is a no-op.
+func (s *FaultScheduler) Instrument(sc obs.Scope) {
+	s.sc = sc
+	s.obsCuts = sc.Counter("cuts")
+	s.obsRest = sc.Counter("restores")
 }

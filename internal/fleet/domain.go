@@ -9,9 +9,9 @@
 // The tree replaces the single shared power.PSU assumption with
 // placement-derived correlation, in the spirit of Meza et al.'s datacenter
 // failure studies: failures cluster by enclosure, rack and room because
-// that is where the shared hardware lives. The paper's classic single-PSU
-// platform is the degenerate one-node tree (see Degenerate), so existing
-// figures are unchanged by construction.
+// that is where the shared hardware lives. The tree also owns the per-level
+// cut and restore counts. The paper's single-PSU rig does not use it: its
+// scheduler drives the Arduino directly.
 //
 // Rebuild reads and writes are ordinary block-layer requests against the
 // member drives, so rebuild traffic competes with foreground IO for member
@@ -98,9 +98,7 @@ func (c DomainConfig) Validate() error {
 // Node is one fault domain. Its power state is derived: a node is powered
 // iff neither it nor any ancestor is cut.
 type Node struct {
-	tree     *Tree
 	level    Level
-	index    int // index within the level, in construction order
 	name     string
 	parent   *Node
 	children []*Node
@@ -110,20 +108,8 @@ type Node struct {
 	onPower []func(on bool)
 }
 
-// Level returns the node's tier.
-func (n *Node) Level() Level { return n.level }
-
-// Index returns the node's position within its tier.
-func (n *Node) Index() int { return n.index }
-
 // Name returns the node's path-style label ("rack1/enc0/psu1").
 func (n *Node) Name() string { return n.name }
-
-// Parent returns the enclosing domain (nil for the root).
-func (n *Node) Parent() *Node { return n.parent }
-
-// Children returns the nested domains.
-func (n *Node) Children() []*Node { return n.children }
 
 // Powered reports whether the node currently has power (no cut on itself
 // or any ancestor).
@@ -132,13 +118,6 @@ func (n *Node) Powered() bool { return n.powered }
 // OnPower registers fn to run whenever the node's derived power state
 // changes; fn receives the new state. Drives attach here to their PSU leaf.
 func (n *Node) OnPower(fn func(on bool)) { n.onPower = append(n.onPower, fn) }
-
-// Cut implements Target: it cuts power to this node's whole subtree.
-func (n *Node) Cut() { n.tree.CutNode(n) }
-
-// Restore implements Target: it ends this node's cut. Descendant drives
-// regain power unless a separate cut still covers them.
-func (n *Node) Restore() { n.tree.RestoreNode(n) }
 
 // refresh recomputes the derived power state after a cut or restore and
 // fires transition callbacks top-down, so an enclosure's listeners see the
@@ -160,7 +139,6 @@ func (n *Node) refresh() {
 // Tree is the fault-domain hierarchy. It also keeps the per-level cut and
 // restore counts the fleet report surfaces.
 type Tree struct {
-	root   *Node
 	levels [numLevels][]*Node
 
 	cuts     [numLevels]int
@@ -175,9 +153,9 @@ func NewTree(cfg DomainConfig) (*Tree, error) {
 		return nil, err
 	}
 	t := &Tree{}
-	t.root = t.newNode(Room, nil, "room")
+	room := t.newNode(Room, nil, "room")
 	for r := 0; r < cfg.Racks; r++ {
-		rack := t.newNode(Rack, t.root, fmt.Sprintf("rack%d", r))
+		rack := t.newNode(Rack, room, fmt.Sprintf("rack%d", r))
 		for e := 0; e < cfg.EnclosuresPerRack; e++ {
 			enc := t.newNode(Enclosure, rack, fmt.Sprintf("%s/enc%d", rack.name, e))
 			for p := 0; p < cfg.PSUsPerEnclosure; p++ {
@@ -188,26 +166,14 @@ func NewTree(cfg DomainConfig) (*Tree, error) {
 	return t, nil
 }
 
-// Degenerate returns the one-node tree: a single PSU domain, the paper's
-// classic platform. Cutting the root is exactly the old global switch.
-func Degenerate(name string) *Tree {
-	t := &Tree{}
-	t.root = t.newNode(PSU, nil, name)
-	return t
-}
-
 func (t *Tree) newNode(l Level, parent *Node, name string) *Node {
-	n := &Node{tree: t, level: l, index: len(t.levels[l]), name: name, parent: parent, powered: true}
+	n := &Node{level: l, name: name, parent: parent, powered: true}
 	if parent != nil {
 		parent.children = append(parent.children, n)
 	}
 	t.levels[l] = append(t.levels[l], n)
 	return n
 }
-
-// Root returns the top of the tree (the room, or the single degenerate
-// node).
-func (t *Tree) Root() *Node { return t.root }
 
 // Nodes returns the nodes of one level in construction order.
 func (t *Tree) Nodes(l Level) []*Node {

@@ -7,6 +7,7 @@ import (
 
 	"powerfail/internal/addr"
 	"powerfail/internal/blockdev"
+	"powerfail/internal/obs"
 	"powerfail/internal/pool"
 	"powerfail/internal/sim"
 )
@@ -335,9 +336,7 @@ type Sim struct {
 	wl  *sim.RNG // workload stream
 	fl  *sim.RNG // fault stream
 
-	tree     *Tree
-	sched    *Schedule
-	schedIdx map[*Node]int
+	tree *Tree
 
 	members []*Member
 	groups  []*Group
@@ -435,19 +434,12 @@ func NewSim(cfg Config, seed uint64) (*Sim, error) {
 	}
 	root := sim.NewRNG(seed)
 	f := &Sim{
-		cfg:      cfg,
-		k:        sim.New(),
-		wl:       root.Fork("fleet/workload"),
-		fl:       root.Fork("fleet/faults"),
-		tree:     tree,
-		sched:    NewSchedule(),
-		schedIdx: make(map[*Node]int),
-		end:      sim.Time(0).Add(cfg.Duration),
-	}
-	for _, l := range Levels() {
-		for _, n := range tree.Nodes(l) {
-			f.schedIdx[n] = f.sched.Add(n)
-		}
+		cfg:  cfg,
+		k:    sim.New(),
+		wl:   root.Fork("fleet/workload"),
+		fl:   root.Fork("fleet/faults"),
+		tree: tree,
+		end:  sim.Time(0).Add(cfg.Duration),
 	}
 
 	leaves := tree.Leaves()
@@ -489,16 +481,6 @@ func NewSim(cfg Config, seed uint64) (*Sim, error) {
 // Kernel exposes the simulation clock, mainly for tests.
 func (f *Sim) Kernel() *sim.Kernel { return f.k }
 
-// Tree exposes the fault-domain hierarchy.
-func (f *Sim) Tree() *Tree { return f.tree }
-
-// Groups exposes the redundancy groups, mainly for tests.
-func (f *Sim) Groups() []*Group { return f.groups }
-
-// Members exposes every drive in construction order (group members first,
-// then spares), mainly for tests.
-func (f *Sim) Members() []*Member { return f.members }
-
 // takeSpare removes and returns the first powered, ready spare, or nil.
 func (f *Sim) takeSpare() *Member {
 	for i, m := range f.spares {
@@ -519,19 +501,16 @@ func (f *Sim) retireToSpares(m *Member) {
 
 // scheduleFaults lays the fault plan onto the kernel: either the script
 // verbatim, or Count exponentially spaced cuts at the configured level with
-// uniformly drawn targets. Cut and restore commands go through the shared
-// Schedule so per-target and total accounting match the classic platform's.
+// uniformly drawn targets. Config.Validate guarantees every level has
+// nodes.
 func (f *Sim) scheduleFaults() {
 	plan := f.cfg.Faults
 	fire := func(at sim.Time, level Level, index int, outage sim.Duration) {
 		nodes := f.tree.Nodes(level)
-		if len(nodes) == 0 {
-			return // degenerate trees lack the wider tiers
-		}
-		id := f.schedIdx[nodes[index%len(nodes)]]
+		n := nodes[index%len(nodes)]
 		f.k.At(at, func() {
-			f.sched.Cut(id)
-			f.k.After(outage, func() { f.sched.Restore(id) })
+			f.cutNode(n)
+			f.k.After(outage, func() { f.restoreNode(n) })
 		})
 	}
 	if len(plan.Script) > 0 {
@@ -541,9 +520,6 @@ func (f *Sim) scheduleFaults() {
 		return
 	}
 	nodes := f.tree.Nodes(plan.Level)
-	if len(nodes) == 0 {
-		return
-	}
 	if plan.MeanBetween > 0 {
 		at := sim.Time(0)
 		for i := 0; i < plan.Count; i++ {
@@ -566,6 +542,21 @@ func (f *Sim) scheduleFaults() {
 	for _, at := range times {
 		fire(sim.Time(0).Add(at), plan.Level, f.fl.Intn(len(nodes)), plan.Outage)
 	}
+}
+
+// cutNode records a cut of n (power counter and trace instant) and powers
+// its subtree off; the tree counts the cut at n's level.
+func (f *Sim) cutNode(n *Node) {
+	f.obs.cuts.Inc()
+	f.obs.power.Instant(f.k.Now(), obs.KindPower, n.name, 1)
+	f.tree.CutNode(n)
+}
+
+// restoreNode records the end of one cut of n and counts it at n's level.
+func (f *Sim) restoreNode(n *Node) {
+	f.obs.restores.Inc()
+	f.obs.power.Instant(f.k.Now(), obs.KindPower, n.name, 0)
+	f.tree.RestoreNode(n)
 }
 
 // scheduleController starts the periodic controller pass.
@@ -697,16 +688,17 @@ func (f *Sim) finalize() {
 	st.Duration = f.cfg.Duration
 	st.Events = f.k.Processed()
 
-	st.Cuts = f.sched.Cuts()
-	st.Restores = f.sched.Restores()
 	for _, l := range Levels() {
-		if c := f.tree.CutsAt(l); c > 0 {
+		c, r := f.tree.CutsAt(l), f.tree.RestoresAt(l)
+		st.Cuts += c
+		st.Restores += r
+		if c > 0 {
 			if st.CutsByLevel == nil {
 				st.CutsByLevel = make(map[string]int)
 			}
 			st.CutsByLevel[l.String()] = c
 		}
-		if r := f.tree.RestoresAt(l); r > 0 {
+		if r > 0 {
 			if st.RestoresByLevel == nil {
 				st.RestoresByLevel = make(map[string]int)
 			}

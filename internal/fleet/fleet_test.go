@@ -2,8 +2,10 @@ package fleet
 
 import (
 	"encoding/json"
+	"fmt"
 	"testing"
 
+	"powerfail/internal/obs"
 	"powerfail/internal/sim"
 )
 
@@ -76,19 +78,6 @@ func TestTreeNestedCuts(t *testing.T) {
 	}
 }
 
-func TestScheduleAccounting(t *testing.T) {
-	tr := Degenerate("psu")
-	s := NewSchedule()
-	id := s.Add(tr.Root())
-	for i := 0; i < 3; i++ {
-		s.Cut(id)
-		s.Restore(id)
-	}
-	if s.Cuts() != 3 || s.Restores() != 3 || s.CutsOf(id) != 3 || s.RestoresOf(id) != 3 {
-		t.Fatalf("schedule counts: cuts=%d restores=%d", s.Cuts(), s.Restores())
-	}
-}
-
 // scriptedConfig is a small fleet with one scripted cut, sized so a single
 // PSU cut declares a failure and triggers a spare rebuild.
 func scriptedConfig(script []CutEvent, spares int) Config {
@@ -101,6 +90,72 @@ func scriptedConfig(script []CutEvent, spares int) Config {
 		Rebuild:   RebuildPolicy{Delay: sim.Second, ControllerTick: 500 * sim.Millisecond},
 		Faults:    FaultPlan{Script: script},
 		Duration:  20 * sim.Second,
+	}
+}
+
+// TestCutTotalsMatchLevelsAndObs: the tree's per-level counts are the
+// only cut accounting, so the totals, the power counters and the trace
+// instants must all agree with them. The script cuts one enclosure, then
+// one PSU twice with overlapping outages.
+func TestCutTotalsMatchLevelsAndObs(t *testing.T) {
+	s := sim.Second
+	cfg := scriptedConfig([]CutEvent{
+		{At: sim.Time(2 * s), Level: Enclosure, Index: 1, Outage: s},
+		{At: sim.Time(4 * s), Level: PSU, Index: 0, Outage: 5 * s},
+		{At: sim.Time(6 * s), Level: PSU, Index: 0, Outage: 2 * s},
+	}, 2)
+	f, err := NewSim(cfg, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := obs.NewSet(obs.Config{Metrics: true, Trace: true, TraceCap: 1 << 20})
+	f.Observe(set)
+	st := f.Run()
+
+	sum := func(m map[string]int) int {
+		n := 0
+		for _, v := range m {
+			n += v
+		}
+		return n
+	}
+	if st.Cuts != 3 || st.Cuts != sum(st.CutsByLevel) {
+		t.Errorf("cuts = %d, by level %v; want 3 and their sum", st.Cuts, st.CutsByLevel)
+	}
+	if st.Restores != 3 || st.Restores != sum(st.RestoresByLevel) {
+		t.Errorf("restores = %d, by level %v; want 3 and their sum", st.Restores, st.RestoresByLevel)
+	}
+	if st.CutsByLevel["enclosure"] != 1 || st.CutsByLevel["psu"] != 2 {
+		t.Errorf("cuts by level = %v, want enclosure 1, psu 2", st.CutsByLevel)
+	}
+
+	summary := set.Summary()
+	if got := summary.Counter("power/cuts"); got != int64(st.Cuts) {
+		t.Errorf("power/cuts = %d, want %d", got, st.Cuts)
+	}
+	if got := summary.Counter("power/restores"); got != int64(st.Restores) {
+		t.Errorf("power/restores = %d, want %d", got, st.Restores)
+	}
+	if summary.TraceDropped != 0 {
+		t.Fatalf("trace ring dropped %d events", summary.TraceDropped)
+	}
+
+	var got []string
+	for _, ev := range set.TraceEvents() {
+		if ev.Kind == obs.KindPower {
+			got = append(got, fmt.Sprintf("%s %s=%d", ev.At, ev.Name, ev.Value))
+		}
+	}
+	want := []string{
+		fmt.Sprintf("%s rack0/enc1=1", sim.Time(2*s)),
+		fmt.Sprintf("%s rack0/enc1=0", sim.Time(3*s)),
+		fmt.Sprintf("%s rack0/enc0/psu0=1", sim.Time(4*s)),
+		fmt.Sprintf("%s rack0/enc0/psu0=1", sim.Time(6*s)),
+		fmt.Sprintf("%s rack0/enc0/psu0=0", sim.Time(8*s)),
+		fmt.Sprintf("%s rack0/enc0/psu0=0", sim.Time(9*s)),
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("power instants:\n got %v\nwant %v", got, want)
 	}
 }
 

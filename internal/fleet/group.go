@@ -71,12 +71,6 @@ type Slot struct {
 	rbGen       uint64 // invalidates in-flight rebuild chunk callbacks
 }
 
-// State returns the bay's current rebuild state.
-func (s *Slot) State() SlotState { return s.state }
-
-// Member returns the drive currently behind the bay.
-func (s *Slot) Member() *Member { return s.member }
-
 // Group is one redundancy group of the fleet: GroupSize member bays in an
 // m+k arrangement (any Config.Parity bays reconstructible from the rest;
 // the default Parity of 1 is the RAID-5-like m+1 group). The group tracks
@@ -105,9 +99,6 @@ const (
 	classDegraded
 	classDown
 )
-
-// Slots returns the group's member bays.
-func (g *Group) Slots() []*Slot { return g.slots }
 
 func newGroup(f *Sim, id int, members []*Member) *Group {
 	g := &Group{f: f, id: id}

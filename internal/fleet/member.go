@@ -218,13 +218,6 @@ func (m *Member) NotifyReady(fn func()) { m.readyFns = append(m.readyFns, fn) }
 // NotifyDown implements blockdev.Drive.
 func (m *Member) NotifyDown(fn func()) { m.downFns = append(m.downFns, fn) }
 
-// PSU returns the fault-domain leaf powering the drive.
-func (m *Member) PSU() *Node { return m.psu }
-
-// Queue returns the member's host block layer; all fleet IO to this drive
-// is submitted here.
-func (m *Member) Queue() *blockdev.Queue { return m.queue }
-
 // Stats returns a snapshot of the served-IO counters.
 func (m *Member) Stats() MemberIOStats { return m.stats }
 

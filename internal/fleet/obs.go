@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"powerfail/internal/obs"
-	"powerfail/internal/sim"
 )
 
 // fleetObs holds the Sim's observability handles; the zero value is the
@@ -17,18 +16,22 @@ type fleetObs struct {
 	active      *obs.Gauge
 	fgLat       *obs.Histogram
 	fgDegLat    *obs.Histogram
+
+	power    obs.Scope
+	cuts     *obs.Counter
+	restores *obs.Counter
 }
 
 // Observe attaches the fleet to an observability set: power edges per
-// tree node through the shared Schedule, slot state transitions and
-// rebuild windows under "fleet", and every member's block layer sharing
-// one "blockdev" scope (their latency samples merge into one fleet-wide
-// distribution). Call before Run; a nil set is a no-op.
+// tree node under "power", slot state transitions and rebuild windows
+// under "fleet", and every member's block layer sharing one "blockdev"
+// scope (their latency samples merge into one fleet-wide distribution).
+// Call before Run; a nil set is a no-op.
 func (f *Sim) Observe(set *obs.Set) {
 	if set == nil {
 		return
 	}
-	sc := set.Scope("fleet")
+	sc, power := set.Scope("fleet"), set.Scope("power")
 	f.obs = fleetObs{
 		sc:          sc,
 		transitions: sc.Counter("slot_transitions"),
@@ -37,8 +40,10 @@ func (f *Sim) Observe(set *obs.Set) {
 		active:      sc.Gauge("active_rebuilds"),
 		fgLat:       sc.Histogram("fg_latency_ns"),
 		fgDegLat:    sc.Histogram("fg_degraded_latency_ns"),
+		power:       power,
+		cuts:        power.Counter("cuts"),
+		restores:    power.Counter("restores"),
 	}
-	f.sched.Observe(set.Scope("power"), func() sim.Time { return f.k.Now() })
 	for _, m := range f.members {
 		m.queue.Observe(set.Scope("blockdev"))
 	}

@@ -133,7 +133,7 @@ func New(k *sim.Kernel, r *sim.RNG, prof Profile, psu *power.PSU) (*Disk, error)
 		available: true,
 	}
 	if psu != nil {
-		psu.Connect("hdd-"+prof.Name, prof.LoadOhms)
+		psu.Connect(prof.LoadOhms)
 		psu.NotifyBelow(prof.BrownoutVolts, d.onPowerLoss)
 		psu.NotifyAbove(prof.BrownoutVolts+0.25, d.onPowerGood)
 	}

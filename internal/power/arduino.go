@@ -42,29 +42,24 @@ const (
 )
 
 // Arduino models the UNO board (ATmega328) from the paper's hardware part.
-// Commands arrive over a serial link with a small latency (USB-serial
-// transfer plus firmware loop) before pin 13 changes level.
+// Commands arrive over a serial link and take effect SerialLatency later
+// (USB-serial transfer plus firmware loop), when pin 13 changes level.
 type Arduino struct {
-	k             *sim.Kernel
-	serialLatency sim.Duration
-	pin13         bool
-	wire          func(high bool)
-	commands      int
+	k        *sim.Kernel
+	pin13    bool
+	wire     func(high bool)
+	commands int
 }
 
-// NewArduino builds the board with the given serial+loop latency. The wire
-// callback is invoked whenever pin 13 changes level; wire it to
-// ATX.SetPin16 to complete the hardware chain.
-func NewArduino(k *sim.Kernel, serialLatency sim.Duration, wire func(high bool)) *Arduino {
-	if serialLatency < 0 {
-		serialLatency = 0
-	}
-	return &Arduino{k: k, serialLatency: serialLatency, wire: wire}
+// NewArduino builds the board. The wire callback is invoked whenever pin
+// 13 changes level; wire it to ATX.SetPin16 to complete the hardware chain.
+func NewArduino(k *sim.Kernel, wire func(high bool)) *Arduino {
+	return &Arduino{k: k, wire: wire}
 }
 
-// DefaultSerialLatency approximates one command byte at 115200 baud plus
-// the firmware polling loop.
-const DefaultSerialLatency = 200 * sim.Microsecond
+// SerialLatency approximates one command byte at 115200 baud plus the
+// firmware polling loop.
+const SerialLatency = 200 * sim.Microsecond
 
 // Pin13 reports the current output pin level.
 func (a *Arduino) Pin13() bool { return a.pin13 }
@@ -84,15 +79,13 @@ func (a *Arduino) Send(cmd byte) error {
 	default:
 		return fmt.Errorf("power: unknown arduino command %q", cmd)
 	}
-	a.k.After(a.serialLatency, func() {
+	a.k.After(SerialLatency, func() {
 		a.commands++
 		if a.pin13 == high {
 			return
 		}
 		a.pin13 = high
-		if a.wire != nil {
-			a.wire(high)
-		}
+		a.wire(high)
 	})
 	return nil
 }

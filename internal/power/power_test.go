@@ -40,7 +40,7 @@ func TestFig4Unloaded(t *testing.T) {
 // reaches near zero around 900 ms and crosses 4.5 V at about 40 ms.
 func TestFig4Loaded(t *testing.T) {
 	k, p := newPSU(t)
-	p.Connect("ssd", 60.5)
+	p.Connect(60.5)
 	p.PowerOff()
 	if v := p.VoltageAt(k.Now().Add(900 * sim.Millisecond)); v > 0.6 {
 		t.Fatalf("V(900ms) = %.3f, want < 0.6", v)
@@ -60,7 +60,7 @@ func TestLoadSpeedsDischarge(t *testing.T) {
 	p1.PowerOff()
 	k2 := sim.New()
 	p2, _ := New(k2, DefaultConfig())
-	p2.Connect("ssd", 60.5)
+	p2.Connect(60.5)
 	p2.PowerOff()
 	at := sim.Time(0).Add(300 * sim.Millisecond)
 	if p2.VoltageAt(at) >= p1.VoltageAt(at) {
@@ -70,7 +70,7 @@ func TestLoadSpeedsDischarge(t *testing.T) {
 
 func TestNotifyBelowFiresAtCrossing(t *testing.T) {
 	k, p := newPSU(t)
-	p.Connect("ssd", 60.5)
+	p.Connect(60.5)
 	var firedAt sim.Time
 	p.NotifyBelow(4.5, func() { firedAt = k.Now() })
 	p.PowerOff()
@@ -125,18 +125,6 @@ func TestNotifyAboveOnRestore(t *testing.T) {
 	}
 }
 
-func TestWatchCancel(t *testing.T) {
-	k, p := newPSU(t)
-	fired := false
-	w := p.NotifyBelow(4.5, func() { fired = true })
-	w.Cancel()
-	p.PowerOff()
-	k.Run()
-	if fired {
-		t.Fatal("cancelled watch fired")
-	}
-}
-
 func TestPowerOnRamp(t *testing.T) {
 	k, p := newPSU(t)
 	p.PowerOff()
@@ -150,20 +138,6 @@ func TestPowerOnRamp(t *testing.T) {
 	if v := p.VoltageAt(k.Now().Add(10 * sim.Millisecond)); v != 5 {
 		t.Fatalf("post-ramp voltage %g, want 5", v)
 	}
-}
-
-func TestLoadDisconnect(t *testing.T) {
-	k, p := newPSU(t)
-	l := p.Connect("ssd", 60.5)
-	tauLoaded := p.Tau()
-	l.SetConnected(false)
-	if p.Tau() <= tauLoaded {
-		t.Fatal("disconnecting load should slow the discharge")
-	}
-	if l.Connected() {
-		t.Fatal("load still connected")
-	}
-	_ = k
 }
 
 func TestCutsRestoresCounters(t *testing.T) {
@@ -181,7 +155,7 @@ func TestCutsRestoresCounters(t *testing.T) {
 // Property: the discharge curve is monotonically non-increasing.
 func TestQuickDischargeMonotonic(t *testing.T) {
 	k, p := newPSU(t)
-	p.Connect("ssd", 60.5)
+	p.Connect(60.5)
 	p.PowerOff()
 	f := func(aRaw, bRaw uint16) bool {
 		a, b := sim.Duration(aRaw)*sim.Millisecond/10, sim.Duration(bRaw)*sim.Millisecond/10
@@ -213,7 +187,7 @@ func TestArduinoCommands(t *testing.T) {
 	k := sim.New()
 	p, _ := New(k, DefaultConfig())
 	atx := NewATX(p)
-	ard := NewArduino(k, DefaultSerialLatency, atx.SetPin16)
+	ard := NewArduino(k, atx.SetPin16)
 
 	if err := ard.Send(CmdCut); err != nil {
 		t.Fatal(err)
@@ -242,7 +216,7 @@ func TestArduinoCommands(t *testing.T) {
 
 func TestArduinoUnknownCommand(t *testing.T) {
 	k := sim.New()
-	ard := NewArduino(k, 0, nil)
+	ard := NewArduino(k, nil)
 	if err := ard.Send('x'); err == nil {
 		t.Fatal("unknown command accepted")
 	}

@@ -61,47 +61,14 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Load is a device attached to the rail, modelled as an ohmic resistance.
-type Load struct {
-	psu       *PSU
-	name      string
-	ohms      float64
-	connected bool
-}
-
-// Name returns the label given at Connect time.
-func (l *Load) Name() string { return l.name }
-
-// Connected reports whether the load currently draws from the rail.
-func (l *Load) Connected() bool { return l.connected }
-
-// SetConnected attaches or detaches the load, re-planning watch crossings.
-func (l *Load) SetConnected(on bool) {
-	if l.connected == on {
-		return
-	}
-	l.connected = on
-	l.psu.replanAll()
-}
-
-// Watch is a persistent voltage-threshold trigger. It fires its callback
+// watch is a persistent voltage-threshold trigger. It fires its callback
 // every time the rail crosses its threshold in the watched direction
 // (downward for NotifyBelow, upward for NotifyAbove).
-type Watch struct {
-	psu       *PSU
+type watch struct {
 	threshold float64
 	below     bool // true: fire on downward crossing
 	fn        func()
 	timer     sim.Timer
-	wasBelow  bool
-	cancelled bool
-}
-
-// Cancel permanently disables the watch.
-func (w *Watch) Cancel() {
-	w.cancelled = true
-	w.timer.Stop()
-	w.timer = sim.Timer{}
 }
 
 // PSU models the independent ATX supply driving the device under test.
@@ -113,8 +80,8 @@ type PSU struct {
 	switchedAt sim.Time
 	vAtSwitch  float64 // rail voltage at the moment of the last switch
 
-	loads   []*Load
-	watches []*Watch
+	loads   []float64 // attached device resistances, ohms
+	watches []*watch
 
 	cuts     int
 	restores int
@@ -147,25 +114,21 @@ func (p *PSU) Cuts() int { return p.cuts }
 // Restores returns the number of power-on commands processed.
 func (p *PSU) Restores() int { return p.restores }
 
-// Connect attaches a named ohmic load to the rail.
-func (p *PSU) Connect(name string, ohms float64) *Load {
+// Connect attaches a device to the rail, modelled as an ohmic load.
+func (p *PSU) Connect(ohms float64) {
 	if ohms <= 0 {
 		panic("power: load resistance must be positive")
 	}
-	l := &Load{psu: p, name: name, ohms: ohms, connected: true}
-	p.loads = append(p.loads, l)
+	p.loads = append(p.loads, ohms)
 	p.replanAll()
-	return l
 }
 
 // Tau returns the current discharge time constant in seconds, accounting
-// for connected loads in parallel with the bleed resistance.
+// for the loads in parallel with the bleed resistance.
 func (p *PSU) Tau() float64 {
 	g := 1.0 / p.cfg.BleedOhms
-	for _, l := range p.loads {
-		if l.connected {
-			g += 1.0 / l.ohms
-		}
+	for _, ohms := range p.loads {
+		g += 1.0 / ohms
 	}
 	return p.cfg.Capacitance / g
 }
@@ -224,27 +187,22 @@ func (p *PSU) Voltage() float64 { return p.VoltageAt(p.k.Now()) }
 // NotifyBelow registers fn to run whenever the rail crosses v downward.
 // If the rail is already below v the watch arms for the next crossing
 // (after a power-on takes it back above).
-func (p *PSU) NotifyBelow(v float64, fn func()) *Watch {
-	w := &Watch{psu: p, threshold: v, below: true, fn: fn}
-	w.wasBelow = p.Voltage() < v
-	p.watches = append(p.watches, w)
-	p.replan(w)
-	return w
+func (p *PSU) NotifyBelow(v float64, fn func()) {
+	p.addWatch(&watch{threshold: v, below: true, fn: fn})
 }
 
 // NotifyAbove registers fn to run whenever the rail crosses v upward.
-func (p *PSU) NotifyAbove(v float64, fn func()) *Watch {
-	w := &Watch{psu: p, threshold: v, below: false, fn: fn}
-	w.wasBelow = p.Voltage() < v
+func (p *PSU) NotifyAbove(v float64, fn func()) { p.addWatch(&watch{threshold: v, fn: fn}) }
+
+func (p *PSU) addWatch(w *watch) {
 	p.watches = append(p.watches, w)
 	p.replan(w)
-	return w
 }
 
 // crossingDelay returns the time from now until the rail crosses w's
 // threshold in w's direction, or ok=false if it never will in the current
 // phase.
-func (p *PSU) crossingDelay(w *Watch) (sim.Duration, bool) {
+func (p *PSU) crossingDelay(w *watch) (sim.Duration, bool) {
 	now := p.k.Now()
 	v := p.VoltageAt(now)
 	if w.below {
@@ -261,16 +219,10 @@ func (p *PSU) crossingDelay(w *Watch) (sim.Duration, bool) {
 		}
 		rise := p.cfg.RiseTime.Seconds()
 		frac := (w.threshold - v) / (p.cfg.VNominal - v)
-		return sim.Seconds(rise * frac * (1 - p.switchProgress())), true
+		return sim.Seconds(rise * frac), true
 	}
 	return 0, false
 }
-
-// switchProgress returns how far through the rise ramp we already are; the
-// crossing math in crossingDelay works from the *current* voltage, so no
-// additional progress correction is needed. Kept as a named helper for
-// clarity and future non-linear ramps.
-func (p *PSU) switchProgress() float64 { return 0 }
 
 func (p *PSU) replanAll() {
 	for _, w := range p.watches {
@@ -278,26 +230,15 @@ func (p *PSU) replanAll() {
 	}
 }
 
-func (p *PSU) replan(w *Watch) {
-	if w.cancelled {
-		return
-	}
+func (p *PSU) replan(w *watch) {
 	w.timer.Stop()
 	w.timer = sim.Timer{}
-	v := p.Voltage()
-	isBelow := v < w.threshold
-	// Detect a crossing that logically happened at the state change itself.
-	w.wasBelow = isBelow
 	d, ok := p.crossingDelay(w)
 	if !ok {
 		return
 	}
 	w.timer = p.k.After(d, func() {
-		if w.cancelled {
-			return
-		}
 		w.timer = sim.Timer{}
-		w.wasBelow = w.below
 		w.fn()
 	})
 }

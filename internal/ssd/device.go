@@ -190,7 +190,7 @@ func New(k *sim.Kernel, r *sim.RNG, prof Profile, psu *power.PSU) (*Device, erro
 	d.opsCap = (prof.FlushBatchPages + prof.Channels - 1) / prof.Channels
 	d.flushTickFn, d.journalTickFn = d.flushTick, d.journalTick
 	if psu != nil {
-		psu.Connect("ssd-"+prof.Name, prof.LoadOhms)
+		psu.Connect(prof.LoadOhms)
 		psu.NotifyBelow(prof.BrownoutVolts, d.onBrownout)
 		psu.NotifyBelow(prof.DieVolts, d.onDie)
 		psu.NotifyAbove(prof.BrownoutVolts+0.25, d.onPowerGood)

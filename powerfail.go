@@ -60,9 +60,9 @@
 // machines, where a cut targets any tree node and propagates to every
 // drive beneath it. Rebuild traffic flows through each member's ordinary
 // block layer, and reports gain availability/durability "nines" computed
-// from the simulated up/degraded/down intervals. The classic single-PSU
-// platform is the degenerate one-node tree, byte-identical by
-// construction.
+// from the simulated up/degraded/down intervals. The tree owns the
+// per-level cut counts; the single rig does not use it, since its fault
+// scheduler drives the Arduino directly.
 //
 // The Experiments catalog reproduces every figure of the paper's
 // evaluation, plus the "array", "erasure", "cache" and "fleet" figures
