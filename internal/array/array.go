@@ -575,12 +575,14 @@ func (a *Array) submitFlush(done func(error, content.Data)) {
 	}
 }
 
-// Attribute maps an LPN range to the member indices that hold (or held)
-// the affected data: the striped members for RAID-0, every mirror for
-// RAID-1 (a divergent mirror cannot be singled out without a scrub), the
-// data plus parity members of the touched stripes for the parity levels,
-// and for the Cached level the cache SSD for pages with a resident line
-// (dirty lines live nowhere else) or the backing drive for uncached pages.
+// Attribute appends to dst the member indices that hold (or held) the
+// data of an LPN range and returns the extended slice: the striped
+// members for RAID-0, every mirror for RAID-1 (a divergent mirror cannot
+// be singled out without a scrub), the data plus parity members of the
+// touched stripes for the parity levels, and for the Cached level the
+// cache SSD for pages with a resident line (dirty lines live nowhere
+// else) or the backing drive for uncached pages. A caller that reuses dst
+// attributes without allocating.
 //
 // A parity-level range touched while more members are down than the code
 // tolerates (more than k erasures: two members for RAID-5's single
@@ -589,28 +591,28 @@ func (a *Array) submitFlush(done func(error, content.Data)) {
 // attribution is then the set of down members (the joint casualties), not
 // the single-failure data+parity set, and the loss is counted in
 // Stats.RedundancyExceededLosses.
-func (a *Array) Attribute(lpn addr.LPN, pages int) []int {
+func (a *Array) Attribute(dst []int, lpn addr.LPN, pages int) []int {
+	base := len(dst)
 	if kp := a.parityCount(); kp > 0 {
-		var down []int
 		for i, u := range a.up {
 			if !u {
-				down = append(down, i)
+				dst = append(dst, i)
 			}
 		}
-		if len(down) > kp {
+		if len(dst)-base > kp {
 			a.stats.RedundancyExceededLosses++
 			a.tele.redundancyExceeded.Inc()
 			a.tele.sc.Instant(a.k.Now(), obs.KindInstant, "redundancy_exceeded_loss", int64(lpn))
-			return down
+			return dst
 		}
+		dst = dst[:base]
 	}
 	switch a.cfg.Level {
 	case RAID1:
-		out := make([]int, len(a.members))
-		for i := range out {
-			out[i] = i
+		for i := range a.members {
+			dst = append(dst, i)
 		}
-		return out
+		return dst
 	case Cached:
 		var set [2]bool
 		for i := 0; i < pages; i++ {
@@ -620,21 +622,19 @@ func (a *Array) Attribute(lpn addr.LPN, pages int) []int {
 				set[1] = true
 			}
 		}
-		var out []int
 		for i, on := range set {
 			if on {
-				out = append(out, i)
+				dst = append(dst, i)
 			}
 		}
-		return out
+		return dst
 	}
 	// Members in first-seen order; at most 255 of them (Validate).
 	var seen [4]uint64
-	var out []int
 	add := func(m int) {
 		if bit := uint64(1) << (m & 63); seen[m>>6]&bit == 0 {
 			seen[m>>6] |= bit
-			out = append(out, m)
+			dst = append(dst, m)
 		}
 	}
 	kp := a.parityCount()
@@ -646,7 +646,7 @@ func (a *Array) Attribute(lpn addr.LPN, pages int) []int {
 		}
 		off += cr.n
 	}
-	return out
+	return dst
 }
 
 // chunkRange maps a contiguous page run of a host request onto one member.

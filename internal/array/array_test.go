@@ -261,17 +261,17 @@ func TestArrayFaultRecovery(t *testing.T) {
 func TestAttribute(t *testing.T) {
 	r := newRig(t, raidConfig(RAID5, 3))
 	sp := r.arr.Config().StripePages
-	got := r.arr.Attribute(0, 1)
+	got := r.arr.Attribute(nil, 0, 1)
 	if len(got) != 2 {
 		t.Fatalf("raid5 attribution %v, want data+parity", got)
 	}
-	got = r.arr.Attribute(0, 2*sp) // full stripe: both data members + parity
+	got = r.arr.Attribute(nil, 0, 2*sp) // full stripe: both data members + parity
 	if len(got) != 3 {
 		t.Fatalf("raid5 full-stripe attribution %v", got)
 	}
 
 	m := newRig(t, raidConfig(RAID1, 3))
-	if got := m.arr.Attribute(7, 2); len(got) != 3 {
+	if got := m.arr.Attribute(nil, 7, 2); len(got) != 3 {
 		t.Fatalf("raid1 attribution %v, want all mirrors", got)
 	}
 }
@@ -285,7 +285,7 @@ func TestAttributeDoubleMemberFailure(t *testing.T) {
 
 	// One member down: still the ordinary data+parity attribution, no loss.
 	r.arr.onMemberDown(2)
-	got := r.arr.Attribute(0, 1)
+	got := r.arr.Attribute(nil, 0, 1)
 	if len(got) != 2 {
 		t.Fatalf("single-failure attribution %v, want data+parity", got)
 	}
@@ -295,7 +295,7 @@ func TestAttributeDoubleMemberFailure(t *testing.T) {
 
 	// Second member down: every touched stripe is unrecoverable.
 	r.arr.onMemberDown(0)
-	got = r.arr.Attribute(0, 1)
+	got = r.arr.Attribute(nil, 0, 1)
 	if len(got) != 2 || got[0] != 0 || got[1] != 2 {
 		t.Fatalf("double-failure attribution %v, want the down members [0 2]", got)
 	}
@@ -305,14 +305,14 @@ func TestAttributeDoubleMemberFailure(t *testing.T) {
 
 	// Three down: all three casualties are attributed.
 	r.arr.onMemberDown(3)
-	if got = r.arr.Attribute(0, 1); len(got) != 3 {
+	if got = r.arr.Attribute(nil, 0, 1); len(got) != 3 {
 		t.Fatalf("triple-failure attribution %v, want 3 down members", got)
 	}
 
 	// Recovery drops back to the single-failure path.
 	r.arr.onMemberReady(0)
 	r.arr.onMemberReady(3)
-	if got = r.arr.Attribute(0, 1); len(got) != 2 {
+	if got = r.arr.Attribute(nil, 0, 1); len(got) != 2 {
 		t.Fatalf("post-recovery attribution %v, want data+parity", got)
 	}
 	if n := r.arr.Stats().RedundancyExceededLosses; n != 2 {

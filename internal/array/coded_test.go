@@ -128,7 +128,12 @@ func TestAttributeMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		requestShapes(a, func(lpn addr.LPN, pages int) {
-			got, want := a.Attribute(lpn, pages), a.refAttribute(lpn, pages)
+			// Attribute appends: a prefix in dst must survive untouched.
+			got, want := a.Attribute([]int{-1}, lpn, pages), a.refAttribute(lpn, pages)
+			if got[0] != -1 {
+				t.Fatalf("%s: Attribute(%d, %d) overwrote dst's prefix: %v", a.Name(), lpn, pages, got)
+			}
+			got = got[1:]
 			if len(got) != len(want) {
 				t.Fatalf("%s: Attribute(%d, %d) = %v, want %v", a.Name(), lpn, pages, got, want)
 			}

@@ -147,7 +147,7 @@ func TestAttributeRedundancyExceeded(t *testing.T) {
 		for _, m := range order[:kp] {
 			r.arr.onMemberDown(m)
 		}
-		got := r.arr.Attribute(0, 1)
+		got := r.arr.Attribute(nil, 0, 1)
 		if len(got) != 1+kp {
 			t.Fatalf("%v: %d-failure attribution %v, want data+%d parity", cfg.Level, kp, got, kp)
 		}
@@ -160,7 +160,7 @@ func TestAttributeRedundancyExceeded(t *testing.T) {
 		r.arr.onMemberDown(order[kp])
 		want := append([]int(nil), order[:kp+1]...)
 		slices.Sort(want)
-		if got = r.arr.Attribute(0, 1); !slices.Equal(got, want) {
+		if got = r.arr.Attribute(nil, 0, 1); !slices.Equal(got, want) {
 			t.Fatalf("%v: k+1-failure attribution %v, want the down members %v", cfg.Level, got, want)
 		}
 		if n := r.arr.Stats().RedundancyExceededLosses; n != 1 {
@@ -169,7 +169,7 @@ func TestAttributeRedundancyExceeded(t *testing.T) {
 
 		// Recovery drops back below the threshold.
 		r.arr.onMemberReady(order[kp])
-		if got = r.arr.Attribute(0, 1); len(got) != 1+kp {
+		if got = r.arr.Attribute(nil, 0, 1); len(got) != 1+kp {
 			t.Fatalf("%v: post-recovery attribution %v, want data+%d parity", cfg.Level, got, kp)
 		}
 		if n := r.arr.Stats().RedundancyExceededLosses; n != 1 {

@@ -53,8 +53,8 @@ const (
 )
 
 // String implements fmt.Stringer. The three operations return constant
-// strings, so naming a request's direction (the obs blkio span fold does
-// it once per request) allocates nothing.
+// strings, so naming a request's direction (the host queue's blkio span
+// flush does it once per request) allocates nothing.
 func (o OpKind) String() string {
 	switch o {
 	case OpRead:

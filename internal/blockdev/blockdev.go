@@ -2,9 +2,10 @@
 // system block layer between the paper's IO generator and the SSD. It
 // splits large requests into sub-requests at a segment limit, dispatches
 // them to the device under a bounded queue depth, records blktrace events
-// for every state transition, aggregates sub-request completions, and
-// enforces the 30 second request timeout the paper's analyzer uses to
-// declare delayed requests incomplete.
+// for every state transition when given a tracer, keeps blkio spans of
+// completed requests when asked (RecordSpans), aggregates sub-request
+// completions, and enforces the 30 second request timeout the paper's
+// analyzer uses to declare delayed requests incomplete.
 //
 // The queue is on the per-IO hot path of every experiment, so it is
 // allocation-free in steady state: sub-requests are inline values in the
@@ -152,8 +153,7 @@ type subCall struct {
 // cannot serve a command (unavailable, dead mid-operation) answers it
 // with an error. The queue frees a Depth slot only when done runs: the
 // request timeout finishes the host request but keeps the slot, so a
-// command never answered holds its slot for good. hdd.Disk does not keep
-// this contract yet: a power cut can leave a queued write unanswered.
+// command never answered holds its slot for good.
 type Device interface {
 	Submit(op Op, lpn addr.LPN, pages int, data content.Data, done func(err error, result content.Data))
 }
@@ -227,6 +227,7 @@ type Queue struct {
 	inflight int
 	stats    Stats
 	obs      queueObs
+	spans    *spanLog // nil unless RecordSpans was called
 
 	pools *Pools
 }
@@ -460,6 +461,9 @@ func (q *Queue) onSubDone(r *Request, idx int, gen uint32, err error, result con
 		return
 	}
 	r.timeout.Stop()
+	if r.Err == nil && q.spans != nil {
+		q.spans.add(r, q.k.Now())
+	}
 	if r.Op == OpRead && r.Err == nil {
 		if len(r.subs) == 1 {
 			// Unsplit read: the device's payload is the result. Data is

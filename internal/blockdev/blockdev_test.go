@@ -7,6 +7,7 @@ import (
 	"powerfail/internal/addr"
 	"powerfail/internal/blktrace"
 	"powerfail/internal/content"
+	"powerfail/internal/obs"
 	"powerfail/internal/sim"
 )
 
@@ -357,6 +358,49 @@ func (d *chaosDevice) Submit(op Op, _ addr.LPN, pages int, _ content.Data, done 
 	})
 }
 
+// chaosRun builds one seeded chaos shape: a queue with a random
+// config over a chaosDevice, recording into a fresh tracer, with 200
+// random requests and three power cuts scheduled on k. done sees every
+// request's completion. The caller runs k.
+func chaosRun(seed uint64, done func(*Request)) (k *sim.Kernel, rng *sim.RNG, q *Queue, dev *chaosDevice, tr *blktrace.Tracer) {
+	rng = sim.NewRNG(seed)
+	k = sim.New()
+	cfg := Config{
+		MaxSegPages: rng.IntRange(1, 8),
+		Depth:       rng.IntRange(1, 4),
+		PendingCap:  rng.IntRange(4, 32),
+		Timeout:     sim.Duration(rng.IntRange(1, 5)) * sim.Millisecond,
+	}
+	dev = &chaosDevice{k: k, rng: rng.Fork("dev"), timeout: cfg.Timeout, on: true}
+	tr = blktrace.NewTracer()
+	q, err := New(k, dev, tr, cfg)
+	if err != nil {
+		panic(err)
+	}
+	for i := 0; i < 200; i++ {
+		at := rng.DurationRange(0, 200*sim.Millisecond)
+		k.After(at, func() {
+			req := q.NewRequest()
+			req.Op = Op(rng.Intn(3))
+			if req.Op != OpFlush {
+				req.LPN = addr.LPN(rng.Intn(1000))
+				req.Pages = rng.IntRange(1, 20)
+			}
+			if req.Op == OpWrite {
+				req.Data = content.Zeroes(req.Pages)
+			}
+			req.Done = done
+			q.Submit(req)
+		})
+	}
+	for c := 0; c < 3; c++ {
+		cut := rng.DurationRange(0, 200*sim.Millisecond)
+		k.After(cut, func() { dev.on = false; dev.epoch++ })
+		k.After(cut+rng.DurationRange(sim.Millisecond, 5*sim.Millisecond), func() { dev.on = true })
+	}
+	return k, rng, q, dev, tr
+}
+
 // TestCompletionMatchesTraceAssembly cross-checks the block layer's two
 // views of the paper's "completed" flag over seeded random request
 // shapes: the request's own outcome (a nil Err) and the btt-style
@@ -366,47 +410,13 @@ func (d *chaosDevice) Submit(op Op, _ addr.LPN, pages int, _ content.Data, done 
 func TestCompletionMatchesTraceAssembly(t *testing.T) {
 	var reqs, completed, rejects, timeouts, splits, errs, late, dropped int
 	for seed := uint64(1); seed <= 40; seed++ {
-		rng := sim.NewRNG(seed)
-		k := sim.New()
-		cfg := Config{
-			MaxSegPages: rng.IntRange(1, 8),
-			Depth:       rng.IntRange(1, 4),
-			PendingCap:  rng.IntRange(4, 32),
-			Timeout:     sim.Duration(rng.IntRange(1, 5)) * sim.Millisecond,
-		}
-		dev := &chaosDevice{k: k, rng: rng.Fork("dev"), timeout: cfg.Timeout, on: true}
-		tr := blktrace.NewTracer()
-		q, err := New(k, dev, tr, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
 		outcome := map[uint64]bool{} // request id -> Err == nil
-		for i := 0; i < 200; i++ {
-			at := rng.DurationRange(0, 200*sim.Millisecond)
-			k.After(at, func() {
-				req := q.NewRequest()
-				req.Op = Op(rng.Intn(3))
-				if req.Op != OpFlush {
-					req.LPN = addr.LPN(rng.Intn(1000))
-					req.Pages = rng.IntRange(1, 20)
-				}
-				if req.Op == OpWrite {
-					req.Data = content.Zeroes(req.Pages)
-				}
-				req.Done = func(r *Request) {
-					if _, dup := outcome[r.ID]; dup {
-						t.Errorf("seed %d: request %d completed twice", seed, r.ID)
-					}
-					outcome[r.ID] = r.Err == nil
-				}
-				q.Submit(req)
-			})
-		}
-		for c := 0; c < 3; c++ {
-			cut := rng.DurationRange(0, 200*sim.Millisecond)
-			k.After(cut, func() { dev.on = false; dev.epoch++ })
-			k.After(cut+rng.DurationRange(sim.Millisecond, 5*sim.Millisecond), func() { dev.on = true })
-		}
+		k, _, q, dev, tr := chaosRun(seed, func(r *Request) {
+			if _, dup := outcome[r.ID]; dup {
+				t.Errorf("seed %d: request %d completed twice", seed, r.ID)
+			}
+			outcome[r.ID] = r.Err == nil
+		})
 		k.Run()
 
 		ios := blktrace.Assemble(tr.Events())
@@ -439,6 +449,68 @@ func TestCompletionMatchesTraceAssembly(t *testing.T) {
 		if n == 0 {
 			t.Errorf("no %s exercised", name)
 		}
+	}
+}
+
+// TestBlockIOSpansMatchAssembly pins the queue's own blkio spans to what
+// blktrace.Assemble makes of the same queue's events: on the chaos shapes
+// above, flushed at random instants (plus once at the end), each flush
+// must emit exactly the Complete IOs of the events since the previous
+// flush, in the same order and with the same start, duration, name and
+// value. A request whose events straddle a flush is dropped by both.
+func TestBlockIOSpansMatchAssembly(t *testing.T) {
+	var spans, straddled, flushes int
+	for seed := uint64(1); seed <= 40; seed++ {
+		k, rng, q, _, tr := chaosRun(seed, func(*Request) {})
+		q.RecordSpans()
+		set := obs.NewSet(obs.Config{Trace: true, TraceCap: 1 << 12})
+		sc := set.Scope("blk")
+		flush := func() {
+			var want []obs.Event
+			for _, io := range blktrace.Assemble(tr.Events()) {
+				if io.Complete() {
+					want = append(want, obs.Event{At: io.QueueAt, Dur: io.Q2C(), Kind: obs.KindBlockIO, Comp: "blk", Name: io.Op.String(), Value: int64(io.Req)})
+				} else if io.Subs == 0 && !io.Rejected {
+					straddled++ // queued before the previous flush
+				}
+			}
+			tr.Reset()
+			before := set.Trace().Len()
+			q.FlushSpans(sc)
+			got := set.TraceEvents()[before:]
+			if len(got) != len(want) {
+				t.Fatalf("seed %d, flush at %v: %d spans, Assemble gives %d", seed, k.Now(), len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("seed %d, flush at %v, span %d: got %+v, want %+v", seed, k.Now(), i, got[i], want[i])
+				}
+			}
+			spans += len(got)
+			flushes++
+		}
+		for f := 0; f < 4; f++ {
+			k.After(rng.DurationRange(0, 220*sim.Millisecond), flush)
+		}
+		k.Run()
+		flush()
+	}
+	t.Logf("%d spans over %d flushes; %d requests straddled a flush", spans, flushes, straddled)
+	if spans == 0 || straddled == 0 {
+		t.Errorf("spans %d, straddling requests %d: both must be exercised", spans, straddled)
+	}
+}
+
+// TestSpansOffByDefault: a queue that was never asked to record spans
+// keeps no span state and flushes nothing.
+func TestSpansOffByDefault(t *testing.T) {
+	k, _, q, _ := harness(t, DefaultConfig())
+	q.Submit(request(q, Request{Op: OpWrite, Pages: 1, Data: content.Zeroes(1), Done: func(*Request) {}}))
+	k.Run()
+	set := obs.NewSet(obs.Config{Trace: true})
+	q.FlushSpans(set.Scope("blk"))
+	if q.spans != nil || set.Trace().Len() != 0 {
+		t.Fatalf("span state %v, %d events flushed; want none", q.spans, set.Trace().Len())
 	}
 }
 

@@ -1,7 +1,12 @@
 package blockdev
 
 import (
+	"cmp"
+	"slices"
+
+	"powerfail/internal/blktrace"
 	"powerfail/internal/obs"
+	"powerfail/internal/sim"
 )
 
 // queueObs holds one Queue's observability handles. The zero value is
@@ -90,3 +95,55 @@ func (q *Queue) obsDone(r *Request) {
 		o.q2cFlush.Observe(d)
 	}
 }
+
+// spanLog holds the queue-to-complete interval of every request
+// submitted since the last flush whose every sub-request completed
+// without error: the requests blktrace.Assemble would call Complete over
+// the events of the same window. Its buffer is reused across flushes.
+type spanLog struct {
+	since uint64 // requests with an ID up to this were submitted before the last flush
+	recs  []blkSpan
+}
+
+type blkSpan struct {
+	id    uint64
+	start sim.Time
+	dur   sim.Duration
+	op    blktrace.OpKind
+}
+
+func (l *spanLog) add(r *Request, now sim.Time) {
+	if r.ID > l.since {
+		l.recs = append(l.recs, blkSpan{id: r.ID, start: r.Queued, dur: now.Sub(r.Queued), op: r.Op.traceKind()})
+	}
+}
+
+// RecordSpans makes the queue keep a blkio span for every request
+// submitted from now on that completes without error, until FlushSpans
+// hands it on. A queue nobody flushes must not record: it keeps every
+// span.
+func (q *Queue) RecordSpans() {
+	if q.spans == nil {
+		q.spans = &spanLog{since: q.nextID}
+	}
+}
+
+// FlushSpans records the kept spans into sc as KindBlockIO spans named
+// by the request direction ("R", "W", "F") with the request ID as value,
+// in request-ID order, and starts a new window: a request submitted
+// before this call records no span, even if it completes later. A queue
+// without RecordSpans records nothing.
+func (q *Queue) FlushSpans(sc obs.Scope) {
+	l := q.spans
+	if l == nil {
+		return
+	}
+	slices.SortFunc(l.recs, cmpSpanID) // completion order differs from submission order
+	for _, s := range l.recs {
+		sc.Span(s.start, s.dur, obs.KindBlockIO, s.op.String(), int64(s.id))
+	}
+	l.recs = l.recs[:0]
+	l.since = q.nextID
+}
+
+func cmpSpanID(a, b blkSpan) int { return cmp.Compare(a.id, b.id) }

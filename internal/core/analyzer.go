@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"powerfail/internal/addr"
 	"powerfail/internal/blockdev"
 	"powerfail/internal/content"
@@ -21,14 +23,17 @@ type Analyzer struct {
 	shadow  addr.Table[content.Fingerprint]
 	pending []*Packet // completed or errored, awaiting verification
 	recent  []*Packet // verified clean, rechecked while young
+	cands   []*Packet // VerifyCandidates' result, reused every fault cycle
 
 	recheckWindow sim.Duration
 	counts        Counters
 	perFault      []FaultOutcome
 
-	// attribute maps a failed packet's LPN range to the member indices of
-	// a composite device; nil on single-device platforms.
-	attribute   func(lpn addr.LPN, pages int) []int
+	// attribute appends to dst the member indices of a composite device
+	// that a failed packet's LPN range maps to; nil on single-device
+	// platforms. members is the scratch it appends into.
+	attribute   func(dst []int, lpn addr.LPN, pages int) []int
+	members     []int
 	memberFails []MemberFailureCounts
 
 	// pktFree recycles packets whose verification story has ended (failed
@@ -71,8 +76,8 @@ func (a *Analyzer) Counters() Counters { return a.counts }
 
 // SetAttribution installs a composite-device failure attributor over n
 // members: every failure classified from here on is also charged to the
-// members fn maps the packet's address range to.
-func (a *Analyzer) SetAttribution(n int, fn func(lpn addr.LPN, pages int) []int) {
+// members fn appends for the packet's address range.
+func (a *Analyzer) SetAttribution(n int, fn func(dst []int, lpn addr.LPN, pages int) []int) {
 	a.attribute = fn
 	a.memberFails = make([]MemberFailureCounts, n)
 }
@@ -92,7 +97,8 @@ func (a *Analyzer) chargeMembers(pkt *Packet, kind FailureKind) {
 	if a.attribute == nil {
 		return
 	}
-	for _, m := range a.attribute(pkt.LPN, pkt.Pages) {
+	a.members = a.attribute(a.members[:0], pkt.LPN, pkt.Pages)
+	for _, m := range a.members {
 		if m < 0 || m >= len(a.memberFails) {
 			continue
 		}
@@ -151,7 +157,7 @@ func (a *Analyzer) OnIssue(req *blockdev.Request) *Packet {
 		pkt.Op = workload.OpWrite
 		a.counts.Writes++
 		pkt.Want = req.Data
-		prev := pkt.Prev[:0]
+		prev := slices.Grow(pkt.Prev[:0], req.Pages)
 		for i := 0; i < req.Pages; i++ {
 			fp := a.shadow.Ref(req.LPN + addr.LPN(i))
 			prev = append(prev, *fp)
@@ -194,10 +200,10 @@ func (a *Analyzer) OnComplete(pkt *Packet, req *blockdev.Request) {
 // VerifyCandidates returns the packets to verify after a fault: all
 // unverified packets plus recently verified ones (recheck catches paired-
 // page corruption of previously written data). The pending and recent
-// sets are rebuilt by the Classify calls that follow.
+// sets are rebuilt by the Classify calls that follow. The returned slice
+// is the analyzer's and is reused by the next call.
 func (a *Analyzer) VerifyCandidates(now sim.Time) []*Packet {
-	var out []*Packet
-	out = append(out, a.pending...)
+	out := append(a.cands[:0], a.pending...)
 	a.pending = a.pending[:0]
 	for _, pkt := range a.recent {
 		if now.Sub(pkt.CompleteTime) <= a.recheckWindow && pkt.FailedAs == FailNone {
@@ -209,6 +215,7 @@ func (a *Analyzer) VerifyCandidates(now sim.Time) []*Packet {
 		}
 	}
 	a.recent = a.recent[:0]
+	a.cands = out
 	return out
 }
 
@@ -302,7 +309,7 @@ func (a *Analyzer) classify(pkt *Packet, obs content.Data) FailureKind {
 	if matchesNewest {
 		return FailNone
 	}
-	if obs.Equal(pkt.prevData()) {
+	if pkt.prevEqual(obs) {
 		return FailFWA
 	}
 	return FailData

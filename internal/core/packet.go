@@ -92,9 +92,17 @@ type Packet struct {
 // IsRead reports whether the packet is a read request.
 func (p *Packet) IsRead() bool { return p.Op == workload.OpRead }
 
-// prevData assembles the initial content as a Data vector.
-func (p *Packet) prevData() content.Data {
-	return content.Gather(p.Pages, func(i int) content.Fingerprint { return p.Prev[i] })
+// prevEqual reports whether d holds the packet's initial content.
+func (p *Packet) prevEqual(d content.Data) bool {
+	if d.Pages() != p.Pages {
+		return false
+	}
+	for i := 0; i < p.Pages; i++ {
+		if d.Page(i) != p.Prev[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // Counters aggregates the analyzer's findings.

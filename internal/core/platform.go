@@ -141,9 +141,12 @@ type Platform struct {
 	HDD     *hdd.Disk    // single-HDD topology
 	Array   *array.Array // array topology
 	Host    *blockdev.Queue
-	Tracer  *blktrace.Tracer // nil unless obs tracing is on
-	Sched   *FaultScheduler
-	Obs     *obs.Set // nil unless Options.Obs enabled something
+	// Tracer is nil after NewPlatform: the host queue keeps the blkio
+	// spans itself (Queue.RecordSpans). Code that rebuilds Host over a
+	// wrapped device passes it on to blockdev.New.
+	Tracer *blktrace.Tracer
+	Sched  *FaultScheduler
+	Obs    *obs.Set // nil unless Options.Obs enabled something
 }
 
 // NewPlatform builds and wires a complete test platform.
@@ -195,12 +198,7 @@ func NewPlatform(opts Options) (*Platform, error) {
 		return nil, fmt.Errorf("core: unknown topology kind %d", int(opts.Topology.Kind))
 	}
 
-	if p.ObsScope("blk").TracingOn() {
-		// Block-layer events feed only the obs blkio spans; packet
-		// completion comes from the requests themselves.
-		p.Tracer = blktrace.NewTracer()
-	}
-	host, err := blockdev.New(k, p.Dev, p.Tracer, opts.Host)
+	host, err := blockdev.New(k, p.Dev, nil, opts.Host)
 	if err != nil {
 		return nil, fmt.Errorf("core: host: %w", err)
 	}

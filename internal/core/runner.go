@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"powerfail/internal/addr"
-	"powerfail/internal/blktrace"
 	"powerfail/internal/blockdev"
 	"powerfail/internal/content"
 	"powerfail/internal/hdd"
@@ -57,8 +56,13 @@ type Runner struct {
 	// Per-IO bookkeeping free lists (experiments are single-threaded).
 	recFree pool.FreeList[issueRec]
 	ctlFree pool.FreeList[ctlRec]
-	// thinkFn is the closed loop's post-think-time reissue, bound once.
-	thinkFn func()
+	// thinkFn is the closed loop's post-think-time reissue, and fireCutFn
+	// and restoreFn the fault cycle's timer callbacks, all bound once.
+	thinkFn   func()
+	fireCutFn func()
+	restoreFn func()
+	// blk is the obs scope the host queue's blkio spans are flushed into.
+	blk obs.Scope
 
 	analyzer *Analyzer
 	rng      *sim.RNG
@@ -73,9 +77,13 @@ type Runner struct {
 	faultsDone          int
 	faultIdx            int
 
-	// verifyQueue marks a verification pass in progress (nil otherwise);
-	// both it and the recovery pass run through controlPump.
-	verifyQueue []*Packet
+	// verifyQueue marks a verification pass in progress (nil otherwise)
+	// and recoveryReads holds the recovery pass's pages; both passes run
+	// through a controlPump built once per runner.
+	verifyQueue   []*Packet
+	recoveryReads []addr.LPN
+	verifyPump    *controlPump
+	recoveryPump  *controlPump
 
 	activeSince  sim.Time
 	activeTotal  sim.Duration
@@ -104,8 +112,13 @@ func NewRunner(p *Platform, spec ExperimentSpec) (*Runner, error) {
 		spec:     spec,
 		analyzer: NewAnalyzer(p.K, recheckWindow),
 		rng:      p.RNG.Fork("runner"),
+		blk:      p.ObsScope("blk"),
 	}
 	r.thinkFn = r.reissue
+	r.fireCutFn = r.fireCut
+	r.restoreFn = r.restore
+	r.verifyPump = r.newControlPump(r.verifyOne, r.finishVerification)
+	r.recoveryPump = r.newControlPump(r.recoverOne, r.finishRecovery)
 	src, err := newSource(kind, p, spec)
 	if err != nil {
 		return nil, err
@@ -116,6 +129,11 @@ func NewRunner(p *Platform, spec ExperimentSpec) (*Runner, error) {
 	}
 	if p.Array != nil {
 		r.analyzer.SetAttribution(len(p.Array.Members()), p.Array.Attribute)
+	}
+	if r.blk.TracingOn() {
+		// Only a runner flushes the spans, so only a runner asks for
+		// them, on whatever queue the platform ends up with.
+		p.Host.RecordSpans()
 	}
 	return r, nil
 }
@@ -350,12 +368,12 @@ func (r *Runner) reissue() {
 func (r *Runner) armFault() {
 	if r.spec.WindowMode {
 		r.ph = phasePaused
-		r.p.K.After(r.spec.PostACKDelay, r.fireCut)
+		r.p.K.After(r.spec.PostACKDelay, r.fireCutFn)
 		return
 	}
 	r.ph = phaseArming
 	delay := r.rng.DurationRange(0, 5*sim.Millisecond)
-	r.p.K.After(delay, r.fireCut)
+	r.p.K.After(delay, r.fireCutFn)
 	r.fillClosedLoop()
 }
 
@@ -377,13 +395,15 @@ func (r *Runner) onRailFloor() {
 	if r.ph != phaseFaulting {
 		return
 	}
-	r.p.K.After(settleAfterOff, func() {
-		if r.ph != phaseFaulting {
-			return
-		}
-		r.ph = phaseRestored
-		r.p.Sched.Restore()
-	})
+	r.p.K.After(settleAfterOff, r.restoreFn)
+}
+
+func (r *Runner) restore() {
+	if r.ph != phaseFaulting {
+		return
+	}
+	r.ph = phaseRestored
+	r.p.Sched.Restore()
 }
 
 func (r *Runner) onDeviceReady() {
@@ -398,20 +418,12 @@ func (r *Runner) maybeStartVerify() {
 	if r.ph != phaseVerify || r.outstanding > 0 || r.verifyQueue != nil {
 		return
 	}
-	// Fold the fault cycle's block IOs into the obs trace as
+	// Hand the fault cycle's completed block IOs to the obs trace as
 	// queue-to-complete spans, so block and obs traces share one clock and
-	// one export, then reset the stream to bound memory.
-	if t := r.p.Tracer; t != nil {
-		sc := r.p.ObsScope("blk")
-		for _, bio := range blktrace.Assemble(t.Events()) {
-			if bio.Complete() {
-				sc.Span(bio.QueueAt, bio.Q2C(), obs.KindBlockIO, bio.Op.String(), int64(bio.Req))
-			}
-		}
-		t.Reset()
-	}
+	// one export.
+	r.p.Host.FlushSpans(r.blk)
 	r.verifyQueue = r.analyzer.VerifyCandidates(r.p.K.Now())
-	r.newControlPump(len(r.verifyQueue), r.verifyOne, r.finishVerification).pump()
+	r.verifyPump.start(len(r.verifyQueue))
 }
 
 // controlPump runs one pipelined control-read pass, keeping up to
@@ -420,6 +432,8 @@ func (r *Runner) maybeStartVerify() {
 // which dominate a fault cycle's simulated time on large
 // RequestsPerFault experiments. The verification pass and the source
 // recovery pass share it, so both always see the same pipelining policy.
+// Each pass has one pump, built with its callbacks once per runner and
+// restarted by start for every fault cycle.
 type controlPump struct {
 	r        *Runner
 	n        int
@@ -430,13 +444,20 @@ type controlPump struct {
 	// no read (done must not be called then).
 	issue  func(i int, done func()) bool
 	finish func()
-	done   func() // the done every item gets, bound once per pass
+	done   func() // the done every item gets, bound once
 }
 
-func (r *Runner) newControlPump(n int, issue func(i int, done func()) bool, finish func()) *controlPump {
-	p := &controlPump{r: r, n: n, issue: issue, finish: finish}
+func (r *Runner) newControlPump(issue func(i int, done func()) bool, finish func()) *controlPump {
+	p := &controlPump{r: r, issue: issue, finish: finish}
 	p.done = func() { p.inFlight--; p.pump() }
 	return p
+}
+
+// start runs a pass over n items; the previous pass has finished, so
+// nothing is in flight.
+func (p *controlPump) start(n int) {
+	p.n, p.pos = n, 0
+	p.pump()
 }
 
 func (p *controlPump) pump() {
@@ -464,58 +485,63 @@ func (r *Runner) verifyOne(i int, done func()) bool {
 		r.analyzer.Classify(pkt, content.Data{}, r.faultIdx)
 		return false
 	}
-	r.controlRead(pkt.LPN, pkt.Pages, 0, func(result content.Data, err error) {
-		if err != nil {
-			r.analyzer.Classify(pkt, content.Zeroes(0), r.faultIdx)
-		} else {
-			r.analyzer.Classify(pkt, result, r.faultIdx)
-		}
-		done()
-	})
+	r.controlRead(pkt.LPN, pkt.Pages, pkt, done)
 	return true
 }
 
 // ctlRec is the pooled bookkeeping of one control read, including its
-// retries: fn is the request Done callback and retry the timer callback
-// that re-issues after a failed attempt, both cached for the record's
-// lifetime.
+// retries. It carries what the read is for, the packet it verifies (nil
+// on the recovery pass, which reads page lpn), and its pass's done, so a
+// read allocates nothing: fn is the request Done callback and retry the
+// timer callback that re-issues after a failed attempt, both cached for
+// the record's lifetime.
 type ctlRec struct {
 	r       *Runner
 	lpn     addr.LPN
 	pages   int
 	attempt int
-	done    func(result content.Data, err error)
+	pkt     *Packet
+	done    func()
 	fn      func(*blockdev.Request)
 	retry   func()
 }
 
-func (r *Runner) getCtlRec(lpn addr.LPN, pages, attempt int, done func(result content.Data, err error)) *ctlRec {
+func (r *Runner) getCtlRec() *ctlRec {
 	rec, fresh := r.ctlFree.Get()
 	if fresh {
 		rec.r = r
 		rec.retry = func() { rec.r.issueControl(rec) }
 		rec.fn = func(req *blockdev.Request) {
 			r := rec.r
-			if req.Err != nil {
-				if rec.attempt < 3 {
-					rec.attempt++
-					r.p.K.After(10*sim.Millisecond, rec.retry)
-					return
-				}
-				done := rec.done
-				rec.done = nil
-				r.ctlFree.Put(rec)
-				done(content.Data{}, req.Err)
+			if req.Err != nil && rec.attempt < 3 {
+				rec.attempt++
+				r.p.K.After(10*sim.Millisecond, rec.retry)
 				return
 			}
-			done := rec.done
-			rec.done = nil
+			lpn, pkt, done := rec.lpn, rec.pkt, rec.done
+			rec.pkt, rec.done = nil, nil
 			r.ctlFree.Put(rec)
-			done(req.Result, nil)
+			r.controlDone(lpn, pkt, req.Result, req.Err)
+			done()
 		}
 	}
-	rec.lpn, rec.pages, rec.attempt, rec.done = lpn, pages, attempt, done
 	return rec
+}
+
+// controlDone hands a control read's final outcome to the pass that
+// issued it.
+func (r *Runner) controlDone(lpn addr.LPN, pkt *Packet, result content.Data, err error) {
+	switch {
+	case pkt != nil && err != nil:
+		r.analyzer.Classify(pkt, content.Zeroes(0), r.faultIdx)
+	case pkt != nil:
+		r.analyzer.Classify(pkt, result, r.faultIdx)
+	case err != nil:
+		// Unreadable after retries: the source treats the page as torn.
+		r.recovery.Observe(lpn, 0, err)
+	default:
+		r.recovery.Observe(lpn, result.Page(0), nil)
+	}
 }
 
 // issueControl puts one control-read attempt on the wire.
@@ -529,13 +555,16 @@ func (r *Runner) issueControl(rec *ctlRec) {
 	r.p.Host.Submit(req)
 }
 
-// controlRead issues a post-recovery platform read of [lpn, lpn+pages).
-// The drive should be ready, so errors are retried a few times before the
-// final outcome is surfaced to done (exactly once). Both the packet
-// verification pass and the source recovery pass read through here, so
-// the two classifiers always see the device through the same retry policy.
-func (r *Runner) controlRead(lpn addr.LPN, pages, attempt int, done func(result content.Data, err error)) {
-	r.issueControl(r.getCtlRec(lpn, pages, attempt, done))
+// controlRead issues a post-recovery platform read of [lpn, lpn+pages)
+// for pkt's verification, or for the recovery pass when pkt is nil. The
+// drive should be ready, so errors are retried a few times before the
+// final outcome goes to controlDone and then done runs (exactly once).
+// Both passes read through here, so the two classifiers always see the
+// device through the same retry policy.
+func (r *Runner) controlRead(lpn addr.LPN, pages int, pkt *Packet, done func()) {
+	rec := r.getCtlRec()
+	rec.lpn, rec.pages, rec.attempt, rec.pkt, rec.done = lpn, pages, 0, pkt, done
+	r.issueControl(rec)
 }
 
 func (r *Runner) finishVerification() {
@@ -555,24 +584,19 @@ func (r *Runner) finishVerification() {
 // survived.
 func (r *Runner) startRecovery() {
 	r.ph = phaseRecovery
-	reads := r.recovery.RecoveryReads()
-	r.newControlPump(len(reads), func(i int, done func()) bool {
-		lpn := reads[i]
-		r.controlRead(lpn, 1, 0, func(result content.Data, err error) {
-			if err != nil {
-				// Unreadable after retries: the source treats the page as
-				// torn.
-				r.recovery.Observe(lpn, 0, err)
-			} else {
-				r.recovery.Observe(lpn, result.Page(0), nil)
-			}
-			done()
-		})
-		return true
-	}, func() {
-		r.recovery.FinishRecovery()
-		r.finishCycle()
-	}).pump()
+	r.recoveryReads = r.recovery.RecoveryReads()
+	r.recoveryPump.start(len(r.recoveryReads))
+}
+
+func (r *Runner) recoverOne(i int, done func()) bool {
+	r.controlRead(r.recoveryReads[i], 1, nil, done)
+	return true
+}
+
+func (r *Runner) finishRecovery() {
+	r.recoveryReads = nil
+	r.recovery.FinishRecovery()
+	r.finishCycle()
 }
 
 // finishCycle closes a fault cycle and resumes (or ends) the workload.

@@ -49,12 +49,17 @@ type Arduino struct {
 	pin13    bool
 	wire     func(high bool)
 	commands int
+	// setLow and setHigh apply a restore and a cut, bound once.
+	setLow, setHigh func()
 }
 
 // NewArduino builds the board. The wire callback is invoked whenever pin
 // 13 changes level; wire it to ATX.SetPin16 to complete the hardware chain.
 func NewArduino(k *sim.Kernel, wire func(high bool)) *Arduino {
-	return &Arduino{k: k, wire: wire}
+	a := &Arduino{k: k, wire: wire}
+	a.setLow = func() { a.set(false) }
+	a.setHigh = func() { a.set(true) }
+	return a
 }
 
 // SerialLatency approximates one command byte at 115200 baud plus the
@@ -70,22 +75,23 @@ func (a *Arduino) Commands() int { return a.commands }
 // Send transmits a command byte from the host. The pin change takes effect
 // after the serial latency, like the real firmware's receive-then-set loop.
 func (a *Arduino) Send(cmd byte) error {
-	var high bool
 	switch cmd {
 	case CmdCut:
-		high = true
+		a.k.After(SerialLatency, a.setHigh)
 	case CmdRestore:
-		high = false
+		a.k.After(SerialLatency, a.setLow)
 	default:
 		return fmt.Errorf("power: unknown arduino command %q", cmd)
 	}
-	a.k.After(SerialLatency, func() {
-		a.commands++
-		if a.pin13 == high {
-			return
-		}
-		a.pin13 = high
-		a.wire(high)
-	})
 	return nil
+}
+
+// set is the firmware loop acting on one received command.
+func (a *Arduino) set(high bool) {
+	a.commands++
+	if a.pin13 == high {
+		return
+	}
+	a.pin13 = high
+	a.wire(high)
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"powerfail/internal/racedet"
 	"powerfail/internal/sim"
 )
 
@@ -211,6 +212,38 @@ func TestArduinoCommands(t *testing.T) {
 	}
 	if ard.Commands() != 2 {
 		t.Fatalf("commands = %d, want 2", ard.Commands())
+	}
+}
+
+// TestCutRestoreCycleAllocatesNothing pins the fault cycle's power
+// chain: the Arduino's commands and the PSU's re-armed watch timers
+// reuse callbacks bound once, so a warmed cut → discharge → restore →
+// ramp cycle allocates nothing.
+func TestCutRestoreCycleAllocatesNothing(t *testing.T) {
+	if racedet.Enabled {
+		t.Skip("the race detector allocates for its own bookkeeping")
+	}
+	k, p := newPSU(t)
+	ard := NewArduino(k, NewATX(p).SetPin16)
+	below, above := 0, 0
+	p.NotifyBelow(4.5, func() { below++ })
+	p.NotifyAbove(4.75, func() { above++ })
+	cycle := func() {
+		if err := ard.Send(CmdCut); err != nil {
+			t.Fatal(err)
+		}
+		k.RunFor(2 * sim.Second)
+		if err := ard.Send(CmdRestore); err != nil {
+			t.Fatal(err)
+		}
+		k.RunFor(100 * sim.Millisecond)
+	}
+	cycle()
+	if n := testing.AllocsPerRun(20, cycle); n != 0 {
+		t.Errorf("cut/restore cycle: %v allocs, want 0", n)
+	}
+	if below != 22 || above != 22 {
+		t.Fatalf("watches fired %d below and %d above over 22 cycles, want 22 each", below, above)
 	}
 }
 

@@ -69,6 +69,7 @@ type watch struct {
 	below     bool // true: fire on downward crossing
 	fn        func()
 	timer     sim.Timer
+	fire      func() // the timer callback, bound once in addWatch
 }
 
 // PSU models the independent ATX supply driving the device under test.
@@ -195,6 +196,10 @@ func (p *PSU) NotifyBelow(v float64, fn func()) {
 func (p *PSU) NotifyAbove(v float64, fn func()) { p.addWatch(&watch{threshold: v, fn: fn}) }
 
 func (p *PSU) addWatch(w *watch) {
+	w.fire = func() {
+		w.timer = sim.Timer{}
+		w.fn()
+	}
 	p.watches = append(p.watches, w)
 	p.replan(w)
 }
@@ -237,8 +242,5 @@ func (p *PSU) replan(w *watch) {
 	if !ok {
 		return
 	}
-	w.timer = p.k.After(d, func() {
-		w.timer = sim.Timer{}
-		w.fn()
-	})
+	w.timer = p.k.After(d, w.fire)
 }

@@ -64,6 +64,31 @@ func (w *writeLoop) round(i int) {
 	w.k.RunWhile(w.dirty)
 }
 
+// TestRefusedCommandAllocatesNothing pins the fail-fast answer: a
+// command the device refuses (here one past the last page) is answered
+// through a pooled command's cached callback, not a new closure.
+func TestRefusedCommandAllocatesNothing(t *testing.T) {
+	if racedet.Enabled {
+		t.Skip("the race detector allocates for its own bookkeeping")
+	}
+	w := newWriteLoop(t)
+	var got error
+	done := func(err error, _ content.Data) { got = err }
+	waiting := func() bool { return got == nil }
+	refuse := func() {
+		got = nil
+		w.dev.Submit(blockdev.OpRead, addr.LPN(w.dev.prof.UserPages()), 1, content.Data{}, done)
+		w.k.RunWhile(waiting)
+	}
+	refuse()
+	if n := testing.AllocsPerRun(50, refuse); n != 0 {
+		t.Errorf("refused command: %v allocs, want 0", n)
+	}
+	if got != ErrOutOfRange || w.dev.freeCmds.InUse() != 0 {
+		t.Fatalf("answer %v with %d commands out, want %v and none", got, w.dev.freeCmds.InUse(), ErrOutOfRange)
+	}
+}
+
 // TestWriteAckDrainAllocatesNothing pins the device's write path: on a
 // warmed device, submit → cache insert → ACK → flush → program → journal
 // allocates nothing.

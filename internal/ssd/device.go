@@ -97,6 +97,7 @@ type command struct {
 	stepFn    func() // after the command frame crosses the link (flush: after the command overhead)
 	retryFn   func() // insertWrite retry after write backpressure
 	respondFn func() // after the read payload crosses the link
+	failFn    func() // the fail-fast answer to a command the device refused
 }
 
 // cmdRef names one use of a pooled command.
@@ -259,13 +260,11 @@ var ErrOutOfRange = errors.New("ssd: address beyond device capacity")
 // Submit implements blockdev.Device.
 func (d *Device) Submit(op blockdev.Op, lpn addr.LPN, pages int, data content.Data, done func(error, content.Data)) {
 	if lpn < 0 || int64(lpn)+int64(pages) > d.prof.UserPages() {
-		d.stats.HostErrors++
-		d.k.After(d.prof.FailFast, func() { done(ErrOutOfRange, content.Data{}) })
+		d.failFast(done, ErrOutOfRange)
 		return
 	}
 	if d.state != StateReady {
-		d.stats.HostErrors++
-		d.k.After(d.prof.FailFast, func() { done(ErrUnavailable, content.Data{}) })
+		d.failFast(done, ErrUnavailable)
 		return
 	}
 	cmd := d.newCommand()
@@ -284,6 +283,18 @@ func (d *Device) Submit(op blockdev.Op, lpn addr.LPN, pages int, data content.Da
 	}
 }
 
+// failFast answers a refused command with err after the profile's
+// fail-fast delay. The answer rides on a pooled command that never
+// enters the outstanding list: it is finished from the start, and its
+// pin holds it until the answer fires.
+func (d *Device) failFast(done func(error, content.Data), err error) {
+	d.stats.HostErrors++
+	cmd := d.newCommand()
+	cmd.done, cmd.err, cmd.finished = done, err, true
+	cmd.pins++
+	d.k.After(d.prof.FailFast, cmd.failFn)
+}
+
 // newCommand takes a command from the pool.
 func (d *Device) newCommand() *command {
 	cmd, fresh := d.freeCmds.Get()
@@ -300,6 +311,11 @@ func (d *Device) newCommand() *command {
 		if d.unpin(cmd) {
 			d.completeCmd(cmd, cmd.err)
 		}
+	}
+	cmd.failFn = func() {
+		done, err := cmd.done, cmd.err
+		d.unpin(cmd)
+		done(err, content.Data{})
 	}
 	return cmd
 }
@@ -326,6 +342,7 @@ func (d *Device) maybeRelease(cmd *command) {
 		stepFn:    cmd.stepFn,
 		retryFn:   cmd.retryFn,
 		respondFn: cmd.respondFn,
+		failFn:    cmd.failFn,
 	}
 	d.freeCmds.Put(cmd)
 }
