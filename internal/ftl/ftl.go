@@ -185,8 +185,8 @@ type CrashStats struct {
 	Lost        int // logical pages whose mapping reverted
 }
 
-// GCPlan describes one collection: migrate Moves out of Victim, erase it,
-// then call GCFinish.
+// GCPlan describes one collection: migrate Moves out of Victim, commit
+// the journal records that pin it, then call GCFinish to erase it.
 type GCPlan struct {
 	Victim int
 	Moves  []Move
@@ -234,8 +234,7 @@ type FTL struct {
 	runOpen bool
 	seqLast addr.LPN // last written lpn, for run detection
 
-	gcVictim int    // block mid-collection, -1 if none
-	gcMark   []bool // GCPlan scratch: free or active opened blocks
+	gcMark []bool // GCPlan scratch: free or active opened blocks
 
 	// Crash scratch, reused crash to crash.
 	atRisk  []record
@@ -275,14 +274,13 @@ func New(chip *flash.Chip, cfg Config) (*FTL, error) {
 			geo, cfg.UserPages)
 	}
 	f := &FTL{
-		cfg:      cfg,
-		chip:     chip,
-		geo:      geo,
-		active:   make([]int, cfg.Lanes),
-		nextIdx:  make([]int, cfg.Lanes),
-		seqLast:  -2,
-		gcVictim: -1,
-		groupOf:  make(map[addr.LPN]int32),
+		cfg:     cfg,
+		chip:    chip,
+		geo:     geo,
+		active:  make([]int, cfg.Lanes),
+		nextIdx: make([]int, cfg.Lanes),
+		seqLast: -2,
+		groupOf: make(map[addr.LPN]int32),
 	}
 	for lane := range f.active {
 		f.active[lane] = -1
@@ -522,25 +520,24 @@ func (f *FTL) MaybeCloseRun(now sim.Time) {
 // CommitDue reports whether enough records are pending to force a commit.
 func (f *FTL) CommitDue() bool { return len(f.pending) >= f.cfg.JournalBatchPages }
 
-// CommitJournal makes every pending record durable (the controller charges
-// the flash program time for the returned number of metadata pages). Open
-// runs stay open and remain at risk.
-func (f *FTL) CommitJournal() (metaPages, records int) {
-	records = len(f.pending)
-	if records == 0 {
-		return 0, 0
+// RecordsPerMetaPage is how many journal records one metadata page holds;
+// the controller charges a commit the program time of its pages.
+const RecordsPerMetaPage = 512
+
+// CommitJournal makes every pending record durable. Open runs stay open
+// and remain at risk.
+func (f *FTL) CommitJournal() {
+	if len(f.pending) == 0 {
+		return
 	}
-	const recordsPerMetaPage = 512
-	metaPages = (records + recordsPerMetaPage - 1) / recordsPerMetaPage
 	for _, r := range f.pending {
 		if r.old != addr.InvalidPPN {
 			f.blocks[f.geo.BlockOf(r.old)].pinned--
 		}
 	}
-	f.pending = f.pending[:0]
 	f.stats.Commits++
-	f.stats.CommittedRecs += int64(records)
-	return metaPages, records
+	f.stats.CommittedRecs += int64(len(f.pending))
+	f.pending = f.pending[:0]
 }
 
 // inScan reports whether the OOB scan recovers ppn: it is one of the most
@@ -676,7 +673,7 @@ func (f *FTL) GCPlan() *GCPlan {
 	best, bestValid := -1, int32(1<<30)
 	for b := range f.blocks {
 		st := &f.blocks[b]
-		if mark[b] || st.pinned > 0 || b == f.gcVictim {
+		if mark[b] || st.pinned > 0 {
 			continue
 		}
 		if f.chip.NextPage(b) == 0 && f.chip.State(f.geo.PPNOf(b, 0)) == flash.PageErased {
@@ -697,23 +694,25 @@ func (f *FTL) GCPlan() *GCPlan {
 			plan.Moves = append(plan.Moves, Move{LPN: lpn, From: ppn})
 		}
 	}
-	f.gcVictim = best
 	return plan
 }
 
-// GCFinish returns an erased victim to the free pool.
-func (f *FTL) GCFinish(victim int) {
-	if victim == f.gcVictim {
-		f.gcVictim = -1
+// GCFinish erases a victim whose pages have all migrated and returns it to
+// the free pool. While an uncommitted record still pins the victim, a
+// crash could revert a logical page into it, so GCFinish refuses with an
+// error and leaves the chip untouched.
+func (f *FTL) GCFinish(victim int) error {
+	if n := f.blocks[victim].pinned; n > 0 {
+		return fmt.Errorf("ftl: block %d is pinned by %d uncommitted records", victim, n)
+	}
+	if err := f.chip.Erase(victim); err != nil {
+		return fmt.Errorf("ftl: erase block %d: %w", victim, err)
 	}
 	f.blocks[victim].valid = 0
 	f.recycled.push(freeBlock{idx: victim, erases: f.chip.EraseCount(victim)})
 	f.stats.GCCollections++
+	return nil
 }
-
-// GCAbort clears the in-flight victim marker after a crash interrupted a
-// collection; the block will be picked again later.
-func (f *FTL) GCAbort() { f.gcVictim = -1 }
 
 // ValidPages returns the live-page count of a block (for tests); blocks
 // that never opened hold none.

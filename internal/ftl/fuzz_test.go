@@ -100,7 +100,8 @@ func (s *ftlScript) cut(tk Ticket, rest []Ticket) {
 	s.check("Crash after a cut write")
 }
 
-// makeRoom runs GC as the controller does when free space is low.
+// makeRoom runs GC as the controller does when free space is low,
+// committing the journal whenever a collection frees nothing.
 func (s *ftlScript) makeRoom() {
 	for i := 0; i < 4 && s.f.NeedGC() && !s.f.GCSatisfied(); i++ {
 		if !s.collect(false) {
@@ -151,8 +152,10 @@ func (s *ftlScript) write(cutting bool) {
 
 // collect runs one collection as the script dictates: plan, migrate the
 // victim's valid pages (a host write may overwrite one mid-migration, or
-// the power may fail), commit the journal, then erase the victim, or fail
-// mid-erase. It reports whether a victim was found.
+// the power may fail), perhaps commit the journal, then erase the victim,
+// or fail mid-erase. GCFinish must erase the victim exactly when no
+// uncommitted record pins it. collect reports whether the victim was
+// erased.
 func (s *ftlScript) collect(scripted bool) bool {
 	want := s.greedyVictim()
 	plan := s.f.GCPlan()
@@ -175,7 +178,8 @@ func (s *ftlScript) collect(scripted bool) bool {
 	if scripted {
 		mode = s.next()
 	}
-	for _, mv := range plan.Moves {
+	fps := make([]content.Fingerprint, len(plan.Moves))
+	for i, mv := range plan.Moves {
 		if mode&1 != 0 && s.next()&1 != 0 && s.f.CanReserve(2) {
 			tk, err := s.f.BeginWrite(mv.LPN)
 			s.must(err, "BeginWrite of a host overwrite")
@@ -184,44 +188,57 @@ func (s *ftlScript) collect(scripted bool) bool {
 			s.check("CompleteWrite mid-migration")
 		}
 		if !s.f.CanReserve(1) {
-			return true // the collection stalls; a later one picks again
+			return false // the collection stalls; a later one picks again
 		}
 		tk, err := s.f.BeginWrite(mv.LPN)
 		s.must(err, "BeginWrite of a move")
 		if mode&2 != 0 && s.next()%8 == 0 {
 			s.cut(tk, nil)
-			return true
+			return false
 		}
 		res, err := s.chip.Read(mv.From)
 		s.must(err, "Read")
+		fps[i] = res.FP
 		s.must(s.chip.Program(tk.PPN, res.FP), "Program of a move")
 		s.f.CompleteMove(tk, mv.From, s.now)
 		s.check("CompleteMove")
 	}
+	if mode&8 != 0 {
+		s.f.ForceCloseRun()
+		s.f.CommitJournal()
+		s.check("CommitJournal before the erase")
+	}
 	// The move records, and host overwrites of the victim's pages, pin
-	// the victim: they must be durable before its erase, or a crash would
-	// revert their logical pages into an erased block, which allocation
-	// may then hand out again.
-	s.f.ForceCloseRun()
-	s.f.CommitJournal()
-	s.check("CommitJournal before the erase")
-	if mode&4 != 0 {
+	// the victim until they commit: a crash would revert their logical
+	// pages into it.
+	pinned := s.f.blocks[plan.Victim].pinned > 0
+	if mode&4 != 0 && !pinned {
 		s.must(s.chip.ErasePartial(plan.Victim, float64(s.next())/256), "ErasePartial")
-		s.f.GCAbort()
 		s.f.Crash(s.now)
 		s.check("Crash mid-erase")
-		return true
+		return false
 	}
-	s.must(s.chip.Erase(plan.Victim), "Erase")
-	s.f.GCFinish(plan.Victim)
+	if err := s.f.GCFinish(plan.Victim); err != nil {
+		if !pinned {
+			s.t.Fatalf("GCFinish refused unpinned block %d: %v", plan.Victim, err)
+		}
+		for i, mv := range plan.Moves {
+			if res, err := s.chip.Read(mv.From); err != nil || res.FP != fps[i] {
+				s.t.Fatalf("GCFinish refused block %d but changed page %v", plan.Victim, mv.From)
+			}
+		}
+		return false
+	}
+	if pinned {
+		s.t.Fatalf("GCFinish erased block %d under uncommitted records", plan.Victim)
+	}
 	s.check("GCFinish")
 	return true
 }
 
 // greedyVictim is GCPlan's rule applied to every block of the geometry:
 // the programmed block with the fewest valid pages, lowest index first,
-// that is not free, active, pinned or the collection already in flight.
-// -1 if there is none.
+// that is not free, active or pinned. -1 if there is none.
 func (s *ftlScript) greedyVictim() int {
 	f, geo := s.f, s.f.geo
 	best, bestValid := -1, 0
@@ -229,7 +246,7 @@ func (s *ftlScript) greedyVictim() int {
 		if s.chip.NextPage(b) == 0 && s.chip.State(geo.PPNOf(b, 0)) == flash.PageErased {
 			continue // never programmed, or erased and free
 		}
-		if b == f.gcVictim || slices.Contains(f.active, b) || f.blocks[b].pinned > 0 ||
+		if slices.Contains(f.active, b) || f.blocks[b].pinned > 0 ||
 			slices.ContainsFunc(f.recycled, func(fb freeBlock) bool { return fb.idx == b }) {
 			continue
 		}
@@ -291,6 +308,9 @@ func FuzzFTL(f *testing.F) {
 	f.Add(churnScript(40))
 	// GC's greedy pick is the newest block opened.
 	f.Add([]byte("000017007C0007000078007000700007010000007Z0000000C00700001700070000700007000000000200007000"))
+	// A crash after an erase with the move records uncommitted aliased
+	// two logical pages on one physical page once the block was reused.
+	f.Add([]byte("007000700700000100000710C00110007000C00720070007000710 $007000C00700070007100C00700070007000C00770007000C007,0007000C00700007700C007C000700021001000700000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000"))
 	f.Fuzz(func(t *testing.T, ops []byte) { newFTLScript(t, ops).run() })
 }
 

@@ -176,7 +176,7 @@ func (d *Device) itemDone(c *channel) {
 // finishItem releases a completed item and then runs what its completion
 // triggers.
 func (d *Device) finishItem(it *chItem) {
-	kind, n, block := it.kind, len(it.ops), it.block
+	kind, n := it.kind, len(it.ops)
 	cmd := d.releaseItem(it)
 	switch kind {
 	case itemProgram:
@@ -198,13 +198,11 @@ func (d *Device) finishItem(it *chItem) {
 	case itemMove:
 		d.gcParts--
 		if d.gcParts == 0 {
-			d.gcErase(d.gcPlan.Victim)
+			d.gcErase()
 		}
 	case itemMeta:
 		d.metaInFlight = false
-		d.ftlm.CommitJournal()
 	case itemErase:
-		d.ftlm.GCFinish(block)
 		d.gcStep()
 	}
 }
@@ -221,14 +219,18 @@ func (d *Device) lastPart(cmd *command) bool {
 	return cmd.parts == 0
 }
 
-// applyComplete commits the effects of a fully executed item.
+// applyComplete commits the effects of a fully executed item: a journal
+// commit becomes durable only here, so a cut mid-commit loses the batch.
 func (d *Device) applyComplete(it *chItem) {
-	if it.kind == itemErase {
-		must(d.chip.Erase(it.block))
-		return
-	}
-	for i := range it.ops {
-		d.applyOp(it, &it.ops[i])
+	switch it.kind {
+	case itemErase:
+		must(d.ftlm.GCFinish(it.block))
+	case itemMeta:
+		d.ftlm.CommitJournal()
+	default:
+		for i := range it.ops {
+			d.applyOp(it, &it.ops[i])
+		}
 	}
 }
 
@@ -255,8 +257,6 @@ func (d *Device) applyOp(it *chItem, op *pageOp) {
 			cmd.err = ErrUncorrectable
 		}
 		d.stats.PagesRead++
-	case itemMeta:
-		// Durability happens in finishItem via CommitJournal.
 	}
 }
 
@@ -284,14 +284,13 @@ func (d *Device) interruptChannels() {
 		c.queue, c.head = c.queue[:0], 0
 	}
 	d.metaInFlight = false
-	d.gcActive = false
+	d.gcPlan = nil
 }
 
 func (d *Device) applyInterrupted(it *chItem, elapsed sim.Duration) {
 	if it.kind == itemErase {
 		frac := float64(elapsed) / float64(it.perPage)
 		must(d.chip.ErasePartial(it.block, frac))
-		d.ftlm.GCAbort()
 		d.stats.InterruptedErases++
 		return
 	}
@@ -339,9 +338,6 @@ func (d *Device) abandonItem(it *chItem) {
 func (d *Device) supercapComplete() {
 	finish := func(it *chItem) {
 		d.applyComplete(it)
-		if it.kind == itemErase {
-			d.ftlm.GCFinish(it.block)
-		}
 		d.dropItem(it)
 	}
 	for _, c := range d.channels {
@@ -360,7 +356,7 @@ func (d *Device) supercapComplete() {
 		c.queue, c.head = c.queue[:0], 0
 	}
 	d.metaInFlight = false
-	d.gcActive = false
+	d.gcPlan = nil
 	if d.cache != nil {
 	drain:
 		for {

@@ -130,7 +130,7 @@ type Device struct {
 	opsCap    int       // ops capacity of a new item: one channel's share of a flush batch
 	batches   []*chItem // per-channel batch scratch, nil where empty
 
-	gcPlan  *ftl.GCPlan           // collection in progress
+	gcPlan  *ftl.GCPlan           // collection in progress, nil if none
 	gcFps   []content.Fingerprint // its victim's page contents
 	gcParts int                   // its channel items still running
 
@@ -140,7 +140,6 @@ type Device struct {
 	journalTickFn func() // d.journalTick, bound once
 	recoveryTimer sim.Timer
 	metaInFlight  bool
-	gcActive      bool
 
 	hasDirtySince  bool
 	firstDirtyAt   sim.Time
@@ -609,6 +608,10 @@ func (d *Device) journalTick() {
 	d.startJournalTick()
 }
 
+// metaChannel runs the journal commits, and the GC erases ordered behind
+// them.
+const metaChannel = 0
+
 // startMetaCommit charges the flash time of persisting the pending mapping
 // records; durability takes effect only when the metadata program ends, so
 // a cut mid-commit loses the batch.
@@ -617,43 +620,37 @@ func (d *Device) startMetaCommit() {
 	if pending == 0 {
 		return
 	}
-	metaPages := (pending + 511) / 512
+	metaPages := (pending + ftl.RecordsPerMetaPage - 1) / ftl.RecordsPerMetaPage
 	d.metaInFlight = true
 	it := d.newItem(itemMeta, d.perPageProg(), nil)
 	it.ops = slices.Grow(it.ops, metaPages)[:metaPages]
-	d.enqueue(0, it)
+	d.enqueue(metaChannel, it)
 }
 
 // --- garbage collection ---
 
+// checkGC starts collecting once free space runs low, unless a collection
+// is already in flight.
 func (d *Device) checkGC() {
-	if d.gcActive || d.state == StateDead || d.state == StateRecovering {
-		return
+	if d.gcPlan == nil && d.ftlm.NeedGC() {
+		d.gcStep()
 	}
-	if !d.ftlm.NeedGC() {
-		return
-	}
-	d.gcActive = true
-	d.gcStep()
 }
 
+// gcStep starts the next collection, or ends the cycle once enough blocks
+// are free or none is collectable.
 func (d *Device) gcStep() {
-	if d.state == StateDead || d.state == StateRecovering {
-		d.gcActive = false
-		return
-	}
+	d.gcPlan = nil
 	if d.ftlm.GCSatisfied() {
-		d.gcActive = false
 		return
 	}
 	plan := d.ftlm.GCPlan()
 	if plan == nil {
-		d.gcActive = false
 		return
 	}
 	d.gcPlan = plan
 	if len(plan.Moves) == 0 {
-		d.gcErase(plan.Victim)
+		d.gcErase()
 		return
 	}
 	// Phase 1: read every valid page out of the victim.
@@ -668,15 +665,11 @@ func (d *Device) gcStep() {
 // gcProgram is phase 2 of a collection: program the pages read out of
 // the victim into fresh pages.
 func (d *Device) gcProgram() {
-	if d.state == StateDead || d.state == StateRecovering {
-		d.gcActive = false
-		return
-	}
 	plan := d.gcPlan
 	if !d.ftlm.CanReserve(len(plan.Moves)) {
 		// Like a write-through command, the migration is placed whole
 		// or not at all.
-		d.gcActive = false
+		d.gcPlan = nil
 		return
 	}
 	per := d.perPageProg()
@@ -686,15 +679,26 @@ func (d *Device) gcProgram() {
 		d.batchOp(d.channelOf(t.PPN), itemMove, per, nil, pageOp{ppn: t.PPN, fp: d.gcFps[i], lpn: mv.LPN, ticket: t, from: mv.From})
 	}
 	d.gcParts = d.enqueueBatches()
-	if d.gcParts == 0 {
-		d.gcErase(plan.Victim)
-	}
 }
 
-func (d *Device) gcErase(victim int) {
+// gcErase is phase 3 of a collection: erase the victim once the journal
+// holds every record that pins it. It closes the open run and, if records
+// are pending, queues the erase behind their commit on the commit's
+// channel, so channel order commits them first; a cut during the commit
+// abandons the erase with the victim's data intact.
+func (d *Device) gcErase() {
+	victim := d.gcPlan.Victim
+	ch := victim % len(d.channels)
+	d.ftlm.ForceCloseRun()
+	if d.ftlm.PendingRecords() > 0 {
+		if !d.metaInFlight {
+			d.startMetaCommit()
+		}
+		ch = metaChannel
+	}
 	it := d.newItem(itemErase, d.prof.Timing.EraseBlock, nil)
 	it.block = victim
-	d.enqueue(victim%len(d.channels), it)
+	d.enqueue(ch, it)
 }
 
 // --- power events ---

@@ -385,6 +385,110 @@ func TestWriteThroughFullDrive(t *testing.T) {
 
 func time500() sim.Duration { return 500 * sim.Millisecond }
 
+// TestCutAfterGCErase cuts the power the moment a collection has erased a
+// victim it migrated pages out of, with the host idle. When the last move
+// completed, its record pinned the victim: the controller must commit it
+// before the erase, or the crash reverts the moved page into the erased
+// block, and once the block is reused two logical pages share one
+// physical page. After recovery the test writes on until the victim is
+// handed out again; then the FTL must be consistent and every page must
+// read back a value the drive acknowledged for it.
+func TestCutAfterGCErase(t *testing.T) {
+	k := sim.New()
+	pcfg := power.DefaultConfig()
+	pcfg.Capacitance /= 1000 // the controller dies some 40 µs after the cut
+	psu, err := power.New(k, pcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A slow journal tick leaves the collection's own ordering as the one
+	// thing that commits its move records before the erase, and a one-page
+	// OOB scan rebuilds hardly any of them after the crash.
+	prof := smallProfile()
+	prof.JournalTick = sim.Second
+	prof.ScanWindowPages = 1
+	dev, err := New(k, sim.NewRNG(7), prof, psu)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &rig{k: k, psu: psu, dev: dev}
+	f := dev.FTL()
+	// A page's content names its logical page and its version; latest
+	// holds the newest acknowledged version of each page.
+	const chunk, verBits = 64, 24
+	user := dev.UserPages()
+	latest := make([]content.Fingerprint, user)
+	write := func(lpn addr.LPN) {
+		fps := make([]content.Fingerprint, chunk)
+		for i := range fps {
+			fps[i] = content.Fingerprint(lpn+addr.LPN(i))<<verBits | (latest[lpn+addr.LPN(i)] + 1)
+		}
+		if err := r.write(t, lpn, content.Wrap(fps)); err != nil {
+			t.Fatalf("write at %d: %v", lpn, err)
+		}
+		for i := range fps {
+			latest[lpn+addr.LPN(i)]++
+		}
+	}
+	// Half the drive is live, so collections migrate pages but never
+	// starve for free blocks.
+	hot := user / 2
+	rng := sim.NewRNG(19)
+	overwrite := func() { write(addr.LPN(rng.Intn(int(hot/chunk)) * chunk)) }
+	for lpn := int64(0); lpn < hot; lpn += chunk {
+		write(addr.LPN(lpn))
+	}
+	// Overwrite at random until a collection migrates pages, flush so the
+	// host goes idle, and run to the erase of a victim with moves.
+	victim := -1
+	for victim < 0 {
+		for f.Stats().GCCollections == 0 || dev.gcPlan == nil {
+			overwrite()
+		}
+		r.flush(t)
+		for victim < 0 && dev.gcPlan != nil {
+			collections, moves := f.Stats().GCCollections, 0
+			k.RunWhile(func() bool {
+				if f.Stats().GCCollections != collections || dev.gcPlan == nil {
+					return false
+				}
+				victim, moves = dev.gcPlan.Victim, len(dev.gcPlan.Moves)
+				return true
+			})
+			if f.Stats().GCCollections == collections || moves == 0 {
+				victim = -1
+			}
+		}
+	}
+	commits := f.Stats().Commits
+	psu.PowerOff()
+	k.RunWhile(func() bool { return dev.State() != StateDead })
+	if f.Stats().Commits != commits {
+		t.Fatal("a journal commit landed between the erase and the cut")
+	}
+	psu.PowerOn()
+	k.RunWhile(func() bool { return dev.State() != StateReady })
+	for dev.Chip().NextPage(victim) == 0 {
+		overwrite()
+	}
+	r.flush(t)
+	if err := f.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	for lpn := int64(0); lpn < hot; lpn += 1024 {
+		got, err := r.read(t, addr.LPN(lpn), 1024)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range got.Pages() {
+			fp, want := got.Page(i), addr.LPN(lpn)+addr.LPN(i)
+			if ver := fp & (1<<verBits - 1); addr.LPN(fp>>verBits) != want || ver == 0 || ver > latest[want] {
+				t.Fatalf("lpn %d reads %#x, not a version the drive acknowledged", want, fp)
+			}
+		}
+	}
+}
+
 func TestProfilesTableI(t *testing.T) {
 	profs := Profiles()
 	if len(profs) != 3 {
