@@ -380,7 +380,9 @@ func (a *Array) destageLine(ln *cline) {
 			requeue()
 			return
 		}
-		a.memberSubmit(backingIdx, blockdev.OpWrite, ln.lpn, 1, res, a.call(func(err error, _ content.Data) {
+		// The cache read is lent and the backing write outlives it, so
+		// the write carries a copy of the page.
+		a.memberSubmit(backingIdx, blockdev.OpWrite, ln.lpn, 1, content.Make(res.Page(0)), a.call(func(err error, _ content.Data) {
 			if err != nil {
 				requeue()
 				return

@@ -1,6 +1,8 @@
 package array
 
 import (
+	"slices"
+
 	"powerfail/internal/addr"
 	"powerfail/internal/blockdev"
 	"powerfail/internal/content"
@@ -18,39 +20,40 @@ import (
 // inconsistent whenever a proper, non-empty subset of the writes landed:
 // the write hole, which for RAID-5 is "exactly one of data and parity".
 //
-// The path allocates only payloads. A host request is one pooled
-// codedOp, each of its chunk ranges one pooled chunkOp (which also
-// waits in the stripe lock's intrusive FIFO), and each member IO one
-// pooled memberCall; every record goes back on its free list before its
-// continuation runs. What remains allocated per cycle is the k new
-// parity buffers, the members' own read results and, for a read that
-// spans chunks, one result slice. Reconstruction and flushes, a few per
-// fault cycle, keep their closures.
+// The path allocates nothing in steady state. A host request is one
+// pooled codedOp, each of its chunk ranges one pooled chunkOp (which
+// also waits in the stripe lock's intrusive FIFO), and each member IO
+// one pooled memberCall. Members lend their read results (see
+// blockdev.Device), so every page the path keeps past a member's done
+// lands in a buffer its record owns and keeps across reuses: a host
+// read gathers into its codedOp's, and an RMW cycle reads old data and
+// old parities into its chunkOp's and computes the new parities there
+// in place. The coded path lends its own read result in turn, so a
+// codedOp returns to its pool only after the host's done has returned.
+// Reconstruction and flushes, a few per fault cycle, keep their
+// closures, and reconstruction copies the rows it collects.
 
 // codedOp is one host request on the coded path: it counts its chunk
-// ranges down and answers the host once the last one retires.
+// ranges down and answers the host once the last one retires. A read
+// gathers its chunks, direct or reconstructed, into buf, which it lends
+// to done.
 type codedOp struct {
 	op    blockdev.Op
 	done  func(error, content.Data)
 	parts int
 	err   error
-	// A read spanning chunks gathers into result; a one-chunk read hands
-	// the member's payload (res) straight through unless it had to be
-	// reconstructed.
-	result []content.Fingerprint
-	res    content.Data
+	buf   []content.Fingerprint
 }
 
 // chunkOp is one chunk range of a coded request: a direct read, or one
-// parity read-modify-write cycle. parity carries the k old parities
-// after the read phase and is overwritten in place with the new ones;
-// its backing array stays with the record across reuses.
+// parity read-modify-write cycle. buf holds the cycle's 1+k shards of
+// n pages each: the old data, then the k old parities, which the write
+// phase overwrites in place with the new ones.
 type chunkOp struct {
 	req     *codedOp
 	cr      chunkRange
 	newData content.Data
-	oldData content.Data
-	parity  []content.Data
+	buf     []content.Fingerprint
 
 	pending, acked              int
 	readErr, dataErr, parityErr error
@@ -68,8 +71,8 @@ func (a *Array) submitCoded(op blockdev.Op, lpn addr.LPN, pages int, data conten
 	}
 	req, _ := a.ops.Get()
 	req.op, req.done, req.parts = op, done, parts
-	if op == blockdev.OpRead && parts > 1 {
-		req.result = make([]content.Fingerprint, pages)
+	if op == blockdev.OpRead {
+		req.buf = slices.Grow(req.buf[:0], pages)[:pages]
 	}
 	for off := 0; off < pages; {
 		ch, _ := a.chunks.Get()
@@ -84,7 +87,8 @@ func (a *Array) submitCoded(op blockdev.Op, lpn addr.LPN, pages int, data conten
 	}
 }
 
-// partDone retires one chunk range of req; the last one answers the host.
+// partDone retires one chunk range of req; the last one answers the host
+// and only then returns req, and the result it lent, to the pool.
 func (a *Array) partDone(req *codedOp, err error) {
 	if err != nil && req.err == nil {
 		req.err = err
@@ -92,18 +96,17 @@ func (a *Array) partDone(req *codedOp, err error) {
 	if req.parts--; req.parts > 0 {
 		return
 	}
-	op, done, err, result, res := req.op, req.done, req.err, req.result, req.res
-	*req = codedOp{}
-	a.ops.Put(req)
-	a.countHost(op, err)
+	a.countHost(req.op, req.err)
 	switch {
-	case err != nil:
-		done(err, content.Data{})
-	case result != nil:
-		done(nil, content.Wrap(result))
+	case req.err != nil:
+		req.done(req.err, content.Data{})
+	case req.op == blockdev.OpRead:
+		req.done(nil, content.Wrap(req.buf))
 	default:
-		done(nil, res) // a write's res is empty
+		req.done(nil, content.Data{})
 	}
+	*req = codedOp{buf: req.buf[:0]}
+	a.ops.Put(req)
 }
 
 // chunkRead takes a direct data-member read's answer, falling back to
@@ -112,20 +115,11 @@ func (a *Array) chunkRead(ch *chunkOp, err error, res content.Data) {
 	req, cr := ch.req, ch.cr
 	a.freeChunk(ch)
 	if err == nil {
-		if req.result == nil {
-			req.res = res
-		} else {
-			for i := 0; i < cr.n; i++ {
-				req.result[cr.off+i] = res.Page(i)
-			}
-		}
+		res.CopyTo(req.buf[cr.off : cr.off+cr.n])
 		a.partDone(req, nil)
 		return
 	}
-	if req.result == nil {
-		req.result = make([]content.Fingerprint, cr.n)
-	}
-	a.codeReconstruct(cr, req.result, func(err error) { a.partDone(req, err) })
+	a.codeReconstruct(cr, req.buf, func(err error) { a.partDone(req, err) })
 }
 
 // codeReconstruct recovers cr's pages from the same rows on the other
@@ -138,7 +132,7 @@ func (a *Array) codeReconstruct(cr chunkRange, result []content.Fingerprint, don
 	a.tele.reconstructions.Inc()
 	a.tele.sc.Instant(a.k.Now(), obs.KindInstant, "reconstruction", int64(cr.mlpn))
 	n := len(a.members)
-	rows := make([]content.Data, n)
+	rows := make([][]content.Fingerprint, n)
 	ok := make([]bool, n)
 	parts := 0
 	var firstErr error
@@ -160,7 +154,7 @@ func (a *Array) codeReconstruct(cr chunkRange, result []content.Fingerprint, don
 		for i := 0; i < cr.n; i++ {
 			for mm := 0; mm < n; mm++ {
 				if slot := a.slotOf(cr.parity, mm); ok[mm] {
-					shards[slot] = rows[mm].Page(i)
+					shards[slot] = rows[mm][i]
 					present[slot] = true
 				} else {
 					shards[slot] = 0
@@ -187,7 +181,9 @@ func (a *Array) codeReconstruct(cr chunkRange, result []content.Fingerprint, don
 					firstErr = err
 				}
 			} else {
-				rows[mm] = res
+				// The rows outlive this loan: copy them.
+				rows[mm] = make([]content.Fingerprint, cr.n)
+				res.CopyTo(rows[mm])
 				ok[mm] = true
 			}
 			parts--
@@ -246,12 +242,9 @@ func (a *Array) codeRMW(ch *chunkOp) {
 	a.stats.ParityRMWs++
 	a.tele.parityRMWs.Inc()
 	kp := a.parityCount()
-	if cap(ch.parity) < kp {
-		ch.parity = make([]content.Data, kp)
-	}
-	ch.parity = ch.parity[:kp]
-	ch.pending = 1 + kp
 	cr := ch.cr
+	ch.buf = slices.Grow(ch.buf[:0], (1+kp)*cr.n)[:(1+kp)*cr.n]
+	ch.pending = 1 + kp
 	a.memberSubmit(cr.member, blockdev.OpRead, cr.mlpn, cr.n, content.Data{}, a.chunkCall(ch, roleOldData, 0))
 	for j := 0; j < kp; j++ {
 		a.memberSubmit(a.parityMember(cr.parity, j), blockdev.OpRead, cr.mlpn, cr.n, content.Data{}, a.chunkCall(ch, roleOldParity, j))
@@ -270,21 +263,28 @@ func (a *Array) rmwReadDone(ch *chunkOp, err error) {
 		a.rmwDone(ch, ch.readErr)
 		return
 	}
-	cr := ch.cr
-	for j, old := range ch.parity {
+	cr, kp := ch.cr, a.parityCount()
+	old := ch.shard(0)
+	for j := 0; j < kp; j++ {
 		coeff := a.code.ParityCoeff(j, cr.didx)
-		p := make([]content.Fingerprint, cr.n)
+		p := ch.shard(1 + j)
 		for i := range p {
-			delta := uint64(ch.oldData.Page(i)) ^ uint64(ch.newData.Page(i))
-			p[i] = content.Fingerprint(uint64(old.Page(i)) ^ gfMulFP(coeff, delta))
+			delta := uint64(old[i]) ^ uint64(ch.newData.Page(i))
+			p[i] ^= content.Fingerprint(gfMulFP(coeff, delta))
 		}
-		ch.parity[j] = content.Wrap(p)
 	}
-	ch.pending = 1 + len(ch.parity)
+	ch.pending = 1 + kp
 	a.memberSubmit(cr.member, blockdev.OpWrite, cr.mlpn, cr.n, ch.newData, a.chunkCall(ch, roleNewData, 0))
-	for j, p := range ch.parity {
-		a.memberSubmit(a.parityMember(cr.parity, j), blockdev.OpWrite, cr.mlpn, cr.n, p, a.chunkCall(ch, roleNewParity, j))
+	for j := 0; j < kp; j++ {
+		a.memberSubmit(a.parityMember(cr.parity, j), blockdev.OpWrite, cr.mlpn, cr.n, content.Wrap(ch.shard(1+j)), a.chunkCall(ch, roleNewParity, j))
 	}
+}
+
+// shard returns the cycle's shard s in buf: 0 is the data chunk, 1+j
+// parity j.
+func (ch *chunkOp) shard(s int) []content.Fingerprint {
+	n := ch.cr.n
+	return ch.buf[s*n : (s+1)*n]
 }
 
 func (a *Array) rmwWriteDone(ch *chunkOp, err error) {
@@ -294,7 +294,7 @@ func (a *Array) rmwWriteDone(ch *chunkOp, err error) {
 	if ch.pending--; ch.pending > 0 {
 		return
 	}
-	if ch.acked > 0 && ch.acked < 1+len(ch.parity) {
+	if ch.acked > 0 && ch.acked < 1+a.parityCount() {
 		a.stats.WriteHoles++
 		a.tele.writeHoles.Inc()
 		a.tele.sc.Instant(a.k.Now(), obs.KindInstant, "write_hole", int64(ch.cr.mlpn))
@@ -316,8 +316,7 @@ func (a *Array) rmwDone(ch *chunkOp, err error) {
 }
 
 func (a *Array) freeChunk(ch *chunkOp) {
-	clear(ch.parity)
-	*ch = chunkOp{parity: ch.parity[:0]}
+	*ch = chunkOp{buf: ch.buf[:0]}
 	a.chunks.Put(ch)
 }
 
@@ -345,10 +344,10 @@ func (a *Array) chunkDone(ch *chunkOp, role callRole, j int, err error, res cont
 	case roleRead:
 		a.chunkRead(ch, err, res)
 	case roleOldData:
-		ch.oldData = res
+		res.CopyTo(ch.shard(0))
 		a.rmwReadDone(ch, err)
 	case roleOldParity:
-		ch.parity[j] = res
+		res.CopyTo(ch.shard(1 + j))
 		a.rmwReadDone(ch, err)
 	case roleNewData:
 		ch.dataErr = err

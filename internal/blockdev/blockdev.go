@@ -26,6 +26,7 @@ package blockdev
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"powerfail/internal/addr"
 	"powerfail/internal/blktrace"
@@ -79,16 +80,17 @@ var (
 // Request is one host IO. Take it from the queue with NewRequest, fill Op,
 // LPN, Pages, Done and (for writes) Data, then Submit it; Done fires exactly
 // once with the final state. The request is recycled automatically after
-// Done returns, so callers must not retain it (or its Result slice header
-// may be cleared; the page data itself is immutable and safe to keep).
+// Done returns, so callers must not retain it. Its Result is lent on the
+// terms of Device: Done reads it, or copies the pages it keeps.
 type Request struct {
 	ID    uint64
 	Op    Op
 	LPN   addr.LPN
 	Pages int
-	// Data is the write payload.
+	// Data is the write payload. It must stay unchanged until Done.
 	Data content.Data
-	// Result is the read payload, assembled from sub-request completions.
+	// Result is the read payload: an unsplit read forwards the device's
+	// lent result, a split one is copied together in buf.
 	Result content.Data
 	// Control marks platform verification traffic that experiments must
 	// not count as workload.
@@ -104,6 +106,7 @@ type Request struct {
 	Done func(*Request)
 
 	subs      []subRequest
+	buf       []content.Fingerprint // a split read's pages; kept across reuses
 	remaining int
 	timeout   sim.Timer
 	finished  bool
@@ -120,12 +123,11 @@ type Request struct {
 }
 
 type subRequest struct {
-	idx    int
-	lpn    addr.LPN
-	pages  int
-	off    int // page offset within the parent
-	done   bool
-	result content.Data
+	idx   int
+	lpn   addr.LPN
+	pages int
+	off   int // page offset within the parent
+	done  bool
 }
 
 // pendingSub is one dispatch-FIFO entry: a direct {request, sub index}
@@ -148,12 +150,21 @@ type subCall struct {
 }
 
 // Device is the disk interface the block layer drives. Submit must invoke
-// done exactly once for every command it accepts, at the simulated
-// completion instant, with the read payload for reads; a device that
-// cannot serve a command (unavailable, dead mid-operation) answers it
-// with an error. The queue frees a Depth slot only when done runs: the
-// request timeout finishes the host request but keeps the slot, so a
-// command never answered holds its slot for good.
+// done exactly once for every command it accepts, from a kernel event at
+// the simulated completion instant (never from within Submit), with the
+// read payload for reads; a device that cannot serve a command
+// (unavailable, dead mid-operation) answers it with an error. The queue
+// frees a Depth slot only when done runs: the request timeout finishes
+// the host request but keeps the slot, so a command never answered holds
+// its slot for good.
+//
+// A read result is lent, not given: the device may reuse its pages for
+// a later command, so they stay unchanged only while done runs and until
+// every event scheduled before done returned, for that same instant, has
+// fired. The queue's own completion event (Request.Done runs after a
+// zero delay) falls inside that window. A holder that keeps pages longer
+// copies them into storage of its own; a lender recycles the record that
+// owns the pages only after the done it called has returned.
 type Device interface {
 	Submit(op Op, lpn addr.LPN, pages int, data content.Data, done func(err error, result content.Data))
 }
@@ -293,13 +304,10 @@ func (q *Queue) NewRequest() *Request {
 // device completions) stale. Then only the fields a use can leave set
 // are cleared, one by one, instead of copying a whole zero Request over
 // it: remaining and timeout are always rewritten by Submit before they
-// are read, and split rewrites every sub it uses. Each sub's result is
-// dropped so the pool keeps no payload alive.
+// are read, and split rewrites every sub it uses. Data and Result are
+// dropped so the pool keeps no caller's payload alive; buf stays.
 func (q *Queue) release(r *Request) {
 	r.gen++
-	for i := range r.subs {
-		r.subs[i].result = content.Data{}
-	}
 	r.subs = r.subs[:0]
 	r.ID, r.Op, r.LPN, r.Pages = 0, 0, 0, 0
 	r.Data, r.Result = content.Data{}, content.Data{}
@@ -375,6 +383,9 @@ func (q *Queue) split(r *Request) {
 	if len(r.subs) > 1 {
 		q.stats.Splits += int64(len(r.subs) - 1)
 		q.obs.splits.Add(int64(len(r.subs) - 1))
+		if r.Op == OpRead {
+			r.buf = slices.Grow(r.buf[:0], r.Pages)[:r.Pages]
+		}
 	}
 }
 
@@ -454,7 +465,15 @@ func (q *Queue) onSubDone(r *Request, idx int, gen uint32, err error, result con
 		}
 	} else {
 		q.trace(blktrace.Event{At: q.k.Now(), Act: blktrace.ActComplete, Op: kind, Req: r.ID, Sub: s.idx, LPN: s.lpn, Pages: s.pages})
-		s.result = result
+		if r.Op == OpRead {
+			if len(r.subs) == 1 {
+				// Unsplit read: the device's lent result is forwarded;
+				// Done runs inside its loan window.
+				r.Result = result
+			} else if result.CopyTo(r.buf[s.off:s.off+s.pages]) != s.pages {
+				panic("blockdev: device answered a read with too few pages")
+			}
+		}
 	}
 	r.remaining--
 	if r.remaining > 0 {
@@ -464,22 +483,8 @@ func (q *Queue) onSubDone(r *Request, idx int, gen uint32, err error, result con
 	if r.Err == nil && q.spans != nil {
 		q.spans.add(r, q.k.Now())
 	}
-	if r.Op == OpRead && r.Err == nil {
-		if len(r.subs) == 1 {
-			// Unsplit read: the device's payload is the result. Data is
-			// immutable, so sharing it is safe.
-			r.Result = r.subs[0].result
-		} else {
-			r.Result = content.Gather(r.Pages, func(i int) content.Fingerprint {
-				for j := range r.subs {
-					sub := &r.subs[j]
-					if i >= sub.off && i < sub.off+sub.pages {
-						return sub.result.Page(i - sub.off)
-					}
-				}
-				return content.Zero
-			})
-		}
+	if r.Op == OpRead && r.Err == nil && len(r.subs) > 1 {
+		r.Result = content.Wrap(r.buf)
 	}
 	if r.Err != nil {
 		q.stats.Errored++

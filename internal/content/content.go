@@ -74,8 +74,13 @@ func Mix(f Fingerprint, salt uint64) Fingerprint {
 	return g
 }
 
-// Data is an immutable vector of page fingerprints describing the payload
-// of a multi-page request or the content read back from a device.
+// Data is a vector of page fingerprints describing the payload of a
+// multi-page request or the content read back from a device. Nothing
+// writes through a Data, but its pages may belong to someone who reuses
+// them: a read result is lent by the device that filled it and stays
+// unchanged only for the window blockdev.Device states, so a holder that
+// keeps pages longer copies them out with CopyTo. A write payload stays
+// unchanged until the write completes.
 type Data struct {
 	pages []Fingerprint
 }
@@ -104,8 +109,8 @@ func Random(r *sim.RNG, n int) Data {
 	return Data{pages: p}
 }
 
-// zeroSlab backs Zeroes for common sizes. Data is immutable, so every
-// all-zero payload can share one backing array; the slab covers any
+// zeroSlab backs Zeroes for common sizes. Nothing ever writes to it, so
+// every all-zero payload can share one backing array; the slab covers any
 // request up to 64 Ki pages (256 MiB of simulated data), far beyond the
 // segment and rebuild-chunk sizes on the hot path.
 var zeroSlab = make([]Fingerprint, 64*1024)
@@ -154,10 +159,14 @@ func (d Data) Bytes() int64 { return int64(len(d.pages)) * 4096 }
 func (d Data) Page(i int) Fingerprint { return d.pages[i] }
 
 // Slice returns the sub-vector [off, off+n). The result shares storage
-// with d; Data is treated as immutable throughout the repository.
+// with d, so it is lent for as long as d is.
 func (d Data) Slice(off, n int) Data {
 	return Data{pages: d.pages[off : off+n]}
 }
+
+// CopyTo copies d's pages into the front of dst and returns how many it
+// copied: d.Pages(), or len(dst) if dst is shorter.
+func (d Data) CopyTo(dst []Fingerprint) int { return copy(dst, d.pages) }
 
 // Sum returns a compositional checksum over the page fingerprints: equal
 // Data values have equal sums, and the sum of a concatenation depends only

@@ -85,6 +85,20 @@ func TestSliceSharesContent(t *testing.T) {
 	}
 }
 
+func TestCopyTo(t *testing.T) {
+	d := Random(sim.NewRNG(5), 4)
+	dst := make([]Fingerprint, 6)
+	if n := d.CopyTo(dst[1:]); n != 4 {
+		t.Fatalf("CopyTo copied %d pages, want 4", n)
+	}
+	if dst[0] != Zero || dst[5] != Zero || !Wrap(dst[1:5]).Equal(d) {
+		t.Fatalf("CopyTo wrote %v, want %v at [1:5)", dst, d)
+	}
+	if n := d.CopyTo(dst[:2]); n != 2 || dst[1] != d.Page(1) {
+		t.Fatalf("CopyTo into a short destination copied %d pages", n)
+	}
+}
+
 func TestEqual(t *testing.T) {
 	r := sim.NewRNG(4)
 	d := Random(r, 8)

@@ -120,6 +120,127 @@ func BenchmarkWriteAckDrain(b *testing.B) {
 	}
 }
 
+// readLoop drives one device through host reads of three kinds of
+// page. Its warm-up writes the 8-page blocks of LPNs [0, 1024) in a
+// scattered order, skipping every block whose index is 3 mod 4, and
+// drains each write to flash: the skipped blocks stay unmapped, the 32
+// blocks written last stay in the 1 MiB DRAM cache, and the rest live
+// only on flash. Reads do not fill the cache, so the mix holds.
+type readLoop struct {
+	k       *sim.Kernel
+	dev     *Device
+	lpn     addr.LPN // the read in flight
+	pending bool
+	bad     int // pages read back wrong
+	done    func(error, content.Data)
+	waiting func() bool
+}
+
+// readFP is what page lpn holds after the warm-up.
+func readFP(lpn addr.LPN) content.Fingerprint {
+	if lpn/8%4 == 3 {
+		return content.Zero
+	}
+	return content.Fingerprint(lpn + 1)
+}
+
+func newReadLoop(tb testing.TB) *readLoop {
+	tb.Helper()
+	p := smallProfile()
+	p.PagesPerBlock = 16384
+	p.CacheMB = 1
+	k := sim.New()
+	psu, err := power.New(k, power.DefaultConfig())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	dev, err := New(k, sim.NewRNG(7), p.Normalize(), psu)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	l := &readLoop{k: k, dev: dev}
+	l.done = func(err error, res content.Data) {
+		if err != nil {
+			tb.Fatal(err)
+		}
+		for i := 0; i < res.Pages(); i++ {
+			if res.Page(i) != readFP(l.lpn+addr.LPN(i)) {
+				l.bad++
+			}
+		}
+		l.pending = false
+	}
+	l.waiting = func() bool { return l.pending }
+	dirty := func() bool { return dev.DirtyCachePages() > 0 }
+	for j := 0; j < 128; j++ {
+		b := addr.LPN(j * 37 % 128) // 37 is coprime to 128: every block once
+		if b%4 == 3 {
+			continue
+		}
+		fps := make([]content.Fingerprint, 8)
+		for i := range fps {
+			fps[i] = readFP(b*8 + addr.LPN(i))
+		}
+		l.pending = true
+		dev.Submit(blockdev.OpWrite, b*8, 8, content.Wrap(fps), func(err error, _ content.Data) {
+			if err != nil {
+				tb.Fatal(err)
+			}
+			l.pending = false
+		})
+		k.RunWhile(l.waiting)
+		k.RunWhile(dirty)
+	}
+	for i := 0; i < 64; i++ {
+		l.round(i)
+	}
+	return l
+}
+
+// round reads the 64 pages of eight consecutive blocks, two of them
+// unmapped, and runs until the answer.
+func (l *readLoop) round(i int) {
+	l.lpn = addr.LPN(i%16) * 64
+	l.pending = true
+	l.dev.Submit(blockdev.OpRead, l.lpn, 64, content.Data{}, l.done)
+	l.k.RunWhile(l.waiting)
+}
+
+// TestHostReadAllocatesNothing pins the device's read path: on a warmed
+// device, a read that mixes DRAM-cache hits, flash pages and unmapped
+// pages allocates nothing, because its command lends the result from a
+// buffer it keeps across reuses; and every page reads back what it holds.
+func TestHostReadAllocatesNothing(t *testing.T) {
+	if racedet.Enabled {
+		t.Skip("the race detector allocates for its own bookkeeping")
+	}
+	l := newReadLoop(t)
+	hits, flashReads := l.dev.CacheStats().Hits, l.dev.Stats().PagesRead
+	i := 64
+	if n := testing.AllocsPerRun(50, func() { i++; l.round(i) }); n != 0 {
+		t.Errorf("host read made %v allocs, want 0", n)
+	}
+	hits, flashReads = l.dev.CacheStats().Hits-hits, l.dev.Stats().PagesRead-flashReads
+	if hits == 0 || flashReads == 0 {
+		t.Fatalf("reads made %d cache hits and %d flash page reads, want both", hits, flashReads)
+	}
+	if l.bad != 0 {
+		t.Fatalf("%d pages read back wrong", l.bad)
+	}
+}
+
+func BenchmarkHostRead(b *testing.B) {
+	l := newReadLoop(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l.round(i)
+	}
+	if l.bad != 0 {
+		b.Fatalf("%d pages read back wrong", l.bad)
+	}
+}
+
 // newCost returns the mallocs and heap bytes one New of prof costs, the
 // kernel and PSU it hangs on included.
 func newCost(tb testing.TB, prof Profile) (allocs float64, bytes uint64) {
@@ -167,5 +288,22 @@ func TestNewCostIndependentOfCapacity(t *testing.T) {
 	}
 	if sb >= 64<<10 {
 		t.Fatalf("New allocates %d B, want under 64 KiB", sb)
+	}
+}
+
+// BenchmarkNew builds one Profile A drive, with the kernel and PSU it
+// hangs on, per iteration.
+func BenchmarkNew(b *testing.B) {
+	prof := ProfileA()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		k := sim.New()
+		psu, err := power.New(k, power.DefaultConfig())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := New(k, sim.NewRNG(uint64(i)), prof, psu); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

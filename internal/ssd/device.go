@@ -75,16 +75,20 @@ type Stats struct {
 }
 
 // command is one host command. Commands are pooled: a finished command
-// returns to the pool once nothing pins it. Its scheduled steps and the
-// channel items serving it pin it; lists that may outlive it (flush
-// waiters, the brownout error sweep) hold a cmdRef instead, whose
-// generation no longer matches once the command is reused.
+// returns to the pool once nothing pins it and its done has returned.
+// Its scheduled steps and the channel items serving it pin it; lists
+// that may outlive it (flush waiters, the brownout error sweep) hold a
+// cmdRef instead, whose generation no longer matches once the command
+// is reused.
 type command struct {
-	op       blockdev.Op
-	lpn      addr.LPN
-	pages    int
-	data     content.Data
-	done     func(error, content.Data)
+	op    blockdev.Op
+	lpn   addr.LPN
+	pages int
+	data  content.Data
+	done  func(error, content.Data)
+	// result is a read's destination, lent to done. Its backing array
+	// stays with the command across reuses, so it grows to the largest
+	// read once.
 	result   []content.Fingerprint
 	parts    int
 	from     int // next page insertWrite places
@@ -266,6 +270,10 @@ func (d *Device) Submit(op blockdev.Op, lpn addr.LPN, pages int, data content.Da
 		d.failFast(done, ErrUnavailable)
 		return
 	}
+	if op != blockdev.OpRead && op != blockdev.OpWrite && op != blockdev.OpFlush {
+		d.failFast(done, fmt.Errorf("ssd: unknown op %v", op))
+		return
+	}
 	cmd := d.newCommand()
 	cmd.op, cmd.lpn, cmd.pages, cmd.data, cmd.done = op, lpn, pages, data, done
 	d.outstanding = append(d.outstanding, cmd)
@@ -277,8 +285,6 @@ func (d *Device) Submit(op blockdev.Op, lpn addr.LPN, pages int, data content.Da
 	case blockdev.OpFlush:
 		cmd.pins++
 		d.k.After(d.prof.CmdOverhead, cmd.stepFn)
-	default:
-		d.completeCmd(cmd, fmt.Errorf("ssd: unknown op %v", op))
 	}
 }
 
@@ -338,6 +344,7 @@ func (d *Device) maybeRelease(cmd *command) {
 	}
 	*cmd = command{
 		gen:       cmd.gen + 1,
+		result:    cmd.result[:0],
 		stepFn:    cmd.stepFn,
 		retryFn:   cmd.retryFn,
 		respondFn: cmd.respondFn,
@@ -385,15 +392,16 @@ func (d *Device) completeCmd(cmd *command, err error) {
 		d.stats.HostErrors++
 	case cmd.op == blockdev.OpRead:
 		d.stats.HostReads++
-		// The result slice is handed over: the host's Data owns it.
 		data = content.Wrap(cmd.result)
 	case cmd.op == blockdev.OpWrite:
 		d.stats.HostWrites++
 	default:
 		d.stats.HostFlushes++
 	}
-	d.maybeRelease(cmd)
+	// A read's result is lent: the command, which owns its backing
+	// array, returns to the pool only once done has returned.
 	done(err, data)
+	d.maybeRelease(cmd)
 }
 
 // linkCmd moves a command's bytes over the host link and runs fn, pinning
@@ -469,7 +477,7 @@ func (d *Device) writeThrough(cmd *command) {
 // --- read path ---
 
 func (d *Device) resolveRead(cmd *command) {
-	cmd.result = make([]content.Fingerprint, cmd.pages)
+	cmd.result = slices.Grow(cmd.result[:0], cmd.pages)[:cmd.pages]
 	for i := 0; i < cmd.pages; i++ {
 		lpn := cmd.lpn + addr.LPN(i)
 		if d.cache != nil {
