@@ -1,7 +1,6 @@
 package blktrace
 
 import (
-	"strings"
 	"testing"
 
 	"powerfail/internal/racedet"
@@ -35,8 +34,8 @@ func TestAssembleComplete(t *testing.T) {
 	if io.Q2C() != sim.Duration(1500) {
 		t.Fatalf("Q2C = %v", io.Q2C())
 	}
-	if io.FirstDispatch != 1100 || io.LastComplete != 2500 {
-		t.Fatalf("d=%v c=%v", io.FirstDispatch, io.LastComplete)
+	if io.LastComplete != 2500 {
+		t.Fatalf("c=%v", io.LastComplete)
 	}
 }
 
@@ -90,34 +89,6 @@ func TestAssembleOrdersByQueueTime(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	evs := mkEvents()
-	evs = append(evs,
-		Event{At: 3000, Act: ActQueue, Op: OpRead, Req: 2, Sub: -1, LPN: 0, Pages: 1},
-		Event{At: 3000, Act: ActSplit, Op: OpRead, Req: 2, Sub: 0, LPN: 0, Pages: 1},
-		Event{At: 3100, Act: ActError, Op: OpRead, Req: 2, Sub: 0, LPN: 0, Pages: 1},
-	)
-	s := Summarize(Assemble(evs))
-	if s.IOs != 2 || s.Completed != 1 || s.Errored != 1 || s.Writes != 1 || s.Reads != 1 {
-		t.Fatalf("summary = %+v", s)
-	}
-	if s.MaxQ2C != sim.Duration(1500) || s.AvgQ2C != sim.Duration(1500) {
-		t.Fatalf("q2c stats wrong: %+v", s)
-	}
-}
-
-func TestDumpPerIO(t *testing.T) {
-	var b strings.Builder
-	if err := DumpPerIO(&b, Assemble(mkEvents())); err != nil {
-		t.Fatal(err)
-	}
-	want := "io req=1 op=W lpn=100 pages=256 subs=2 done=2 err=0 state=complete\n" +
-		"  q=0.000001000 d=0.000001100 c=0.000002500\n"
-	if b.String() != want {
-		t.Fatalf("dump:\n%s\nwant:\n%s", b.String(), want)
-	}
-}
-
 func TestTracerRecordAndReset(t *testing.T) {
 	tr := NewTracer()
 	tr.Record(Event{Act: ActQueue, Req: 1})
@@ -129,12 +100,6 @@ func TestTracerRecordAndReset(t *testing.T) {
 	tr.Reset()
 	if tr.Len() != 0 {
 		t.Fatal("Reset failed")
-	}
-}
-
-func TestActionValid(t *testing.T) {
-	if !ActQueue.Valid() || Action('z').Valid() {
-		t.Fatal("Valid wrong")
 	}
 }
 

@@ -1,8 +1,6 @@
 package blktrace
 
 import (
-	"fmt"
-	"io"
 	"sort"
 
 	"powerfail/internal/addr"
@@ -10,7 +8,7 @@ import (
 )
 
 // IO is the btt-style per-IO assembly of one request's events: queueing,
-// splitting, per-sub-request dispatch and completion. The paper's modified
+// splitting and per-sub-request completion. The paper's modified
 // btt extracts exactly this view so that the Analyzer can tell complete
 // requests (every sub-request reached C) from incomplete ones.
 type IO struct {
@@ -21,14 +19,12 @@ type IO struct {
 	QueueAt sim.Time
 	// Subs counts block-layer sub-requests; SubsDone of them completed and
 	// SubsErrored failed.
-	Subs          int
-	SubsDone      int
-	SubsErrored   int
-	FirstDispatch sim.Time
-	LastComplete  sim.Time
-	TimedOut      bool
-	Rejected      bool
-	haveDispatch  bool
+	Subs         int
+	SubsDone     int
+	SubsErrored  int
+	LastComplete sim.Time
+	TimedOut     bool
+	Rejected     bool
 }
 
 // Complete reports whether the request fully completed: it was issued, all
@@ -65,11 +61,6 @@ func Assemble(events []Event) []*IO {
 			io.Pages = e.Pages
 		case ActSplit:
 			io.Subs++
-		case ActDispatch:
-			if !io.haveDispatch || e.At < io.FirstDispatch {
-				io.FirstDispatch = e.At
-				io.haveDispatch = true
-			}
 		case ActComplete:
 			io.SubsDone++
 			if e.At > io.LastComplete {
@@ -89,75 +80,4 @@ func Assemble(events []Event) []*IO {
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].QueueAt < out[j].QueueAt })
 	return out
-}
-
-// Summary aggregates per-IO statistics over a window.
-type Summary struct {
-	IOs       int
-	Completed int
-	Errored   int
-	TimedOut  int
-	Rejected  int
-	Reads     int
-	Writes    int
-	AvgQ2C    sim.Duration
-	MaxQ2C    sim.Duration
-}
-
-// Summarize computes aggregate statistics for a set of IOs.
-func Summarize(ios []*IO) Summary {
-	var s Summary
-	var total sim.Duration
-	for _, io := range ios {
-		s.IOs++
-		switch io.Op {
-		case OpRead:
-			s.Reads++
-		case OpWrite:
-			s.Writes++
-		}
-		switch {
-		case io.Rejected:
-			s.Rejected++
-		case io.TimedOut:
-			s.TimedOut++
-		case io.Complete():
-			s.Completed++
-			q2c := io.Q2C()
-			total += q2c
-			if q2c > s.MaxQ2C {
-				s.MaxQ2C = q2c
-			}
-		case io.SubsErrored > 0:
-			s.Errored++
-		}
-	}
-	if s.Completed > 0 {
-		s.AvgQ2C = total / sim.Duration(s.Completed)
-	}
-	return s
-}
-
-// DumpPerIO writes IOs in the text format of the modified btt per-IO dump:
-// one header line per request followed by indented timing fields.
-func DumpPerIO(w io.Writer, ios []*IO) error {
-	for _, io := range ios {
-		state := "incomplete"
-		switch {
-		case io.Rejected:
-			state = "rejected"
-		case io.TimedOut:
-			state = "timeout"
-		case io.Complete():
-			state = "complete"
-		}
-		_, err := fmt.Fprintf(w, "io req=%d op=%c lpn=%d pages=%d subs=%d done=%d err=%d state=%s\n"+
-			"  q=%.9f d=%.9f c=%.9f\n",
-			io.Req, io.Op, io.LPN, io.Pages, io.Subs, io.SubsDone, io.SubsErrored, state,
-			io.QueueAt.Seconds(), io.FirstDispatch.Seconds(), io.LastComplete.Seconds())
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -1,13 +1,14 @@
 // Package blktrace reimplements, inside the simulation, the IO tracing
 // pipeline the paper builds on: blktrace-style block-layer events and a
-// btt-style per-IO assembler and dump (the paper modified btt's per-IO
-// dump to track sub-request completion). The events' text form is the
-// unified powerfail-events v2 log in internal/obs. On real hardware the
-// trace is the host's only view of whether a request "completed" — all
-// of its block-layer sub-requests reached the C state before the 30 s
-// timeout. Inside the simulation the block layer reports
-// that flag directly as a nil request error; Assemble re-derives it from
-// the events, and a blockdev test pins the two equal on every request.
+// btt-style per-IO assembler (the paper modified btt's per-IO dump to
+// track sub-request completion). On real hardware the trace is the
+// host's only view of whether a request "completed" — all of its
+// block-layer sub-requests reached the C state before the 30 s timeout.
+// Inside the simulation the block layer reports that flag directly as a
+// nil request error, and its completed requests reach the Chrome trace
+// as blkio spans. The host queue records these events only when handed a
+// Tracer, which the blockdev tests do: Assemble re-derives both views
+// from the events, and those tests pin them equal on every request.
 package blktrace
 
 import (
@@ -29,15 +30,6 @@ const (
 	ActTimeout  Action = 'T' // request abandoned by the 30 s timer
 	ActReject   Action = 'R' // request rejected before queueing (not issued)
 )
-
-// Valid reports whether a is a known action.
-func (a Action) Valid() bool {
-	switch a {
-	case ActQueue, ActSplit, ActDispatch, ActComplete, ActError, ActTimeout, ActReject:
-		return true
-	}
-	return false
-}
 
 // String implements fmt.Stringer.
 func (a Action) String() string { return string(rune(a)) }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"sort"
 )
 
 // Process groups one simulation's obs events for Chrome trace export,
@@ -62,7 +63,10 @@ func WriteChromeTrace(w io.Writer, procs []Process) error {
 			return t
 		}
 		events := append([]Event(nil), p.Events...)
-		SortEvents(events)
+		// Spans are recorded at completion but stamped with their start,
+		// so order by time; a stable sort keeps record order within one
+		// instant, where it is meaningful.
+		sort.SliceStable(events, func(i, j int) bool { return events[i].At < events[j].At })
 		for _, e := range events {
 			ce := chromeEvent{
 				Name: e.Name,

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"powerfail/internal/blktrace"
 	"powerfail/internal/sim"
 )
 
@@ -201,49 +200,6 @@ func TestTraceRing(t *testing.T) {
 	}
 }
 
-func TestUnifiedEventsRoundtrip(t *testing.T) {
-	events := []Event{
-		{At: 100, Kind: KindPower, Comp: "power", Name: "psu", Value: 1},
-		{At: 50, Dur: 200, Kind: KindSpan, Comp: "runner", Name: "fault cycle", Value: 3},
-		{At: 300, Kind: KindQueueDepth, Comp: "blockdev", Name: "inflight", Value: 7},
-	}
-	blk := []blktrace.Event{
-		{At: 10, Act: blktrace.ActQueue, Op: blktrace.OpWrite, Req: 1, Sub: -1, LPN: 42, Pages: 8},
-		{At: 220, Act: blktrace.ActComplete, Op: blktrace.OpWrite, Req: 1, Sub: 0, LPN: 42, Pages: 8},
-	}
-	var buf bytes.Buffer
-	if err := WriteUnifiedEvents(&buf, events, blk); err != nil {
-		t.Fatal(err)
-	}
-	gotEvents, gotBlk, err := ReadUnifiedEvents(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantEvents := append([]Event(nil), events...)
-	SortEvents(wantEvents)
-	if !reflect.DeepEqual(gotEvents, wantEvents) {
-		t.Fatalf("obs events roundtrip:\n got %+v\nwant %+v", gotEvents, wantEvents)
-	}
-	if !reflect.DeepEqual(gotBlk, blk) {
-		t.Fatalf("blk events roundtrip:\n got %+v\nwant %+v", gotBlk, blk)
-	}
-}
-
-func TestUnifiedEventsRejectsLegacy(t *testing.T) {
-	// Input without the v2 header must error cleanly, not misparse, and
-	// the error must name the header it wanted.
-	for name, in := range map[string]string{
-		"legacy":  "0.000000010 Q R req=1 sub=-1 lpn=1 pages=1\n",
-		"empty":   "",
-		"version": "# powerfail-events v99\n",
-	} {
-		_, _, err := ReadUnifiedEvents(strings.NewReader(in))
-		if err == nil || !strings.Contains(err.Error(), EventsHeader) {
-			t.Fatalf("%s input: got %v, want an error naming %q", name, err, EventsHeader)
-		}
-	}
-}
-
 func TestChromeTraceWriteValidate(t *testing.T) {
 	events := []Event{
 		{At: 1000, Kind: KindPower, Comp: "power", Name: "rack0", Value: 1},
@@ -279,20 +235,5 @@ func TestChromeTraceWriteValidate(t *testing.T) {
 	}
 	if _, err := ValidateChromeTrace(strings.NewReader(`{"traceEvents":[{"ph":"Z","name":"x","ts":0,"pid":1}]}`)); err == nil {
 		t.Fatal("unknown phase should fail validation")
-	}
-}
-
-func TestTimelineOutput(t *testing.T) {
-	var buf bytes.Buffer
-	err := WriteTimeline(&buf, []Event{
-		{At: sim.Time(1500), Kind: KindPower, Comp: "power", Name: "psu", Value: 1},
-		{At: sim.Time(2000), Dur: 300, Kind: KindSpan, Comp: "runner", Name: "cycle", Value: 0},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "power") || !strings.Contains(out, "dur=300ns") {
-		t.Fatalf("unexpected timeline:\n%s", out)
 	}
 }

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"fmt"
-	"io"
 
 	"powerfail/internal/sim"
 )
@@ -46,22 +45,13 @@ var kindNames = [...]string{
 	KindBlockIO:    "blkio",
 }
 
-// String returns the stable lower-case name used in dumps.
+// String returns the stable lower-case name the Chrome export uses as
+// the event's category.
 func (k Kind) String() string {
 	if int(k) < len(kindNames) {
 		return kindNames[k]
 	}
 	return fmt.Sprintf("kind(%d)", uint8(k))
-}
-
-// ParseKind inverts Kind.String.
-func ParseKind(s string) (Kind, error) {
-	for k, name := range kindNames {
-		if s == name {
-			return Kind(k), nil
-		}
-	}
-	return 0, fmt.Errorf("obs: unknown event kind %q", s)
 }
 
 // Event is one typed trace record on the simulated clock.
@@ -72,16 +62,6 @@ type Event struct {
 	Comp  string       `json:"comp"`
 	Name  string       `json:"name"`
 	Value int64        `json:"value"`
-}
-
-// String formats the event as one timeline line.
-func (e Event) String() string {
-	if e.Dur != 0 {
-		return fmt.Sprintf("%.9f %-7s %-16s %s val=%d dur=%s",
-			e.At.Seconds(), e.Kind, e.Comp, e.Name, e.Value, e.Dur)
-	}
-	return fmt.Sprintf("%.9f %-7s %-16s %s val=%d",
-		e.At.Seconds(), e.Kind, e.Comp, e.Name, e.Value)
 }
 
 // Trace is a bounded ring buffer of events. When full it drops the
@@ -148,15 +128,4 @@ func (t *Trace) Events() []Event {
 		copy(out[head:], t.buf[:t.n-head])
 	}
 	return out
-}
-
-// WriteTimeline writes events as a human-readable text timeline, one
-// line per event in record order.
-func WriteTimeline(w io.Writer, events []Event) error {
-	for _, e := range events {
-		if _, err := fmt.Fprintln(w, e.String()); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -12,6 +12,8 @@ import (
 func BenchmarkKernelScheduleFire(b *testing.B) {
 	k := New()
 	fn := func() {}
+	k.After(0, fn) // warm-up: the first timer grows the slot table and the free list
+	k.Step()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -30,6 +32,8 @@ func BenchmarkKernelDeepQueue(b *testing.B) {
 	for i := 0; i < 4096; i++ {
 		k.After(Duration(1+i%251), fn)
 	}
+	k.After(1, fn) // warm-up round, as in BenchmarkKernelScheduleFire
+	k.Step()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -44,6 +48,7 @@ func BenchmarkKernelDeepQueue(b *testing.B) {
 func BenchmarkKernelScheduleStop(b *testing.B) {
 	k := New()
 	fn := func() {}
+	k.After(1, fn).Stop() // warm-up round, as in BenchmarkKernelScheduleFire
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
