@@ -260,7 +260,7 @@ type Array struct {
 
 	rrNext      int                   // raid1 read rotation cursor
 	stripeLocks map[int64]stripeQueue // coded levels: busy stripes and their waiting RMW cycles
-	tele        arrayObs
+	tele        obs.Scope             // trace instants of the failure phenomena; zero when not observed
 
 	// Pooled per-IO records (experiments are single-threaded).
 	ops    pool.FreeList[codedOp]
@@ -601,8 +601,7 @@ func (a *Array) Attribute(dst []int, lpn addr.LPN, pages int) []int {
 		}
 		if len(dst)-base > kp {
 			a.stats.RedundancyExceededLosses++
-			a.tele.redundancyExceeded.Inc()
-			a.tele.sc.Instant(a.k.Now(), obs.KindInstant, "redundancy_exceeded_loss", int64(lpn))
+			a.tele.Instant(a.k.Now(), obs.KindInstant, "redundancy_exceeded_loss", int64(lpn))
 			return dst
 		}
 		dst = dst[:base]

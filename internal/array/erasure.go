@@ -129,8 +129,7 @@ func (a *Array) chunkRead(ch *chunkOp, err error, res content.Data) {
 // beyond that the read fails (the stripe has more than k erasures).
 func (a *Array) codeReconstruct(cr chunkRange, result []content.Fingerprint, done func(error)) {
 	a.stats.Reconstructions++
-	a.tele.reconstructions.Inc()
-	a.tele.sc.Instant(a.k.Now(), obs.KindInstant, "reconstruction", int64(cr.mlpn))
+	a.tele.Instant(a.k.Now(), obs.KindInstant, "reconstruction", int64(cr.mlpn))
 	n := len(a.members)
 	rows := make([][]content.Fingerprint, n)
 	ok := make([]bool, n)
@@ -240,7 +239,6 @@ func (a *Array) unlockStripe(s int64) {
 // 1+k writes lands.
 func (a *Array) codeRMW(ch *chunkOp) {
 	a.stats.ParityRMWs++
-	a.tele.parityRMWs.Inc()
 	kp := a.parityCount()
 	cr := ch.cr
 	ch.buf = slices.Grow(ch.buf[:0], (1+kp)*cr.n)[:(1+kp)*cr.n]
@@ -296,8 +294,7 @@ func (a *Array) rmwWriteDone(ch *chunkOp, err error) {
 	}
 	if ch.acked > 0 && ch.acked < 1+a.parityCount() {
 		a.stats.WriteHoles++
-		a.tele.writeHoles.Inc()
-		a.tele.sc.Instant(a.k.Now(), obs.KindInstant, "write_hole", int64(ch.cr.mlpn))
+		a.tele.Instant(a.k.Now(), obs.KindInstant, "write_hole", int64(ch.cr.mlpn))
 	}
 	if ch.dataErr != nil {
 		a.rmwDone(ch, ch.dataErr)

@@ -4,29 +4,19 @@ import (
 	"powerfail/internal/obs"
 )
 
-// arrayObs holds the composite's observability handles; the zero value
-// is the disabled state (nil handles no-op).
-type arrayObs struct {
-	sc                 obs.Scope
-	writeHoles         *obs.Counter
-	reconstructions    *obs.Counter
-	parityRMWs         *obs.Counter
-	redundancyExceeded *obs.Counter
-}
-
-// Observe attaches the array to an observability scope, recording the
-// multi-device failure phenomena as counters plus trace instants: parity
-// write holes, degraded-read reconstructions and redundancy-exceeded
-// losses. A disabled scope is a no-op.
+// Observe attaches the array to an observability scope: the multi-device
+// failure phenomena it counts in Stats (parity write holes, parity
+// read-modify-writes, degraded-read reconstructions and
+// redundancy-exceeded losses) become counters the registry reads, and
+// each is also recorded as a trace instant. A disabled scope is a no-op.
 func (a *Array) Observe(sc obs.Scope) {
 	if !sc.Enabled() {
 		return
 	}
-	a.tele = arrayObs{
-		sc:                 sc,
-		writeHoles:         sc.Counter("write_holes"),
-		reconstructions:    sc.Counter("reconstructions"),
-		parityRMWs:         sc.Counter("parity_rmws"),
-		redundancyExceeded: sc.Counter("redundancy_exceeded_losses"),
-	}
+	st := &a.stats
+	sc.Count("write_holes", &st.WriteHoles)
+	sc.Count("reconstructions", &st.Reconstructions)
+	sc.Count("parity_rmws", &st.ParityRMWs)
+	sc.Count("redundancy_exceeded_losses", &st.RedundancyExceededLosses)
+	a.tele = sc
 }

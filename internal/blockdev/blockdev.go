@@ -343,13 +343,11 @@ func (q *Queue) Submit(r *Request) {
 	r.ID = q.nextID
 	r.Queued = q.k.Now()
 	q.stats.Submitted++
-	q.obs.submitted.Inc()
 	kind := r.Op.traceKind()
 	if q.PendingSubs() >= q.cfg.PendingCap {
 		r.NotIssued = true
 		r.Err = ErrQueueFull
 		q.stats.Rejected++
-		q.obs.rejected.Inc()
 		q.trace(blktrace.Event{At: q.k.Now(), Act: blktrace.ActReject, Op: kind, Req: r.ID, Sub: -1, LPN: r.LPN, Pages: r.Pages})
 		q.finish(r)
 		return
@@ -382,7 +380,6 @@ func (q *Queue) split(r *Request) {
 	}
 	if len(r.subs) > 1 {
 		q.stats.Splits += int64(len(r.subs) - 1)
-		q.obs.splits.Add(int64(len(r.subs) - 1))
 		if r.Op == OpRead {
 			r.buf = slices.Grow(r.buf[:0], r.Pages)[:r.Pages]
 		}
@@ -490,8 +487,8 @@ func (q *Queue) onSubDone(r *Request, idx int, gen uint32, err error, result con
 		q.stats.Errored++
 	} else {
 		q.stats.Completed++
+		q.obsDone(r)
 	}
-	q.obsDone(r)
 	q.finish(r)
 }
 
@@ -500,7 +497,6 @@ func (q *Queue) onTimeout(r *Request) {
 		return
 	}
 	q.stats.TimedOut++
-	q.obs.timedOut.Inc()
 	r.Err = ErrTimeout
 	q.trace(blktrace.Event{At: q.k.Now(), Act: blktrace.ActTimeout, Op: r.Op.traceKind(), Req: r.ID, Sub: -1, LPN: r.LPN, Pages: r.Pages})
 	// Outstanding subs are abandoned implicitly: pending ring entries and

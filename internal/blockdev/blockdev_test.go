@@ -47,9 +47,11 @@ func (d *fakeDevice) Submit(op Op, lpn addr.LPN, pages int, data content.Data, d
 			}
 			done(nil, content.Data{})
 		case OpRead:
-			done(nil, content.Gather(pages, func(i int) content.Fingerprint {
-				return d.pages[lpn+addr.LPN(i)]
-			}))
+			got := make([]content.Fingerprint, pages)
+			for i := range got {
+				got[i] = d.pages[lpn+addr.LPN(i)]
+			}
+			done(nil, content.Wrap(got))
 		default:
 			done(nil, content.Data{})
 		}

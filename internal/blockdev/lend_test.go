@@ -28,7 +28,11 @@ func (d *patternDrive) Submit(op blockdev.Op, lpn addr.LPN, pages int, _ content
 			done(nil, content.Data{})
 			return
 		}
-		done(nil, content.Gather(pages, func(i int) content.Fingerprint { return patternFP(lpn + addr.LPN(i)) }))
+		got := make([]content.Fingerprint, pages)
+		for i := range got {
+			got[i] = patternFP(lpn + addr.LPN(i))
+		}
+		done(nil, content.Wrap(got))
 	})
 }
 

@@ -11,15 +11,10 @@ import (
 
 // queueObs holds one Queue's observability handles. The zero value is
 // the disabled state: every handle is nil and nil handles no-op, so the
-// hot path pays one nil check when observability is off.
+// hot path pays one nil check when observability is off. The request
+// counters are not here: the registry reads them from Stats.
 type queueObs struct {
 	sc        obs.Scope
-	submitted *obs.Counter
-	rejected  *obs.Counter
-	completed *obs.Counter
-	errored   *obs.Counter
-	timedOut  *obs.Counter
-	splits    *obs.Counter
 	inflight  *obs.Gauge
 	q2cRead   *obs.Histogram
 	q2cWrite  *obs.Histogram
@@ -30,26 +25,28 @@ type queueObs struct {
 }
 
 // Observe attaches the queue to an observability scope. Handles are
-// resolved once here; several queues observing into the same scope (the
-// fleet's member queues) share metrics by name. A disabled scope is a
-// no-op.
+// resolved once here, and the addresses of the Stats counts are
+// registered for the registry to read; several queues observing into
+// the same scope (the fleet's member queues) share metrics by name, and
+// their counts add up. A disabled scope is a no-op.
 func (q *Queue) Observe(sc obs.Scope) {
 	if !sc.Enabled() {
 		return
 	}
+	st := &q.stats
+	sc.Count("submitted", &st.Submitted)
+	sc.Count("rejected", &st.Rejected)
+	sc.Count("completed", &st.Completed)
+	sc.Count("errored", &st.Errored)
+	sc.Count("timed_out", &st.TimedOut)
+	sc.Count("splits", &st.Splits)
 	q.obs = queueObs{
-		sc:        sc,
-		submitted: sc.Counter("submitted"),
-		rejected:  sc.Counter("rejected"),
-		completed: sc.Counter("completed"),
-		errored:   sc.Counter("errored"),
-		timedOut:  sc.Counter("timed_out"),
-		splits:    sc.Counter("splits"),
-		inflight:  sc.Gauge("inflight"),
-		q2cRead:   sc.Histogram("q2c_read_ns"),
-		q2cWrite:  sc.Histogram("q2c_write_ns"),
-		q2cFlush:  sc.Histogram("q2c_flush_ns"),
-		q2cCtrl:   sc.Histogram("q2c_control_ns"),
+		sc:       sc,
+		inflight: sc.Gauge("inflight"),
+		q2cRead:  sc.Histogram("q2c_read_ns"),
+		q2cWrite: sc.Histogram("q2c_write_ns"),
+		q2cFlush: sc.Histogram("q2c_flush_ns"),
+		q2cCtrl:  sc.Histogram("q2c_control_ns"),
 	}
 }
 
@@ -70,19 +67,14 @@ func (q *Queue) obsSampleDepth() {
 	o.sc.Instant(q.k.Now(), obs.KindQueueDepth, "inflight", int64(q.inflight))
 }
 
-// obsDone records the queue-to-complete latency of a finished request.
-// Control (verification) traffic gets its own histogram so workload
-// latency quantiles stay clean.
+// obsDone records the queue-to-complete latency of a request that
+// finished without error. Control (verification) traffic gets its own
+// histogram so workload latency quantiles stay clean.
 func (q *Queue) obsDone(r *Request) {
 	o := &q.obs
-	if o.completed == nil {
+	if o.q2cRead == nil {
 		return
 	}
-	if r.Err != nil {
-		o.errored.Inc()
-		return
-	}
-	o.completed.Inc()
 	d := int64(q.k.Now().Sub(r.Queued))
 	switch {
 	case r.Control:

@@ -140,15 +140,6 @@ func FromByteSlice(b []byte) Data {
 	return Data{pages: p}
 }
 
-// Gather assembles a Data of n pages by calling get for each page index.
-func Gather(n int, get func(i int) Fingerprint) Data {
-	p := make([]Fingerprint, n)
-	for i := range p {
-		p[i] = get(i)
-	}
-	return Data{pages: p}
-}
-
 // Pages returns the number of pages in d.
 func (d Data) Pages() int { return len(d.pages) }
 

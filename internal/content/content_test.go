@@ -140,13 +140,10 @@ func TestQuickSumCompositional(t *testing.T) {
 		if k == 0 {
 			k = 1
 		}
-		re := Gather(n, func(i int) Fingerprint {
-			if i < k {
-				return d.Slice(0, k).Page(i)
-			}
-			return d.Slice(k, n-k).Page(i - k)
-		})
-		return re.Sum() == d.Sum() && re.Equal(d)
+		re := make([]Fingerprint, n)
+		d.Slice(0, k).CopyTo(re)
+		d.Slice(k, n-k).CopyTo(re[k:])
+		return Wrap(re).Sum() == d.Sum() && Wrap(re).Equal(d)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
@@ -167,15 +164,6 @@ func TestFromByteSlice(t *testing.T) {
 	}
 	if FromByteSlice(nil).Pages() != 0 {
 		t.Fatal("empty slice should produce empty Data")
-	}
-}
-
-func TestGather(t *testing.T) {
-	d := Gather(5, func(i int) Fingerprint { return Fingerprint(i + 1) })
-	for i := 0; i < 5; i++ {
-		if d.Page(i) != Fingerprint(i+1) {
-			t.Fatal("Gather wrong")
-		}
 	}
 }
 

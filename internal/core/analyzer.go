@@ -34,7 +34,7 @@ type Analyzer struct {
 	// platforms. members is the scratch it appends into.
 	attribute   func(dst []int, lpn addr.LPN, pages int) []int
 	members     []int
-	memberFails []MemberFailureCounts
+	memberFails []Failures
 
 	// pktFree recycles packets whose verification story has ended (failed
 	// terminally, aged out of the recheck window, or rejected by the host
@@ -42,20 +42,10 @@ type Analyzer struct {
 	pktFree pool.FreeList[Packet]
 }
 
-// MemberFailureCounts is the per-member slice of the failure taxonomy for
-// composite devices.
-type MemberFailureCounts struct {
-	DataFailures int `json:"data_failures"`
-	FWA          int `json:"fwa"`
-	IOErrors     int `json:"io_errors"`
-}
-
 // FaultOutcome is the per-fault-cycle failure breakdown.
 type FaultOutcome struct {
-	FaultAt      sim.Time `json:"fault_at_ns"`
-	DataFailures int      `json:"data_failures"`
-	FWA          int      `json:"fwa"`
-	IOErrors     int      `json:"io_errors"`
+	FaultAt sim.Time `json:"fault_at_ns"`
+	Failures
 }
 
 // NewAnalyzer builds an analyzer. recheckWindow bounds how long a
@@ -79,16 +69,16 @@ func (a *Analyzer) Counters() Counters { return a.counts }
 // members fn appends for the packet's address range.
 func (a *Analyzer) SetAttribution(n int, fn func(dst []int, lpn addr.LPN, pages int) []int) {
 	a.attribute = fn
-	a.memberFails = make([]MemberFailureCounts, n)
+	a.memberFails = make([]Failures, n)
 }
 
 // MemberFailures returns the per-member attributed failures (nil without
 // an attributor).
-func (a *Analyzer) MemberFailures() []MemberFailureCounts {
+func (a *Analyzer) MemberFailures() []Failures {
 	if a.memberFails == nil {
 		return nil
 	}
-	out := make([]MemberFailureCounts, len(a.memberFails))
+	out := make([]Failures, len(a.memberFails))
 	copy(out, a.memberFails)
 	return out
 }
@@ -99,16 +89,8 @@ func (a *Analyzer) chargeMembers(pkt *Packet, kind FailureKind) {
 	}
 	a.members = a.attribute(a.members[:0], pkt.LPN, pkt.Pages)
 	for _, m := range a.members {
-		if m < 0 || m >= len(a.memberFails) {
-			continue
-		}
-		switch kind {
-		case FailData:
-			a.memberFails[m].DataFailures++
-		case FailFWA:
-			a.memberFails[m].FWA++
-		case FailIOError:
-			a.memberFails[m].IOErrors++
+		if m >= 0 && m < len(a.memberFails) {
+			a.memberFails[m].add(kind)
 		}
 	}
 }
@@ -226,43 +208,23 @@ func (a *Analyzer) Classify(pkt *Packet, obs content.Data, faultIdx int) Failure
 	outcome := a.classify(pkt, obs)
 	first := !pkt.Verified
 	pkt.Verified = true
-	switch outcome {
-	case FailIOError:
-		if pkt.FailedAs == FailNone {
-			pkt.FailedAs = FailIOError
-			pkt.FaultIdx = faultIdx
-			a.counts.IOErrors++
-			a.fault(faultIdx).IOErrors++
-			a.chargeMembers(pkt, FailIOError)
-		}
-	case FailFWA:
-		if pkt.FailedAs == FailNone {
-			pkt.FailedAs = FailFWA
-			pkt.FaultIdx = faultIdx
-			a.counts.FWA++
-			a.fault(faultIdx).FWA++
-			a.chargeMembers(pkt, FailFWA)
-			if !first {
-				a.counts.LateCorruptions++
-			}
-		}
-	case FailData:
-		if pkt.FailedAs == FailNone {
-			pkt.FailedAs = FailData
-			pkt.FaultIdx = faultIdx
-			a.counts.DataFailures++
-			a.fault(faultIdx).DataFailures++
-			a.chargeMembers(pkt, FailData)
-			if !first {
-				a.counts.LateCorruptions++
-			}
-		}
-	default:
+	switch {
+	case outcome == FailNone:
 		if first {
 			a.counts.OKVerified++
 		}
 		if !pkt.released {
 			a.recent = append(a.recent, pkt)
+		}
+	case pkt.FailedAs == FailNone:
+		// A packet is charged once, for the first failure it shows.
+		pkt.FailedAs = outcome
+		pkt.FaultIdx = faultIdx
+		a.counts.add(outcome)
+		a.fault(faultIdx).add(outcome)
+		a.chargeMembers(pkt, outcome)
+		if !first && outcome != FailIOError {
+			a.counts.LateCorruptions++
 		}
 	}
 	// Re-synchronise the shadow with observed reality so later initial

@@ -216,7 +216,7 @@ func TestFailureKindStrings(t *testing.T) {
 }
 
 func TestCountersDataLosses(t *testing.T) {
-	c := Counters{DataFailures: 3, FWA: 4}
+	c := Counters{Failures: Failures{DataFailures: 3, FWA: 4}}
 	if c.DataLosses() != 7 {
 		t.Fatal("DataLosses wrong")
 	}

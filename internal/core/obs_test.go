@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"testing"
 
+	"powerfail/internal/array"
 	"powerfail/internal/fleet"
 	"powerfail/internal/obs"
 	"powerfail/internal/sim"
@@ -219,4 +220,100 @@ func TestObsFleetInstrumented(t *testing.T) {
 	if stateEvents == 0 {
 		t.Error("no rebuild state-transition trace events")
 	}
+}
+
+// TestObsCountersReadReportFields: an obs counter is a reader of the
+// count its layer keeps, not a second count. So on a RAID-5 rig, a WAL
+// on one SSD and a fleet, every counter equals the report field the same
+// count feeds. Fleet member queues are checked in internal/fleet, whose
+// report carries no per-queue stats.
+func TestObsCountersReadReportFields(t *testing.T) {
+	metrics := &obs.Config{Metrics: true}
+	check := func(t *testing.T, s *obs.Summary, want map[string]int64) {
+		t.Helper()
+		got := map[string]int64{}
+		for _, c := range s.Counters {
+			got[c.Name] = c.Value
+		}
+		for name, w := range want {
+			if g, ok := got[name]; !ok || g != w {
+				t.Errorf("%s = %d (listed %v), want %d", name, g, ok, w)
+			}
+		}
+	}
+	rig := func(rep *Report) map[string]int64 {
+		h := rep.HostStats
+		return map[string]int64{
+			"blockdev/submitted": h.Submitted,
+			"blockdev/rejected":  h.Rejected,
+			"blockdev/completed": h.Completed,
+			"blockdev/errored":   h.Errored,
+			"blockdev/timed_out": h.TimedOut,
+			"blockdev/splits":    h.Splits,
+			"power/cuts":         int64(rep.Cuts),
+			"power/restores":     int64(rep.Restores),
+		}
+	}
+
+	t.Run("raid5", func(t *testing.T) {
+		// A slower-to-recover QLC member leaves the array degraded after
+		// each restore, so reads reconstruct.
+		opts := raidOpts(1, array.RAID5, 3)
+		q := ssd.ProfileQ()
+		q.CapacityGB, q.Channels, q.Dies = 1, 4, 4
+		opts.Topology.Array.Members[2] = q
+		opts.Concurrency = 4
+		opts.Obs = metrics
+		wl := tinyWrites(512)
+		wl.ReadPct = 50
+		rep := runObs(t, opts, ExperimentSpec{Name: "obs-raid5", Workload: wl, Faults: 6, RequestsPerFault: 20})
+		want, st := rig(rep), rep.ArrayStats
+		want["array/write_holes"] = st.WriteHoles
+		want["array/reconstructions"] = st.Reconstructions
+		want["array/parity_rmws"] = st.ParityRMWs
+		want["array/redundancy_exceeded_losses"] = st.RedundancyExceededLosses
+		check(t, rep.Obs, want)
+		if st.ParityRMWs == 0 || st.Reconstructions == 0 || rep.Cuts == 0 {
+			t.Errorf("run exercised too little: %d parity RMWs, %d reconstructions, %d cuts",
+				st.ParityRMWs, st.Reconstructions, rep.Cuts)
+		}
+	})
+
+	t.Run("txn-ssd", func(t *testing.T) {
+		prof := ssd.ProfileA()
+		prof.CapacityGB = 8
+		cfg := txn.DefaultConfig()
+		rep := runObs(t, Options{Seed: 31, Profile: prof, App: AppConfig{Txn: &cfg}, Obs: metrics},
+			ExperimentSpec{Name: "obs-txn", Faults: 3, RequestsPerFault: 8, MaxSimTime: 20 * sim.Minute})
+		want, st := rig(rep), rep.TxnStats
+		want["txn/begins"] = st.Started
+		want["txn/commits"] = st.Committed
+		want["txn/recovery_scans"] = st.RecoveryScans
+		want["txn/recovery_scan_pages"] = st.ScanPages
+		check(t, rep.Obs, want)
+		if st.Committed == 0 || st.ScanPages == 0 {
+			t.Errorf("run exercised too little: %d commits, %d scanned pages", st.Committed, st.ScanPages)
+		}
+	})
+
+	t.Run("fleet", func(t *testing.T) {
+		fcfg := &fleet.Config{
+			Arrays:   4,
+			Spares:   2,
+			Member:   fleet.MemberProfile{Pages: 1024},
+			Rebuild:  fleet.RebuildPolicy{Delay: sim.Second},
+			Faults:   fleet.FaultPlan{Level: fleet.PSU, Count: 4, Outage: 3 * sim.Second},
+			Duration: 20 * sim.Second,
+		}
+		rep := runObs(t, Options{Seed: 7, Fleet: fcfg, Obs: metrics}, ExperimentSpec{Name: "obs-fleet"})
+		st := rep.Fleet
+		check(t, rep.Obs, map[string]int64{
+			"power/cuts":              int64(st.Cuts),
+			"power/restores":          int64(st.Restores),
+			"fleet/declared_failures": int64(st.DeclaredFailures),
+		})
+		if st.Cuts == 0 || st.DeclaredFailures == 0 {
+			t.Errorf("run exercised too little: %d cuts, %d declared failures", st.Cuts, st.DeclaredFailures)
+		}
+	})
 }

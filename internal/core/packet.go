@@ -105,6 +105,30 @@ func (p *Packet) prevEqual(d content.Data) bool {
 	return true
 }
 
+// Failures tallies the Section III-B failure kinds. The experiment
+// totals, every fault cycle and every array member keep one each.
+type Failures struct {
+	DataFailures int `json:"data_failures"`
+	FWA          int `json:"fwa"`
+	IOErrors     int `json:"io_errors"`
+}
+
+// add charges one failure of kind k; FailNone charges nothing.
+func (f *Failures) add(k FailureKind) {
+	switch k {
+	case FailData:
+		f.DataFailures++
+	case FailFWA:
+		f.FWA++
+	case FailIOError:
+		f.IOErrors++
+	}
+}
+
+// DataLosses returns data failures plus FWAs: the paper's combined
+// "data failure / data loss" count.
+func (f Failures) DataLosses() int { return f.DataFailures + f.FWA }
+
 // Counters aggregates the analyzer's findings.
 type Counters struct {
 	Issued    int `json:"issued"`
@@ -114,13 +138,7 @@ type Counters struct {
 	Errored   int `json:"errored"`
 	NotIssued int `json:"not_issued"`
 
-	DataFailures    int `json:"data_failures"`
-	FWA             int `json:"fwa"`
-	IOErrors        int `json:"io_errors"`
+	Failures
 	OKVerified      int `json:"ok_verified"`
 	LateCorruptions int `json:"late_corruptions"` // verified-then-corrupted, caught on recheck
 }
-
-// DataLosses returns data failures plus FWAs: the paper's combined
-// "data failure / data loss" count.
-func (c Counters) DataLosses() int { return c.DataFailures + c.FWA }

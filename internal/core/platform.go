@@ -219,12 +219,10 @@ func (p *Platform) ObsScope(comp string) obs.Scope { return p.Obs.Scope(comp) }
 type FaultScheduler struct {
 	k        *sim.Kernel
 	ard      *power.Arduino
-	cuts     int
-	restores int
+	cuts     int64
+	restores int64
 
-	sc      obs.Scope
-	obsCuts *obs.Counter
-	obsRest *obs.Counter
+	sc obs.Scope
 }
 
 // NewFaultScheduler wires a scheduler to the Arduino, the paper's rig.
@@ -235,7 +233,6 @@ func NewFaultScheduler(k *sim.Kernel, ard *power.Arduino) *FaultScheduler {
 // Cut commands the hardware to drop PS_ON#, starting the PSU discharge.
 func (s *FaultScheduler) Cut() {
 	s.cuts++
-	s.obsCuts.Inc()
 	s.sc.Instant(s.k.Now(), obs.KindPower, "psu", 1)
 	s.send(power.CmdCut)
 }
@@ -243,7 +240,6 @@ func (s *FaultScheduler) Cut() {
 // Restore commands the hardware to re-assert PS_ON#.
 func (s *FaultScheduler) Restore() {
 	s.restores++
-	s.obsRest.Inc()
 	s.sc.Instant(s.k.Now(), obs.KindPower, "psu", 0)
 	s.send(power.CmdRestore)
 }
@@ -255,15 +251,16 @@ func (s *FaultScheduler) send(cmd byte) {
 }
 
 // Cuts returns the number of Cut commands sent.
-func (s *FaultScheduler) Cuts() int { return s.cuts }
+func (s *FaultScheduler) Cuts() int { return int(s.cuts) }
 
 // Restores returns the number of Restore commands sent.
-func (s *FaultScheduler) Restores() int { return s.restores }
+func (s *FaultScheduler) Restores() int { return int(s.restores) }
 
-// Instrument records every cut/restore command into sc as KindPower
-// trace events plus counters. A disabled scope is a no-op.
+// Instrument records every cut/restore command into sc as a KindPower
+// trace event and exports the two counts as counters. A disabled scope
+// is a no-op.
 func (s *FaultScheduler) Instrument(sc obs.Scope) {
 	s.sc = sc
-	s.obsCuts = sc.Counter("cuts")
-	s.obsRest = sc.Counter("restores")
+	sc.Count("cuts", &s.cuts)
+	sc.Count("restores", &s.restores)
 }

@@ -122,9 +122,7 @@ type MemberReport struct {
 	Recoveries     int64 `json:"recoveries"`
 	DirtyPagesLost int64 `json:"dirty_pages_lost"`
 
-	DataFailures int `json:"data_failures"`
-	FWA          int `json:"fwa"`
-	IOErrors     int `json:"io_errors"`
+	Failures
 }
 
 // DataFailures returns the strict data-failure count (excludes FWA).

@@ -685,7 +685,7 @@ func (r *Runner) report() *Report {
 				mr.Deaths, mr.Recoveries = ds.Deaths, ds.Recoveries
 			}
 			if i < len(fails) {
-				mr.DataFailures, mr.FWA, mr.IOErrors = fails[i].DataFailures, fails[i].FWA, fails[i].IOErrors
+				mr.Failures = fails[i]
 			}
 			rep.Members = append(rep.Members, mr)
 		}

@@ -141,8 +141,8 @@ func (n *Node) refresh() {
 type Tree struct {
 	levels [numLevels][]*Node
 
-	cuts     [numLevels]int
-	restores [numLevels]int
+	cuts     [numLevels]int64
+	restores [numLevels]int64
 }
 
 // NewTree builds the room → rack → enclosure → PSU hierarchy described by
@@ -213,7 +213,7 @@ func (t *Tree) CutsAt(l Level) int {
 	if l < 0 || l >= numLevels {
 		return 0
 	}
-	return t.cuts[l]
+	return int(t.cuts[l])
 }
 
 // RestoresAt returns how many restores targeted level l.
@@ -221,5 +221,5 @@ func (t *Tree) RestoresAt(l Level) int {
 	if l < 0 || l >= numLevels {
 		return 0
 	}
-	return t.restores[l]
+	return int(t.restores[l])
 }

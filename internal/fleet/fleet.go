@@ -269,7 +269,7 @@ type Stats struct {
 	CutsByLevel     map[string]int `json:"cuts_by_level,omitempty"`
 	RestoresByLevel map[string]int `json:"restores_by_level,omitempty"`
 
-	DeclaredFailures      int          `json:"declared_failures"`
+	DeclaredFailures      int64        `json:"declared_failures"`
 	TransientRecoveries   int          `json:"transient_recoveries"`
 	SpareTakes            int          `json:"spare_takes"`
 	SpareShortages        int          `json:"spare_shortages"`
@@ -345,6 +345,7 @@ type Sim struct {
 	activeRebuilds int
 	end            sim.Time
 	stats          Stats
+	transitions    int64 // slot state changes, read by the obs registry
 	obs            fleetObs
 
 	// Hot-path scratch: target slices reused across arrivals and rebuild
@@ -444,13 +445,11 @@ func NewSim(cfg Config, seed uint64) (*Sim, error) {
 
 	leaves := tree.Leaves()
 	perRack := cfg.Domains.EnclosuresPerRack * cfg.Domains.PSUsPerEnclosure
-	nextID := 0
 	newMemberOn := func(leaf *Node) (*Member, error) {
-		m, err := newMember(f, nextID, leaf)
+		m, err := newMember(f, leaf)
 		if err != nil {
 			return nil, err
 		}
-		nextID++
 		f.members = append(f.members, m)
 		return m, nil
 	}
@@ -544,17 +543,15 @@ func (f *Sim) scheduleFaults() {
 	}
 }
 
-// cutNode records a cut of n (power counter and trace instant) and powers
-// its subtree off; the tree counts the cut at n's level.
+// cutNode records a cut of n as a trace instant and powers its subtree
+// off; the tree counts the cut at n's level.
 func (f *Sim) cutNode(n *Node) {
-	f.obs.cuts.Inc()
 	f.obs.power.Instant(f.k.Now(), obs.KindPower, n.name, 1)
 	f.tree.CutNode(n)
 }
 
 // restoreNode records the end of one cut of n and counts it at n's level.
 func (f *Sim) restoreNode(n *Node) {
-	f.obs.restores.Inc()
 	f.obs.power.Instant(f.k.Now(), obs.KindPower, n.name, 0)
 	f.tree.RestoreNode(n)
 }

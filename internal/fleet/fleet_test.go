@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"powerfail/internal/blockdev"
 	"powerfail/internal/obs"
 	"powerfail/internal/sim"
 )
@@ -90,6 +91,56 @@ func scriptedConfig(script []CutEvent, spares int) Config {
 		Rebuild:   RebuildPolicy{Delay: sim.Second, ControllerTick: 500 * sim.Millisecond},
 		Faults:    FaultPlan{Script: script},
 		Duration:  20 * sim.Second,
+	}
+}
+
+// TestObsCountersSumMemberQueues: every member queue registers its own
+// Stats under the one "blockdev" scope, so each blockdev counter reads
+// the sum over the fleet's queues, spares included, and the fleet
+// counters read the fleet's own counts.
+func TestObsCountersSumMemberQueues(t *testing.T) {
+	s := sim.Second
+	cfg := scriptedConfig([]CutEvent{
+		{At: sim.Time(2 * s), Level: Rack, Index: 0, Outage: 4 * s},
+		{At: sim.Time(9 * s), Level: PSU, Index: 3, Outage: 2 * s},
+	}, 2)
+	f, err := NewSim(cfg, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := obs.NewSet(obs.Config{Metrics: true})
+	f.Observe(set)
+	st := f.Run()
+	var q blockdev.Stats
+	for _, m := range f.members {
+		ms := m.queue.Stats()
+		q.Submitted += ms.Submitted
+		q.Rejected += ms.Rejected
+		q.Completed += ms.Completed
+		q.Errored += ms.Errored
+		q.TimedOut += ms.TimedOut
+		q.Splits += ms.Splits
+	}
+	sum := set.Summary()
+	for name, want := range map[string]int64{
+		"blockdev/submitted":      q.Submitted,
+		"blockdev/rejected":       q.Rejected,
+		"blockdev/completed":      q.Completed,
+		"blockdev/errored":        q.Errored,
+		"blockdev/timed_out":      q.TimedOut,
+		"blockdev/splits":         q.Splits,
+		"fleet/declared_failures": int64(st.DeclaredFailures),
+		"fleet/slot_transitions":  f.transitions,
+		"power/cuts":              int64(st.Cuts),
+		"power/restores":          int64(st.Restores),
+	} {
+		if got := sum.Counter(name); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+	if q.Completed == 0 || f.transitions == 0 || st.DeclaredFailures == 0 {
+		t.Errorf("run exercised too little: %d completed, %d transitions, %d declared failures",
+			q.Completed, f.transitions, st.DeclaredFailures)
 	}
 }
 

@@ -204,7 +204,6 @@ func (s *Slot) declare() {
 	s.grace = sim.Timer{}
 	f := s.g.f
 	f.stats.DeclaredFailures++
-	f.obs.declared.Inc()
 	s.rebuilt = 0
 	s.openWindow()
 

@@ -70,7 +70,7 @@ type MemberIOStats struct {
 }
 
 // Member is one drive bay of the fleet: a lightweight drive implementing
-// blockdev.Drive, powered by a PSU leaf of the fault-domain tree and
+// blockdev.Device, powered by a PSU leaf of the fault-domain tree and
 // fronted by its own ordinary blockdev.Queue. Both foreground requests and
 // rebuild traffic go through that queue, which is what makes rebuilds
 // steal real member bandwidth. Its pooled records come from the Sim's
@@ -79,8 +79,6 @@ type Member struct {
 	f    *Sim
 	k    *sim.Kernel
 	prof MemberProfile
-	id   int
-	psu  *Node
 
 	powered  bool
 	ready    bool
@@ -89,12 +87,9 @@ type Member struct {
 
 	queue *blockdev.Queue
 	stats MemberIOStats
-	// slot is the bay the drive serves, nil while it is a spare. The
-	// bay hears of the drive's power transitions before any listener.
+	// slot is the bay the drive serves, nil while it is a spare. It hears
+	// of the drive's power transitions directly.
 	slot *Slot
-
-	readyFns []func()
-	downFns  []func()
 }
 
 // svcCall is a pooled service-completion record: one per IO in flight at
@@ -192,8 +187,8 @@ func (m *Member) ioDone(req *blockdev.Request, op blockdev.Op, pages int, rebuil
 
 // newMember builds a drive of the fleet on the given PSU leaf and wires
 // its power transitions.
-func newMember(f *Sim, id int, psu *Node) (*Member, error) {
-	m := &Member{f: f, k: f.k, prof: f.cfg.Member, id: id, psu: psu, powered: psu.Powered(), ready: psu.Powered()}
+func newMember(f *Sim, psu *Node) (*Member, error) {
+	m := &Member{f: f, k: f.k, prof: f.cfg.Member, powered: psu.Powered(), ready: psu.Powered()}
 	q, err := blockdev.NewWithPools(f.k, m, nil, f.cfg.Host, &f.pools)
 	if err != nil {
 		return nil, err
@@ -203,20 +198,9 @@ func newMember(f *Sim, id int, psu *Node) (*Member, error) {
 	return m, nil
 }
 
-// Name implements blockdev.Drive.
-func (m *Member) Name() string { return fmt.Sprintf("m%d@%s", m.id, m.psu.Name()) }
-
-// UserPages implements blockdev.Drive.
-func (m *Member) UserPages() int64 { return m.prof.Pages }
-
-// Ready implements blockdev.Drive.
+// Ready reports whether the drive answers its queue: powered and spun
+// up.
 func (m *Member) Ready() bool { return m.ready }
-
-// NotifyReady implements blockdev.Drive.
-func (m *Member) NotifyReady(fn func()) { m.readyFns = append(m.readyFns, fn) }
-
-// NotifyDown implements blockdev.Drive.
-func (m *Member) NotifyDown(fn func()) { m.downFns = append(m.downFns, fn) }
 
 // Stats returns a snapshot of the served-IO counters.
 func (m *Member) Stats() MemberIOStats { return m.stats }
@@ -234,9 +218,6 @@ func (m *Member) onPower(on bool) {
 			if m.slot != nil {
 				m.slot.memberReady()
 			}
-			for _, fn := range m.readyFns {
-				fn()
-			}
 		})
 		return
 	}
@@ -247,9 +228,6 @@ func (m *Member) onPower(on bool) {
 	if wasReady {
 		if m.slot != nil {
 			m.slot.memberDown()
-		}
-		for _, fn := range m.downFns {
-			fn()
 		}
 	}
 }

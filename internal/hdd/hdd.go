@@ -8,7 +8,10 @@
 // disturbs nothing previously acknowledged.
 //
 // The model implements blockdev.Device, so the whole platform — block
-// layer, tracer, analyzer — runs unchanged against it.
+// layer, tracer, analyzer — runs unchanged against it. Like the SSD it
+// allocates nothing per command in steady state: commands are pooled
+// records with a timer callback bound once, and a read lends its result
+// from its record's buffer on the terms of blockdev.Device.
 package hdd
 
 import (
@@ -19,6 +22,7 @@ import (
 	"powerfail/internal/addr"
 	"powerfail/internal/blockdev"
 	"powerfail/internal/content"
+	"powerfail/internal/pool"
 	"powerfail/internal/power"
 	"powerfail/internal/sim"
 )
@@ -76,6 +80,8 @@ func (p Profile) rotHalf() sim.Duration {
 // ErrUnavailable mirrors the SSD error for a drive below brownout.
 var ErrUnavailable = errors.New("hdd: device unavailable")
 
+var errOutOfRange = errors.New("hdd: out of range")
+
 // Stats counts drive activity.
 type Stats struct {
 	Reads       int64
@@ -99,25 +105,31 @@ type Disk struct {
 	spinup    sim.Timer // pending recovery; cancelled by a new power loss
 	// jobs holds every accepted command not yet answered, in submission
 	// order, so a cut can tear the write under the head and error the rest.
-	jobs  []*job
-	stats Stats
+	jobs    []*job
+	jobPool pool.FreeList[job]
+	stats   Stats
 
 	readyListeners []func()
 	downListeners  []func()
 }
 
-// job is one accepted command. Reads and writes occupy the head from
-// startAt for perPage per page; a flush has nothing to do on a
-// write-through drive and is answered after FailFast.
+// job is one command. Reads and writes occupy the head from startAt for
+// perPage per page; a flush has nothing to do on a write-through drive
+// and is answered after FailFast, as is a command refused with err. The
+// record is pooled: fire is bound to it once, and buf keeps its capacity
+// across reuses.
 type job struct {
 	op      blockdev.Op
 	lpn     addr.LPN
 	pages   int
 	data    content.Data
+	err     error
 	startAt sim.Time
 	perPage sim.Duration
 	done    func(error, content.Data)
 	timer   sim.Timer
+	buf     []content.Fingerprint // a read's result, lent to done
+	fire    func()
 }
 
 // New attaches a disk to the PSU rail.
@@ -152,9 +164,6 @@ func (d *Disk) UserPages() int64 { return d.prof.UserPages() }
 // Stats returns the counters.
 func (d *Disk) Stats() Stats { return d.stats }
 
-// Available reports whether the drive answers the host.
-func (d *Disk) Available() bool { return d.available }
-
 // Ready implements blockdev.Drive.
 func (d *Disk) Ready() bool { return d.available }
 
@@ -167,17 +176,22 @@ func (d *Disk) NotifyDown(fn func()) { d.downListeners = append(d.downListeners,
 
 // Submit implements blockdev.Device.
 func (d *Disk) Submit(op blockdev.Op, lpn addr.LPN, pages int, data content.Data, done func(err error, result content.Data)) {
-	if !d.available {
+	j, fresh := d.jobPool.Get()
+	if fresh {
+		j.fire = func() { d.finish(j) }
+	}
+	j.op, j.lpn, j.pages, j.data, j.done = op, lpn, pages, data, done
+	switch {
+	case !d.available:
+		j.err = ErrUnavailable
+	case lpn < 0 || int64(lpn)+int64(pages) > d.prof.UserPages():
+		j.err = errOutOfRange
+	}
+	if j.err != nil {
 		d.stats.Errors++
-		d.k.After(d.prof.FailFast, func() { done(ErrUnavailable, content.Data{}) })
+		d.k.After(d.prof.FailFast, j.fire)
 		return
 	}
-	if lpn < 0 || int64(lpn)+int64(pages) > d.prof.UserPages() {
-		d.stats.Errors++
-		d.k.After(d.prof.FailFast, func() { done(errors.New("hdd: out of range"), content.Data{}) })
-		return
-	}
-	j := &job{op: op, lpn: lpn, pages: pages, data: data, done: done}
 	at := d.k.Now().Add(d.prof.FailFast)
 	if op != blockdev.OpFlush {
 		xfer := sim.Duration(float64(pages*addr.PageBytes) / d.prof.MediaBytesPerSec * 1e9)
@@ -187,26 +201,42 @@ func (d *Disk) Submit(op blockdev.Op, lpn addr.LPN, pages int, data content.Data
 		at = d.busyUntil
 	}
 	d.jobs = append(d.jobs, j)
-	j.timer = d.k.At(at, func() { d.finish(j) })
+	j.timer = d.k.At(at, j.fire)
 }
 
-// finish answers a job the drive served to the end: a write commits its
-// sectors and ACKs, a read returns the platter's contents.
+// finish answers a job at its completion instant: a refused command with
+// its error; one the drive served to the end with an ACK, after a write
+// commits its sectors and a read lends the platter's contents. The job
+// is recycled once done returns.
 func (d *Disk) finish(j *job) {
-	at := slices.Index(d.jobs, j)
-	d.jobs = slices.Delete(d.jobs, at, at+1)
 	var result content.Data
-	switch j.op {
-	case blockdev.OpRead:
-		d.stats.Reads++
-		result = content.Gather(j.pages, func(i int) content.Fingerprint { return d.media[j.lpn+addr.LPN(i)] })
-	case blockdev.OpWrite:
-		for i := 0; i < j.pages; i++ {
-			d.media[j.lpn+addr.LPN(i)] = j.data.Page(i)
+	if j.err == nil {
+		at := slices.Index(d.jobs, j)
+		d.jobs = slices.Delete(d.jobs, at, at+1)
+		switch j.op {
+		case blockdev.OpRead:
+			d.stats.Reads++
+			j.buf = slices.Grow(j.buf[:0], j.pages)[:j.pages]
+			for i := range j.buf {
+				j.buf[i] = d.media[j.lpn+addr.LPN(i)]
+			}
+			result = content.Wrap(j.buf)
+		case blockdev.OpWrite:
+			for i := 0; i < j.pages; i++ {
+				d.media[j.lpn+addr.LPN(i)] = j.data.Page(i)
+			}
+			d.stats.Writes++
 		}
-		d.stats.Writes++
 	}
-	j.done(nil, result)
+	j.done(j.err, result)
+	d.recycle(j)
+}
+
+// recycle returns a job to the pool, dropping the caller's payload and
+// callback so the pool keeps neither alive.
+func (d *Disk) recycle(j *job) {
+	j.data, j.done, j.err = content.Data{}, nil, nil
+	d.jobPool.Put(j)
 }
 
 // onPowerLoss models the cut: the write under the head keeps the sectors
@@ -252,6 +282,7 @@ func (d *Disk) onPowerLoss() {
 		d.k.After(d.prof.FailFast, func() {
 			for _, j := range lost {
 				j.done(ErrUnavailable, content.Data{})
+				d.recycle(j)
 			}
 		})
 	}

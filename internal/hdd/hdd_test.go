@@ -49,7 +49,10 @@ func (r *rig) read(t *testing.T, lpn addr.LPN, pages int) (content.Data, error) 
 	var rerr error
 	done := false
 	r.disk.Submit(blockdev.OpRead, lpn, pages, content.Data{}, func(err error, d content.Data) {
-		out, rerr = d, err
+		// The result is lent: keep a copy.
+		buf := make([]content.Fingerprint, d.Pages())
+		d.CopyTo(buf)
+		out, rerr = content.Wrap(buf), err
 		done = true
 	})
 	r.k.RunWhile(func() bool { return !done })
@@ -92,7 +95,7 @@ func TestWriteThroughSurvivesPowerLoss(t *testing.T) {
 	r.k.RunFor(2 * sim.Second)
 	r.psu.PowerOn()
 	r.k.RunFor(3 * sim.Second) // spin-up
-	if !r.disk.Available() {
+	if !r.disk.Ready() {
 		t.Fatal("disk never recovered")
 	}
 	got, err := r.read(t, 50, 16)
@@ -270,15 +273,15 @@ func TestCutDuringSpinUpAbortsRecovery(t *testing.T) {
 	r.k.RunFor(500 * sim.Millisecond) // mid spin-up (RecoveryTime is 2 s)
 	r.psu.PowerOff()
 	r.k.RunFor(5 * sim.Second)
-	if r.disk.Available() {
+	if r.disk.Ready() {
 		t.Fatal("drive became available with the rail down")
 	}
 	ready := false
 	r.disk.NotifyReady(func() { ready = true })
 	r.psu.PowerOn()
 	r.k.RunFor(3 * sim.Second)
-	if !r.disk.Available() || !ready {
+	if !r.disk.Ready() || !ready {
 		t.Fatalf("drive never recovered after the real power-good (available=%v ready=%v)",
-			r.disk.Available(), ready)
+			r.disk.Ready(), ready)
 	}
 }

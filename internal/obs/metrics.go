@@ -10,29 +10,6 @@ import (
 	"powerfail/internal/sim"
 )
 
-// Counter is a monotonically increasing sim-time metric. All methods are
-// nil-safe no-ops so instrumented code never branches on "is obs on".
-type Counter struct{ v int64 }
-
-// Add increments the counter by n.
-func (c *Counter) Add(n int64) {
-	if c == nil {
-		return
-	}
-	c.v += n
-}
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.Add(1) }
-
-// Value returns the current count (0 for nil).
-func (c *Counter) Value() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.v
-}
-
 // Gauge tracks a last-set value and the maximum ever set.
 type Gauge struct {
 	v, max int64
@@ -394,34 +371,40 @@ func (s *Summary) Dump(w io.Writer) error {
 
 // Registry holds one run's metrics. It is not goroutine-safe: like the
 // kernel it serves, a registry belongs to exactly one single-threaded
-// simulation. Handles for the same name are shared, so two queues
-// observing into one scope feed one histogram.
+// simulation. Gauge and histogram handles for the same name are shared,
+// so two queues observing into one scope feed one histogram. Counters
+// are not handles: each layer keeps its own counts, registers their
+// addresses with Count, and the registry reads them when it snapshots.
 type Registry struct {
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
+	counts []countRef
+	gauges map[string]*Gauge
+	hists  map[string]*Histogram
+}
+
+// countRef is one registered count: the counter name and the address
+// of the count its layer keeps.
+type countRef struct {
+	name string
+	n    *int64
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters: map[string]*Counter{},
-		gauges:   map[string]*Gauge{},
-		hists:    map[string]*Histogram{},
+		gauges: map[string]*Gauge{},
+		hists:  map[string]*Histogram{},
 	}
 }
 
-// Counter returns the named counter, creating it on first use. Nil-safe.
-func (r *Registry) Counter(name string) *Counter {
+// Count registers the count at n, which its layer keeps, as a source of
+// the named counter. The registry reads every source at snapshot time
+// and sums those of one name, so several queues observing into one
+// scope report one total. Nil-safe.
+func (r *Registry) Count(name string, n *int64) {
 	if r == nil {
-		return nil
+		return
 	}
-	c := r.counters[name]
-	if c == nil {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
+	r.counts = append(r.counts, countRef{name: name, n: n})
 }
 
 // Gauge returns the named gauge, creating it on first use. Nil-safe.
@@ -453,8 +436,12 @@ func (r *Registry) Histogram(name string) *Histogram {
 
 // fill snapshots the registry into sum, sorted by name.
 func (r *Registry) fill(sum *Summary) {
-	for name, c := range r.counters {
-		sum.Counters = append(sum.Counters, CounterSnapshot{Name: name, Value: c.Value()})
+	counts := make(map[string]int64)
+	for _, c := range r.counts {
+		counts[c.name] += *c.n
+	}
+	for name, v := range counts {
+		sum.Counters = append(sum.Counters, CounterSnapshot{Name: name, Value: v})
 	}
 	for name, g := range r.gauges {
 		sum.Gauges = append(sum.Gauges, GaugeSnapshot{Name: name, Value: g.Value(), Max: g.Max()})

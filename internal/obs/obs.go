@@ -1,16 +1,21 @@
 // Package obs is the deterministic observability layer threaded through
 // the simulation stack: a sim-time metrics registry (counters, gauges,
 // log-bucketed latency histograms), a bounded ring buffer of typed trace
-// events, and exporters (text timeline, a unified obs/blktrace event
-// format, Chrome trace-event JSON viewable in Perfetto).
+// events, and exporters (a text metric dump, OpenMetrics text, Chrome
+// trace-event JSON viewable in Perfetto).
+//
+// Counters are read, not pushed: a layer registers the address of a
+// count it already keeps (Scope.Count), and the registry reads every
+// registered count at snapshot time. Each fact is counted once, in the layer that owns it,
+// and the obs counter cannot drift from the report field it mirrors.
 //
 // Two properties are load-bearing:
 //
-//   - Zero overhead when disabled. Every handle (Counter, Gauge,
-//     Histogram) is nil-safe: methods on a nil receiver return
-//     immediately, and a zero-value Scope hands out nil handles. Code can
+//   - Zero overhead when disabled. Gauge and Histogram handles are
+//     nil-safe: methods on a nil receiver return immediately, and a
+//     zero-value Scope hands out nil handles and ignores Count. Code can
 //     therefore instrument unconditionally; with observability off the
-//     instrumented path costs one nil check.
+//     instrumented path costs one nil check, and counters cost nothing.
 //
 //   - Determinism. All metric and trace values are keyed to simulated
 //     time and per-item state only — never wall-clock time, map
@@ -126,7 +131,7 @@ func (s *Set) Summary() *Summary {
 
 // Scope is a Set bound to one component name; metric names it hands out
 // are "component/metric". The zero Scope is disabled: it returns nil
-// handles and drops events.
+// handles, ignores registered counts and drops events.
 type Scope struct {
 	set  *Set
 	comp string
@@ -148,12 +153,14 @@ func (sc Scope) Sub(name string) Scope {
 	return Scope{set: sc.set, comp: sc.comp + "/" + name}
 }
 
-// Counter returns the named counter, or nil when metrics are off.
-func (sc Scope) Counter(name string) *Counter {
+// Count registers the count at n as a source of the counter
+// "component/name": the layer keeps and increments the count, and the
+// registry reads it when it snapshots. A no-op when metrics are off.
+func (sc Scope) Count(name string, n *int64) {
 	if sc.set == nil || sc.set.reg == nil {
-		return nil
+		return
 	}
-	return sc.set.reg.Counter(sc.comp + "/" + name)
+	sc.set.reg.Count(sc.comp+"/"+name, n)
 }
 
 // Gauge returns the named gauge, or nil when metrics are off.

@@ -18,12 +18,13 @@ func TestNilSafety(t *testing.T) {
 	if sc.Enabled() || sc.TracingOn() {
 		t.Fatal("zero scope should be disabled")
 	}
-	sc.Counter("c").Inc()
+	var n int64
+	sc.Count("c", &n)
 	sc.Gauge("g").Set(3)
 	sc.Histogram("h").Observe(5)
 	sc.Instant(0, KindInstant, "e", 1)
 	sc.Span(0, 10, KindSpan, "s", 1)
-	sc.Sub("child").Counter("c").Add(2)
+	sc.Sub("child").Count("c", &n)
 	if set.Summary() != nil || set.TraceEvents() != nil {
 		t.Fatal("nil set should summarize to nil")
 	}
@@ -119,8 +120,10 @@ func TestMergeSummaries(t *testing.T) {
 		set := NewSet(Config{Metrics: true})
 		sc := set.Scope("dev")
 		rng := rand.New(rand.NewSource(seed))
+		var ops int64
+		sc.Count("ops", &ops)
 		for i := 0; i < n; i++ {
-			sc.Counter("ops").Inc()
+			ops++
 			sc.Histogram("lat").Observe(rng.Int63n(1000))
 		}
 		sc.Gauge("depth").Set(int64(n))
@@ -151,13 +154,38 @@ func TestMergeSummaries(t *testing.T) {
 	}
 }
 
+// TestCountReadsAtSnapshot: a counter is the sum of its registered
+// counts at the moment of the snapshot, not at registration, and a name
+// registered by several sources (queues sharing a scope) reports their
+// total.
+func TestCountReadsAtSnapshot(t *testing.T) {
+	set := NewSet(Config{Metrics: true})
+	var a, b, idle int64
+	set.Scope("q").Count("n", &a)
+	set.Scope("q").Count("n", &b)
+	set.Scope("q").Count("idle", &idle)
+	a, b = 3, 4
+	s := set.Summary()
+	if got := s.Counter("q/n"); got != 7 {
+		t.Fatalf("q/n = %d, want 7", got)
+	}
+	if len(s.Counters) != 2 || s.Counters[0].Name != "q/idle" {
+		t.Fatalf("counters = %+v, want q/idle (zero, still listed) then q/n", s.Counters)
+	}
+	a++
+	if got := set.Summary().Counter("q/n"); got != 8 {
+		t.Fatalf("second snapshot q/n = %d, want 8", got)
+	}
+}
+
 func TestRegistryDumpDeterministic(t *testing.T) {
 	build := func() *Summary {
 		set := NewSet(Config{Metrics: true, Trace: true, TraceCap: 4})
 		sc := set.Scope("zeta")
-		sc.Counter("c").Add(4)
+		four, one := int64(4), int64(1)
+		sc.Count("c", &four)
 		sc2 := set.Scope("alpha")
-		sc2.Counter("c").Add(1)
+		sc2.Count("c", &one)
 		sc2.Histogram("h").Observe(99)
 		sc2.Gauge("g").Set(-2)
 		for i := 0; i < 6; i++ {

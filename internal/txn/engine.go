@@ -324,6 +324,8 @@ type Engine struct {
 	stats Stats                           // engine counters + policy-independent oracle counters
 	folds [NumRecoveryPolicies]policyFold // per-policy verdict accumulation
 	tele  engineObs
+
+	aborts int64 // unacknowledged transactions taken out after an IO error
 }
 
 // NewEngine builds an engine over a device of userPages host-visible
@@ -385,7 +387,6 @@ func (e *Engine) beginTxn(st *wstream) *Txn {
 	k := e.cfg.PagesPerTxn
 	t := &Txn{id: e.nextID, stream: st.id, pages: make([]txnPage, k), startedAt: e.k.Now()}
 	e.nextID++
-	e.tele.begins.Inc()
 	e.tele.sc.Instant(e.k.Now(), obs.KindTxn, "begin", int64(t.id))
 	homeSpan := e.userPages - int64(e.cfg.LogPages)
 	for i := 0; i < k; i++ {
@@ -671,7 +672,7 @@ func (e *Engine) abort(t *Txn) {
 		return
 	}
 	t.aborted = true
-	e.tele.aborts.Inc()
+	e.aborts++
 	e.tele.sc.Instant(e.k.Now(), obs.KindTxn, "abort", int64(t.id))
 	if st := e.streams[t.stream]; st.cur == t {
 		st.cur = nil
@@ -691,7 +692,6 @@ func (e *Engine) ack(t *Txn) {
 	t.ackIdx = e.ackSeq
 	e.ackSeq++
 	e.stats.Committed++
-	e.tele.commits.Inc()
 	lat := t.ackedAt.Sub(t.startedAt)
 	e.tele.commitLat.ObserveDuration(lat)
 	e.tele.sc.Span(t.startedAt, lat, obs.KindTxn, "commit", int64(t.id))

@@ -440,8 +440,6 @@ func (e *Engine) FinishRecovery() CycleOutcome {
 
 	e.stats.Unacked += int64(unacked)
 	e.stats.RecoveryScans++
-	e.tele.scans.Inc()
-	e.tele.scanPages.Add(int64(out.CycleVerdicts.ScanPages))
 	e.tele.sc.Instant(e.k.Now(), obs.KindScan, "recovery_scan", int64(out.CycleVerdicts.ScanPages))
 
 	// Reset: the application restarts with an empty ledger and fresh
