@@ -400,10 +400,13 @@ func ArrayItems(scale float64) []CatalogItem {
 // RS 8+3) × member mix (uniform drive-A members vs a mix with one
 // large-cache QLC straggler) × cut severity (the rig's capacitive PSU
 // discharge vs a near-instant transistor cut); >=40 faults per point at
-// scale 1. Stronger codes buy reconstruction headroom but widen the
-// multi-parity write hole; the mixed points show the weakest-member
-// effect in MemberReport — the straggler's share of the failures
-// dominates its peers'.
+// scale 1. The workload is write-only, so no read reconstructs, and no
+// point counts a write hole at -scale 0.2 or 1. The codes differ in
+// parity RMW traffic (each small write reads and writes 1+k shards). At
+// scale 1 MemberReport charges the straggler no more failures than its
+// peers: Attribute charges each failure to the data member and every
+// parity member of its stripe, and the parity run rotates over all
+// members.
 func ErasureItems(scale float64) []CatalogItem {
 	codes := []struct {
 		tag    string

@@ -107,9 +107,10 @@ type Config struct {
 	// StripePages is the striped levels' chunk size in 4 KiB pages
 	// (default 16, a 64 KiB chunk).
 	StripePages int
-	// Parity is the parity-shard count per stripe for the erasure-coded
-	// levels: fixed at 1 for RAID5 and 2 for RAID6; for RS any value with
-	// at least two data members left (default 2). Ignored elsewhere.
+	// Parity is the parity-shard count per stripe of the striped levels:
+	// fixed at 1 for RAID5 and 2 for RAID6; for RS any value with at least
+	// two data members left (default 2). Every other level is set to 0,
+	// which makes RAID0 the m+0 point of the same striped code.
 	Parity int
 
 	// Cache and Backing configure the Cached level: an SSD in front of an
@@ -330,18 +331,16 @@ func New(k *sim.Kernel, r *sim.RNG, cfg Config, psu *power.PSU) (*Array, error) 
 		}
 		sp := int64(cfg.StripePages)
 		n := int64(len(a.members))
-		switch cfg.Level {
-		case RAID0:
-			a.memberPages = (minPages / sp) * sp
-			a.userPages = n * a.memberPages
-		case RAID1:
+		if cfg.Level == RAID1 {
 			a.memberPages = minPages
 			a.userPages = minPages
-		case RAID5, RAID6, RS:
+		} else {
 			kp := int64(cfg.Parity)
 			a.memberPages = (minPages / sp) * sp
 			a.userPages = (n - kp) * a.memberPages
-			a.code = newCode(int(n-kp), int(kp))
+			if kp > 0 {
+				a.code = newCode(int(n-kp), int(kp))
+			}
 		}
 	}
 
@@ -457,8 +456,8 @@ func (a *Array) onMemberReady(i int) {
 // memberCall is a pooled member-completion record. cb is created once,
 // capturing the record; each use refills it and hands the same closure
 // to the member, so a member IO allocates nothing in steady state. A
-// coded chunk's IO names its chunk, role and shard; the other levels
-// pass their continuation as done.
+// chunk's IO (see erasure.go) names its chunk, role and shard; the other
+// IOs pass their continuation as done.
 type memberCall struct {
 	member int
 	chunk  *chunkOp
@@ -516,25 +515,26 @@ func (a *Array) Submit(op blockdev.Op, lpn addr.LPN, pages int, data content.Dat
 		a.k.After(500*sim.Microsecond, func() { done(ErrOutOfRange, content.Data{}) })
 		return
 	}
-	if op != blockdev.OpFlush && a.code != nil {
+	switch {
+	case op == blockdev.OpFlush:
+		a.submitFlush(a.counted(op, done))
+	case a.cfg.Level == RAID1:
+		a.submitRAID1(op, lpn, pages, data, a.counted(op, done))
+	case a.cfg.Level == Cached && op == blockdev.OpRead:
+		a.cachedRead(lpn, pages, done)
+	case a.cfg.Level == Cached:
+		a.cachedWrite(lpn, pages, data, a.counted(op, done))
+	default: // RAID-0 and the parity levels: the m+k code, k >= 0
 		a.submitCoded(op, lpn, pages, data, done)
-		return
 	}
-	finish := func(err error, res content.Data) {
+}
+
+// counted wraps done so the host request's outcome is counted first;
+// the pooled striped path counts in partDone instead.
+func (a *Array) counted(op blockdev.Op, done func(error, content.Data)) func(error, content.Data) {
+	return func(err error, res content.Data) {
 		a.countHost(op, err)
 		done(err, res)
-	}
-	if op == blockdev.OpFlush {
-		a.submitFlush(finish)
-		return
-	}
-	switch a.cfg.Level {
-	case RAID0:
-		a.submitRAID0(op, lpn, pages, data, finish)
-	case RAID1:
-		a.submitRAID1(op, lpn, pages, data, finish)
-	default:
-		a.submitCached(op, lpn, pages, data, finish)
 	}
 }
 
@@ -650,24 +650,18 @@ func (a *Array) Attribute(dst []int, lpn addr.LPN, pages int) []int {
 
 // chunkRange maps a contiguous page run of a host request onto one member.
 type chunkRange struct {
-	member int      // data member index
+	member int      // data member index (the cached level: cache or backing)
 	mlpn   addr.LPN // member-local page address
 	off    int      // page offset within the host request
 	n      int      // pages
-	stripe int64    // parity levels: global stripe id (lock key)
-	parity int      // parity levels: first parity member of the stripe's rotation
-	didx   int      // parity levels: logical data-shard index within the stripe
+	stripe int64    // striped levels: global stripe id (the parity levels' lock key)
+	parity int      // striped levels: first parity member of the stripe's rotation
+	didx   int      // striped levels: logical data-shard index within the stripe
 }
 
-// parityCount returns the parity shards per stripe (0 for the non-parity
-// levels).
-func (a *Array) parityCount() int {
-	switch a.cfg.Level {
-	case RAID5, RAID6, RS:
-		return a.cfg.Parity
-	}
-	return 0
-}
+// parityCount returns the parity shards per stripe: Config.Parity, which
+// withDefaults sets to 0 on every level without parity.
+func (a *Array) parityCount() int { return a.cfg.Parity }
 
 // parityMember returns the member holding the j-th parity shard of a
 // stripe whose rotating parity run starts at member p0.
@@ -731,7 +725,9 @@ func (a *Array) chunkCount(lpn addr.LPN, pages int) int {
 
 // chunkAt returns the chunk range that starts off pages into the request
 // [lpn, lpn+pages) on the striped levels (RAID-0 and the parity levels);
-// walking off by each range's n visits them all in address order.
+// walking off by each range's n visits them all in address order. With
+// no parity a stripe is one chunk per member, so RAID-0's chunk c lands
+// on member c mod n at row c / n.
 func (a *Array) chunkAt(lpn addr.LPN, off, pages int) chunkRange {
 	sp := int64(a.cfg.StripePages)
 	n := int64(len(a.members))
@@ -742,21 +738,17 @@ func (a *Array) chunkAt(lpn addr.LPN, off, pages int) chunkRange {
 	if rem := pages - off; run > rem {
 		run = rem
 	}
-	cr := chunkRange{off: off, n: run}
-	switch a.cfg.Level {
-	case RAID5, RAID6, RS:
-		dataPer := n - int64(a.cfg.Parity)
-		stripe := chunk / dataPer
-		idx := int(chunk % dataPer)
-		parity := int(stripe % n)
-		cr.member = a.dataMember(parity, idx)
-		cr.parity = parity
-		cr.didx = idx
-		cr.stripe = stripe
-		cr.mlpn = addr.LPN(stripe*sp + in)
-	default: // RAID0
-		cr.member = int(chunk % n)
-		cr.mlpn = addr.LPN((chunk/n)*sp + in)
+	dataPer := n - int64(a.cfg.Parity)
+	stripe := chunk / dataPer
+	idx := int(chunk % dataPer)
+	parity := int(stripe % n)
+	return chunkRange{
+		member: a.dataMember(parity, idx),
+		mlpn:   addr.LPN(stripe*sp + in),
+		off:    off,
+		n:      run,
+		stripe: stripe,
+		parity: parity,
+		didx:   idx,
 	}
-	return cr
 }

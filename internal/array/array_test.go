@@ -89,6 +89,16 @@ func keep(d content.Data) content.Data {
 	return content.Wrap(buf)
 }
 
+// recordsFree fails t unless every pooled record of a is back in its
+// pool, as it must be once the array is idle.
+func recordsFree(t *testing.T, a *Array) {
+	t.Helper()
+	if a.ops.InUse() != 0 || a.chunks.InUse() != 0 || a.calls.InUse() != 0 {
+		t.Fatalf("pooled records not all free: %d ops, %d chunks, %d calls in use",
+			a.ops.InUse(), a.chunks.InUse(), a.calls.InUse())
+	}
+}
+
 // fault cuts the shared supply, lets the rail fully discharge, restores
 // power, and waits until the whole array answers again.
 func (r *rig) fault(t *testing.T) {
@@ -378,6 +388,37 @@ func TestCacheHitMissAndDestage(t *testing.T) {
 	}
 }
 
+// TestCachedReadSplitsHitAndMissRuns: hits on slots 0..3 and misses at
+// backing pages 4..7 are adjacent numbers on different members, so the
+// read must still go out as two runs; slot 4 holds another page's line,
+// which a merged run would return for page 4.
+func TestCachedReadSplitsHitAndMissRuns(t *testing.T) {
+	r := newRig(t, cacheConfig(WriteThrough))
+	hits := content.Random(sim.NewRNG(15), 4)
+	if err := r.write(t, 0, hits); err != nil { // slots 0..3
+		t.Fatal(err)
+	}
+	if err := r.write(t, 100, content.Random(sim.NewRNG(16), 1)); err != nil { // slot 4
+		t.Fatal(err)
+	}
+	misses := content.Random(sim.NewRNG(17), 4)
+	done := false
+	r.arr.Backing().Submit(blockdev.OpWrite, 4, 4, misses, func(err error, _ content.Data) {
+		if err != nil {
+			t.Fatalf("backing write: %v", err)
+		}
+		done = true
+	})
+	r.k.RunWhile(func() bool { return !done })
+	got, err := r.read(t, 0, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Slice(0, 4).Equal(hits) || !got.Slice(4, 4).Equal(misses) {
+		t.Fatal("a read of hits then misses returned other pages' data")
+	}
+}
+
 func readBacking(t *testing.T, r *rig, lpn addr.LPN, pages int) content.Data {
 	t.Helper()
 	var out content.Data
@@ -430,6 +471,7 @@ func TestWriteThroughDurableUnderFault(t *testing.T) {
 			t.Fatalf("write-through lost acknowledged data at %v", p.lpn)
 		}
 	}
+	recordsFree(t, r.arr)
 }
 
 func TestWriteBackLosesUnderFault(t *testing.T) {
@@ -461,6 +503,12 @@ func TestWriteBackLosesUnderFault(t *testing.T) {
 	if lost == 0 {
 		t.Fatal("write-back cache never lost acknowledged data under faults")
 	}
+	// Idle once the destage has drained the dirty lines.
+	r.k.RunFor(2 * sim.Second)
+	if n := r.arr.DirtyLines(); n != 0 {
+		t.Fatalf("%d dirty lines after the destage window", n)
+	}
+	recordsFree(t, r.arr)
 }
 
 func TestConfigValidate(t *testing.T) {
@@ -513,7 +561,7 @@ func TestArrayDeterminism(t *testing.T) {
 		var out content.Data
 		done := false
 		r.arr.Submit(blockdev.OpRead, 0, 8, content.Data{}, func(_ error, d content.Data) {
-			out = d
+			out = keep(d)
 			done = true
 		})
 		r.k.RunWhile(func() bool { return !done })

@@ -1,6 +1,7 @@
 package array
 
 import (
+	"slices"
 	"sort"
 
 	"powerfail/internal/addr"
@@ -113,65 +114,57 @@ func (a *Array) recoverCache() {
 	}
 }
 
-func (a *Array) submitCached(op blockdev.Op, lpn addr.LPN, pages int, data content.Data, done func(error, content.Data)) {
-	if op == blockdev.OpRead {
-		a.cachedRead(lpn, pages, done)
-		return
-	}
-	a.cachedWrite(lpn, pages, data, done)
-}
-
-// slotRun is a maximal run of request pages whose cache slots (hits) or
-// backing addresses (misses) are contiguous, so it can go out as one
-// member request.
+// slotRun is a maximal run of a write's pages whose cache slots are
+// contiguous, so it can go out as one member request.
 type slotRun struct {
-	member int
-	at     addr.LPN
-	off    int
-	n      int
+	at  addr.LPN
+	off int
+	n   int
 }
 
 // cachedRead serves hits from the cache SSD and misses from the backing
-// drive, page-run by page-run.
+// drive on the striped path's records: one chunkOp per maximal run of
+// request pages whose cache slots (hits) or backing addresses (misses)
+// are contiguous, under one codedOp that gathers them into the buffer it
+// lends to the host. The runs are all built, and counted into the
+// request, before the first goes out, so a member that answers at once
+// cannot end the request early.
 func (a *Array) cachedRead(lpn addr.LPN, pages int, done func(error, content.Data)) {
-	var runs []slotRun
+	if pages <= 0 {
+		return // no run to answer; the block layer never sends an empty IO
+	}
+	req, _ := a.ops.Get()
+	req.op, req.done = blockdev.OpRead, done
+	req.buf = slices.Grow(req.buf[:0], pages)[:pages]
+	var head, tail *chunkOp
 	for i := 0; i < pages; i++ {
 		p := lpn + addr.LPN(i)
-		var member int
-		var at addr.LPN
+		member, at := backingIdx, p
 		if ln, ok := a.lines[p]; ok {
 			a.stats.CacheHits++
 			member, at = cacheIdx, ln.slot
 		} else {
 			a.stats.CacheMisses++
-			member, at = backingIdx, p
 		}
-		if n := len(runs); n > 0 && runs[n-1].member == member && runs[n-1].at+addr.LPN(runs[n-1].n) == at {
-			runs[n-1].n++
+		if tail != nil && tail.cr.member == member && tail.cr.mlpn+addr.LPN(tail.cr.n) == at {
+			tail.cr.n++
 			continue
 		}
-		runs = append(runs, slotRun{member: member, at: at, off: i, n: 1})
+		ch, _ := a.chunks.Get()
+		ch.req, ch.cr = req, chunkRange{member: member, mlpn: at, off: i, n: 1}
+		if tail == nil {
+			head = ch
+		} else {
+			tail.next = ch
+		}
+		tail = ch
+		req.parts++
 	}
-	result := make([]content.Fingerprint, pages)
-	parts := len(runs)
-	var firstErr error
-	for _, r := range runs {
-		r := r
-		a.memberSubmit(r.member, blockdev.OpRead, r.at, r.n, content.Data{}, a.call(func(err error, res content.Data) {
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-			} else {
-				for i := 0; i < r.n; i++ {
-					result[r.off+i] = res.Page(i)
-				}
-			}
-			parts--
-			if parts == 0 {
-				a.finishStriped(blockdev.OpRead, result, firstErr, done)
-			}
-		}))
+	for ch := head; ch != nil; {
+		next := ch.next
+		ch.next = nil
+		a.memberSubmit(ch.cr.member, blockdev.OpRead, ch.cr.mlpn, ch.cr.n, content.Data{}, a.chunkCall(ch, roleRead, 0))
+		ch = next
 	}
 }
 
@@ -241,7 +234,7 @@ func (a *Array) cachedWrite(lpn addr.LPN, pages int, data content.Data, done fun
 			runs[n-1].n++
 			continue
 		}
-		runs = append(runs, slotRun{member: cacheIdx, at: ln.slot, off: i, n: 1})
+		runs = append(runs, slotRun{at: ln.slot, off: i, n: 1})
 	}
 
 	parts := len(runs)

@@ -14,7 +14,8 @@ import (
 
 // chunksOf is the reference chunk walk: it splits [lpn, lpn+pages) into
 // per-member chunk ranges for the striped levels, building the slice the
-// array once walked. The array itself walks with chunkAt/chunkCount.
+// array once walked, with RAID-0's own round-robin formula. The array
+// itself walks with chunkAt/chunkCount, RAID-0 as the m+0 code.
 func (a *Array) chunksOf(lpn addr.LPN, pages int) []chunkRange {
 	sp := int64(a.cfg.StripePages)
 	n := int64(len(a.members))
@@ -110,7 +111,13 @@ func TestChunkWalkMatchesReference(t *testing.T) {
 			i := 0
 			for off := 0; off < pages; i++ {
 				cr := a.chunkAt(lpn, off, pages)
-				if cr != want[i] {
+				got := cr
+				if a.cfg.Level == RAID0 {
+					// The reference fills only RAID-0's placement; the m+0
+					// walk also names the stripe, its rotation and the shard.
+					got = chunkRange{member: cr.member, mlpn: cr.mlpn, off: cr.off, n: cr.n}
+				}
+				if got != want[i] {
 					t.Fatalf("%s: chunkAt(%d, %d, %d) = %+v, want %+v", a.Name(), lpn, off, pages, cr, want[i])
 				}
 				off += cr.n
@@ -147,11 +154,10 @@ func TestAttributeMatchesReference(t *testing.T) {
 	}
 }
 
-// codedLoop drives a warmed RAID-5 of four members through host IOs,
-// running the kernel until each completes. The members' blocks are large
-// enough that no round opens a new block: a block's first open
-// allocates its arrays once per block lifetime, which the allocation
-// guards leave out.
+// codedLoop drives an array through host IOs, running the kernel until
+// each completes. The SSDs' blocks are large enough that no round opens
+// a new block: a block's first open allocates its arrays once per block
+// lifetime, which the allocation guards leave out.
 type codedLoop struct {
 	k       *sim.Kernel
 	arr     *Array
@@ -161,13 +167,16 @@ type codedLoop struct {
 	waiting func() bool
 }
 
-func newCodedLoop(tb testing.TB) *codedLoop {
+func newCodedLoop(tb testing.TB, cfg Config) *codedLoop {
 	tb.Helper()
 	p := smallSSD()
 	p.PagesPerBlock = 16384
-	cfg := raidConfig(RAID5, 4)
+	p = p.Normalize()
 	for i := range cfg.Members {
-		cfg.Members[i] = p.Normalize()
+		cfg.Members[i] = p
+	}
+	if cfg.Level == Cached {
+		cfg.Cache = p
 	}
 	k := sim.New()
 	psu, err := power.New(k, power.DefaultConfig())
@@ -186,6 +195,13 @@ func newCodedLoop(tb testing.TB) *codedLoop {
 		l.pending = false
 	}
 	l.waiting = func() bool { return l.pending }
+	return l
+}
+
+// newStripedLoop returns a loop over a striped array whose pools and
+// members are warmed by every IO shape the guards measure.
+func newStripedLoop(tb testing.TB, cfg Config) *codedLoop {
+	l := newCodedLoop(tb, cfg)
 	for i := 0; i < 64; i++ {
 		l.rmw(i)
 		l.read(i, 1)
@@ -200,7 +216,8 @@ func (l *codedLoop) io(op blockdev.Op, lpn addr.LPN, pages int, data content.Dat
 	l.k.RunWhile(l.waiting)
 }
 
-// rmw writes one page of chunk i%8: a single-chunk parity RMW.
+// rmw writes one page of chunk i%8: a single-chunk parity RMW, or on
+// RAID-0 a single member write.
 func (l *codedLoop) rmw(i int) {
 	sp := l.arr.cfg.StripePages
 	l.io(blockdev.OpWrite, addr.LPN((i%8)*sp+i%sp), 1, l.payload.Slice(i%l.payload.Pages(), 1))
@@ -212,30 +229,69 @@ func (l *codedLoop) read(i, chunks int) {
 	l.io(blockdev.OpRead, addr.LPN((i%8)*sp), chunks*sp, content.Data{})
 }
 
-// TestCodedPathAllocs pins that the coded path allocates nothing in
+// TestCodedPathAllocs pins that the striped path allocates nothing in
 // steady state: a RAID-5 one-page RMW reads old data and parity into its
-// chunk record's buffer and computes the new parity there, and a
-// one-chunk or two-chunk read gathers into its request record's buffer,
-// which it lends to the host. The members lend their read results too.
+// chunk record's buffer and computes the new parity there, a RAID-0
+// one-page write goes straight to its member on the same records, and a
+// one-chunk or two-chunk read of either gathers into its request
+// record's buffer, which it lends to the host. The members lend their
+// read results too.
 func TestCodedPathAllocs(t *testing.T) {
 	if racedet.Enabled {
 		t.Skip("the race detector allocates for its own bookkeeping")
 	}
-	l := newCodedLoop(t)
+	for _, cfg := range []Config{raidConfig(RAID5, 4), raidConfig(RAID0, 4)} {
+		l := newStripedLoop(t, cfg)
+		i := 64
+		if n := testing.AllocsPerRun(50, func() { i++; l.rmw(i) }); n != 0 {
+			t.Errorf("%v: one-page write made %v allocs, want 0", cfg.Level, n)
+		}
+		if n := testing.AllocsPerRun(50, func() { i++; l.read(i, 1) }); n != 0 {
+			t.Errorf("%v: one-chunk read made %v allocs, want 0", cfg.Level, n)
+		}
+		if n := testing.AllocsPerRun(50, func() { i++; l.read(i, 2) }); n != 0 {
+			t.Errorf("%v: two-chunk read made %v allocs, want 0", cfg.Level, n)
+		}
+	}
+}
+
+// TestCachedReadAllocs pins that a cached read rides the same pooled
+// records: reads of cache hits only, of misses only and of both in one
+// request allocate nothing once warm. The cache is write-through, so no
+// destage runs while the guard measures.
+func TestCachedReadAllocs(t *testing.T) {
+	if racedet.Enabled {
+		t.Skip("the race detector allocates for its own bookkeeping")
+	}
+	l := newCodedLoop(t, cacheConfig(WriteThrough))
+	l.io(blockdev.OpWrite, 0, 64, l.payload) // lines for pages 0..63, slots in order
+	shapes := []struct {
+		what string
+		read func(i int)
+	}{
+		{"hits-only", func(i int) { l.io(blockdev.OpRead, addr.LPN(i%32), 8, content.Data{}) }},
+		{"misses-only", func(i int) { l.io(blockdev.OpRead, addr.LPN(4096+8*(i%32)), 8, content.Data{}) }},
+		{"hits-and-misses", func(i int) { l.io(blockdev.OpRead, addr.LPN(56+i%8), 16, content.Data{}) }},
+	}
+	for i := 0; i < 64; i++ {
+		for _, s := range shapes {
+			s.read(i)
+		}
+	}
+	hits, misses := l.arr.stats.CacheHits, l.arr.stats.CacheMisses
 	i := 64
-	if n := testing.AllocsPerRun(50, func() { i++; l.rmw(i) }); n != 0 {
-		t.Errorf("one-page RMW made %v allocs, want 0", n)
+	for _, s := range shapes {
+		if n := testing.AllocsPerRun(50, func() { i++; s.read(i) }); n != 0 {
+			t.Errorf("%s read made %v allocs, want 0", s.what, n)
+		}
 	}
-	if n := testing.AllocsPerRun(50, func() { i++; l.read(i, 1) }); n != 0 {
-		t.Errorf("one-chunk read made %v allocs, want 0", n)
-	}
-	if n := testing.AllocsPerRun(50, func() { i++; l.read(i, 2) }); n != 0 {
-		t.Errorf("two-chunk read made %v allocs, want 0", n)
+	if l.arr.stats.CacheHits == hits || l.arr.stats.CacheMisses == misses {
+		t.Fatalf("guard reads counted %d hits and %d misses, want both", l.arr.stats.CacheHits-hits, l.arr.stats.CacheMisses-misses)
 	}
 }
 
 func BenchmarkCodedRMW(b *testing.B) {
-	l := newCodedLoop(b)
+	l := newStripedLoop(b, raidConfig(RAID5, 4))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -244,7 +300,7 @@ func BenchmarkCodedRMW(b *testing.B) {
 }
 
 func BenchmarkCodedRead(b *testing.B) {
-	l := newCodedLoop(b)
+	l := newStripedLoop(b, raidConfig(RAID5, 4))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -293,8 +349,15 @@ func codedFP(wid uint64, lpn addr.LPN) content.Fingerprint {
 	return content.Fingerprint(wid<<24 | uint64(lpn+1))
 }
 
+// scriptGeometries are the arrays FuzzCodedArray picks from: the m+k
+// codes with k = 1, 2 and 3, and RAID-0, the m+0 point with no stripe
+// lock.
+func scriptGeometries() []Config {
+	return []Config{raidConfig(RAID5, 4), raidConfig(RAID6, 5), rsConfig(6, 3), raidConfig(RAID0, 3)}
+}
+
 func newCodedScript(t *testing.T, geometry byte) *codedScript {
-	cfgs := []Config{raidConfig(RAID5, 4), raidConfig(RAID6, 5), rsConfig(6, 3)}
+	cfgs := scriptGeometries()
 	cfg := cfgs[int(geometry)%len(cfgs)]
 	cfg.StripePages = 4
 	s := &codedScript{t: t, r: newRig(t, cfg), sp: cfg.StripePages,
@@ -339,7 +402,8 @@ func (s *codedScript) submit(op blockdev.Op, lpn addr.LPN, pages int) {
 			s.last[int(lpn)+i] = fps[i]
 		}
 		data = content.Wrap(fps)
-		if first, last := a.chunkAt(lpn, 0, pages), a.chunkAt(lpn, pages-1, pages); first.stripe == last.stripe {
+		// Only the stripe lock orders completions; RAID-0 has none.
+		if first, last := a.chunkAt(lpn, 0, pages), a.chunkAt(lpn, pages-1, pages); first.stripe == last.stripe && a.code != nil {
 			oneStripe = first.stripe
 		}
 	}
@@ -435,8 +499,8 @@ func (s *codedScript) run(ops []byte) {
 
 // check runs on the idle array: every op answered once, no stripe
 // locked and every pooled record free; without a cut, also every page
-// reads back its last write and every stripe's parity re-encodes from
-// its data.
+// reads back its last write and, where there is parity, every stripe's
+// parity re-encodes from its data.
 func (s *codedScript) check() {
 	t, a := s.t, s.r.arr
 	for id, n := range s.fires {
@@ -447,10 +511,7 @@ func (s *codedScript) check() {
 	if len(a.stripeLocks) != 0 {
 		t.Fatalf("%d stripes still locked on an idle array", len(a.stripeLocks))
 	}
-	if a.ops.InUse() != 0 || a.chunks.InUse() != 0 || a.calls.InUse() != 0 {
-		t.Fatalf("pooled records not all free: %d ops, %d chunks, %d calls in use",
-			a.ops.InUse(), a.chunks.InUse(), a.calls.InUse())
-	}
+	recordsFree(t, a)
 	if s.cut {
 		return // lost writes and write holes are the model's output
 	}
@@ -464,6 +525,9 @@ func (s *codedScript) check() {
 		}
 	}
 	n, kp := len(a.members), a.parityCount()
+	if kp == 0 {
+		return
+	}
 	for stripe := int64(0); stripe < int64(s.span/(s.sp*(n-kp))); stripe++ {
 		p0 := int(stripe % int64(n))
 		rows := make([]content.Data, n)
@@ -487,10 +551,11 @@ func (s *codedScript) check() {
 }
 
 // FuzzCodedArray drives overlapping concurrent reads and writes through
-// RAID-5, RAID-6 and RS (k = 3) arrays and checks the coded path's
-// contract on the idle array (see codedScript.check), plus, as the IOs
-// run, that writes reach each stripe in submission order and that one-
-// stripe writes to a stripe complete in submission order.
+// RAID-5, RAID-6, RS (k = 3) and RAID-0 arrays and checks the striped
+// path's contract on the idle array (see codedScript.check), plus, as
+// the IOs run, that writes reach each stripe in submission order and,
+// under a stripe lock, that one-stripe writes to a stripe complete in
+// submission order.
 func FuzzCodedArray(f *testing.F) {
 	for _, seed := range codedSeeds {
 		f.Add(seed.geometry, seed.ops)
@@ -513,9 +578,11 @@ var codedSeeds = []struct {
 	{1, []byte{1, 3, 11, 2, 5, 7, 0, 4, 9, 1, 11, 2, 0, 5, 2, 11, 0, 0, 1, 0, 35, 0, 0, 47}},
 	{2, []byte{2, 0, 11, 1, 4, 11, 2, 8, 11, 0, 2, 11, 0, 9, 0, 1, 1, 1, 59, 0, 0, 1, 6, 3, 0, 10, 11}},
 	// IO keeps arriving while the cut supply drains, then after restore.
+	{3, []byte{1, 0, 11, 2, 3, 11, 0, 1, 1, 0, 2, 11, 0, 5, 2, 1, 1, 1, 59, 0, 0, 0, 0, 47}},
 	{0, cutScript},
 	{1, cutScript},
 	{2, cutScript},
+	{3, cutScript},
 }
 
 var cutScript = []byte{
@@ -525,21 +592,25 @@ var cutScript = []byte{
 }
 
 // TestCodedSeedsCoverCases guards the seed corpus against going vacuous:
-// on every geometry some write queues behind a locked stripe, some read
-// stays inside one chunk, some read spans chunks, and a cut fails some
-// IO.
+// on every geometry some read stays inside one chunk, some read spans
+// chunks, a cut fails some IO and, where there is a stripe lock, some
+// write queues behind a locked stripe.
 func TestCodedSeedsCoverCases(t *testing.T) {
-	var queued, ones, spans, errs [3]int
+	n := len(scriptGeometries())
+	queued, ones, spans, errs := make([]int, n), make([]int, n), make([]int, n), make([]int, n)
+	locks := make([]bool, n)
 	for _, seed := range codedSeeds {
 		s := newCodedScript(t, seed.geometry)
 		s.run(seed.ops)
-		queued[seed.geometry] += s.queued
-		ones[seed.geometry] += s.ones
-		spans[seed.geometry] += s.spans
-		errs[seed.geometry] += s.errs
+		g := int(seed.geometry) % n
+		locks[g] = s.r.arr.code != nil
+		queued[g] += s.queued
+		ones[g] += s.ones
+		spans[g] += s.spans
+		errs[g] += s.errs
 	}
 	for g := range queued {
-		if queued[g] == 0 || ones[g] == 0 || spans[g] == 0 || errs[g] == 0 {
+		if (locks[g] && queued[g] == 0) || ones[g] == 0 || spans[g] == 0 || errs[g] == 0 {
 			t.Errorf("geometry %d: %d queued writes, %d one-chunk and %d chunk-spanning reads, %d failed ops; want all > 0",
 				g, queued[g], ones[g], spans[g], errs[g])
 		}

@@ -9,16 +9,19 @@ import (
 	"powerfail/internal/obs"
 )
 
-// --- RAID-5 / RAID-6 / RS: rotating parity with read-modify-write ---
+// --- RAID-0 / RAID-5 / RAID-6 / RS: the striped m+k code ---
 //
-// Every parity level is an m+k code: each stripe carries k parity shards
-// on a rotating run of members, small writes delta-update every parity
-// under the stripe lock, and a degraded read reconstructs the missing
-// chunk from any m surviving shards via the GF(256) code. RAID-5 is the
-// k = 1 point, whose all-ones parity row is plain XOR. A fault between
+// Every striped level is an m+k code: each stripe carries k parity
+// shards on a rotating run of members, small writes delta-update every
+// parity under the stripe lock, and a degraded read reconstructs the
+// missing chunk from any m surviving shards via the GF(256) code. RAID-5
+// is the k = 1 point, whose all-ones parity row is plain XOR. RAID-0 is
+// the k = 0 point: it has no code, so a write goes straight to its
+// member with no lock and a failed read fails its part. A fault between
 // the 1+k write acknowledgements leaves the stripe internally
 // inconsistent whenever a proper, non-empty subset of the writes landed:
 // the write hole, which for RAID-5 is "exactly one of data and parity".
+// The cached level's reads ride the same records (see cachedRead).
 //
 // The path allocates nothing in steady state. A host request is one
 // pooled codedOp, each of its chunk ranges one pooled chunkOp (which
@@ -45,10 +48,10 @@ type codedOp struct {
 	buf   []content.Fingerprint
 }
 
-// chunkOp is one chunk range of a coded request: a direct read, or one
-// parity read-modify-write cycle. buf holds the cycle's 1+k shards of
-// n pages each: the old data, then the k old parities, which the write
-// phase overwrites in place with the new ones.
+// chunkOp is one chunk range of a coded request: a direct read, a
+// RAID-0 write, or one parity read-modify-write cycle. buf holds the
+// cycle's 1+k shards of n pages each: the old data, then the k old
+// parities, which the write phase overwrites in place with the new ones.
 type chunkOp struct {
 	req     *codedOp
 	cr      chunkRange
@@ -58,7 +61,7 @@ type chunkOp struct {
 	pending, acked              int
 	readErr, dataErr, parityErr error
 
-	next *chunkOp // stripe-lock FIFO link
+	next *chunkOp // stripe-lock FIFO link; a cached read's run list before it submits
 }
 
 // stripeQueue is the FIFO of RMW cycles waiting on one locked stripe.
@@ -83,6 +86,11 @@ func (a *Array) submitCoded(op blockdev.Op, lpn addr.LPN, pages int, data conten
 			continue
 		}
 		ch.newData = data.Slice(ch.cr.off, ch.cr.n)
+		if a.code == nil {
+			ch.pending = 1
+			a.memberSubmit(ch.cr.member, blockdev.OpWrite, ch.cr.mlpn, ch.cr.n, ch.newData, a.chunkCall(ch, roleNewData, 0))
+			continue
+		}
 		a.lockStripe(ch)
 	}
 }
@@ -109,17 +117,21 @@ func (a *Array) partDone(req *codedOp, err error) {
 	a.ops.Put(req)
 }
 
-// chunkRead takes a direct data-member read's answer, falling back to
-// reconstruction from the surviving shards on error.
+// chunkRead takes a direct member read's answer, falling back to
+// reconstruction from the surviving shards on error where there is a
+// code to reconstruct with.
 func (a *Array) chunkRead(ch *chunkOp, err error, res content.Data) {
 	req, cr := ch.req, ch.cr
 	a.freeChunk(ch)
-	if err == nil {
+	switch {
+	case err == nil:
 		res.CopyTo(req.buf[cr.off : cr.off+cr.n])
 		a.partDone(req, nil)
-		return
+	case a.code == nil:
+		a.partDone(req, err)
+	default:
+		a.codeReconstruct(cr, req.buf, func(err error) { a.partDone(req, err) })
 	}
-	a.codeReconstruct(cr, req.buf, func(err error) { a.partDone(req, err) })
 }
 
 // codeReconstruct recovers cr's pages from the same rows on the other
@@ -324,7 +336,7 @@ const (
 	roleRead      callRole = iota // direct data read of a host read
 	roleOldData                   // RMW: old data read
 	roleOldParity                 // RMW: old parity j read
-	roleNewData                   // RMW: new data write
+	roleNewData                   // RMW or RAID-0: new data write
 	roleNewParity                 // RMW: new parity j write
 )
 

@@ -6,54 +6,6 @@ import (
 	"powerfail/internal/content"
 )
 
-// --- RAID-0: striping ---
-
-func (a *Array) submitRAID0(op blockdev.Op, lpn addr.LPN, pages int, data content.Data, done func(error, content.Data)) {
-	var result []content.Fingerprint
-	if op == blockdev.OpRead {
-		result = make([]content.Fingerprint, pages)
-	}
-	parts := a.chunkCount(lpn, pages)
-	var firstErr error
-	for off := 0; off < pages; {
-		cr := a.chunkAt(lpn, off, pages)
-		off += cr.n
-		var payload content.Data
-		if op == blockdev.OpWrite {
-			payload = data.Slice(cr.off, cr.n)
-		}
-		a.memberSubmit(cr.member, op, cr.mlpn, cr.n, payload, a.call(func(err error, res content.Data) {
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-			} else if op == blockdev.OpRead {
-				for i := 0; i < cr.n; i++ {
-					result[cr.off+i] = res.Page(i)
-				}
-			}
-			parts--
-			if parts == 0 {
-				a.finishStriped(op, result, firstErr, done)
-			}
-		}))
-	}
-}
-
-// finishStriped answers a request whose member parts gathered into
-// result, a slice of its own that the read's Data takes over.
-func (a *Array) finishStriped(op blockdev.Op, result []content.Fingerprint, err error, done func(error, content.Data)) {
-	if err != nil {
-		done(err, content.Data{})
-		return
-	}
-	if op == blockdev.OpRead {
-		done(nil, content.Wrap(result))
-		return
-	}
-	done(nil, content.Data{})
-}
-
 // --- RAID-1: mirroring ---
 
 func (a *Array) submitRAID1(op blockdev.Op, lpn addr.LPN, pages int, data content.Data, done func(error, content.Data)) {

@@ -217,10 +217,3 @@ func (r *Report) String() string {
 	}
 	return b.String()
 }
-
-// Row renders a compact single-line summary for sweep tables.
-func (r *Report) Row() string {
-	return fmt.Sprintf("%-24s faults=%-4d data=%-5d fwa=%-5d ioerr=%-4d loss/fault=%5.2f iops=%6.0f",
-		r.Name, r.Faults, r.Counters.DataFailures, r.Counters.FWA, r.Counters.IOErrors,
-		r.DataLossPerFault, r.RespondedIOPS)
-}
