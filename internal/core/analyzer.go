@@ -48,16 +48,17 @@ type FaultOutcome struct {
 	Failures
 }
 
-// NewAnalyzer builds an analyzer. recheckWindow bounds how long a
-// verified packet remains subject to re-verification (captures corruption
-// of previously written data by later faults).
-func NewAnalyzer(k *sim.Kernel, recheckWindow sim.Duration) *Analyzer {
-	if recheckWindow <= 0 {
-		recheckWindow = 2 * sim.Second
-	}
+// recheckWindow is the experiments' recheck window: how long a verified
+// packet remains subject to re-verification (captures corruption of
+// previously written data by later faults).
+const recheckWindow = 2 * sim.Second
+
+// NewAnalyzer builds an analyzer whose verified packets are rechecked
+// while younger than window; experiments pass recheckWindow.
+func NewAnalyzer(k *sim.Kernel, window sim.Duration) *Analyzer {
 	return &Analyzer{
 		k:             k,
-		recheckWindow: recheckWindow,
+		recheckWindow: window,
 	}
 }
 

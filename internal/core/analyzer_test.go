@@ -12,7 +12,7 @@ import (
 
 func newAnalyzer() (*sim.Kernel, *Analyzer) {
 	k := sim.New()
-	return k, NewAnalyzer(k, 2*sim.Second)
+	return k, NewAnalyzer(k, recheckWindow)
 }
 
 // issueWrite registers a synthetic completed write packet and drains it
@@ -165,13 +165,13 @@ func TestRecheckWindowExpiry(t *testing.T) {
 	d := content.Make(1)
 	pkt := issueWrite(a, 1, 0, d)
 	a.Classify(pkt, d, 0) // verified clean -> recent set
-	// Within the window the packet is re-offered.
-	if got := a.VerifyCandidates(k.Now().Add(sim.Second)); len(got) != 1 {
+	// To the end of the window the packet is re-offered.
+	if got := a.VerifyCandidates(k.Now().Add(recheckWindow)); len(got) != 1 {
 		t.Fatalf("recheck candidates = %d, want 1", len(got))
 	}
 	a.Classify(pkt, d, 0)
 	// Beyond the window it ages out.
-	if got := a.VerifyCandidates(k.Now().Add(10 * sim.Second)); len(got) != 0 {
+	if got := a.VerifyCandidates(k.Now().Add(recheckWindow + 1)); len(got) != 0 {
 		t.Fatalf("aged candidates = %d, want 0", len(got))
 	}
 }

@@ -36,8 +36,6 @@ const (
 	settleAfterOff = 150 * sim.Millisecond
 	// offFloorVolts is the rail voltage treated as fully discharged.
 	offFloorVolts = 0.25
-	// recheckWindow bounds re-verification of already verified packets.
-	recheckWindow = 2 * sim.Second
 )
 
 // Runner executes one experiment on a platform. A platform instance runs

@@ -4,7 +4,10 @@
 // sequential streams as run extents (the paper: for sequential accesses the
 // FTL "only keeps the first address in the mapping table"), an out-of-band
 // (OOB) scan that recovers the tail of the active blocks after a crash,
-// and greedy garbage collection with wear-aware block allocation.
+// and greedy garbage collection with wear-aware block allocation. GC
+// migrates pages into a frontier block of its own and may spend a reserve
+// of free blocks that host writes cannot, so a collection that has
+// started always finishes.
 //
 // The crash behaviour is the heart of the model: mapping updates that were
 // neither journaled nor recoverable by the OOB scan revert to the previous
@@ -84,9 +87,8 @@ func (c Config) Validate() error {
 // programs the page on a channel and then calls CompleteWrite (host data)
 // or CompleteMove (GC migration), or AbortWrite if power was lost first.
 type Ticket struct {
-	LPN  addr.LPN
-	PPN  addr.PPN
-	Lane int
+	LPN addr.LPN
+	PPN addr.PPN
 }
 
 // record is one uncommitted mapping update held in controller DRAM.
@@ -167,7 +169,6 @@ func (h *freeHeap) pop() freeBlock {
 type Stats struct {
 	WritesMapped   int64
 	MovesCompleted int64
-	MovesAborted   int64
 	RunsClosed     int64
 	Commits        int64
 	CommittedRecs  int64
@@ -226,15 +227,20 @@ type FTL struct {
 	// allocBlock takes the smaller of the two heads in freeBlock order,
 	// which is the order one heap of every free block would give.
 	recycled freeHeap
-	active   []int // active block per lane, -1 if none
-	nextIdx  []int // next page index to reserve per lane
+	// active holds the active block of each lane, -1 if none, and after
+	// the lanes the GC frontier: the block BeginMove fills, so one
+	// collection opens at most one block. nextIdx holds the next page
+	// index each of them reserves.
+	active  []int
+	nextIdx []int
 
 	pending []record
 	run     openRun
 	runOpen bool
 	seqLast addr.LPN // last written lpn, for run detection
 
-	gcMark []bool // GCPlan scratch: free or active opened blocks
+	gcMark  []bool // GCPlan scratch: free or active opened blocks
+	crashed bool   // no page reserved since the last Crash
 
 	// Crash scratch, reused crash to crash.
 	atRisk  []record
@@ -246,9 +252,10 @@ type FTL struct {
 
 // blockState is the bookkeeping of one opened block.
 type blockState struct {
-	valid  int32      // live pages
-	pinned int32      // uncommitted-journal references (GC must skip)
-	rev    []addr.LPN // reverse map: the logical page of each page, noLPN if none
+	valid    int32      // live pages
+	pinned   int32      // uncommitted-journal references (GC must skip)
+	inFlight int32      // reserved pages not yet completed or aborted (GC must skip)
+	rev      []addr.LPN // reverse map: the logical page of each page, noLPN if none
 }
 
 // crashGroup folds the at-risk records of one logical page: the mapping
@@ -268,7 +275,7 @@ func New(chip *flash.Chip, cfg Config) (*FTL, error) {
 		return nil, err
 	}
 	geo := chip.Geometry()
-	minPages := cfg.UserPages + int64((cfg.GCHighBlocks+cfg.Lanes+2)*geo.PagesPerBlock)
+	minPages := cfg.UserPages + int64((cfg.GCHighBlocks+cfg.Lanes+1+gcReserve)*geo.PagesPerBlock)
 	if geo.Pages() < minPages {
 		return nil, fmt.Errorf("ftl: geometry %s too small for %d user pages plus reserves",
 			geo, cfg.UserPages)
@@ -277,13 +284,13 @@ func New(chip *flash.Chip, cfg Config) (*FTL, error) {
 		cfg:     cfg,
 		chip:    chip,
 		geo:     geo,
-		active:  make([]int, cfg.Lanes),
-		nextIdx: make([]int, cfg.Lanes),
+		active:  make([]int, cfg.Lanes+1),
+		nextIdx: make([]int, cfg.Lanes+1),
 		seqLast: -2,
 		groupOf: make(map[addr.LPN]int32),
 	}
-	for lane := range f.active {
-		f.active[lane] = -1
+	for i := range f.active {
+		f.active[i] = -1
 	}
 	return f, nil
 }
@@ -297,8 +304,21 @@ func (f *FTL) UserPages() int64 { return f.cfg.UserPages }
 // Stats returns a snapshot of the counters.
 func (f *FTL) Stats() Stats { return f.stats }
 
-// FreeBlocks returns the number of blocks available for allocation.
+// FreeBlocks returns the number of blocks available for allocation,
+// the GC reserve included.
 func (f *FTL) FreeBlocks() int { return f.geo.Blocks() - len(f.blocks) + len(f.recycled) }
+
+// gcReserve is the number of free blocks only BeginMove may open. Host
+// writes, CanReserve and the GC thresholds see the free pool without
+// them. GCPlan admits a victim only if its moves fit the frontier's room
+// plus the free blocks, and host writes cannot take the last gcReserve,
+// so the moves of a started collection always find pages. One block is
+// not enough: a cut can abort a collection whose frontier took the last
+// free block, and then no victim may fit and GC stalls.
+const gcReserve = 2
+
+// hostFree returns the free blocks host writes may open.
+func (f *FTL) hostFree() int { return f.FreeBlocks() - gcReserve }
 
 // PendingRecords returns uncommitted journal records (excluding the open run).
 func (f *FTL) PendingRecords() int { return len(f.pending) }
@@ -323,22 +343,18 @@ var ErrNoSpace = errors.New("ftl: out of free blocks")
 // ErrBadLPN reports a logical address beyond the exported capacity.
 var ErrBadLPN = errors.New("ftl: logical page out of range")
 
-func (f *FTL) allocBlock() (int, error) {
-	b, fresh := 0, len(f.blocks)
-	switch {
-	case len(f.recycled) > 0 && (fresh == f.geo.Blocks() || f.recycled[0].less(freeBlock{idx: fresh})):
-		b = f.recycled.pop().idx
-	case fresh < f.geo.Blocks():
-		b = fresh
-		rev := make([]addr.LPN, f.geo.PagesPerBlock)
-		for i := range rev {
-			rev[i] = noLPN
-		}
-		f.blocks = append(f.blocks, blockState{rev: rev})
-	default:
-		return 0, ErrNoSpace
+// allocBlock opens a free block; the caller checks that one is free.
+func (f *FTL) allocBlock() int {
+	fresh := len(f.blocks)
+	if len(f.recycled) > 0 && (fresh == f.geo.Blocks() || f.recycled[0].less(freeBlock{idx: fresh})) {
+		return f.recycled.pop().idx
 	}
-	return b, nil
+	rev := make([]addr.LPN, f.geo.PagesPerBlock)
+	for i := range rev {
+		rev[i] = noLPN
+	}
+	f.blocks = append(f.blocks, blockState{rev: rev})
+	return fresh
 }
 
 // revSlot returns the reverse-map entry of ppn, nil if its block never
@@ -378,7 +394,8 @@ func (f *FTL) clearRev(ppn addr.PPN) {
 
 // BeginWrite reserves the next physical page for lpn. Sequential streams
 // stay on one lane so their pages remain physically contiguous; other
-// writes round-robin across lanes.
+// writes round-robin across lanes. It returns ErrNoSpace rather than open
+// a block of the GC reserve.
 func (f *FTL) BeginWrite(lpn addr.LPN) (Ticket, error) {
 	if lpn < 0 || int64(lpn) >= f.cfg.UserPages {
 		return Ticket{}, ErrBadLPN
@@ -387,28 +404,45 @@ func (f *FTL) BeginWrite(lpn addr.LPN) (Ticket, error) {
 	// sequential runs are a *mapping* construct (lpn-contiguous), not a
 	// physical-placement one, so sequential streams keep full channel
 	// parallelism.
-	lane := int(f.stats.WritesMapped) % f.cfg.Lanes
-	blk := f.active[lane]
-	if blk < 0 || f.nextIdx[lane] >= f.geo.PagesPerBlock {
-		nb, err := f.allocBlock()
-		if err != nil {
-			return Ticket{}, err
-		}
-		f.active[lane] = nb
-		f.nextIdx[lane] = 0
-		blk = nb
+	t, err := f.reserve(int(f.stats.WritesMapped)%f.cfg.Lanes, lpn, f.hostFree())
+	if err == nil {
+		f.stats.WritesMapped++
 	}
-	ppn := f.geo.PPNOf(blk, f.nextIdx[lane])
-	f.nextIdx[lane]++
-	f.stats.WritesMapped++
-	return Ticket{LPN: lpn, PPN: ppn, Lane: lane}, nil
+	return t, err
+}
+
+// BeginMove reserves the next page of the GC frontier for a migration of
+// lpn. It may spend the GC reserve, and fails only if the collection's
+// moves did not fit the room GCPlan checked.
+func (f *FTL) BeginMove(lpn addr.LPN) (Ticket, error) {
+	return f.reserve(f.cfg.Lanes, lpn, f.FreeBlocks())
+}
+
+// reserve takes the next page of active block i for lpn, opening a free
+// block when the current one is full; spendable is the number of free
+// blocks the caller may open.
+func (f *FTL) reserve(i int, lpn addr.LPN, spendable int) (Ticket, error) {
+	blk := f.active[i]
+	if blk < 0 || f.nextIdx[i] >= f.geo.PagesPerBlock {
+		if spendable <= 0 {
+			return Ticket{}, ErrNoSpace
+		}
+		blk = f.allocBlock()
+		f.active[i], f.nextIdx[i] = blk, 0
+	}
+	ppn := f.geo.PPNOf(blk, f.nextIdx[i])
+	f.nextIdx[i]++
+	f.blocks[blk].inFlight++
+	f.crashed = false
+	return Ticket{LPN: lpn, PPN: ppn}, nil
 }
 
 // CanReserve reports whether n BeginWrite calls in a row would all
 // succeed: each lane's round-robin share of the n pages fits in the rest
-// of its active block plus the free blocks. Callers that must place a
-// command whole check it first, because a reserved page that is never
-// programmed leaves a gap NAND cannot fill: a block programs in order.
+// of its active block plus the free blocks outside the GC reserve.
+// Callers that must place a command whole check it first, because a
+// reserved page that is never programmed leaves a gap NAND cannot fill:
+// a block programs in order.
 func (f *FTL) CanReserve(n int) bool {
 	lanes, ppb := f.cfg.Lanes, f.geo.PagesPerBlock
 	first := int(f.stats.WritesMapped) % lanes
@@ -426,7 +460,7 @@ func (f *FTL) CanReserve(n int) bool {
 			need += (k - room + ppb - 1) / ppb
 		}
 	}
-	return need <= f.FreeBlocks()
+	return need <= f.hostFree()
 }
 
 // CompleteWrite applies a host write that finished programming: the
@@ -447,7 +481,9 @@ func (f *FTL) CompleteWrite(t Ticket, now sim.Time) {
 	}
 	*e = t.PPN + 1
 	f.setRev(t.PPN, t.LPN)
-	f.blocks[f.geo.BlockOf(t.PPN)].valid++
+	dst := &f.blocks[f.geo.BlockOf(t.PPN)]
+	dst.valid++
+	dst.inFlight--
 
 	rec := record{lpn: t.LPN, old: old, new: t.PPN}
 	extends := f.runOpen && len(f.run.recs) < f.cfg.RunMaxPages &&
@@ -470,9 +506,10 @@ func (f *FTL) CompleteWrite(t Ticket, now sim.Time) {
 // the source; otherwise the destination page is wasted and the move is
 // dropped (the host overwrote the data mid-migration).
 func (f *FTL) CompleteMove(t Ticket, from addr.PPN, now sim.Time) bool {
+	dst := &f.blocks[f.geo.BlockOf(t.PPN)]
+	dst.inFlight--
 	e := f.l2p.Ref(t.LPN)
 	if *e != from+1 {
-		f.stats.MovesAborted++
 		f.stats.WastedPages++
 		return false
 	}
@@ -482,7 +519,7 @@ func (f *FTL) CompleteMove(t Ticket, from addr.PPN, now sim.Time) bool {
 	f.clearRev(from)
 	*e = t.PPN + 1
 	f.setRev(t.PPN, t.LPN)
-	f.blocks[f.geo.BlockOf(t.PPN)].valid++
+	dst.valid++
 	f.closeRun()
 	f.pending = append(f.pending, record{lpn: t.LPN, old: from, new: t.PPN})
 	f.stats.MovesCompleted++
@@ -491,7 +528,10 @@ func (f *FTL) CompleteMove(t Ticket, from addr.PPN, now sim.Time) bool {
 
 // AbortWrite releases a ticket whose program never completed (power loss).
 // The physical page is wasted; the mapping never changed.
-func (f *FTL) AbortWrite(Ticket) { f.stats.WastedPages++ }
+func (f *FTL) AbortWrite(t Ticket) {
+	f.blocks[f.geo.BlockOf(t.PPN)].inFlight--
+	f.stats.WastedPages++
+}
 
 func (f *FTL) closeRun() {
 	if !f.runOpen {
@@ -541,13 +581,15 @@ func (f *FTL) CommitJournal() {
 }
 
 // inScan reports whether the OOB scan recovers ppn: it is one of the most
-// recent fully programmed pages of a lane's active block.
+// recent fully programmed pages of a lane's active block. The GC frontier
+// is not scanned; a move the journal lost reverts to its source page,
+// which GC erases only after the commit.
 func (f *FTL) inScan(ppn addr.PPN) bool {
 	if f.cfg.ScanWindowPages == 0 {
 		return false
 	}
 	blk := f.geo.BlockOf(ppn)
-	for _, b := range f.active {
+	for _, b := range f.active[:f.cfg.Lanes] {
 		if b < 0 || b != blk {
 			continue
 		}
@@ -562,9 +604,11 @@ func (f *FTL) inScan(ppn addr.PPN) bool {
 // the OOB scan can rebuild it. Reverted logical pages point back at their
 // previous physical pages (the FWA mechanism). The allocation pointers are
 // re-synchronised with the chip, since reserved-but-unprogrammed pages are
-// still erased and reusable.
+// still erased and reusable. The controller completes or aborts every
+// ticket first.
 func (f *FTL) Crash(now sim.Time) CrashStats {
 	f.stats.Crashes++
+	f.crashed = true
 	// Gather every at-risk record in application order.
 	atRisk := append(f.atRisk[:0], f.pending...)
 	if f.runOpen {
@@ -627,14 +671,14 @@ func (f *FTL) Crash(now sim.Time) CrashStats {
 			f.blocks[f.geo.BlockOf(r.old)].pinned = 0
 		}
 	}
-	// Re-synchronise allocation pointers with the chip: reserved pages
-	// that were never programmed are still erased and must be reused,
-	// because NAND programs strictly sequentially within a block.
-	for lane, blk := range f.active {
-		if blk < 0 {
-			continue
+	// Re-synchronise the lanes' and the frontier's allocation pointers
+	// with the chip: reserved pages that were never programmed are still
+	// erased and must be reused, because NAND programs strictly
+	// sequentially within a block.
+	for i, blk := range f.active {
+		if blk >= 0 {
+			f.nextIdx[i] = f.chip.NextPage(blk)
 		}
-		f.nextIdx[lane] = f.chip.NextPage(blk)
 	}
 	return cs
 }
@@ -647,17 +691,20 @@ func (f *FTL) RecoverDuration() sim.Duration {
 }
 
 // NeedGC reports whether free space is low enough to require collection.
-func (f *FTL) NeedGC() bool { return f.FreeBlocks() < f.cfg.GCLowBlocks }
+func (f *FTL) NeedGC() bool { return f.hostFree() < f.cfg.GCLowBlocks }
 
 // GCSatisfied reports whether collection may stop.
-func (f *FTL) GCSatisfied() bool { return f.FreeBlocks() >= f.cfg.GCHighBlocks }
+func (f *FTL) GCSatisfied() bool { return f.hostFree() >= f.cfg.GCHighBlocks }
 
 // GCPlan picks a victim block (greedy: fewest valid pages, skipping free,
-// active, and journal-pinned blocks) and lists the migrations required.
-// It returns nil when no block is collectable.
+// active, journal-pinned and in-flight blocks, and blocks whose valid
+// pages do not fit the frontier's room plus the free blocks) and lists
+// the migrations required. It returns nil when no block is collectable.
+// A block with reservations in flight is skipped because its queued
+// programs land after the plan and would be erased with it.
 func (f *FTL) GCPlan() *GCPlan {
-	// Blocks that never opened are free and never programmed; mark the
-	// recycled free blocks and the active ones, all opened.
+	// Blocks that never opened are free; mark the recycled free blocks,
+	// the active ones and the frontier, all opened.
 	if n := len(f.blocks) - len(f.gcMark); n > 0 {
 		f.gcMark = append(f.gcMark, make([]bool, n)...)
 	}
@@ -670,14 +717,16 @@ func (f *FTL) GCPlan() *GCPlan {
 			mark[b] = true
 		}
 	}
-	best, bestValid := -1, int32(1<<30)
+	ppb := f.geo.PagesPerBlock
+	room := f.FreeBlocks() * ppb
+	if lanes := f.cfg.Lanes; f.active[lanes] >= 0 {
+		room += ppb - f.nextIdx[lanes]
+	}
+	best, bestValid := -1, int32(room)+1
 	for b := range f.blocks {
 		st := &f.blocks[b]
-		if mark[b] || st.pinned > 0 {
+		if mark[b] || st.pinned > 0 || st.inFlight > 0 {
 			continue
-		}
-		if f.chip.NextPage(b) == 0 && f.chip.State(f.geo.PPNOf(b, 0)) == flash.PageErased {
-			continue // untouched block
 		}
 		if st.valid < bestValid {
 			best, bestValid = b, st.valid
@@ -688,7 +737,7 @@ func (f *FTL) GCPlan() *GCPlan {
 		return nil
 	}
 	plan := &GCPlan{Victim: best}
-	for pi := 0; pi < f.geo.PagesPerBlock; pi++ {
+	for pi := 0; pi < ppb; pi++ {
 		ppn := f.geo.PPNOf(best, pi)
 		if lpn, ok := f.lpnAt(ppn); ok {
 			plan.Moves = append(plan.Moves, Move{LPN: lpn, From: ppn})
@@ -762,6 +811,13 @@ func (f *FTL) CheckInvariants() error {
 	for b, want := range counts {
 		if got := f.blocks[b].pinned; got != want {
 			return fmt.Errorf("ftl: block %d pinned=%d want %d", b, got, want)
+		}
+	}
+	// Every ticket is resolved before a crash, so none is in flight
+	// until the next reservation.
+	for b := range f.blocks {
+		if n := f.blocks[b].inFlight; n < 0 || f.crashed && n != 0 {
+			return fmt.Errorf("ftl: block %d has %d reservations in flight", b, n)
 		}
 	}
 	return nil

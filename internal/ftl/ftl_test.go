@@ -246,8 +246,8 @@ func TestRunGapTolerance(t *testing.T) {
 func TestGCReclaimsAndPreservesData(t *testing.T) {
 	chip, f := testFTL(t, func(c *Config) {
 		c.UserPages = 128
-		c.GCLowBlocks = 50
-		c.GCHighBlocks = 52
+		c.GCLowBlocks = 48
+		c.GCHighBlocks = 50
 	})
 	now := sim.Time(0)
 	// Fill blocks, overwriting so most pages invalidate.
@@ -273,7 +273,7 @@ func TestGCReclaimsAndPreservesData(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tk, err := f.BeginWrite(mv.LPN)
+			tk, err := f.BeginMove(mv.LPN)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -316,13 +316,70 @@ func TestGCSkipsPinnedBlocks(t *testing.T) {
 	}
 }
 
+// TestGCSkipsBlockInFlight rolls a lane past a block whose programs are
+// still queued: every page of it is reserved, and they complete one by
+// one. GCPlan must not pick the block while a ticket is outstanding, or
+// the programs that land after the plan are erased with it.
+func TestGCSkipsBlockInFlight(t *testing.T) {
+	chip, f := testFTL(t, func(c *Config) { c.Lanes = 1 })
+	tks := make([]Ticket, f.geo.PagesPerBlock)
+	for i := range tks {
+		tk, err := f.BeginWrite(addr.LPN(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tks[i] = tk
+	}
+	write(t, chip, f, 100, 0x1, 0) // the lane rolls over to a new block
+	queued := chip.Geometry().BlockOf(tks[0].PPN)
+	for i, tk := range tks {
+		if err := chip.Program(tk.PPN, content.Fingerprint(0x10+i)); err != nil {
+			t.Fatal(err)
+		}
+		f.CompleteWrite(tk, 0)
+		if err := f.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		if plan := f.GCPlan(); plan != nil && plan.Victim == queued && i < len(tks)-1 {
+			t.Fatalf("GCPlan picked block %d with %d programs still queued", queued, len(tks)-1-i)
+		}
+	}
+}
+
+// TestGCReclaimsAbortedBlock cuts the power while every page of a block
+// the lane has rolled past is reserved and none is programmed. The block
+// holds nothing after the crash, and GC must take it back.
+func TestGCReclaimsAbortedBlock(t *testing.T) {
+	chip, f := testFTL(t, func(c *Config) { c.Lanes = 1 })
+	tks := make([]Ticket, f.geo.PagesPerBlock)
+	for i := range tks {
+		tks[i], _ = f.BeginWrite(addr.LPN(i))
+	}
+	tk, _ := f.BeginWrite(100) // the lane rolls over to a new block
+	for _, tk := range append(tks, tk) {
+		f.AbortWrite(tk)
+	}
+	f.Crash(0)
+	if err := f.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	aborted, free := chip.Geometry().BlockOf(tks[0].PPN), f.FreeBlocks()
+	plan := f.GCPlan()
+	if plan == nil || plan.Victim != aborted || len(plan.Moves) != 0 {
+		t.Fatalf("GCPlan = %+v, want block %d with no moves", plan, aborted)
+	}
+	if err := f.GCFinish(plan.Victim); err != nil || f.FreeBlocks() != free+1 {
+		t.Fatalf("GCFinish: %v, free %d -> %d", err, free, f.FreeBlocks())
+	}
+}
+
 func TestCompleteMoveStaleAborts(t *testing.T) {
 	chip, f := testFTL(t, nil)
 	now := sim.Time(0)
 	from := write(t, chip, f, 2, 0x1, now)
 	// Host overwrites while the migration is "in flight".
 	write(t, chip, f, 2, 0x2, now)
-	tk, err := f.BeginWrite(2)
+	tk, err := f.BeginMove(2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,8 +486,8 @@ func TestBlockAllocationOrder(t *testing.T) {
 		free = append(free, ref{idx: b})
 	}
 	opened := 0
-	begin := func(lpn addr.LPN) Ticket {
-		tk, err := f.BeginWrite(lpn)
+	begin := func(reserve func(addr.LPN) (Ticket, error), lpn addr.LPN) Ticket {
+		tk, err := reserve(lpn)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -453,7 +510,7 @@ func TestBlockAllocationOrder(t *testing.T) {
 	rng := sim.NewRNG(5)
 	now := sim.Time(0)
 	for step := 0; step < 6000; step++ {
-		tk := begin(addr.LPN(rng.Intn(128)))
+		tk := begin(f.BeginWrite, addr.LPN(rng.Intn(128)))
 		if err := chip.Program(tk.PPN, content.Fingerprint(step+1)); err != nil {
 			t.Fatal(err)
 		}
@@ -472,7 +529,7 @@ func TestBlockAllocationOrder(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				mt := begin(mv.LPN)
+				mt := begin(f.BeginMove, mv.LPN)
 				if err := chip.Program(mt.PPN, res.FP); err != nil {
 					t.Fatal(err)
 				}
@@ -509,7 +566,7 @@ func TestCanReserveMatchesBeginWrite(t *testing.T) {
 					break
 				}
 			}
-			limit := f.FreeBlocks()*f.geo.PagesPerBlock + lanes*f.geo.PagesPerBlock
+			limit := f.hostFree()*f.geo.PagesPerBlock + lanes*f.geo.PagesPerBlock
 			can := make([]bool, limit+2)
 			for n := range can {
 				can[n] = f.CanReserve(n)

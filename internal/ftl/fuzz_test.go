@@ -23,6 +23,14 @@ type ftlScript struct {
 	f    *FTL
 	now  sim.Time
 	fp   content.Fingerprint
+
+	// inFlight holds the host tickets reserved and not yet completed
+	// while a collection runs; no victim may hold one.
+	inFlight []Ticket
+	// rolled counts collections planned after a lane rolled past a block
+	// with tickets in flight; reserveMoves counts moves that opened a
+	// block host writes could not. The seed tests read them.
+	rolled, reserveMoves int
 }
 
 func newFTLScript(t *testing.T, ops []byte) *ftlScript {
@@ -137,6 +145,18 @@ func (s *ftlScript) write(cutting bool) {
 	for _, tk := range tks[:done] {
 		s.program(tk)
 	}
+	// A collection may run before the batch completes, once a lane has
+	// rolled past a block the batch's tickets still hold.
+	if mode&4 != 0 {
+		if slices.ContainsFunc(tks, func(tk Ticket) bool {
+			return !slices.Contains(s.f.active, s.f.geo.BlockOf(tk.PPN))
+		}) {
+			s.rolled++
+		}
+		s.inFlight = tks
+		s.collect(false)
+		s.inFlight = nil
+	}
 	// Pages finish programming on their channels in either order.
 	for i := range tks[:done] {
 		if mode&2 != 0 {
@@ -150,12 +170,13 @@ func (s *ftlScript) write(cutting bool) {
 	}
 }
 
-// collect runs one collection as the script dictates: plan, migrate the
-// victim's valid pages (a host write may overwrite one mid-migration, or
-// the power may fail), perhaps commit the journal, then erase the victim,
-// or fail mid-erase. GCFinish must erase the victim exactly when no
-// uncommitted record pins it. collect reports whether the victim was
-// erased.
+// collect runs one collection as the script dictates: plan, perhaps let
+// host writes take every free block they may, migrate the victim's valid
+// pages (a host write may overwrite one mid-migration, or the power may
+// fail), perhaps commit the journal, then erase the victim, or fail
+// mid-erase. Every move must find a page, and GCFinish must erase the
+// victim exactly when no uncommitted record pins it. collect reports
+// whether the victim was erased.
 func (s *ftlScript) collect(scripted bool) bool {
 	want := s.greedyVictim()
 	plan := s.f.GCPlan()
@@ -170,6 +191,9 @@ func (s *ftlScript) collect(scripted bool) bool {
 	if plan == nil {
 		return false
 	}
+	if s.holdsInFlight(plan.Victim) {
+		s.t.Fatalf("GCPlan picked block %d, which holds tickets in flight", plan.Victim)
+	}
 	if len(plan.Moves) != s.f.ValidPages(plan.Victim) {
 		s.t.Fatalf("GCPlan moves %d pages of block %d, which holds %d",
 			len(plan.Moves), plan.Victim, s.f.ValidPages(plan.Victim))
@@ -177,6 +201,9 @@ func (s *ftlScript) collect(scripted bool) bool {
 	mode := byte(0)
 	if scripted {
 		mode = s.next()
+	}
+	if mode&16 != 0 {
+		s.crowd()
 	}
 	fps := make([]content.Fingerprint, len(plan.Moves))
 	for i, mv := range plan.Moves {
@@ -187,11 +214,12 @@ func (s *ftlScript) collect(scripted bool) bool {
 			s.f.CompleteWrite(tk, s.now)
 			s.check("CompleteWrite mid-migration")
 		}
-		if !s.f.CanReserve(1) {
-			return false // the collection stalls; a later one picks again
+		free, hostFull := s.f.FreeBlocks(), !s.f.CanReserve(1)
+		tk, err := s.f.BeginMove(mv.LPN)
+		s.must(err, "BeginMove")
+		if hostFull && s.f.FreeBlocks() < free {
+			s.reserveMoves++
 		}
-		tk, err := s.f.BeginWrite(mv.LPN)
-		s.must(err, "BeginWrite of a move")
 		if mode&2 != 0 && s.next()%8 == 0 {
 			s.cut(tk, nil)
 			return false
@@ -236,21 +264,41 @@ func (s *ftlScript) collect(scripted bool) bool {
 	return true
 }
 
-// greedyVictim is GCPlan's rule applied to every block of the geometry:
-// the programmed block with the fewest valid pages, lowest index first,
-// that is not free, active or pinned. -1 if there is none.
+// crowd has host writes take every page and free block they may, so the
+// moves of the collection under way compete for the last free blocks.
+func (s *ftlScript) crowd() {
+	for s.f.CanReserve(1) {
+		tk, err := s.f.BeginWrite(addr.LPN(s.next()) % addr.LPN(s.f.UserPages()))
+		s.must(err, "BeginWrite after CanReserve")
+		s.program(tk)
+		s.f.CompleteWrite(tk, s.now)
+	}
+	s.check("host writes crowding a collection")
+}
+
+// holdsInFlight reports whether block b holds a ticket of s.inFlight.
+func (s *ftlScript) holdsInFlight(b int) bool {
+	return slices.ContainsFunc(s.inFlight, func(tk Ticket) bool { return s.f.geo.BlockOf(tk.PPN) == b })
+}
+
+// greedyVictim is GCPlan's rule applied block by block, with in-flight
+// tickets taken from the script's own record: the opened block with the fewest valid pages, lowest index first, that
+// is not free, active, the GC frontier or pinned, holds no ticket in
+// flight, and whose valid pages fit the frontier's room plus the free
+// blocks. -1 if there is none.
 func (s *ftlScript) greedyVictim() int {
-	f, geo := s.f, s.f.geo
+	f, ppb := s.f, s.f.geo.PagesPerBlock
+	room := f.FreeBlocks() * ppb
+	if front := f.active[f.cfg.Lanes]; front >= 0 {
+		room += ppb - f.nextIdx[f.cfg.Lanes]
+	}
 	best, bestValid := -1, 0
-	for b := 0; b < geo.Blocks(); b++ {
-		if s.chip.NextPage(b) == 0 && s.chip.State(geo.PPNOf(b, 0)) == flash.PageErased {
-			continue // never programmed, or erased and free
-		}
-		if slices.Contains(f.active, b) || f.blocks[b].pinned > 0 ||
+	for b := range len(f.blocks) { // blocks past these never opened and are free
+		if slices.Contains(f.active, b) || f.blocks[b].pinned > 0 || s.holdsInFlight(b) ||
 			slices.ContainsFunc(f.recycled, func(fb freeBlock) bool { return fb.idx == b }) {
 			continue
 		}
-		if v := f.ValidPages(b); best < 0 || v < bestValid {
+		if v := f.ValidPages(b); v <= room && (best < 0 || v < bestValid) {
 			best, bestValid = b, v
 		}
 	}
@@ -299,6 +347,32 @@ func churnScript(rounds int) []byte {
 	return ops
 }
 
+// rolloverScript writes three pages at a time with a collection planned
+// before each batch completes. Two lanes share each batch unevenly, so
+// every third batch rolls a lane over past a block its tickets hold.
+func rolloverScript(rounds int) []byte {
+	var ops []byte
+	for r := range rounds {
+		ops = append(ops, 1, 0, 2, byte(r*3), 4) // three sequential pages, collect mid-batch
+		if r%4 == 3 {
+			ops = append(ops, 1, 3) // commit
+		}
+	}
+	return ops
+}
+
+// crowdScript churns the drive, then runs collections during which host
+// writes first take every free block they may.
+func crowdScript(rounds int) []byte {
+	ops := churnScript(8)
+	for r := range rounds {
+		ops = append(ops, 1, 0, 3, byte(r*4), 0) // four sequential pages
+		ops = append(ops, 1, 7, 16)              // collect, crowded
+		ops = append(ops, 1, 3)                  // commit
+	}
+	return ops
+}
+
 // FuzzFTL runs byte scripts of writes, cuts, journal commits, crashes and
 // collections and checks the FTL's invariants after every call.
 func FuzzFTL(f *testing.F) {
@@ -311,7 +385,29 @@ func FuzzFTL(f *testing.F) {
 	// A crash after an erase with the move records uncommitted aliased
 	// two logical pages on one physical page once the block was reused.
 	f.Add([]byte("007000700700000100000710C00110007000C00720070007000710 $007000C00700070007100C00700070007000C00770007000C007,0007000C00700007700C007C000700021001000700000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000"))
+	// A collection is planned with no free block left and little room in
+	// the frontier: a victim whose moves do not fit must not be picked,
+	// or a BeginMove runs out.
+	f.Add([]byte("000000070000000007100070007001010000100007000077000700007$007 0700"))
+	f.Add(rolloverScript(24))
+	f.Add(crowdScript(24))
 	f.Fuzz(func(t *testing.T, ops []byte) { newFTLScript(t, ops).run() })
+}
+
+// TestSeedScriptsReachModes checks that the rollover and crowd seeds do
+// what they are for: collections are planned while a lane has rolled
+// past a block with tickets in flight, and moves open blocks from the GC
+// reserve after host writes took every block they may.
+func TestSeedScriptsReachModes(t *testing.T) {
+	s := newFTLScript(t, rolloverScript(24))
+	s.run()
+	c := newFTLScript(t, crowdScript(24))
+	c.run()
+	t.Logf("rolled %d, reserve moves %d, collections %d", s.rolled, c.reserveMoves, c.f.Stats().GCCollections)
+	if s.rolled == 0 || c.reserveMoves == 0 {
+		t.Fatalf("rollover seed planned %d collections past a rolled lane; crowd seed opened %d reserve blocks",
+			s.rolled, c.reserveMoves)
+	}
 }
 
 // TestChurnScriptRecycles checks that the tiny drive forces what the

@@ -456,10 +456,12 @@ func (d *Device) noteDirty() {
 
 // writeThrough programs pages synchronously (internal cache disabled); the
 // ACK waits for every program to finish. A command that does not fit in
-// the free space fails whole, before it reserves a page.
+// the free space fails whole, before it reserves a page, and starts GC
+// unless a collection is in flight.
 func (d *Device) writeThrough(cmd *command) {
 	if !d.ftlm.CanReserve(cmd.pages) {
 		d.completeCmd(cmd, ErrNoSpace)
+		d.checkGC()
 		return
 	}
 	per := d.perPageProg()
@@ -548,10 +550,12 @@ func (d *Device) drainCache() {
 		for i, e := range ents {
 			t, err := d.ftlm.BeginWrite(e.LPN)
 			if err != nil {
-				// Out of free blocks: the unplaced pages stay dirty, and
-				// GC completion reschedules the flusher.
+				// Out of free blocks: the unplaced pages stay dirty, GC
+				// starts unless a collection is in flight, and its
+				// completion reschedules the flusher.
 				d.requeueDirty(ents[i:])
 				d.enqueueBatches()
+				d.checkGC()
 				return
 			}
 			d.batchOp(d.channelOf(t.PPN), itemProgram, per, nil, pageOp{ppn: t.PPN, fp: e.FP, lpn: e.LPN, seq: e.Seq, ticket: t})
@@ -671,18 +675,13 @@ func (d *Device) gcStep() {
 }
 
 // gcProgram is phase 2 of a collection: program the pages read out of
-// the victim into fresh pages.
+// the victim into the FTL's GC frontier. The victim's moves fit the room
+// GCPlan checked, and host writes cannot spend the GC reserve, so every
+// move finds a page.
 func (d *Device) gcProgram() {
-	plan := d.gcPlan
-	if !d.ftlm.CanReserve(len(plan.Moves)) {
-		// Like a write-through command, the migration is placed whole
-		// or not at all.
-		d.gcPlan = nil
-		return
-	}
 	per := d.perPageProg()
-	for i, mv := range plan.Moves {
-		t, err := d.ftlm.BeginWrite(mv.LPN)
+	for i, mv := range d.gcPlan.Moves {
+		t, err := d.ftlm.BeginMove(mv.LPN)
 		must(err)
 		d.batchOp(d.channelOf(t.PPN), itemMove, per, nil, pageOp{ppn: t.PPN, fp: d.gcFps[i], lpn: mv.LPN, ticket: t, from: mv.From})
 	}

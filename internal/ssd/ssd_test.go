@@ -2,6 +2,7 @@ package ssd
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"powerfail/internal/addr"
@@ -385,6 +386,192 @@ func TestWriteThroughFullDrive(t *testing.T) {
 
 func time500() sim.Duration { return 500 * sim.Millisecond }
 
+// versioned writes pages whose content names their logical page and a
+// version. newest holds the newest version issued to each page, counted
+// when the write is submitted.
+type versioned struct {
+	r      *rig
+	newest []content.Fingerprint
+}
+
+// verBits is the width of a versioned page's version field.
+const verBits = 24
+
+func newVersioned(r *rig) *versioned {
+	return &versioned{r: r, newest: make([]content.Fingerprint, r.dev.UserPages())}
+}
+
+// write issues the next version of pages [lpn, lpn+pages) and fails the
+// test unless the drive answers within limit of simulated time. A
+// write-through drive refuses a command the free pool cannot hold whole,
+// placing none of it; write resubmits such a command while GC makes room.
+func (v *versioned) write(t *testing.T, lpn addr.LPN, pages int, limit sim.Duration) error {
+	t.Helper()
+	fps := make([]content.Fingerprint, pages)
+	for i := range fps {
+		p := lpn + addr.LPN(i)
+		v.newest[p]++
+		fps[i] = content.Fingerprint(p)<<verBits | v.newest[p]
+	}
+	var out error
+	done := false
+	k := v.r.k
+	deadline := k.Now().Add(limit)
+	for (!done || errors.Is(out, ErrNoSpace)) && k.Now() < deadline {
+		if done {
+			k.RunFor(sim.Millisecond)
+		}
+		done = false
+		v.r.dev.Submit(blockdev.OpWrite, lpn, pages, content.Wrap(fps), func(err error, _ content.Data) {
+			out, done = err, true
+		})
+		k.RunWhile(func() bool { return !done && k.Now() < deadline })
+	}
+	if !done || errors.Is(out, ErrNoSpace) {
+		f := v.r.dev.FTL()
+		t.Fatalf("write at %d unanswered after %v: %d free blocks, %d collections, %d cache stalls",
+			lpn, limit, f.FreeBlocks(), f.Stats().GCCollections, v.r.dev.Stats().CacheStalls)
+	}
+	return out
+}
+
+// fill writes the first pages of the drive in chunks, flushes, and waits
+// for the journal to commit, so no later crash reverts a page to unmapped.
+func (v *versioned) fill(t *testing.T, pages int64, chunk int) {
+	t.Helper()
+	for lpn := int64(0); lpn < pages; lpn += int64(chunk) {
+		if err := v.write(t, addr.LPN(lpn), chunk, sim.Second); err != nil {
+			t.Fatalf("fill at %d: %v", lpn, err)
+		}
+	}
+	v.r.flush(t)
+	v.r.k.RunFor(v.r.dev.Profile().JournalTick + sim.Millisecond)
+}
+
+// check reads pages [0, pages) from the chip through the FTL's mapping,
+// after the caller flushed the cache. Each must name its own logical
+// page with a version from 1 up to the newest issued, the newest itself
+// if exact: a mapping into an erased or reused block fails. A page whose
+// content names no page of the drive is skipped and counted: a cut
+// damaged it past what ECC corrects (GC may have migrated it since),
+// which is a modelled loss, not a mapping fault.
+func (v *versioned) check(t *testing.T, pages int64, exact bool) (damaged int) {
+	t.Helper()
+	f, chip := v.r.dev.FTL(), v.r.dev.Chip()
+	if err := f.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	for lpn := addr.LPN(0); int64(lpn) < pages; lpn++ {
+		var fp content.Fingerprint
+		if ppn, ok := f.Lookup(lpn); ok {
+			res, err := chip.Read(ppn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fp = res.FP
+		}
+		if int64(fp>>verBits) >= int64(len(v.newest)) {
+			damaged++
+			continue
+		}
+		ver, newest := fp&(1<<verBits-1), v.newest[lpn]
+		if addr.LPN(fp>>verBits) != lpn || ver == 0 || ver > newest || exact && ver != newest {
+			t.Fatalf("lpn %d reads %#x; versions 1..%d were issued", lpn, fp, newest)
+		}
+	}
+	return damaged
+}
+
+// overwriteChunk is the size and alignment of the full-drive overwrites.
+const overwriteChunk = 64
+
+// TestRandomOverwritesFullDrive fills a 1 GB drive and overwrites random
+// 64-page chunks of it, so every victim GC picks holds valid pages. GC
+// must keep up: without a reserve only collections may spend, the cache
+// flusher takes every free block before a collection places its moves,
+// and the drive stops answering writes.
+func TestRandomOverwritesFullDrive(t *testing.T) {
+	v := newVersioned(newRig(t, smallProfile()))
+	user := v.r.dev.UserPages()
+	v.fill(t, user, 1024)
+	rng := sim.NewRNG(11)
+	for i := range 3000 {
+		lpn := addr.LPN(rng.Intn(int(user/overwriteChunk)) * overwriteChunk)
+		if err := v.write(t, lpn, overwriteChunk, 20*sim.Second); err != nil {
+			t.Fatalf("overwrite %d at %d: %v", i, lpn, err)
+		}
+		if i%250 == 249 {
+			if err := v.r.dev.FTL().CheckInvariants(); err != nil {
+				t.Fatalf("after overwrite %d: %v", i, err)
+			}
+		}
+	}
+	v.r.flush(t)
+	if n := v.check(t, user, true); n != 0 {
+		t.Fatalf("%d pages damaged with no cut", n)
+	}
+	if n := v.r.dev.FTL().Stats().GCCollections; n < 1000 {
+		t.Fatalf("%d collections; random overwrites of a full drive should run many", n)
+	}
+}
+
+// TestCutsDuringFullDriveGC overwrites a full drive as
+// TestRandomOverwritesFullDrive does, with the cache on and off, and cuts
+// the power 0-3 ms after every 37th write, while the flusher and GC run.
+// Every write must finish, the FTL must stay consistent, and every page
+// must read back a version issued to it.
+func TestCutsDuringFullDriveGC(t *testing.T) {
+	for _, cache := range []bool{true, false} {
+		for _, seed := range []uint64{1, 2} {
+			t.Run(fmt.Sprintf("cache=%v/seed=%d", cache, seed), func(t *testing.T) {
+				p := smallProfile()
+				if !cache {
+					p = p.WithCacheDisabled()
+				}
+				r := newRig(t, p)
+				v := newVersioned(r)
+				user := r.dev.UserPages()
+				v.fill(t, user, 1024)
+				rng := sim.NewRNG(seed)
+				cuts, midGC := 0, 0
+				for i := range 3000 {
+					lpn := addr.LPN(rng.Intn(int(user/overwriteChunk)) * overwriteChunk)
+					if err := v.write(t, lpn, overwriteChunk, 20*sim.Second); err != nil {
+						t.Fatalf("overwrite %d at %d: %v", i, lpn, err)
+					}
+					if i%37 == 36 {
+						r.k.RunFor(sim.Duration(rng.Intn(3000)) * sim.Microsecond)
+						if r.dev.gcPlan != nil {
+							midGC++
+						}
+						cuts++
+						r.psu.PowerOff()
+						r.k.RunWhile(func() bool { return r.dev.State() != StateDead })
+						// The crash leaves no reservation in flight.
+						if err := r.dev.FTL().CheckInvariants(); err != nil {
+							t.Fatalf("after the cut following overwrite %d: %v", i, err)
+						}
+						r.psu.PowerOn()
+						r.k.RunWhile(func() bool { return r.dev.State() != StateReady })
+					}
+					if i%250 == 249 {
+						if err := r.dev.FTL().CheckInvariants(); err != nil {
+							t.Fatalf("after overwrite %d: %v", i, err)
+						}
+					}
+				}
+				r.flush(t)
+				damaged := v.check(t, user, false)
+				t.Logf("%d cuts, %d mid-collection, %d collections, %d pages damaged",
+					cuts, midGC, r.dev.FTL().Stats().GCCollections, damaged)
+				if midGC == 0 {
+					t.Fatal("no cut landed mid-collection")
+				}
+			})
+		}
+	}
+}
+
 // TestCutAfterGCErase cuts the power the moment a collection has erased a
 // victim it migrated pages out of, with the host idle. When the last move
 // completed, its record pinned the victim: the controller must commit it
@@ -413,31 +600,18 @@ func TestCutAfterGCErase(t *testing.T) {
 	}
 	r := &rig{k: k, psu: psu, dev: dev}
 	f := dev.FTL()
-	// A page's content names its logical page and its version; latest
-	// holds the newest acknowledged version of each page.
-	const chunk, verBits = 64, 24
-	user := dev.UserPages()
-	latest := make([]content.Fingerprint, user)
-	write := func(lpn addr.LPN) {
-		fps := make([]content.Fingerprint, chunk)
-		for i := range fps {
-			fps[i] = content.Fingerprint(lpn+addr.LPN(i))<<verBits | (latest[lpn+addr.LPN(i)] + 1)
-		}
-		if err := r.write(t, lpn, content.Wrap(fps)); err != nil {
-			t.Fatalf("write at %d: %v", lpn, err)
-		}
-		for i := range fps {
-			latest[lpn+addr.LPN(i)]++
-		}
-	}
 	// Half the drive is live, so collections migrate pages but never
 	// starve for free blocks.
-	hot := user / 2
+	v := newVersioned(r)
+	hot := dev.UserPages() / 2
 	rng := sim.NewRNG(19)
-	overwrite := func() { write(addr.LPN(rng.Intn(int(hot/chunk)) * chunk)) }
-	for lpn := int64(0); lpn < hot; lpn += chunk {
-		write(addr.LPN(lpn))
+	overwrite := func() {
+		lpn := addr.LPN(rng.Intn(int(hot/overwriteChunk)) * overwriteChunk)
+		if err := v.write(t, lpn, overwriteChunk, sim.Second); err != nil {
+			t.Fatalf("write at %d: %v", lpn, err)
+		}
 	}
+	v.fill(t, hot, overwriteChunk)
 	// Overwrite at random until a collection migrates pages, flush so the
 	// host goes idle, and run to the erase of a victim with moves.
 	victim := -1
@@ -472,20 +646,8 @@ func TestCutAfterGCErase(t *testing.T) {
 		overwrite()
 	}
 	r.flush(t)
-	if err := f.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	for lpn := int64(0); lpn < hot; lpn += 1024 {
-		got, err := r.read(t, addr.LPN(lpn), 1024)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range got.Pages() {
-			fp, want := got.Page(i), addr.LPN(lpn)+addr.LPN(i)
-			if ver := fp & (1<<verBits - 1); addr.LPN(fp>>verBits) != want || ver == 0 || ver > latest[want] {
-				t.Fatalf("lpn %d reads %#x, not a version the drive acknowledged", want, fp)
-			}
-		}
+	if n := v.check(t, hot, false); n != 0 {
+		t.Fatalf("%d pages damaged", n)
 	}
 }
 
