@@ -54,7 +54,6 @@ type page struct {
 	state    PageState
 	fp       content.Fingerprint
 	severity float64 // extra raw BER for corrupt/unreliable pages
-	seq      uint64  // global program sequence, 0 if never programmed
 }
 
 type block struct {
@@ -153,7 +152,6 @@ type Chip struct {
 	cfg    Config
 	r      *sim.RNG
 	blocks []*block // up to the highest block touched; see blk and touched
-	seq    uint64
 	stats  Stats
 }
 
@@ -275,11 +273,9 @@ func (c *Chip) Program(p addr.PPN, fp content.Fingerprint) error {
 	if pg.state != PageErased {
 		return ErrNotErased
 	}
-	c.seq++
 	pg.state = PageProgrammed
 	pg.fp = fp
 	pg.severity = 0
-	pg.seq = c.seq
 	b.nextPage++
 	c.stats.Programs++
 	return nil
@@ -318,11 +314,9 @@ func (c *Chip) ProgramPartial(p addr.PPN, fp content.Fingerprint, frac float64) 
 	steps := float64(c.cfg.Cell.ProgramSteps())
 	done := float64(int(frac * steps))
 	remaining := 1 - done/steps
-	c.seq++
 	pg.state = PageCorrupt
 	pg.fp = fp
 	pg.severity = interruptedBER(remaining)
-	pg.seq = c.seq
 	b.nextPage++
 	c.stats.PartialPrograms++
 

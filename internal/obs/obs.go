@@ -30,7 +30,10 @@ import "powerfail/internal/sim"
 
 // DefaultTraceCap bounds the trace ring buffer when Config.TraceCap is
 // left zero. Old events are dropped FIFO past the cap (deterministically:
-// the drop point depends only on the event sequence, not on timing).
+// the drop point depends only on the event sequence, not on timing). The
+// cap bounds retention, not allocation: the ring's storage grows in
+// 16 KiB chunks as events are recorded, so a run that records a few
+// thousand events holds a few chunks, not 4 MiB.
 const DefaultTraceCap = 1 << 16
 
 // Config selects which observability features a run records. The zero
@@ -45,7 +48,9 @@ type Config struct {
 	// rebuild state transitions, txn lifecycle, queue-depth samples,
 	// block-IO spans).
 	Trace bool
-	// TraceCap bounds the ring buffer; 0 means DefaultTraceCap.
+	// TraceCap bounds how many events the ring retains; 0 means
+	// DefaultTraceCap. Storage grows by chunk up to the cap, so a large
+	// cap costs nothing until the events arrive.
 	TraceCap int
 }
 
@@ -70,11 +75,7 @@ func NewSet(cfg Config) *Set {
 		s.reg = NewRegistry()
 	}
 	if cfg.Trace {
-		cap := cfg.TraceCap
-		if cap <= 0 {
-			cap = DefaultTraceCap
-		}
-		s.tr = NewTrace(cap)
+		s.tr = NewTrace(cfg.TraceCap)
 	}
 	return s
 }

@@ -64,22 +64,41 @@ type Event struct {
 	Value int64        `json:"value"`
 }
 
+// traceChunk is the number of events in one storage chunk of a Trace:
+// 256 × 64 B = 16 KiB, a small-object allocation that the runtime serves
+// from its size classes instead of zeroing a large span.
+const traceChunk = 256
+
 // Trace is a bounded ring buffer of events. When full it drops the
 // oldest event and counts the drop; because recording order is fixed by
 // the single-threaded kernel, the surviving window is deterministic.
+//
+// Storage grows by fixed-size chunks as events arrive, never past the
+// capacity, and a chunk is never copied or reallocated: ring slot i lives
+// at chunks[i/traceChunk][i%traceChunk]. Until the ring is full, start is
+// 0 and slots fill in order, so only a run that records capacity events
+// pays for capacity storage.
 type Trace struct {
-	buf     []Event
-	start   int
-	n       int
-	dropped uint64
+	chunks   [][]Event
+	capacity int
+	start    int
+	n        int
+	dropped  uint64
 }
 
-// NewTrace returns a ring holding at most capacity events.
+// NewTrace returns a ring retaining at most capacity events (0 or less
+// means DefaultTraceCap). It allocates only the header; storage is
+// added one chunk at a time as Record fills it.
 func NewTrace(capacity int) *Trace {
 	if capacity <= 0 {
 		capacity = DefaultTraceCap
 	}
-	return &Trace{buf: make([]Event, capacity)}
+	return &Trace{capacity: capacity}
+}
+
+// slot returns ring slot i.
+func (t *Trace) slot(i int) *Event {
+	return &t.chunks[i/traceChunk][i%traceChunk]
 }
 
 // Record appends e, evicting the oldest event if the ring is full.
@@ -88,13 +107,19 @@ func (t *Trace) Record(e Event) {
 	if t == nil {
 		return
 	}
-	if t.n == len(t.buf) {
-		t.buf[t.start] = e
-		t.start = (t.start + 1) % len(t.buf)
+	if t.n == t.capacity {
+		*t.slot(t.start) = e
+		if t.start++; t.start == t.capacity {
+			t.start = 0
+		}
 		t.dropped++
 		return
 	}
-	t.buf[(t.start+t.n)%len(t.buf)] = e
+	// Not full, so start is 0 and the next free slot is n.
+	if t.n%traceChunk == 0 {
+		t.chunks = append(t.chunks, make([]Event, min(traceChunk, t.capacity-t.n)))
+	}
+	*t.slot(t.n) = e
 	t.n++
 }
 
@@ -120,12 +145,17 @@ func (t *Trace) Events() []Event {
 		return nil
 	}
 	out := make([]Event, t.n)
-	head := len(t.buf) - t.start
-	if t.n <= head {
-		copy(out, t.buf[t.start:t.start+t.n])
-	} else {
-		copy(out, t.buf[t.start:])
-		copy(out[head:], t.buf[:t.n-head])
-	}
+	head := min(t.n, t.capacity-t.start)
+	t.copySlots(out, t.start, head)
+	t.copySlots(out[head:], 0, t.n-head)
 	return out
+}
+
+// copySlots copies n ring slots from slot lo on into dst.
+func (t *Trace) copySlots(dst []Event, lo, n int) {
+	for n > 0 {
+		c := t.chunks[lo/traceChunk][lo%traceChunk:]
+		k := copy(dst[:n], c)
+		dst, lo, n = dst[k:], lo+k, n-k
+	}
 }

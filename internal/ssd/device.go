@@ -542,6 +542,12 @@ func (d *Device) drainCache() {
 		return
 	}
 	for {
+		if d.cache.QueuedDirty() > 0 && !d.ftlm.CanReserve(1) {
+			// The first BeginWrite would fail: popping a batch only to
+			// requeue it changes nothing, so go straight to GC.
+			d.checkGC()
+			return
+		}
 		ents := d.cache.PopDirty(d.prof.FlushBatchPages)
 		if len(ents) == 0 {
 			break

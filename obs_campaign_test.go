@@ -182,3 +182,46 @@ func TestFigureObsMerge(t *testing.T) {
 		t.Errorf("campaign events = %d, want %d (nonzero)", out.Events, events)
 	}
 }
+
+// TestTraceCapKeepsLastEvents runs the observed RAID-5 mixed workload
+// (four 8 GB members, 50% reads, four outstanding requests) with a
+// 500-event trace ring: the ring must keep exactly the last 500 events
+// of the same seed's uncapped run and count the rest as dropped.
+func TestTraceCapKeepsLastEvents(t *testing.T) {
+	run := func(traceCap int) *powerfail.Report {
+		member := powerfail.ProfileA()
+		member.CapacityGB = 8
+		obsCfg := powerfail.DefaultObsConfig()
+		obsCfg.TraceCap = traceCap
+		wl := powerfail.DefaultWorkload()
+		wl.MinSize, wl.MaxSize = 4<<10, 64<<10
+		wl.ReadPct = 50
+		wl.WSSBytes = 2 << 30
+		rep, err := powerfail.Run(powerfail.Options{
+			Topology:    powerfail.ArrayTopology(powerfail.RAIDConfig(powerfail.RAID5, 4, member)),
+			Concurrency: 4,
+			Obs:         &obsCfg,
+			Seed:        1<<20 + 1,
+		}, powerfail.Experiment{Name: "raid5-mixed-obs", Workload: wl, RequestsPerFault: 12, Faults: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	const keep = 500
+	full := run(1 << 20)
+	if full.Obs.TraceDropped != 0 {
+		t.Fatalf("uncapped run dropped %d events", full.Obs.TraceDropped)
+	}
+	total := len(full.ObsTrace)
+	if total <= 2*keep {
+		t.Fatalf("run recorded %d events; the test needs well over %d to wrap the ring", total, keep)
+	}
+	capped := run(keep)
+	if got := capped.Obs.TraceDropped; got != uint64(total-keep) {
+		t.Errorf("dropped %d events, want %d", got, total-keep)
+	}
+	if capped.Obs.TraceEvents != keep || !reflect.DeepEqual(capped.ObsTrace, full.ObsTrace[total-keep:]) {
+		t.Errorf("capped ring kept %d events that differ from the last %d of %d", len(capped.ObsTrace), keep, total)
+	}
+}
