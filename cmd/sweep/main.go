@@ -421,12 +421,12 @@ func rate(v float64) string {
 func writeChromeTrace(path string, out *powerfail.CampaignResult) error {
 	var procs []powerfail.ObsProcess
 	for _, res := range out.Results {
-		if res.Err != nil || res.Report == nil || len(res.Report.ObsTrace) == 0 {
+		if res.Err != nil || res.Report == nil || res.Report.ObsTrace.Len() == 0 {
 			continue
 		}
 		procs = append(procs, powerfail.ObsProcess{
 			Name:   res.Item.Figure + "/" + res.Item.Label,
-			Events: res.Report.ObsTrace,
+			Events: res.Report.ObsTrace.Events(),
 		})
 	}
 	if len(procs) == 0 {

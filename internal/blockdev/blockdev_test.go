@@ -479,7 +479,7 @@ func TestBlockIOSpansMatchAssembly(t *testing.T) {
 			tr.Reset()
 			before := set.Trace().Len()
 			q.FlushSpans(sc)
-			got := set.TraceEvents()[before:]
+			got := set.Trace().Events()[before:]
 			if len(got) != len(want) {
 				t.Fatalf("seed %d, flush at %v: %d spans, Assemble gives %d", seed, k.Now(), len(got), len(want))
 			}

@@ -63,7 +63,7 @@ func runFleetExperiment(ctx context.Context, opts Options, spec ExperimentSpec) 
 	rep.Events = f.Kernel().Processed()
 	if set != nil {
 		rep.Obs = set.Summary()
-		rep.ObsTrace = set.TraceEvents()
+		rep.ObsTrace = set.Trace()
 	}
 	return rep, nil
 }

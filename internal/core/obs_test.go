@@ -60,7 +60,7 @@ func TestObsEquivalence(t *testing.T) {
 	if off.Obs != nil || zero.Obs != nil {
 		t.Fatal("disabled runs must not carry an obs summary")
 	}
-	if on.Obs == nil || len(on.ObsTrace) == 0 {
+	if on.Obs == nil || on.ObsTrace.Len() == 0 {
 		t.Fatal("enabled run carries no obs data")
 	}
 	stripped := *on
@@ -114,7 +114,7 @@ func TestObsMetricsPopulated(t *testing.T) {
 	}
 
 	var power, qdepth, blk int
-	for _, ev := range rep.ObsTrace {
+	for _, ev := range rep.ObsTrace.Events() {
 		switch ev.Kind {
 		case obs.KindPower:
 			power++
@@ -162,7 +162,7 @@ func TestObsTxnInstrumented(t *testing.T) {
 		t.Errorf("commit latency count %d != commits %d", h.Count, s.Counter("txn/commits"))
 	}
 	var txnEvents int
-	for _, ev := range rep.ObsTrace {
+	for _, ev := range rep.ObsTrace.Events() {
 		if ev.Kind == obs.KindTxn {
 			txnEvents++
 		}
@@ -212,7 +212,7 @@ func TestObsFleetInstrumented(t *testing.T) {
 		t.Errorf("rebuild window histogram count = %d, want %d", h.Count, on.Fleet.RebuildCompleted)
 	}
 	var stateEvents int
-	for _, ev := range on.ObsTrace {
+	for _, ev := range on.ObsTrace.Events() {
 		if ev.Kind == obs.KindState {
 			stateEvents++
 		}

@@ -99,10 +99,11 @@ type Report struct {
 	// pre-observability ones.
 	Obs *obs.Summary `json:"obs,omitempty"`
 
-	// ObsTrace is the structured event trace captured by the obs ring
-	// (empty unless tracing was enabled). It is exported separately
-	// (Chrome trace JSON / unified events), never in the report JSON.
-	ObsTrace []obs.Event `json:"-"`
+	// ObsTrace is the obs ring that captured the structured event trace,
+	// nil unless tracing was enabled; its Events method builds the events
+	// oldest-first when a caller asks. It is exported separately (Chrome
+	// trace JSON), never in the report JSON.
+	ObsTrace *obs.Trace `json:"-"`
 }
 
 // MemberReport is one array member's view of the experiment: how much it

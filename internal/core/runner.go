@@ -696,7 +696,7 @@ func (r *Runner) report() *Report {
 	rep.Events = r.p.K.Processed()
 	if r.p.Obs != nil {
 		rep.Obs = r.p.Obs.Summary()
-		rep.ObsTrace = r.p.Obs.TraceEvents()
+		rep.ObsTrace = r.p.Obs.Trace()
 	}
 	if rep.Faults > 0 {
 		rep.DataLossPerFault = float64(c.DataLosses()) / float64(rep.Faults)

@@ -1,6 +1,7 @@
 package dram
 
 import (
+	"slices"
 	"testing"
 
 	"powerfail/internal/addr"
@@ -21,17 +22,77 @@ func cycle(c *Cache, round int) {
 }
 
 // TestCycleAllocatesNothing pins the arena's steady state: once the first
-// cycle has sized the slots, map and pop buffer, write → PopDirty →
-// FlushDone → DropAll allocates nothing.
+// cycle has opened the chunks and sized the map and pop buffer, write →
+// PopDirty → FlushDone → DropAll allocates nothing. The cache spans three
+// chunks, the last one partly used.
 func TestCycleAllocatesNothing(t *testing.T) {
 	if racedet.Enabled {
 		t.Skip("the race detector allocates for its own bookkeeping")
 	}
-	c := newCache(t, 512)
+	c := newCache(t, 2*slotChunk+slotChunk/2)
 	cycle(c, 0)
+	if len(c.chunks) != 3 {
+		t.Fatalf("first cycle opened %d chunks, want 3", len(c.chunks))
+	}
 	round := 0
 	if n := testing.AllocsPerRun(50, func() { round++; cycle(c, round) }); n != 0 {
 		t.Fatalf("steady-state cycle made %v allocs, want 0", n)
+	}
+}
+
+// TestArenaGrowsByChunk fills fresh caches with N distinct pages: the
+// arena must open ⌈N/slotChunk⌉ chunks, and no slot may move while it
+// grows, so each page's slot address, taken right after its write, still
+// holds the page when the fill ends. A power loss keeps the chunks, and
+// the refill reuses them in place.
+func TestArenaGrowsByChunk(t *testing.T) {
+	for _, n := range []int{1, slotChunk - 1, slotChunk, slotChunk + 1, 3 * slotChunk, 7000} {
+		c := newCache(t, n)
+		addrs := make([]*slot, n)
+		for i := range n {
+			lpn := addr.LPN(i * 3)
+			if !c.Write(lpn, content.Fingerprint(i+1)) {
+				t.Fatalf("n=%d: write %d refused", n, i)
+			}
+			addrs[i] = c.at(c.m.Get(lpn) - 1)
+		}
+		want := (n + slotChunk - 1) / slotChunk
+		if len(c.chunks) != want {
+			t.Fatalf("n=%d: %d chunks, want %d", n, len(c.chunks), want)
+		}
+		for i, s := range addrs {
+			lpn := addr.LPN(i * 3)
+			if c.at(c.m.Get(lpn)-1) != s || s.lpn != lpn || s.fp != content.Fingerprint(i+1) {
+				t.Fatalf("n=%d: page %d's slot moved while the arena grew", n, lpn)
+			}
+		}
+		chunks := slices.Clone(c.chunks)
+		c.DropAll()
+		for i := range n {
+			c.Write(addr.LPN(i*5), content.Fingerprint(i+1))
+		}
+		if !slices.Equal(c.chunks, chunks) {
+			t.Fatalf("n=%d: the refill after DropAll opened or replaced chunks", n)
+		}
+	}
+}
+
+// BenchmarkCacheFill builds a fresh Profile A cache and writes 7000
+// distinct pages into it, the arena a paper-write experiment grows to, in
+// 64-page runs at spread-out starts as the simulator's multi-page writes
+// land. One op is the whole fill, page table included.
+func BenchmarkCacheFill(b *testing.B) {
+	const cachePages = 32 << 20 >> addr.PageShift // Profile A's 32 MiB
+	const pages, run = 7000, 64
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		c, err := New(cachePages)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for p := range pages {
+			c.Write(addr.LPN(p/run*1031*run+p%run), content.Fingerprint(p+1))
+		}
 	}
 }
 

@@ -11,7 +11,11 @@
 //
 // Entries live in a slot arena linked by int32 indices: both lists are
 // intrusive, freed slots go on a free list, and a power loss resets the
-// arena in place, so the steady state allocates nothing. A page table
+// arena in place, so the steady state allocates nothing. The arena grows
+// in fixed chunks of slotChunk slots, opened one at a time as the first
+// write past the last chunk arrives and never copied or reallocated: a
+// cache that holds a few thousand pages pays for those pages once, not
+// for the doublings an append-grown slice copies on the way. A page table
 // maps each resident page to its slot.
 package dram
 
@@ -31,6 +35,11 @@ type Entry struct {
 
 // nilSlot terminates a list and marks an empty free list.
 const nilSlot int32 = -1
+
+// slotChunk is the number of slots in one arena chunk: 256 × 40 B is
+// 10 KiB, a small-object size class the runtime serves without a large
+// span.
+const slotChunk = 256
 
 // listID names the list a slot is linked on.
 type listID uint8
@@ -76,7 +85,8 @@ type Cache struct {
 	capPages int
 	m        addr.Table[int32] // 1 + the slot of each resident page
 	resident int               // pages m maps
-	slots    []slot
+	chunks   []*[slotChunk]slot
+	used     int32   // slots handed out since the last DropAll, free ones included
 	free     int32   // head of the free-slot list
 	dirtyQ   list    // FIFO by first-dirty time
 	cleanLRU list    // head = most recent
@@ -117,42 +127,56 @@ func (c *Cache) Stats() Stats { return c.stats }
 
 // --- arena and list primitives ---
 
+// at returns arena slot i, which lives at chunks[i/slotChunk][i%slotChunk].
+func (c *Cache) at(i int32) *slot {
+	return &c.chunks[uint32(i)/slotChunk][uint32(i)%slotChunk]
+}
+
+// alloc takes a slot from the free list or, when it is empty, the next
+// unused slot, opening a chunk only when the last one is full. A slot
+// past used may hold a page from before the last DropAll; the caller
+// overwrites it whole.
 func (c *Cache) alloc() int32 {
 	if i := c.free; i != nilSlot {
-		c.free = c.slots[i].next
+		c.free = c.at(i).next
 		return i
 	}
-	c.slots = append(c.slots, slot{})
-	return int32(len(c.slots) - 1)
+	i := c.used
+	if int(i) == len(c.chunks)*slotChunk {
+		c.chunks = append(c.chunks, new([slotChunk]slot))
+	}
+	c.used++
+	return i
 }
 
 // release unmaps a slot and returns it to the free list.
 func (c *Cache) release(i int32) {
-	*c.m.Ref(c.slots[i].lpn) = 0
+	s := c.at(i)
+	*c.m.Ref(s.lpn) = 0
 	c.resident--
-	c.slots[i] = slot{next: c.free}
+	*s = slot{next: c.free}
 	c.free = i
 }
 
 func (c *Cache) pushBack(l *list, i int32) {
-	s := &c.slots[i]
+	s := c.at(i)
 	s.on, s.prev, s.next = l.id, l.tail, nilSlot
 	if l.tail == nilSlot {
 		l.head = i
 	} else {
-		c.slots[l.tail].next = i
+		c.at(l.tail).next = i
 	}
 	l.tail = i
 	l.n++
 }
 
 func (c *Cache) pushFront(l *list, i int32) {
-	s := &c.slots[i]
+	s := c.at(i)
 	s.on, s.prev, s.next = l.id, nilSlot, l.head
 	if l.head == nilSlot {
 		l.tail = i
 	} else {
-		c.slots[l.head].prev = i
+		c.at(l.head).prev = i
 	}
 	l.head = i
 	l.n++
@@ -160,7 +184,7 @@ func (c *Cache) pushFront(l *list, i int32) {
 
 // unlink removes slot i from whichever list holds it.
 func (c *Cache) unlink(i int32) {
-	s := &c.slots[i]
+	s := c.at(i)
 	var l *list
 	switch s.on {
 	case onDirty:
@@ -173,12 +197,12 @@ func (c *Cache) unlink(i int32) {
 	if s.prev == nilSlot {
 		l.head = s.next
 	} else {
-		c.slots[s.prev].next = s.next
+		c.at(s.prev).next = s.next
 	}
 	if s.next == nilSlot {
 		l.tail = s.prev
 	} else {
-		c.slots[s.next].prev = s.prev
+		c.at(s.next).prev = s.prev
 	}
 	s.on, s.prev, s.next = onNone, nilSlot, nilSlot
 	l.n--
@@ -193,7 +217,7 @@ func (c *Cache) Write(lpn addr.LPN, fp content.Fingerprint) bool {
 	e := c.m.Ref(lpn)
 	if *e != 0 {
 		i := *e - 1
-		s := &c.slots[i]
+		s := c.at(i)
 		s.fp = fp
 		c.seq++
 		s.seq = c.seq
@@ -222,7 +246,7 @@ func (c *Cache) Write(lpn addr.LPN, fp content.Fingerprint) bool {
 	}
 	c.seq++
 	i := c.alloc()
-	c.slots[i] = slot{lpn: lpn, fp: fp, seq: c.seq, dirty: true}
+	*c.at(i) = slot{lpn: lpn, fp: fp, seq: c.seq, dirty: true}
 	c.pushBack(&c.dirtyQ, i)
 	*e = i + 1
 	c.resident++
@@ -250,7 +274,7 @@ func (c *Cache) Read(lpn addr.LPN) (content.Fingerprint, bool) {
 		c.stats.Misses++
 		return content.Zero, false
 	}
-	s := &c.slots[i]
+	s := c.at(i)
 	if !s.dirty && !s.flushing() && s.on == onClean {
 		c.unlink(i)
 		c.pushFront(&c.cleanLRU, i)
@@ -276,7 +300,7 @@ func (c *Cache) PopDirty(max int) []Entry {
 			break
 		}
 		c.unlink(i)
-		s := &c.slots[i]
+		s := c.at(i)
 		s.dirty = false
 		if s.flights == 0 {
 			c.flushing++
@@ -296,7 +320,7 @@ func (c *Cache) FlushDone(lpn addr.LPN, seq uint64) {
 	if i < 0 {
 		return
 	}
-	s := &c.slots[i]
+	s := c.at(i)
 	c.retireFlight(s)
 	if s.seq != seq {
 		// Newer data arrived; its dirty queue entry (added by Write)
@@ -326,7 +350,7 @@ func (c *Cache) FlushFailed(lpn addr.LPN, seq uint64) {
 	if i < 0 {
 		return
 	}
-	s := &c.slots[i]
+	s := c.at(i)
 	c.retireFlight(s)
 	if s.seq != seq {
 		return
@@ -343,7 +367,7 @@ func (c *Cache) Invalidate(lpn addr.LPN) {
 	if i < 0 {
 		return
 	}
-	s := &c.slots[i]
+	s := c.at(i)
 	c.unlink(i)
 	if s.flights > 0 {
 		c.flushing--
@@ -353,23 +377,27 @@ func (c *Cache) Invalidate(lpn addr.LPN) {
 
 // DropAll models power loss: every entry vanishes. It returns the number
 // of dirty pages (acknowledged data) that were lost. The arena, the page
-// table and the pop buffer keep their storage for the next power cycle.
+// table and the pop buffer keep their storage for the next power cycle:
+// the used count goes back to 0 and the chunks stay.
 func (c *Cache) DropAll() int {
 	lost := 0
-	for i := range c.slots {
-		s := &c.slots[i]
-		if s.seq == 0 {
-			// A free slot: zeroed, so it holds no page. Its LPN 0 may
-			// be resident in another slot.
-			continue
+	for lo := 0; lo < int(c.used); lo += slotChunk {
+		ch := c.chunks[lo/slotChunk][:min(slotChunk, int(c.used)-lo)]
+		for i := range ch {
+			s := &ch[i]
+			if s.seq == 0 {
+				// A free slot: zeroed, so it holds no page. Its LPN 0
+				// may be resident in another slot.
+				continue
+			}
+			if s.dirty || s.flushing() {
+				lost++
+			}
+			*c.m.Ref(s.lpn) = 0
 		}
-		if s.dirty || s.flushing() {
-			lost++
-		}
-		*c.m.Ref(s.lpn) = 0
 	}
 	c.resident = 0
-	c.slots = c.slots[:0]
+	c.used = 0
 	c.free = nilSlot
 	c.dirtyQ = list{id: onDirty, head: nilSlot, tail: nilSlot}
 	c.cleanLRU = list{id: onClean, head: nilSlot, tail: nilSlot}

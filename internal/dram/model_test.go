@@ -196,14 +196,35 @@ func (r *refCache) DropAll() int {
 // model through seeded random operation sequences and compares every
 // return value and every counter after each operation. Flush completions
 // retire in random order, so overwrites land mid-flight and pages finish
-// flushing while older flights of the same page are still out.
+// flushing while older flights of the same page are still out. Seeds past
+// 200 use a cache larger than one arena chunk and fill it with distinct
+// pages at the start and after every power loss, so list links, frees
+// and the drop cross a chunk boundary and reuse the chunks kept.
 func TestCacheMatchesReferenceModel(t *testing.T) {
-	for seed := int64(1); seed <= 200; seed++ {
+	for seed := int64(1); seed <= 208; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		capPages := 1 + rng.Intn(8)
+		chunked := seed > 200
+		if chunked {
+			capPages = slotChunk + 1 + rng.Intn(slotChunk)
+		}
 		span := capPages + rng.Intn(2*capPages+2)
 		c := newCache(t, capPages)
 		ref := &refCache{capPages: capPages}
+		fill := func() {
+			for lpn := addr.LPN(0); int(lpn) < capPages; lpn++ {
+				fp := content.Fingerprint(rng.Uint64() | 1)
+				if got, want := c.Write(lpn, fp), ref.Write(lpn, fp); got != want {
+					t.Fatalf("seed %d: fill Write(%d) = %v, model %v", seed, lpn, got, want)
+				}
+			}
+			if len(c.chunks) < 2 {
+				t.Fatalf("seed %d: %d pages fill %d arena chunk(s), want at least 2", seed, capPages, len(c.chunks))
+			}
+		}
+		if chunked {
+			fill()
+		}
 		var inflight []Entry
 		for step := 0; step < 600; step++ {
 			lpn := addr.LPN(rng.Intn(span))
@@ -266,6 +287,9 @@ func TestCacheMatchesReferenceModel(t *testing.T) {
 					t.Fatalf("seed %d step %d: DropAll = %d, model %d", seed, step, got, want)
 				}
 				inflight = inflight[:0]
+				if chunked {
+					fill()
+				}
 			}
 			if got, want := c.Stats(), ref.stats; got != want {
 				t.Fatalf("seed %d step %d (%s): Stats = %+v, model %+v", seed, step, op, got, want)

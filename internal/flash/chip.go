@@ -27,8 +27,8 @@ const (
 	PageProgrammed
 	// PageCorrupt marks a page whose program was interrupted or whose
 	// cells were disturbed by an interrupted paired-page program. The
-	// stored fingerprint is the intended content; severity controls how
-	// many raw bit errors reads will see.
+	// stored fingerprint is the intended content; the page's severity
+	// controls how many raw bit errors reads will see.
 	PageCorrupt
 	// PageUnreliable marks a page caught in a partially erased block.
 	PageUnreliable
@@ -50,10 +50,16 @@ func (s PageState) String() string {
 	}
 }
 
+// page is one physical page: 16 bytes, because a run opens hundreds of
+// blocks of hundreds of pages each. The extra raw bit error rate of a
+// corrupt or unreliable page, zero on every other page, lives in the
+// chip's severity side table.
 type page struct {
-	state    PageState
-	fp       content.Fingerprint
-	severity float64 // extra raw BER for corrupt/unreliable pages
+	state PageState
+	// uncorrectable marks a page programmed from data that ECC could not
+	// correct: its reads fail whatever their bit errors.
+	uncorrectable bool
+	fp            content.Fingerprint
 }
 
 type block struct {
@@ -152,7 +158,11 @@ type Chip struct {
 	cfg    Config
 	r      *sim.RNG
 	blocks []*block // up to the highest block touched; see blk and touched
-	stats  Stats
+	// severity holds the extra raw BER of each PageCorrupt or
+	// PageUnreliable page that has one, keyed by PPN. It is nil until
+	// the first corruption, and an erase drops the block's entries.
+	severity map[addr.PPN]float64
+	stats    Stats
 }
 
 // New builds a chip. Blocks are allocated on first touch so a chip costs
@@ -275,10 +285,32 @@ func (c *Chip) Program(p addr.PPN, fp content.Fingerprint) error {
 	}
 	pg.state = PageProgrammed
 	pg.fp = fp
-	pg.severity = 0
 	b.nextPage++
 	c.stats.Programs++
 	return nil
+}
+
+// ProgramUncorrectable programs fp into page p as Program does and marks
+// the page's data uncorrectable: the controller is copying a page whose
+// read ECC could not correct, and the copy must not read back as good
+// data. Reads of the page fail; its program completed, so its out-of-band
+// metadata stays trustworthy.
+func (c *Chip) ProgramUncorrectable(p addr.PPN, fp content.Fingerprint) error {
+	if err := c.Program(p, fp); err != nil {
+		return err
+	}
+	g := c.cfg.Geometry
+	c.blocks[g.BlockOf(p)].pages[g.PageOf(p)].uncorrectable = true
+	return nil
+}
+
+// addSeverity raises page p's extra raw BER by ber, opening the side
+// table on the first corruption.
+func (c *Chip) addSeverity(p addr.PPN, ber float64) {
+	if c.severity == nil {
+		c.severity = make(map[addr.PPN]float64)
+	}
+	c.severity[p] += ber
 }
 
 // ProgramPartial records a program interrupted after fraction frac of its
@@ -316,7 +348,7 @@ func (c *Chip) ProgramPartial(p addr.PPN, fp content.Fingerprint, frac float64) 
 	remaining := 1 - done/steps
 	pg.state = PageCorrupt
 	pg.fp = fp
-	pg.severity = interruptedBER(remaining)
+	c.addSeverity(p, interruptedBER(remaining))
 	b.nextPage++
 	c.stats.PartialPrograms++
 
@@ -333,7 +365,7 @@ func (c *Chip) ProgramPartial(p addr.PPN, fp content.Fingerprint, frac float64) 
 			continue
 		}
 		lp.state = PageCorrupt
-		lp.severity += interruptedBER(0.5)
+		c.addSeverity(g.PPNOf(g.BlockOf(p), lower), interruptedBER(0.5))
 		c.stats.PairCorruptions++
 	}
 	return nil
@@ -353,6 +385,9 @@ func (c *Chip) Erase(blockIdx int) error {
 	}
 	b := c.blk(blockIdx)
 	for i := range b.pages {
+		if st := b.pages[i].state; st == PageCorrupt || st == PageUnreliable {
+			delete(c.severity, c.cfg.Geometry.PPNOf(blockIdx, i))
+		}
 		b.pages[i] = page{}
 	}
 	b.nextPage = 0
@@ -375,7 +410,7 @@ func (c *Chip) ErasePartial(blockIdx int, frac float64) error {
 		pg := &b.pages[i]
 		if pg.state == PageProgrammed || pg.state == PageCorrupt {
 			pg.state = PageUnreliable
-			pg.severity += 0.3 * (1 - frac)
+			c.addSeverity(c.cfg.Geometry.PPNOf(blockIdx, i), 0.3*(1-frac))
 		}
 	}
 	b.needsErase = true
@@ -433,11 +468,16 @@ func (c *Chip) Read(p addr.PPN) (ReadResult, error) {
 	if pg.state == PageErased {
 		return ReadResult{FP: content.Zero, Status: ReadClean}, nil
 	}
-	ber := c.effectiveBER(b, pg)
+	ber := c.effectiveBER(b, p, pg.state)
 	lambda := ber * 8 * addr.PageBytes
 	errs := c.r.Poisson(lambda)
 	limit := c.cfg.ECC.CorrectPerPage()
 	switch {
+	case pg.uncorrectable:
+		// The page holds what an uncorrectable read returned. Its bit
+		// errors are drawn as on any page but decide nothing.
+		c.stats.UncorrectableReads++
+		return ReadResult{FP: pg.fp, Status: ReadUncorrectable, BitErrors: errs}, nil
 	case errs == 0:
 		return ReadResult{FP: pg.fp, Status: ReadClean}, nil
 	case errs <= limit:
@@ -453,9 +493,15 @@ func (c *Chip) Read(p addr.PPN) (ReadResult, error) {
 	}
 }
 
-func (c *Chip) effectiveBER(b *block, pg *page) float64 {
+// effectiveBER is the raw bit error rate a read of page p in block b
+// sees: wear, read disturb, and for a corrupt or unreliable page its
+// severity. A programmed page has none, so only the others look it up.
+func (c *Chip) effectiveBER(b *block, p addr.PPN, st PageState) float64 {
 	wear := float64(b.eraseCount) / float64(c.cfg.EnduranceCycles)
 	ber := c.cfg.BaseBER * (1 + c.cfg.WearBERMult*wear)
 	ber += c.cfg.ReadDisturbBER * float64(b.readCount) / 1e5
-	return ber + pg.severity
+	if st == PageProgrammed {
+		return ber
+	}
+	return ber + c.severity[p]
 }

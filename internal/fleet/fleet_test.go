@@ -192,7 +192,7 @@ func TestCutTotalsMatchLevelsAndObs(t *testing.T) {
 	}
 
 	var got []string
-	for _, ev := range set.TraceEvents() {
+	for _, ev := range set.Trace().Events() {
 		if ev.Kind == obs.KindPower {
 			got = append(got, fmt.Sprintf("%s %s=%d", ev.At, ev.Name, ev.Value))
 		}

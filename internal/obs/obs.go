@@ -105,14 +105,6 @@ func (s *Set) Trace() *Trace {
 	return s.tr
 }
 
-// TraceEvents returns the ring contents in record order. Nil-safe.
-func (s *Set) TraceEvents() []Event {
-	if s == nil || s.tr == nil {
-		return nil
-	}
-	return s.tr.Events()
-}
-
 // Summary snapshots the registry (sorted, deterministic) together with
 // trace accounting. Nil-safe; returns nil when the Set is nil.
 func (s *Set) Summary() *Summary {

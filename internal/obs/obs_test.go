@@ -25,7 +25,7 @@ func TestNilSafety(t *testing.T) {
 	sc.Instant(0, KindInstant, "e", 1)
 	sc.Span(0, 10, KindSpan, "s", 1)
 	sc.Sub("child").Count("c", &n)
-	if set.Summary() != nil || set.TraceEvents() != nil {
+	if set.Summary() != nil || set.Trace().Events() != nil {
 		t.Fatal("nil set should summarize to nil")
 	}
 	var cfg *Config

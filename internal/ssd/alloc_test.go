@@ -3,6 +3,7 @@ package ssd
 import (
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"powerfail/internal/addr"
 	"powerfail/internal/blockdev"
@@ -305,5 +306,14 @@ func BenchmarkNew(b *testing.B) {
 		if _, err := New(k, sim.NewRNG(uint64(i)), prof, psu); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestPageOpIs48Bytes pins the channel op's size: a flush batch holds
+// hundreds, and a program's FTL reservation is rebuilt from its lpn and
+// ppn rather than stored twice.
+func TestPageOpIs48Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(pageOp{}); n != 48 {
+		t.Fatalf("pageOp is %d bytes, want 48", n)
 	}
 }

@@ -21,16 +21,23 @@ const (
 	itemErase                   // block erase
 )
 
-// pageOp is one page worth of channel work.
+// pageOp is one page worth of channel work: 48 bytes, since a flush
+// batch holds hundreds. A program or move's FTL reservation is its
+// {lpn, ppn}, rebuilt by ticket where the FTL needs it.
 type pageOp struct {
-	ppn    addr.PPN
-	fp     content.Fingerprint
-	lpn    addr.LPN
-	seq    uint64     // cache sequence to retire (0 = no cache entry)
-	ticket ftl.Ticket // program/move reservation
-	from   addr.PPN   // move source
-	rdIdx  int        // read destination index
+	ppn   addr.PPN
+	fp    content.Fingerprint
+	lpn   addr.LPN
+	seq   uint64   // cache sequence to retire (0 = no cache entry)
+	from  addr.PPN // move source
+	rdIdx int32    // read destination index
+	// uncorrectable marks a move whose source read failed ECC: its copy
+	// must keep reading uncorrectable.
+	uncorrectable bool
 }
+
+// ticket returns the FTL reservation a program or move op was built from.
+func (op *pageOp) ticket() ftl.Ticket { return ftl.Ticket{LPN: op.lpn, PPN: op.ppn} }
 
 // chItem is a batch executed back-to-back on one channel. A power cut
 // lands between or inside its per-page slots; interruption effects are
@@ -239,22 +246,32 @@ func (d *Device) applyOp(it *chItem, op *pageOp) {
 	switch it.kind {
 	case itemProgram:
 		must(d.chip.Program(op.ppn, op.fp))
-		d.ftlm.CompleteWrite(op.ticket, d.k.Now())
+		d.ftlm.CompleteWrite(op.ticket(), d.k.Now())
 		if d.cache != nil && op.seq != 0 {
 			d.cache.FlushDone(op.lpn, op.seq)
 		}
 		d.stats.PagesProgrammed++
 	case itemMove:
-		must(d.chip.Program(op.ppn, op.fp))
-		d.ftlm.CompleteMove(op.ticket, op.from, d.k.Now())
+		if op.uncorrectable {
+			must(d.chip.ProgramUncorrectable(op.ppn, op.fp))
+		} else {
+			must(d.chip.Program(op.ppn, op.fp))
+		}
+		d.ftlm.CompleteMove(op.ticket(), op.from, d.k.Now())
 		d.stats.PagesProgrammed++
 	case itemRead:
 		res, err := d.chip.Read(op.ppn)
 		must(err)
 		it.rdDst[op.rdIdx] = res.FP
-		if cmd := it.cmd; res.Status == flash.ReadUncorrectable && d.prof.UncorrectableAsError &&
-			cmd != nil && cmd.err == nil {
-			cmd.err = ErrUncorrectable
+		if res.Status == flash.ReadUncorrectable {
+			switch cmd := it.cmd; {
+			case cmd == nil:
+				// A collection's read: its move must not launder the
+				// failed page into one that reads clean.
+				d.gcUncorrectable[op.rdIdx] = true
+			case d.prof.UncorrectableAsError && cmd.err == nil:
+				cmd.err = ErrUncorrectable
+			}
 		}
 		d.stats.PagesRead++
 	}
@@ -313,13 +330,13 @@ func (d *Device) applyInterrupted(it *chItem, elapsed sim.Duration) {
 		frac := float64(rem) / float64(it.perPage)
 		op := &it.ops[doneN]
 		must(d.chip.ProgramPartial(op.ppn, op.fp, frac))
-		d.ftlm.AbortWrite(op.ticket)
+		d.ftlm.AbortWrite(op.ticket())
 		d.stats.InterruptedPrograms++
 		start = doneN + 1
 	}
 	for i := start; i < len(it.ops); i++ {
 		if it.kind == itemProgram || it.kind == itemMove {
-			d.ftlm.AbortWrite(it.ops[i].ticket)
+			d.ftlm.AbortWrite(it.ops[i].ticket())
 		}
 	}
 }
@@ -327,7 +344,7 @@ func (d *Device) applyInterrupted(it *chItem, elapsed sim.Duration) {
 func (d *Device) abandonItem(it *chItem) {
 	if it.kind == itemProgram || it.kind == itemMove {
 		for i := range it.ops {
-			d.ftlm.AbortWrite(it.ops[i].ticket)
+			d.ftlm.AbortWrite(it.ops[i].ticket())
 		}
 	}
 }

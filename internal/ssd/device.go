@@ -134,9 +134,10 @@ type Device struct {
 	opsCap    int       // ops capacity of a new item: one channel's share of a flush batch
 	batches   []*chItem // per-channel batch scratch, nil where empty
 
-	gcPlan  *ftl.GCPlan           // collection in progress, nil if none
-	gcFps   []content.Fingerprint // its victim's page contents
-	gcParts int                   // its channel items still running
+	gcPlan          *ftl.GCPlan           // collection in progress, nil if none
+	gcFps           []content.Fingerprint // its victim's page contents
+	gcUncorrectable []bool                // which of them read uncorrectable
+	gcParts         int                   // its channel items still running
 
 	flushTimer    sim.Timer
 	journalTimer  sim.Timer
@@ -468,7 +469,7 @@ func (d *Device) writeThrough(cmd *command) {
 	for i := 0; i < cmd.pages; i++ {
 		t, err := d.ftlm.BeginWrite(cmd.lpn + addr.LPN(i))
 		must(err)
-		d.batchOp(d.channelOf(t.PPN), itemProgram, per, cmd, pageOp{ppn: t.PPN, fp: cmd.data.Page(i), lpn: t.LPN, ticket: t})
+		d.batchOp(d.channelOf(t.PPN), itemProgram, per, cmd, pageOp{ppn: t.PPN, fp: cmd.data.Page(i), lpn: t.LPN})
 	}
 	cmd.parts = d.enqueueBatches()
 	if cmd.parts == 0 {
@@ -493,7 +494,7 @@ func (d *Device) resolveRead(cmd *command) {
 			cmd.result[i] = content.Zero
 			continue
 		}
-		it := d.batchOp(d.channelOf(ppn), itemRead, d.prof.Timing.ReadPage, cmd, pageOp{ppn: ppn, rdIdx: i})
+		it := d.batchOp(d.channelOf(ppn), itemRead, d.prof.Timing.ReadPage, cmd, pageOp{ppn: ppn, rdIdx: int32(i)})
 		it.rdDst = cmd.result
 	}
 	cmd.parts = d.enqueueBatches()
@@ -564,7 +565,7 @@ func (d *Device) drainCache() {
 				d.checkGC()
 				return
 			}
-			d.batchOp(d.channelOf(t.PPN), itemProgram, per, nil, pageOp{ppn: t.PPN, fp: e.FP, lpn: e.LPN, seq: e.Seq, ticket: t})
+			d.batchOp(d.channelOf(t.PPN), itemProgram, per, nil, pageOp{ppn: t.PPN, fp: e.FP, lpn: e.LPN, seq: e.Seq})
 		}
 		d.enqueueBatches()
 	}
@@ -672,9 +673,12 @@ func (d *Device) gcStep() {
 		return
 	}
 	// Phase 1: read every valid page out of the victim.
-	d.gcFps = slices.Grow(d.gcFps[:0], len(plan.Moves))[:len(plan.Moves)]
+	n := len(plan.Moves)
+	d.gcFps = slices.Grow(d.gcFps[:0], n)[:n]
+	d.gcUncorrectable = slices.Grow(d.gcUncorrectable[:0], n)[:n]
+	clear(d.gcUncorrectable)
 	for i, mv := range plan.Moves {
-		it := d.batchOp(d.channelOf(mv.From), itemRead, d.prof.Timing.ReadPage, nil, pageOp{ppn: mv.From, rdIdx: i})
+		it := d.batchOp(d.channelOf(mv.From), itemRead, d.prof.Timing.ReadPage, nil, pageOp{ppn: mv.From, rdIdx: int32(i)})
 		it.rdDst = d.gcFps
 	}
 	d.gcParts = d.enqueueBatches()
@@ -683,13 +687,16 @@ func (d *Device) gcStep() {
 // gcProgram is phase 2 of a collection: program the pages read out of
 // the victim into the FTL's GC frontier. The victim's moves fit the room
 // GCPlan checked, and host writes cannot spend the GC reserve, so every
-// move finds a page.
+// move finds a page. A page that read uncorrectable is copied as it
+// read and stays uncorrectable.
 func (d *Device) gcProgram() {
 	per := d.perPageProg()
 	for i, mv := range d.gcPlan.Moves {
 		t, err := d.ftlm.BeginMove(mv.LPN)
 		must(err)
-		d.batchOp(d.channelOf(t.PPN), itemMove, per, nil, pageOp{ppn: t.PPN, fp: d.gcFps[i], lpn: mv.LPN, ticket: t, from: mv.From})
+		d.batchOp(d.channelOf(t.PPN), itemMove, per, nil, pageOp{
+			ppn: t.PPN, fp: d.gcFps[i], lpn: t.LPN, from: mv.From, uncorrectable: d.gcUncorrectable[i],
+		})
 	}
 	d.gcParts = d.enqueueBatches()
 }

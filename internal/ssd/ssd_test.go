@@ -572,6 +572,68 @@ func TestCutsDuringFullDriveGC(t *testing.T) {
 	}
 }
 
+// TestGCKeepsUncorrectablePagesUncorrectable collects a block whose
+// valid pages ECC cannot correct and reads them back through the host.
+// An interrupted erase leaves a full block unreliable; the host then
+// overwrites all but four of its pages, so it is the fewest-valid victim
+// of the first collection, which reads the four uncorrectable. The moves
+// must not program what those reads returned as good data: with
+// UncorrectableAsError the host must get ErrUncorrectable for each of
+// them, not a clean read of wrong content.
+func TestGCKeepsUncorrectablePagesUncorrectable(t *testing.T) {
+	p := smallProfile()
+	p.UncorrectableAsError = true
+	r := newRig(t, p)
+	v := newVersioned(r)
+	f, chip := r.dev.FTL(), r.dev.Chip()
+	user := r.dev.UserPages()
+	v.fill(t, user, 1024)
+	home, ok := f.Lookup(0)
+	if !ok {
+		t.Fatal("lpn 0 unmapped after the fill")
+	}
+	blk := chip.Geometry().BlockOf(home)
+	var resident []addr.LPN
+	for lpn := addr.LPN(0); int64(lpn) < user; lpn++ {
+		if ppn, ok := f.Lookup(lpn); ok && chip.Geometry().BlockOf(ppn) == blk {
+			resident = append(resident, lpn)
+		}
+	}
+	if len(resident) != chip.Geometry().PagesPerBlock {
+		t.Fatalf("block %d holds %d mapped pages, want it full", blk, len(resident))
+	}
+	if err := chip.ErasePartial(blk, 0.5); err != nil {
+		t.Fatal(err)
+	}
+	kept := resident[:4]
+	for _, lpn := range resident[4:] {
+		if err := v.write(t, lpn, 1, sim.Second); err != nil {
+			t.Fatalf("overwrite of lpn %d: %v", lpn, err)
+		}
+	}
+	rng := sim.NewRNG(1)
+	for chip.EraseCount(blk) == 0 {
+		if f.Stats().GCCollections > 8 {
+			t.Fatalf("%d collections ran and none took block %d", f.Stats().GCCollections, blk)
+		}
+		lpn := addr.LPN(rng.Intn(int(user/overwriteChunk)) * overwriteChunk)
+		if err := v.write(t, lpn, overwriteChunk, 20*sim.Second); err != nil {
+			t.Fatalf("overwrite at %d: %v", lpn, err)
+		}
+	}
+	r.flush(t)
+	for _, lpn := range kept {
+		ppn, _ := f.Lookup(lpn)
+		if chip.Geometry().BlockOf(ppn) == blk {
+			t.Fatalf("lpn %d still maps into the collected block %d", lpn, blk)
+		}
+		data, err := r.read(t, lpn, 1)
+		if !errors.Is(err, ErrUncorrectable) {
+			t.Fatalf("lpn %d moved by GC reads %#x with error %v, want ErrUncorrectable", lpn, data.Page(0), err)
+		}
+	}
+}
+
 // TestCutAfterGCErase cuts the power the moment a collection has erased a
 // victim it migrated pages out of, with the host idle. When the last move
 // completed, its record pinned the victim: the controller must commit it

@@ -70,7 +70,7 @@ func TestCampaignObsParallelDeterminism(t *testing.T) {
 			t.Errorf("item %d (%s) metric dump diverged between parallelism 1 and 8:\n%s\n%s",
 				i, items[i].Label, seqDump[i], parDump[i])
 		}
-		a, b := seq.Results[i].Report.ObsTrace, par.Results[i].Report.ObsTrace
+		a, b := seq.Results[i].Report.ObsTrace.Events(), par.Results[i].Report.ObsTrace.Events()
 		if !reflect.DeepEqual(a, b) {
 			t.Errorf("item %d (%s) trace diverged: %d vs %d events",
 				i, items[i].Label, len(a), len(b))
@@ -213,7 +213,8 @@ func TestTraceCapKeepsLastEvents(t *testing.T) {
 	if full.Obs.TraceDropped != 0 {
 		t.Fatalf("uncapped run dropped %d events", full.Obs.TraceDropped)
 	}
-	total := len(full.ObsTrace)
+	events := full.ObsTrace.Events()
+	total := len(events)
 	if total <= 2*keep {
 		t.Fatalf("run recorded %d events; the test needs well over %d to wrap the ring", total, keep)
 	}
@@ -221,7 +222,7 @@ func TestTraceCapKeepsLastEvents(t *testing.T) {
 	if got := capped.Obs.TraceDropped; got != uint64(total-keep) {
 		t.Errorf("dropped %d events, want %d", got, total-keep)
 	}
-	if capped.Obs.TraceEvents != keep || !reflect.DeepEqual(capped.ObsTrace, full.ObsTrace[total-keep:]) {
-		t.Errorf("capped ring kept %d events that differ from the last %d of %d", len(capped.ObsTrace), keep, total)
+	if capped.Obs.TraceEvents != keep || !reflect.DeepEqual(capped.ObsTrace.Events(), events[total-keep:]) {
+		t.Errorf("capped ring kept %d events that differ from the last %d of %d", capped.ObsTrace.Len(), keep, total)
 	}
 }

@@ -223,8 +223,11 @@ type (
 	// optional "obs" section when enabled: sorted counter, gauge and
 	// histogram snapshots plus trace-ring accounting.
 	ObsSummary = obs.Summary
-	// ObsEvent is one structured trace event (Report.ObsTrace).
+	// ObsEvent is one structured trace event (Report.ObsTrace.Events).
 	ObsEvent = obs.Event
+	// ObsTrace is the bounded event ring a traced Report carries
+	// (Report.ObsTrace); Events returns its events oldest-first.
+	ObsTrace = obs.Trace
 	// ObsKind classifies structured trace events (power transitions,
 	// rebuild state changes, transactions, recovery scans, queue depth,
 	// block IO spans).
