@@ -92,11 +92,57 @@ func TestErasureFigureCoverage(t *testing.T) {
 	}
 }
 
-// TestErasureWeakestMember: the heterogeneous acceptance criterion — in a
-// mixed RAID-6 array the QLC straggler's bigger, slower volatile cache
-// concentrates the damage: it loses more dirty pages than its drive-A
-// siblings average, and its attributed failures are at least their
-// average.
+// TestMemberFailuresConserved: with one-page writes every lost packet
+// sits on one data member, so the per-member data failures, FWAs and IO
+// errors of a parity array each sum to the report's totals. A charge to
+// the stripe's parity members would count each failure 1+k times.
+func TestMemberFailuresConserved(t *testing.T) {
+	member := powerfail.ProfileA()
+	member.CapacityGB = 8
+	for _, cfg := range []powerfail.ArrayConfig{
+		powerfail.RAIDConfig(powerfail.RAID5, 5, member),
+		powerfail.RAIDConfig(powerfail.RAID6, 6, member),
+		powerfail.RSConfig(8, 3, member),
+	} {
+		rep, err := powerfail.Run(
+			powerfail.Options{Seed: 7, Topology: powerfail.ArrayTopology(cfg)},
+			powerfail.Experiment{
+				Name: "member-conservation",
+				Workload: powerfail.Workload{
+					Name:     "one-page-writes",
+					WSSBytes: 2 << 30,
+					MinSize:  4 << 10,
+					MaxSize:  4 << 10,
+				},
+				Faults:           10,
+				RequestsPerFault: 12,
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var data, fwa, ioErrs int
+		for _, m := range rep.Members {
+			data += m.DataFailures
+			fwa += m.FWA
+			ioErrs += m.IOErrors
+		}
+		c := rep.Counters
+		if data != c.DataFailures || fwa != c.FWA || ioErrs != c.IOErrors {
+			t.Errorf("%v: members sum to %d data failures, %d FWA, %d IO errors; report totals %d, %d, %d",
+				cfg.Level, data, fwa, ioErrs, c.DataFailures, c.FWA, c.IOErrors)
+		}
+		if c.DataFailures+c.FWA == 0 {
+			t.Errorf("%v: no failures to conserve", cfg.Level)
+		}
+	}
+}
+
+// TestErasureWeakestMember: on one seed of a mixed RAID-6 array under
+// the rig's soft cut, the QLC straggler's bigger, slower volatile cache
+// loses more dirty pages than its drive-A siblings average, and the data
+// failures charged to the pages it held are at least their average. The
+// erasure figure's soft RAID-6 point shows the same over 16 seeds (see
+// ErasureItems); the other points show a small effect or none.
 func TestErasureWeakestMember(t *testing.T) {
 	member := powerfail.ProfileA()
 	member.CapacityGB = 8

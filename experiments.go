@@ -402,11 +402,13 @@ func ArrayItems(scale float64) []CatalogItem {
 // discharge vs a near-instant transistor cut); >=40 faults per point at
 // scale 1. The workload is write-only, so no read reconstructs, and no
 // point counts a write hole at -scale 0.2 or 1. The codes differ in
-// parity RMW traffic (each small write reads and writes 1+k shards). At
-// scale 1 MemberReport charges the straggler no more failures than its
-// peers: Attribute charges each failure to the data member and every
-// parity member of its stripe, and the parity run rotates over all
-// members.
+// parity RMW traffic (each small write reads and writes 1+k shards).
+// MemberReport charges each failure to the member that held the page.
+// Over 16 seeds at scale 1, the straggler's data failures + FWA exceed
+// its siblings' mean by about half on raid6/mixed/soft (Welch 95% CI
+// +86..+106 over a mean near 185), by under 10% on raid5/mixed/soft
+// (+3..+35 over ~410) and rs8+3/mixed/soft (+2..+13 over ~180), and not
+// measurably on any hard-cut point.
 func ErasureItems(scale float64) []CatalogItem {
 	codes := []struct {
 		tag    string

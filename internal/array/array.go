@@ -101,8 +101,9 @@ type Config struct {
 	// by Cached). The entries need not be identical: a heterogeneous array
 	// mixes drive models (capacities, cache sizes, cell technologies), and
 	// the composite exports the capacity of its smallest member times the
-	// data-member count. Per-member failure attribution (MemberReport)
-	// makes the weakest member's contribution measurable.
+	// data-member count. Failure attribution (Attribute) charges a lost
+	// page to the member that held it, so MemberReport shows how each
+	// drive's failures compare with its siblings'.
 	Members []ssd.Profile
 	// StripePages is the striped levels' chunk size in 4 KiB pages
 	// (default 16, a 64 KiB chunk).
@@ -220,11 +221,6 @@ type Stats struct {
 	Reconstructions int64 `json:"reconstructions,omitempty"`
 	RedirectedReads int64 `json:"redirected_reads,omitempty"`
 	Divergences     int64 `json:"divergences,omitempty"` // mirror writes acknowledged by only a subset
-	// RedundancyExceededLosses counts failure attributions made while more
-	// members were down than the array's code tolerates (more than one for
-	// RAID-5, more than k for RAID-6/RS): the affected stripes are
-	// unrecoverable data loss, not a single-member event.
-	RedundancyExceededLosses int64 `json:"redundancy_exceeded_losses,omitempty"`
 
 	// Cache counters.
 	CacheHits    int64 `json:"cache_hits,omitempty"`
@@ -576,36 +572,15 @@ func (a *Array) submitFlush(done func(error, content.Data)) {
 }
 
 // Attribute appends to dst the member indices that hold (or held) the
-// data of an LPN range and returns the extended slice: the striped
-// members for RAID-0, every mirror for RAID-1 (a divergent mirror cannot
-// be singled out without a scrub), the data plus parity members of the
-// touched stripes for the parity levels, and for the Cached level the
-// cache SSD for pages with a resident line (dirty lines live nowhere
-// else) or the backing drive for uncached pages. A caller that reuses dst
-// attributes without allocating.
-//
-// A parity-level range touched while more members are down than the code
-// tolerates (more than k erasures: two members for RAID-5's single
-// parity, k+1 for RAID-6/RS) is explicit data loss — every stripe spans
-// every member, so no touched stripe can be reconstructed. The
-// attribution is then the set of down members (the joint casualties), not
-// the single-failure data+parity set, and the loss is counted in
-// Stats.RedundancyExceededLosses.
+// data of an LPN range and returns the extended slice: for the striped
+// levels the member whose chunk holds each page, once per member in
+// first-seen order; every mirror for RAID-1 (a divergent mirror cannot
+// be singled out without a scrub); and for the Cached level the cache
+// SSD for pages with a resident line (dirty lines live nowhere else) or
+// the backing drive for uncached pages. Parity members are not charged:
+// a lost page is the loss of the member that held it. A caller that
+// reuses dst attributes without allocating.
 func (a *Array) Attribute(dst []int, lpn addr.LPN, pages int) []int {
-	base := len(dst)
-	if kp := a.parityCount(); kp > 0 {
-		for i, u := range a.up {
-			if !u {
-				dst = append(dst, i)
-			}
-		}
-		if len(dst)-base > kp {
-			a.stats.RedundancyExceededLosses++
-			a.tele.Instant(a.k.Now(), obs.KindInstant, "redundancy_exceeded_loss", int64(lpn))
-			return dst
-		}
-		dst = dst[:base]
-	}
 	switch a.cfg.Level {
 	case RAID1:
 		for i := range a.members {
@@ -630,20 +605,13 @@ func (a *Array) Attribute(dst []int, lpn addr.LPN, pages int) []int {
 	}
 	// Members in first-seen order; at most 255 of them (Validate).
 	var seen [4]uint64
-	add := func(m int) {
-		if bit := uint64(1) << (m & 63); seen[m>>6]&bit == 0 {
+	for off := 0; off < pages; {
+		cr := a.chunkAt(lpn, off, pages)
+		off += cr.n
+		if m, bit := cr.member, uint64(1)<<(cr.member&63); seen[m>>6]&bit == 0 {
 			seen[m>>6] |= bit
 			dst = append(dst, m)
 		}
-	}
-	kp := a.parityCount()
-	for off := 0; off < pages; {
-		cr := a.chunkAt(lpn, off, pages)
-		add(cr.member)
-		for j := 0; j < kp; j++ {
-			add(a.parityMember(cr.parity, j))
-		}
-		off += cr.n
 	}
 	return dst
 }

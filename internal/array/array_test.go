@@ -1,6 +1,7 @@
 package array
 
 import (
+	"slices"
 	"testing"
 
 	"powerfail/internal/addr"
@@ -277,65 +278,24 @@ func TestArrayFaultRecovery(t *testing.T) {
 	}
 }
 
+// TestAttribute: a striped level charges the member whose chunk holds
+// each page, never the stripe's parity members; RAID-1 charges every
+// mirror.
 func TestAttribute(t *testing.T) {
-	r := newRig(t, raidConfig(RAID5, 3))
-	sp := r.arr.Config().StripePages
-	got := r.arr.Attribute(nil, 0, 1)
-	if len(got) != 2 {
-		t.Fatalf("raid5 attribution %v, want data+parity", got)
+	a := newRig(t, raidConfig(RAID5, 3)).arr
+	sp := a.Config().StripePages
+	first, second := a.chunkAt(0, 0, 2*sp).member, a.chunkAt(0, sp, 2*sp).member
+	if got := a.Attribute(nil, 0, 1); !slices.Equal(got, []int{first}) {
+		t.Fatalf("raid5 attribution %v, want the data member [%d]", got, first)
 	}
-	got = r.arr.Attribute(nil, 0, 2*sp) // full stripe: both data members + parity
-	if len(got) != 3 {
-		t.Fatalf("raid5 full-stripe attribution %v", got)
+	// Full stripe: both data members, not the parity member.
+	if got := a.Attribute(nil, 0, 2*sp); !slices.Equal(got, []int{first, second}) {
+		t.Fatalf("raid5 full-stripe attribution %v, want the data members [%d %d]", got, first, second)
 	}
 
 	m := newRig(t, raidConfig(RAID1, 3))
 	if got := m.arr.Attribute(nil, 7, 2); len(got) != 3 {
 		t.Fatalf("raid1 attribution %v, want all mirrors", got)
-	}
-}
-
-// TestAttributeDoubleMemberFailure: with two RAID-5 members down at once,
-// redundancy is exceeded and Attribute must return the explicit data-loss
-// set (the down members) instead of falling into the single-failure
-// data+parity path, and count the loss.
-func TestAttributeDoubleMemberFailure(t *testing.T) {
-	r := newRig(t, raidConfig(RAID5, 4))
-
-	// One member down: still the ordinary data+parity attribution, no loss.
-	r.arr.onMemberDown(2)
-	got := r.arr.Attribute(nil, 0, 1)
-	if len(got) != 2 {
-		t.Fatalf("single-failure attribution %v, want data+parity", got)
-	}
-	if n := r.arr.Stats().RedundancyExceededLosses; n != 0 {
-		t.Fatalf("single failure counted as double: %d", n)
-	}
-
-	// Second member down: every touched stripe is unrecoverable.
-	r.arr.onMemberDown(0)
-	got = r.arr.Attribute(nil, 0, 1)
-	if len(got) != 2 || got[0] != 0 || got[1] != 2 {
-		t.Fatalf("double-failure attribution %v, want the down members [0 2]", got)
-	}
-	if n := r.arr.Stats().RedundancyExceededLosses; n != 1 {
-		t.Fatalf("RedundancyExceededLosses = %d, want 1", n)
-	}
-
-	// Three down: all three casualties are attributed.
-	r.arr.onMemberDown(3)
-	if got = r.arr.Attribute(nil, 0, 1); len(got) != 3 {
-		t.Fatalf("triple-failure attribution %v, want 3 down members", got)
-	}
-
-	// Recovery drops back to the single-failure path.
-	r.arr.onMemberReady(0)
-	r.arr.onMemberReady(3)
-	if got = r.arr.Attribute(nil, 0, 1); len(got) != 2 {
-		t.Fatalf("post-recovery attribution %v, want data+parity", got)
-	}
-	if n := r.arr.Stats().RedundancyExceededLosses; n != 2 {
-		t.Fatalf("RedundancyExceededLosses = %d, want 2", n)
 	}
 }
 

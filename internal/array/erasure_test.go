@@ -1,10 +1,11 @@
 package array
 
 import (
-	"slices"
+	"errors"
 	"testing"
 
 	"powerfail/internal/addr"
+	"powerfail/internal/blockdev"
 	"powerfail/internal/content"
 	"powerfail/internal/sim"
 	"powerfail/internal/ssd"
@@ -134,47 +135,69 @@ func TestCodedReconstructEveryChunk(t *testing.T) {
 	}
 }
 
-// TestAttributeRedundancyExceeded: an m+k array tolerates any k dark
-// members (one for RAID-5, two for RAID-6) and only counts a
-// redundancy-exceeded loss at the (k+1)-th.
-func TestAttributeRedundancyExceeded(t *testing.T) {
+// errMedia is the read error a failDrive answers with.
+var errMedia = errors.New("member media unreadable")
+
+// failDrive passes a member's IO through, except that while fail is set
+// every read answers errMedia, as a member that cannot return the row.
+type failDrive struct {
+	blockdev.Drive
+	k    *sim.Kernel
+	fail bool
+}
+
+func (d *failDrive) Submit(op blockdev.Op, lpn addr.LPN, pages int, data content.Data, done func(error, content.Data)) {
+	if op == blockdev.OpRead && d.fail {
+		d.k.After(0, func() { done(errMedia, content.Data{}) })
+		return
+	}
+	d.Drive.Submit(op, lpn, pages, data, done)
+}
+
+// TestCodedReadBeyondParity: a read whose data member and k-1 other
+// members fail reconstructs the chunk from the m survivors; with k others
+// failing too, fewer than m shards survive and the host read fails with
+// a member's error.
+func TestCodedReadBeyondParity(t *testing.T) {
 	for _, cfg := range []Config{raidConfig(RAID5, 4), raidConfig(RAID6, 5)} {
 		r := newRig(t, cfg)
-		kp := r.arr.parityCount()
-		order := []int{1, 3, 0}
-
-		// Up to k members down: ordinary data+parity attribution, no loss.
+		a := r.arr
+		sp := a.Config().StripePages
+		kp := a.parityCount()
+		payload := content.Random(sim.NewRNG(8), sp)
+		if err := r.write(t, 0, payload); err != nil {
+			t.Fatalf("%v: %v", cfg.Level, err)
+		}
+		drives := make([]*failDrive, len(a.members))
+		for m := range a.members {
+			drives[m] = &failDrive{Drive: a.members[m], k: r.k}
+			a.members[m] = drives[m]
+		}
+		// The data member fails first, then the others in index order.
+		data := a.chunkAt(0, 0, sp).member
+		order := []int{data}
+		for m := range a.members {
+			if m != data {
+				order = append(order, m)
+			}
+		}
 		for _, m := range order[:kp] {
-			r.arr.onMemberDown(m)
+			drives[m].fail = true
 		}
-		got := r.arr.Attribute(nil, 0, 1)
-		if len(got) != 1+kp {
-			t.Fatalf("%v: %d-failure attribution %v, want data+%d parity", cfg.Level, kp, got, kp)
+		before := a.Stats().Reconstructions
+		got, err := r.read(t, 0, sp)
+		if err != nil || !got.Equal(payload) {
+			t.Fatalf("%v: read with %d failed members: err=%v equal=%v", cfg.Level, kp, err, got.Equal(payload))
 		}
-		if n := r.arr.Stats().RedundancyExceededLosses; n != 0 {
-			t.Fatalf("%v: k simultaneous failures counted as loss: %d", cfg.Level, n)
-		}
-
-		// One more member down: the code's tolerance is exceeded, and the
-		// down members are the casualties.
-		r.arr.onMemberDown(order[kp])
-		want := append([]int(nil), order[:kp+1]...)
-		slices.Sort(want)
-		if got = r.arr.Attribute(nil, 0, 1); !slices.Equal(got, want) {
-			t.Fatalf("%v: k+1-failure attribution %v, want the down members %v", cfg.Level, got, want)
-		}
-		if n := r.arr.Stats().RedundancyExceededLosses; n != 1 {
-			t.Fatalf("%v: RedundancyExceededLosses = %d, want 1", cfg.Level, n)
+		if a.Stats().Reconstructions == before {
+			t.Fatalf("%v: read with a failed data member did not reconstruct", cfg.Level)
 		}
 
-		// Recovery drops back below the threshold.
-		r.arr.onMemberReady(order[kp])
-		if got = r.arr.Attribute(nil, 0, 1); len(got) != 1+kp {
-			t.Fatalf("%v: post-recovery attribution %v, want data+%d parity", cfg.Level, got, kp)
+		drives[order[kp]].fail = true
+		if _, err := r.read(t, 0, sp); !errors.Is(err, errMedia) {
+			t.Fatalf("%v: read with %d failed members: err=%v, want %v", cfg.Level, kp+1, err, errMedia)
 		}
-		if n := r.arr.Stats().RedundancyExceededLosses; n != 1 {
-			t.Fatalf("%v: RedundancyExceededLosses = %d, want 1", cfg.Level, n)
-		}
+		recordsFree(t, a)
 	}
 }
 

@@ -6,9 +6,9 @@ import (
 
 // Observe attaches the array to an observability scope: the multi-device
 // failure phenomena it counts in Stats (parity write holes, parity
-// read-modify-writes, degraded-read reconstructions and
-// redundancy-exceeded losses) become counters the registry reads, and
-// each is also recorded as a trace instant. A disabled scope is a no-op.
+// read-modify-writes and degraded-read reconstructions) become counters
+// the registry reads, and each is also recorded as a trace instant. A
+// disabled scope is a no-op.
 func (a *Array) Observe(sc obs.Scope) {
 	if !sc.Enabled() {
 		return
@@ -17,6 +17,5 @@ func (a *Array) Observe(sc obs.Scope) {
 	sc.Count("write_holes", &st.WriteHoles)
 	sc.Count("reconstructions", &st.Reconstructions)
 	sc.Count("parity_rmws", &st.ParityRMWs)
-	sc.Count("redundancy_exceeded_losses", &st.RedundancyExceededLosses)
 	a.tele = sc
 }

@@ -271,7 +271,6 @@ func TestObsCountersReadReportFields(t *testing.T) {
 		want["array/write_holes"] = st.WriteHoles
 		want["array/reconstructions"] = st.Reconstructions
 		want["array/parity_rmws"] = st.ParityRMWs
-		want["array/redundancy_exceeded_losses"] = st.RedundancyExceededLosses
 		check(t, rep.Obs, want)
 		if st.ParityRMWs == 0 || st.Reconstructions == 0 || rep.Cuts == 0 {
 			t.Errorf("run exercised too little: %d parity RMWs, %d reconstructions, %d cuts",

@@ -108,8 +108,10 @@ type Report struct {
 
 // MemberReport is one array member's view of the experiment: how much it
 // served, how its power cycle went, and which failures the analyzer
-// attributed to it (a failure maps to every member that holds the affected
-// address range, so mirror failures are charged collectively).
+// attributed to it. A failure is charged to each member that held a page
+// of the packet's range: on a striped level the data member of each
+// touched chunk, never a parity member; on RAID-1 every mirror, so mirror
+// failures are charged collectively.
 type MemberReport struct {
 	Index int    `json:"index"`
 	Name  string `json:"name"`

@@ -62,8 +62,10 @@ func TestTraceMatchesReference(t *testing.T) {
 }
 
 // TestTraceAllocatesByChunk guards the ring's cost: building a full
-// observability Set allocates a header, not the ring, and Record
-// allocates only when it opens a chunk.
+// observability Set allocates a header, not the ring; Record opens a
+// chunk exactly when the last one is full and never replaces one; and a
+// Record that opens no chunk allocates nothing, whether the open chunk
+// has room or the ring is full and overwrites.
 func TestTraceAllocatesByChunk(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var m0, m1 runtime.MemStats
@@ -81,15 +83,37 @@ func TestTraceAllocatesByChunk(t *testing.T) {
 
 	limit := 3*traceChunk + 5
 	tr := NewTrace(limit)
+	var first []*Event // each chunk's first slot, as it was opened
 	for i := 0; i < 3*limit; i++ {
-		runtime.ReadMemStats(&m0)
 		tr.Record(traceEvent(i))
-		runtime.ReadMemStats(&m1)
-		allocs := m1.Mallocs - m0.Mallocs
-		opens := i < limit && i%traceChunk == 0
-		if opens && allocs == 0 || !opens && allocs != 0 {
-			t.Fatalf("event %d (limit %d) made %d allocations; want some only when a chunk opens", i, limit, allocs)
+		want := (min(i+1, limit) + traceChunk - 1) / traceChunk
+		if len(tr.chunks) != want {
+			t.Fatalf("after event %d (limit %d): %d chunks, want %d", i, limit, len(tr.chunks), want)
 		}
+		if len(first) < want {
+			c := tr.chunks[want-1]
+			if size := min(traceChunk, limit-(want-1)*traceChunk); len(c) != size || cap(c) != size {
+				t.Fatalf("chunk %d holds %d events (cap %d), want %d", want-1, len(c), cap(c), size)
+			}
+			first = append(first, &c[0])
+		}
+		for j, p := range first {
+			if &tr.chunks[j][0] != p {
+				t.Fatalf("after event %d: chunk %d was replaced", i, j)
+			}
+		}
+	}
+
+	room := NewTrace(limit)
+	room.Record(traceEvent(0))
+	if a := testing.AllocsPerRun(traceChunk/2, func() { room.Record(traceEvent(1)) }); a != 0 {
+		t.Fatalf("Record into an open chunk with room allocates %v times, want 0", a)
+	}
+	if len(room.chunks) != 1 {
+		t.Fatalf("ring with room opened %d chunks, want 1", len(room.chunks))
+	}
+	if a := testing.AllocsPerRun(traceChunk, func() { tr.Record(traceEvent(2)) }); a != 0 {
+		t.Fatalf("Record into a full ring allocates %v times, want 0", a)
 	}
 }
 

@@ -36,9 +36,9 @@
 // whole array: parity write holes, mirror divergence and lost dirty cache
 // lines emerge from the per-device models composing, not from scripted
 // outcomes. Array members need not be identical — a heterogeneous mix
-// (say TLC drives with one large-cache QLC straggler) makes the weakest
-// member's contribution measurable through per-member failure
-// attribution.
+// (say TLC drives with one large-cache QLC straggler) can be compared
+// drive by drive, because each lost page is charged to the member that
+// held it.
 //
 // Traffic comes from one of three IO sources behind a single pluggable
 // interface: the paper's synthetic workload generator (the default), the
@@ -425,8 +425,8 @@ func RSConfig(data, parity int, member SSDProfile) ArrayConfig {
 
 // MixedRAIDConfig builds a heterogeneous array from an explicit member
 // list at the given level; capacity is the smallest member's times the
-// data-member count, and MemberReport shows each drive's share of the
-// failures (the weakest-member effect).
+// data-member count, and MemberReport shows the failures charged to each
+// drive for the pages it held.
 func MixedRAIDConfig(level ArrayLevel, members ...SSDProfile) ArrayConfig {
 	return ArrayConfig{Level: level, Members: members}
 }
