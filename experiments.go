@@ -401,8 +401,10 @@ func ArrayItems(scale float64) []CatalogItem {
 // large-cache QLC straggler) × cut severity (the rig's capacitive PSU
 // discharge vs a near-instant transistor cut); >=40 faults per point at
 // scale 1. The workload is write-only, so no read reconstructs, and no
-// point counts a write hole at -scale 0.2 or 1. The codes differ in
-// parity RMW traffic (each small write reads and writes 1+k shards).
+// point counts a write hole (a partial ACK set) at -scale 0.2 or 1,
+// though a cut leaves stale parity on the members' media. The codes
+// differ in parity RMW traffic (each small write reads and writes 1+k
+// shards).
 // MemberReport charges each failure to the member that held the page.
 // Over 16 seeds at scale 1, the straggler's data failures + FWA exceed
 // its siblings' mean by about half on raid6/mixed/soft (Welch 95% CI

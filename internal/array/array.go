@@ -14,7 +14,11 @@
 // cache lines dying in front of a durable backend — are not scripted here;
 // they emerge from each member's own power-failure model (volatile DRAM
 // caches, interrupted programs, lost mapping runs) composing with the
-// array-level redundancy and ordering.
+// array-level redundancy and ordering. The write hole and mirror
+// divergence are media-level effects: after a cut, rows whose members
+// disagree on media remain while every member acknowledged or failed
+// alike (TestCutLeavesMembersDisagreeingOnMedia pins both), so
+// Stats.WriteHoles, which counts a partial acknowledgement set, reads 0.
 //
 // Parity is computed over page fingerprints (content.Fingerprint is a
 // 64-bit content identifier, so XOR of fingerprints is a faithful stand-in
@@ -217,10 +221,9 @@ type Stats struct {
 
 	// RAID counters.
 	ParityRMWs      int64 `json:"parity_rmws,omitempty"`
-	WriteHoles      int64 `json:"write_holes,omitempty"` // stripe update where a proper subset of data+parity writes was acknowledged
+	WriteHoles      int64 `json:"write_holes,omitempty"` // RMW where a proper subset of data+parity writes was acknowledged; stale parity on media is not counted
 	Reconstructions int64 `json:"reconstructions,omitempty"`
 	RedirectedReads int64 `json:"redirected_reads,omitempty"`
-	Divergences     int64 `json:"divergences,omitempty"` // mirror writes acknowledged by only a subset
 
 	// Cache counters.
 	CacheHits    int64 `json:"cache_hits,omitempty"`
@@ -513,9 +516,14 @@ func (a *Array) Submit(op blockdev.Op, lpn addr.LPN, pages int, data content.Dat
 	}
 	switch {
 	case op == blockdev.OpFlush:
-		a.submitFlush(a.counted(op, done))
+		if a.cfg.Level == Cached && a.cfg.Policy == WriteBack {
+			a.destageAll() // force the dirty lines toward the backing drive first
+		}
+		a.submitEach(op, 0, 0, content.Data{}, done)
+	case a.cfg.Level == RAID1 && op == blockdev.OpWrite:
+		a.submitEach(op, lpn, pages, data, done)
 	case a.cfg.Level == RAID1:
-		a.submitRAID1(op, lpn, pages, data, a.counted(op, done))
+		a.mirrorRead(lpn, pages, a.nextReplica(), 0, a.counted(op, done))
 	case a.cfg.Level == Cached && op == blockdev.OpRead:
 		a.cachedRead(lpn, pages, done)
 	case a.cfg.Level == Cached:
@@ -526,7 +534,7 @@ func (a *Array) Submit(op blockdev.Op, lpn addr.LPN, pages int, data content.Dat
 }
 
 // counted wraps done so the host request's outcome is counted first;
-// the pooled striped path counts in partDone instead.
+// the pooled paths count in partDone instead.
 func (a *Array) counted(op blockdev.Op, done func(error, content.Data)) func(error, content.Data) {
 	return func(err error, res content.Data) {
 		a.countHost(op, err)
@@ -547,27 +555,6 @@ func (a *Array) countHost(op blockdev.Op, err error) {
 		a.stats.HostWrites++
 	default:
 		a.stats.HostFlushes++
-	}
-}
-
-// submitFlush fans the flush out to every member; a Cached write-back
-// array first forces its dirty lines toward the backing drive.
-func (a *Array) submitFlush(done func(error, content.Data)) {
-	if a.cfg.Level == Cached && a.cfg.Policy == WriteBack {
-		a.destageAll()
-	}
-	parts := len(a.members)
-	var firstErr error
-	for i := range a.members {
-		a.memberSubmit(i, blockdev.OpFlush, 0, 0, content.Data{}, a.call(func(err error, _ content.Data) {
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
-			parts--
-			if parts == 0 {
-				done(firstErr, content.Data{})
-			}
-		}))
 	}
 }
 

@@ -505,7 +505,7 @@ func TestOutOfRange(t *testing.T) {
 
 func TestArrayDeterminism(t *testing.T) {
 	run := func() (Stats, []MemberStats, content.Data) {
-		r := newRigT(cacheConfig(WriteBack))
+		r := newRigT(cacheConfig(WriteBack), 7)
 		rng := sim.NewRNG(9)
 		for i := 0; i < 10; i++ {
 			lpn := addr.LPN(rng.Intn(1 << 14))
@@ -542,14 +542,15 @@ func TestArrayDeterminism(t *testing.T) {
 	}
 }
 
-// newRigT builds a rig without a testing.T (determinism runs).
-func newRigT(cfg Config) *rig {
+// newRigT builds a rig without a testing.T, its members forked from
+// seed.
+func newRigT(cfg Config, seed uint64) *rig {
 	k := sim.New()
 	psu, err := power.New(k, power.DefaultConfig())
 	if err != nil {
 		panic(err)
 	}
-	arr, err := New(k, sim.NewRNG(7), cfg, psu)
+	arr, err := New(k, sim.NewRNG(seed), cfg, psu)
 	if err != nil {
 		panic(err)
 	}

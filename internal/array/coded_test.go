@@ -191,14 +191,15 @@ func newCodedLoop(tb testing.TB, cfg Config) *codedLoop {
 	return l
 }
 
-// newStripedLoop returns a loop over a striped array whose pools and
-// members are warmed by every IO shape the guards measure.
+// newStripedLoop returns a loop over a striped or mirrored array whose
+// pools and members are warmed by every IO shape the guards measure.
 func newStripedLoop(tb testing.TB, cfg Config) *codedLoop {
 	l := newCodedLoop(tb, cfg)
 	for i := 0; i < 64; i++ {
 		l.rmw(i)
 		l.read(i, 1)
 		l.read(i, 2)
+		l.flush()
 	}
 	return l
 }
@@ -216,28 +217,38 @@ func (l *codedLoop) rmw(i int) {
 	l.io(blockdev.OpWrite, addr.LPN((i%8)*sp+i%sp), 1, l.payload.Slice(i%l.payload.Pages(), 1))
 }
 
+// flush flushes every member.
+func (l *codedLoop) flush() { l.io(blockdev.OpFlush, 0, 0, content.Data{}) }
+
 // read reads `chunks` whole chunks starting at chunk i%8.
 func (l *codedLoop) read(i, chunks int) {
 	sp := l.arr.cfg.StripePages
 	l.io(blockdev.OpRead, addr.LPN((i%8)*sp), chunks*sp, content.Data{})
 }
 
-// TestCodedPathAllocs pins that the striped path allocates nothing in
+// TestCodedPathAllocs pins that the pooled paths allocate nothing in
 // steady state: a RAID-5 one-page RMW reads old data and parity into its
 // chunk record's buffer and computes the new parity there, a RAID-0
 // one-page write goes straight to its member on the same records, and a
 // one-chunk or two-chunk read of either gathers into its request
 // record's buffer, which it lends to the host. The members lend their
-// read results too.
+// read results too. A RAID-1 one-page write and a flush on RAID-0, RAID-1
+// and RAID-5 send one pooled chunk record to each member.
 func TestCodedPathAllocs(t *testing.T) {
 	if racedet.Enabled {
 		t.Skip("the race detector allocates for its own bookkeeping")
 	}
-	for _, cfg := range []Config{raidConfig(RAID5, 4), raidConfig(RAID0, 4)} {
+	for _, cfg := range []Config{raidConfig(RAID5, 4), raidConfig(RAID0, 4), raidConfig(RAID1, 2)} {
 		l := newStripedLoop(t, cfg)
 		i := 64
 		if n := testing.AllocsPerRun(50, func() { i++; l.rmw(i) }); n != 0 {
 			t.Errorf("%v: one-page write made %v allocs, want 0", cfg.Level, n)
+		}
+		if n := testing.AllocsPerRun(50, l.flush); n != 0 {
+			t.Errorf("%v: flush made %v allocs, want 0", cfg.Level, n)
+		}
+		if cfg.Level == RAID1 {
+			continue // a mirror read redirects on error through a closure
 		}
 		if n := testing.AllocsPerRun(50, func() { i++; l.read(i, 1) }); n != 0 {
 			t.Errorf("%v: one-chunk read made %v allocs, want 0", cfg.Level, n)

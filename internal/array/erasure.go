@@ -17,11 +17,16 @@ import (
 // missing chunk from any m surviving shards via the GF(256) code. RAID-5
 // is the k = 1 point, whose all-ones parity row is plain XOR. RAID-0 is
 // the k = 0 point: it has no code, so a write goes straight to its
-// member with no lock and a failed read fails its part. A fault between
-// the 1+k write acknowledgements leaves the stripe internally
-// inconsistent whenever a proper, non-empty subset of the writes landed:
-// the write hole, which for RAID-5 is "exactly one of data and parity".
-// The cached level's reads ride the same records (see cachedRead).
+// member with no lock and a failed read fails its part. A cut during a
+// cycle can leave a row whose parity no longer encodes its data: the
+// write hole. It shows on the members' media, not in their
+// acknowledgements, because a cut on the shared supply fails every
+// member alike and a volatile cache acknowledges before its media hold
+// the data (TestCutLeavesMembersDisagreeingOnMedia). Stats.WriteHoles
+// counts only a partial acknowledgement set, some but not all of the
+// 1+k writes. The cached level's reads ride the same records (see
+// cachedRead), and so does every whole-member IO: a RAID-0 chunk write,
+// a RAID-1 write and a flush (see submitEach).
 //
 // The path allocates nothing in steady state. A host request is one
 // pooled codedOp, each of its chunk ranges one pooled chunkOp (which
@@ -33,8 +38,8 @@ import (
 // old parities into its chunkOp's and computes the new parities there
 // in place. The coded path lends its own read result in turn, so a
 // codedOp returns to its pool only after the host's done has returned.
-// Reconstruction and flushes, a few per fault cycle, keep their
-// closures, and reconstruction copies the rows it collects.
+// Reconstruction, a few per fault cycle, keeps its closures and copies
+// the rows it collects.
 
 // codedOp is one host request on the coded path: it counts its chunk
 // ranges down and answers the host once the last one retires. A read
@@ -48,8 +53,8 @@ type codedOp struct {
 	buf   []content.Fingerprint
 }
 
-// chunkOp is one chunk range of a coded request: a direct read, a
-// RAID-0 write, or one parity read-modify-write cycle. buf holds the
+// chunkOp is one chunk range of a coded request: a direct read, one
+// parity read-modify-write cycle, or one whole-member IO. buf holds the
 // cycle's 1+k shards of n pages each: the old data, then the k old
 // parities, which the write phase overwrites in place with the new ones.
 type chunkOp struct {
@@ -85,13 +90,25 @@ func (a *Array) submitCoded(op blockdev.Op, lpn addr.LPN, pages int, data conten
 			a.memberSubmit(ch.cr.member, blockdev.OpRead, ch.cr.mlpn, ch.cr.n, content.Data{}, a.chunkCall(ch, roleRead, 0))
 			continue
 		}
-		ch.newData = data.Slice(ch.cr.off, ch.cr.n)
 		if a.code == nil {
-			ch.pending = 1
-			a.memberSubmit(ch.cr.member, blockdev.OpWrite, ch.cr.mlpn, ch.cr.n, ch.newData, a.chunkCall(ch, roleNewData, 0))
+			a.memberSubmit(ch.cr.member, blockdev.OpWrite, ch.cr.mlpn, ch.cr.n, data.Slice(ch.cr.off, ch.cr.n), a.chunkCall(ch, roleWhole, 0))
 			continue
 		}
+		ch.newData = data.Slice(ch.cr.off, ch.cr.n)
 		a.lockStripe(ch)
+	}
+}
+
+// submitEach sends the same IO to every member, one chunkOp per member
+// under one codedOp: a flush, or a RAID-1 write to every mirror. The
+// host hears once every member has answered, with the first error.
+func (a *Array) submitEach(op blockdev.Op, lpn addr.LPN, pages int, data content.Data, done func(error, content.Data)) {
+	req, _ := a.ops.Get()
+	req.op, req.done, req.parts = op, done, len(a.members)
+	for i := range a.members {
+		ch, _ := a.chunks.Get()
+		ch.req = req
+		a.memberSubmit(i, op, lpn, pages, data, a.chunkCall(ch, roleWhole, 0))
 	}
 }
 
@@ -246,9 +263,9 @@ func (a *Array) unlockStripe(s int64) {
 // codeRMW performs the small-write cycle on one chunk range once its
 // stripe is locked: read the old data and all k old parities, delta
 // every parity with the coded data delta, then write the data and all
-// parities concurrently. A fault landing between the acknowledgements is
-// the write hole; it is counted when a proper, non-empty subset of the
-// 1+k writes lands.
+// parities concurrently. A cut during the cycle can leave the row's
+// parity stale on media; WriteHoles counts only a proper, non-empty
+// subset of the 1+k writes acknowledged.
 func (a *Array) codeRMW(ch *chunkOp) {
 	a.stats.ParityRMWs++
 	kp := a.parityCount()
@@ -336,8 +353,9 @@ const (
 	roleRead      callRole = iota // direct data read of a host read
 	roleOldData                   // RMW: old data read
 	roleOldParity                 // RMW: old parity j read
-	roleNewData                   // RMW or RAID-0: new data write
+	roleNewData                   // RMW: new data write
 	roleNewParity                 // RMW: new parity j write
+	roleWhole                     // a member IO that is a part on its own: RAID-0 write, mirror write, flush
 )
 
 // chunkCall aims a pooled member-completion record at chunk ch.
@@ -366,5 +384,9 @@ func (a *Array) chunkDone(ch *chunkOp, role callRole, j int, err error, res cont
 			ch.parityErr = err
 		}
 		a.rmwWriteDone(ch, err)
+	case roleWhole:
+		req := ch.req
+		a.freeChunk(ch)
+		a.partDone(req, err)
 	}
 }

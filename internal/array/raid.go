@@ -7,36 +7,9 @@ import (
 )
 
 // --- RAID-1: mirroring ---
-
-func (a *Array) submitRAID1(op blockdev.Op, lpn addr.LPN, pages int, data content.Data, done func(error, content.Data)) {
-	if op == blockdev.OpWrite {
-		parts := len(a.members)
-		acks := 0
-		var firstErr error
-		for i := range a.members {
-			a.memberSubmit(i, op, lpn, pages, data, a.call(func(err error, _ content.Data) {
-				if err != nil {
-					if firstErr == nil {
-						firstErr = err
-					}
-				} else {
-					acks++
-				}
-				parts--
-				if parts == 0 {
-					if acks > 0 && acks < len(a.members) {
-						// The copies no longer agree; the host is told the
-						// write failed, but a replica carries the new data.
-						a.stats.Divergences++
-					}
-					done(firstErr, content.Data{})
-				}
-			}))
-		}
-		return
-	}
-	a.mirrorRead(lpn, pages, a.nextReplica(), 0, done)
-}
+//
+// A write goes to every mirror on the coded path's records (submitEach);
+// a read goes to one mirror at a time.
 
 // nextReplica rotates reads across the ready mirrors; with no mirror
 // ready it still rotates so error latency comes from a real member.

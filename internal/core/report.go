@@ -169,8 +169,8 @@ func (r *Report) String() string {
 		r.Counters.DataFailures, r.Counters.FWA, r.Counters.IOErrors, r.Counters.LateCorruptions)
 	fmt.Fprintf(&b, "  data loss per fault: %.2f\n", r.DataLossPerFault)
 	if s := r.ArrayStats; s != nil {
-		fmt.Fprintf(&b, "  array:    rmw=%d holes=%d reconstructions=%d redirects=%d divergences=%d hits=%d misses=%d destages=%d dropped=%d\n",
-			s.ParityRMWs, s.WriteHoles, s.Reconstructions, s.RedirectedReads, s.Divergences,
+		fmt.Fprintf(&b, "  array:    rmw=%d holes=%d reconstructions=%d redirects=%d hits=%d misses=%d destages=%d dropped=%d\n",
+			s.ParityRMWs, s.WriteHoles, s.Reconstructions, s.RedirectedReads,
 			s.CacheHits, s.CacheMisses, s.Destages, s.LinesDropped)
 	}
 	for _, m := range r.Members {
