@@ -114,6 +114,10 @@ func main() {
 	mergeSpec := flag.String("merge", "", "comma-separated shard archives to merge and re-aggregate (repeat the shards' -figure/-scale/-obs flags)")
 	listen := flag.String("listen", "", "serve live telemetry on this address (/metrics OpenMetrics + /debug/pprof)")
 	flag.Parse()
+	if err := powerfail.CheckScale(*scale); err != nil {
+		fmt.Fprintln(os.Stderr, "sweep:", err)
+		os.Exit(2)
+	}
 
 	if *list {
 		printFigureList(*scale)

@@ -4,6 +4,7 @@ import (
 	"embed"
 	"encoding/json"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"time"
@@ -882,11 +883,26 @@ func FigureTitle(id string) string {
 	return id
 }
 
+// CheckScale reports an error unless scale, the fraction of the paper's
+// fault counts a catalog runs, is a positive finite number. The catalog
+// builders clamp every fault count to a floor, so a NaN, infinite, zero
+// or negative scale would otherwise run as a small one.
+func CheckScale(scale float64) error {
+	if !(scale > 0) || math.IsInf(scale, 1) {
+		return fmt.Errorf("powerfail: scale must be a positive finite number, got %v", scale)
+	}
+	return nil
+}
+
 // ItemsFor returns the catalog slice for a figure id ("fig5".."fig9",
 // "window", "seqrand", "tablei", "ablation", "array", "erasure", "cache",
-// "txn", "txn-streams", "trace", "fleet", "all"). Unknown ids error with
-// the list of registered ids.
+// "txn", "txn-streams", "trace", "fleet", "all"). Unknown ids and scales
+// CheckScale rejects are errors; an unknown id's error lists the
+// registered ids.
 func ItemsFor(figure string, scale float64) ([]CatalogItem, error) {
+	if err := CheckScale(scale); err != nil {
+		return nil, err
+	}
 	if figure == "all" {
 		return AllItems(scale), nil
 	}

@@ -38,3 +38,34 @@ func BenchmarkTableRun(b *testing.B) { benchTable(b, 64) }
 // BenchmarkTableScatter looks up single pages at random, where no lookup
 // shares a leaf with the one before.
 func BenchmarkTableScatter(b *testing.B) { benchTable(b, 1) }
+
+// fillPages is the span fillRuns writes into: 16 GB of pages.
+const fillPages = 16 << 30 >> PageShift
+
+// fillRuns stores about 30k pages into tab in 128-page runs, each at a
+// pseudo-random start over fillPages, the shape the simulator's 4 KiB to
+// 1 MiB random writes leave in a drive's maps. Run r stores r+1 in every
+// page; each, when not nil, is called after every run with its start
+// and value.
+func fillRuns(tab *Table[int32], each func(start LPN, v int32)) {
+	for r := uint64(0); r < 234; r++ {
+		start, v := LPN(r*2654435761%(fillPages-128)), int32(r)+1
+		for i := LPN(0); i < 128; i++ {
+			*tab.Ref(start + i) = v
+		}
+		if each != nil {
+			each(start, v)
+		}
+	}
+}
+
+// BenchmarkTableFill fills one fresh table per op (see fillRuns), so
+// B/op and allocs/op are what a drive's page table costs a run.
+func BenchmarkTableFill(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		var tab Table[int32]
+		fillRuns(&tab, nil)
+		benchSink += uint64(tab.Get(0))
+	}
+}

@@ -1,22 +1,24 @@
 package addr
 
-import (
-	"fmt"
-	"slices"
-)
+import "fmt"
 
-// Table layout. An LPN splits into a top index (the bits above
-// leafBits+midBits), a mid slot and a leaf slot. Nodes are carved from
-// slabs of slabNodes nodes and named by 1 + their index, so 0 means "no
-// node". The sizes were measured on the simulator's workloads: larger
-// nodes cost memory under small sparse writes, and one allocation per
-// node costs allocations under large dense ones.
+// Table layout. An LPN splits into a directory, a span slot (the bits
+// above leafBits+midBits, within the directory), a mid slot and a leaf
+// slot. Nodes are carved from slabs of slabNodes nodes and named by 1 +
+// their index, so 0 means "no node". The sizes were measured on the
+// simulator's workloads: larger nodes cost memory under small sparse
+// writes, and one allocation per node costs allocations under large
+// dense ones. A directory of dirSize spans covers 2 GiB of 4 KiB pages:
+// smaller directories cost allocations when writes spread over a large
+// drive, larger ones bytes when they stay in a small working set.
 const (
 	leafBits  = 4
 	leafSize  = 1 << leafBits // entries per leaf
 	midBits   = 5
 	midSize   = 1 << midBits // leaves per mid node
 	spanBits  = leafBits + midBits
+	dirBits   = 10
+	dirSize   = 1 << dirBits // spans per directory
 	slabShift = 6
 	slabNodes = 1 << slabShift // nodes per slab
 )
@@ -28,11 +30,12 @@ const (
 // (such as index+1).
 //
 // Nodes live in fixed-size slabs and link to each other by int32 index,
-// so the table holds no Go pointers below its two slab lists: when V has
-// no pointers either, the garbage collector never scans its nodes. A slab
-// never moves once allocated, so a pointer returned by Ref stays valid for
-// the table's lifetime. Nodes are never freed: storing the zero V leaves
-// the path in place for the next store.
+// so the table holds no Go pointers below its directory list and two slab
+// lists: when V has no pointers either, the garbage collector never scans
+// its nodes. A directory or slab never moves once allocated, so a pointer
+// returned by Ref stays valid for the table's lifetime, and growing the
+// table copies only the short lists of pointers to them. Nodes are never
+// freed: storing the zero V leaves the path in place for the next store.
 //
 // The table remembers the leaf its last Get or Ref found or made, so a
 // lookup in the same leaf as the one before skips the walk. Get therefore
@@ -40,9 +43,10 @@ const (
 // included.
 //
 // The zero Table is empty and ready to use. Negative LPNs are never
-// present; the top level grows to the highest LPN stored.
+// present; a directory is allocated when a page in its range is first
+// stored.
 type Table[V comparable] struct {
-	top     []int32                      // per span: 1 + mid node index
+	dirs    []*[dirSize]int32            // per directory, nil if untouched: per span 1 + mid node index
 	mids    []*[slabNodes][midSize]int32 // per mid slot: 1 + leaf node index
 	leaves  []*[slabNodes][leafSize]V
 	nMids   int32
@@ -59,10 +63,14 @@ func (t *Table[V]) Get(l LPN) V {
 	}
 	var zero V
 	hi := l >> spanBits
-	if l < 0 || hi >= LPN(len(t.top)) {
+	if l < 0 || hi>>dirBits >= LPN(len(t.dirs)) {
 		return zero
 	}
-	m := t.top[hi]
+	dir := t.dirs[hi>>dirBits]
+	if dir == nil {
+		return zero
+	}
+	m := dir[hi&(dirSize-1)]
 	if m == 0 {
 		return zero
 	}
@@ -86,18 +94,21 @@ func (t *Table[V]) Ref(l LPN) *V {
 		panic(fmt.Sprintf("addr: Table.Ref(%v): negative page", l))
 	}
 	hi := int(l >> spanBits)
-	if hi >= len(t.top) {
-		n := len(t.top)
-		t.top = slices.Grow(t.top, hi+1-n)[:hi+1]
-		clear(t.top[n:])
+	d := hi >> dirBits
+	if n := d + 1 - len(t.dirs); n > 0 {
+		t.dirs = append(t.dirs, make([]*[dirSize]int32, n)...)
 	}
-	m := t.top[hi]
-	if m == 0 {
-		m = take(&t.mids, &t.nMids)
-		t.top[hi] = m
+	dir := t.dirs[d]
+	if dir == nil {
+		dir = new([dirSize]int32)
+		t.dirs[d] = dir
 	}
-	m--
-	mp := &t.mids[m>>slabShift][m&(slabNodes-1)][(l>>leafBits)&(midSize-1)]
+	m := &dir[hi&(dirSize-1)]
+	if *m == 0 {
+		*m = take(&t.mids, &t.nMids)
+	}
+	mi := *m - 1
+	mp := &t.mids[mi>>slabShift][mi&(slabNodes-1)][(l>>leafBits)&(midSize-1)]
 	if *mp == 0 {
 		*mp = take(&t.leaves, &t.nLeaves)
 	}
@@ -121,20 +132,26 @@ func take[N any](slabs *[]*[slabNodes]N, n *int32) int32 {
 // then visits an entry fn added is unspecified.
 func (t *Table[V]) Range(fn func(LPN, V) bool) {
 	var zero V
-	for hi, m := range t.top {
-		if m == 0 {
+	for d, dir := range t.dirs {
+		if dir == nil {
 			continue
 		}
-		m--
-		for j, lf := range &t.mids[m>>slabShift][m&(slabNodes-1)] {
-			if lf == 0 {
+		for s, m := range dir {
+			if m == 0 {
 				continue
 			}
-			lf--
-			base := LPN(hi)<<spanBits | LPN(j)<<leafBits
-			for k, v := range &t.leaves[lf>>slabShift][lf&(slabNodes-1)] {
-				if v != zero && !fn(base|LPN(k), v) {
-					return
+			m--
+			hi := d<<dirBits | s
+			for j, lf := range &t.mids[m>>slabShift][m&(slabNodes-1)] {
+				if lf == 0 {
+					continue
+				}
+				lf--
+				base := LPN(hi)<<spanBits | LPN(j)<<leafBits
+				for k, v := range &t.leaves[lf>>slabShift][lf&(slabNodes-1)] {
+					if v != zero && !fn(base|LPN(k), v) {
+						return
+					}
 				}
 			}
 		}

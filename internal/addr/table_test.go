@@ -11,21 +11,30 @@ import (
 // device the simulator models.
 const lastLPN256GB = LPN(256<<30>>PageShift) - 1
 
+// dirPages is the number of pages one directory covers.
+const dirPages = LPN(dirSize) << spanBits
+
 // pickLPN maps a selector and two bytes onto the address regions a page
 // table must get right: a dense run from LPN 0, a dense run across leaf
-// and mid-node boundaries, sparse single pages over the whole drive, and
-// the top of a 256 GB drive.
+// and mid-node boundaries, sparse single pages over the whole drive, the
+// top of a 256 GB drive, a dense run across the first directory
+// boundary, and the first pages of every fifth directory, with empty
+// directories between them.
 func pickLPN(sel, a, b byte) LPN {
 	off := LPN(a)<<8 | LPN(b)
-	switch sel % 4 {
+	switch sel % 6 {
 	case 0:
 		return off % 64
 	case 1:
 		return 4000 + off%1100
 	case 2:
 		return off * 1021
-	default:
+	case 3:
 		return lastLPN256GB - off%40
+	case 4:
+		return dirPages - 128 + off%256
+	default:
+		return LPN(a%32)*5*dirPages + LPN(b)
 	}
 }
 
@@ -82,8 +91,11 @@ func checkRange(tb testing.TB, tab *Table[uint32], ref map[LPN]uint32) {
 }
 
 // tableSeeds are op sequences (see runTableOps) aimed at the cached
-// leaf. Kinds 0, 2 and 3 store, store zero and Get a page below 64, named
-// by the third byte; kinds 4 and 7 store and Get page 4000 + (a<<8|b)%1100.
+// leaf and the directories. Kinds 0, 2 and 3 store, store zero and Get a
+// page below 64, named by the third byte; kinds 4 and 7 store and Get
+// page 4000 + (a<<8|b)%1100; kinds 16 and 19 store and Get page
+// dirPages - 128 + (a<<8|b)%256; kinds 20 and 23 store and Get page
+// b of directory 5*(a%32).
 var tableSeeds = [][]byte{
 	{},
 	{0, 0, 0, 3, 0, 0},            // store then read LPN 0
@@ -108,6 +120,25 @@ var tableSeeds = [][]byte{
 	// The same where the Get misses its whole path: page 4600's span has
 	// no mid node, though page 5052's has grown the top level past it.
 	{4, 4, 28, 0, 0, 3, 7, 2, 88, 4, 2, 88, 7, 2, 88, 3, 0, 3},
+	// The last page of directory 0 and the first of directory 1, stored
+	// in both orders and read back, with the pages either side absent.
+	{16, 0, 127, 16, 0, 128, 19, 0, 127, 19, 0, 128, 19, 0, 126, 19, 0, 129},
+	{16, 0, 128, 16, 0, 127, 19, 0, 128, 19, 0, 127, 0, 0, 1, 19, 0, 127},
+	// Directories 0 and 155 with 154 empty ones between them, read in
+	// both orders; the second store grows the directory list past the
+	// empty ones.
+	{20, 0, 9, 20, 31, 7, 23, 31, 7, 23, 0, 9, 23, 30, 7, 23, 31, 8},
+	// A Range that crosses absent directories: directories 0, 15, 30 and
+	// 155 and the drive's last page, stored out of order (checkRange
+	// walks them in order).
+	{20, 31, 1, 20, 3, 2, 20, 0, 3, 20, 6, 4, 12, 0, 0},
+	// Ref right after a Get that missed at the directory level, first
+	// beyond the directory list (directory 40), then inside it at a
+	// directory never stored (directory 5, once directory 155 has grown
+	// the list). Each store must land in its new directory, not in the
+	// leaf cached from directory 0.
+	{20, 0, 3, 23, 8, 5, 20, 8, 5, 23, 8, 5, 23, 0, 3,
+		20, 31, 3, 23, 1, 3, 20, 1, 3, 23, 1, 3, 23, 0, 3, 23, 31, 3},
 }
 
 func TestTableMatchesMap(t *testing.T) {
@@ -180,6 +211,48 @@ func TestTableRefAllocatesNothing(t *testing.T) {
 	})
 	if n != 0 {
 		t.Fatalf("Ref/Get on allocated paths made %v allocs, want 0", n)
+	}
+}
+
+// TestTableFillAllocatesEachDirectoryOnce fills a table over a 16 GB span
+// (see fillRuns) and checks that exactly the directories its pages lie in
+// are allocated, each once and never replaced, and that every page reads
+// back.
+func TestTableFillAllocatesEachDirectoryOnce(t *testing.T) {
+	var tab Table[int32]
+	seen := map[int]*[dirSize]int32{}
+	want := map[LPN]int32{}
+	dirs := map[int]bool{}
+	fillRuns(&tab, func(start LPN, v int32) {
+		for l := start; l < start+128; l++ {
+			want[l] = v
+			dirs[int(l/dirPages)] = true
+		}
+		for d, dir := range tab.dirs {
+			if dir == nil {
+				continue
+			}
+			if p, ok := seen[d]; ok && p != dir {
+				t.Fatalf("directory %d was replaced", d)
+			}
+			seen[d] = dir
+		}
+	})
+	if len(seen) != len(dirs) {
+		t.Fatalf("%d directories allocated, pages lie in %d", len(seen), len(dirs))
+	}
+	for d := range seen {
+		if !dirs[d] {
+			t.Fatalf("directory %d allocated, no page stored in it", d)
+		}
+	}
+	if len(dirs) < 2 {
+		t.Fatalf("the fill touches %d directories, want several", len(dirs))
+	}
+	for l, v := range want {
+		if got := tab.Get(l); got != v {
+			t.Fatalf("Get(%d) = %d, want %d", l, got, v)
+		}
 	}
 }
 

@@ -54,9 +54,11 @@ type Runner struct {
 	// Per-IO bookkeeping free lists (experiments are single-threaded).
 	recFree pool.FreeList[issueRec]
 	ctlFree pool.FreeList[ctlRec]
-	// thinkFn is the closed loop's post-think-time reissue, and fireCutFn
-	// and restoreFn the fault cycle's timer callbacks, all bound once.
+	// thinkFn is the closed loop's post-think-time reissue, arriveFn the
+	// open loop's arrival, and fireCutFn and restoreFn the fault cycle's
+	// timer callbacks, all bound once.
 	thinkFn   func()
+	arriveFn  func()
 	fireCutFn func()
 	restoreFn func()
 	// blk is the obs scope the host queue's blkio spans are flushed into.
@@ -90,7 +92,11 @@ type Runner struct {
 	cutFired     bool
 	timedOut     bool
 	faultErrored bool // open loop: first error observed this fault cycle
-	err          error
+	// parked marks an open-loop arrival chain stopped during a fault
+	// cycle, and parkedAt the instant of the arrival that stopped it.
+	parked   bool
+	parkedAt sim.Time
+	err      error
 }
 
 // NewRunner prepares an experiment on the platform.
@@ -113,6 +119,7 @@ func NewRunner(p *Platform, spec ExperimentSpec) (*Runner, error) {
 		blk:      p.ObsScope("blk"),
 	}
 	r.thinkFn = r.reissue
+	r.arriveFn = r.arrive
 	r.fireCutFn = r.fireCut
 	r.restoreFn = r.restore
 	r.verifyPump = r.newControlPump(r.verifyOne, r.finishVerification)
@@ -229,16 +236,38 @@ func (r *Runner) scheduleArrival() {
 	if r.ph == phaseDone {
 		return
 	}
-	r.p.K.After(r.src.NextArrival(), func() {
-		// Like the closed-loop thread, the open-loop source is unaware of
-		// the scheduler's fault and keeps submitting through the
-		// discharge until errors surface.
-		if r.ph == phaseRun || r.ph == phaseArming ||
-			(r.ph == phaseFaulting && !r.faultErrored) {
-			r.issueOne()
-		}
-		r.scheduleArrival()
-	})
+	r.p.K.After(r.src.NextArrival(), r.arriveFn)
+}
+
+// arrive is one open-loop arrival. Like the closed-loop thread, the
+// open-loop source is unaware of the scheduler's fault and keeps
+// submitting through the discharge until errors surface. An arrival that
+// cannot issue after the cut has fired parks the chain: until finishCycle
+// resumes the workload no arrival could issue, so finishCycle draws the
+// skipped intervals instead of firing an event for each.
+func (r *Runner) arrive() {
+	if r.ph == phaseRun || r.ph == phaseArming ||
+		(r.ph == phaseFaulting && !r.faultErrored) {
+		r.issueOne()
+	} else if r.cutFired {
+		r.parked, r.parkedAt = true, r.p.K.Now()
+		return
+	}
+	r.scheduleArrival()
+}
+
+// resumeArrivals restarts a parked arrival chain. It draws the interval
+// of every arrival that would have fired, issuing nothing, from the
+// parked instant up to now, the same draws in the same order, and
+// schedules the first arrival after now.
+func (r *Runner) resumeArrivals() {
+	r.parked = false
+	now := r.p.K.Now()
+	at := r.parkedAt.Add(r.src.NextArrival())
+	for at <= now {
+		at = at.Add(r.src.NextArrival())
+	}
+	r.p.K.At(at, r.arriveFn)
 }
 
 // issueRec is the pooled per-IO bookkeeping of the issue path: it carries
@@ -618,6 +647,8 @@ func (r *Runner) finishCycle() {
 	r.activeSince = r.p.K.Now()
 	if !r.src.OpenLoop() {
 		r.fillClosedLoop()
+	} else if r.parked {
+		r.resumeArrivals()
 	}
 }
 

@@ -196,6 +196,43 @@ func TestIOPSPacedExperiment(t *testing.T) {
 	}
 }
 
+// TestOpenLoopArrivalsParkDuringFaultCycle: once the cut has fired and an
+// open-loop arrival cannot issue, the chain fires no further arrival
+// until the cycle ends, so at most one arrival per fault cycle lands
+// where it cannot issue, and the workload still resumes after each.
+func TestOpenLoopArrivalsParkDuringFaultCycle(t *testing.T) {
+	w := smallWrites()
+	w.MaxSize = 64 << 10
+	w.IOPS = 6000
+	spec := ExperimentSpec{Name: "open", Workload: w, Faults: 5, RequestsPerFault: 12}
+	p, err := NewPlatform(smallOpts(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewRunner(p, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idle, arrive := 0, r.arriveFn
+	r.arriveFn = func() {
+		if r.cutFired && (r.ph != phaseFaulting || r.faultErrored) {
+			idle++
+		}
+		arrive()
+	}
+	rep, err := r.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Faults != spec.Faults {
+		t.Fatalf("ran %d fault cycles, want %d", rep.Faults, spec.Faults)
+	}
+	if idle == 0 || idle > rep.Faults {
+		t.Fatalf("%d arrivals landed where they could not issue over %d fault cycles, want 1 to %d",
+			idle, rep.Faults, rep.Faults)
+	}
+}
+
 func TestSpecValidation(t *testing.T) {
 	bad := []ExperimentSpec{
 		{Workload: smallWrites(), Faults: 0, RequestsPerFault: 1},

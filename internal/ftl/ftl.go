@@ -208,8 +208,9 @@ type FTL struct {
 	geo  flash.Geometry
 
 	// l2p holds 1 + the physical page of every mapped logical page, 0
-	// for unmapped ones; mapped counts its entries.
-	l2p    addr.Table[addr.PPN]
+	// for unmapped ones, in 4 bytes (New bounds the geometry below
+	// maxPages); mapped counts its entries.
+	l2p    addr.Table[int32]
 	mapped int
 
 	// blocks holds the state of every block that has ever opened.
@@ -252,10 +253,10 @@ type FTL struct {
 
 // blockState is the bookkeeping of one opened block.
 type blockState struct {
-	valid    int32      // live pages
-	pinned   int32      // uncommitted-journal references (GC must skip)
-	inFlight int32      // reserved pages not yet completed or aborted (GC must skip)
-	rev      []addr.LPN // reverse map: the logical page of each page, noLPN if none
+	valid    int32   // live pages
+	pinned   int32   // uncommitted-journal references (GC must skip)
+	inFlight int32   // reserved pages not yet completed or aborted (GC must skip)
+	rev      []int32 // reverse map: the logical page of each page, noLPN if none
 }
 
 // crashGroup folds the at-risk records of one logical page: the mapping
@@ -267,7 +268,11 @@ type crashGroup struct {
 }
 
 // noLPN marks an unmapped reverse-map entry.
-const noLPN addr.LPN = -1
+const noLPN int32 = -1
+
+// maxPages bounds the geometry New accepts (8 TiB of 4 KiB pages), so
+// every physical page + 1 and every logical page fits the int32 maps.
+const maxPages = 1 << 31
 
 // New builds an FTL over the chip. All blocks start free.
 func New(chip *flash.Chip, cfg Config) (*FTL, error) {
@@ -275,6 +280,9 @@ func New(chip *flash.Chip, cfg Config) (*FTL, error) {
 		return nil, err
 	}
 	geo := chip.Geometry()
+	if geo.Pages() >= maxPages {
+		return nil, fmt.Errorf("ftl: geometry %s has %d pages, want fewer than %d", geo, geo.Pages(), maxPages)
+	}
 	minPages := cfg.UserPages + int64((cfg.GCHighBlocks+cfg.Lanes+1+gcReserve)*geo.PagesPerBlock)
 	if geo.Pages() < minPages {
 		return nil, fmt.Errorf("ftl: geometry %s too small for %d user pages plus reserves",
@@ -334,7 +342,7 @@ func (f *FTL) OpenRunLen() int {
 // Lookup translates a logical page. ok is false for never-written pages.
 func (f *FTL) Lookup(lpn addr.LPN) (addr.PPN, bool) {
 	p := f.l2p.Get(lpn)
-	return p - 1, p != 0
+	return addr.PPN(p) - 1, p != 0
 }
 
 // ErrNoSpace reports allocation failure; it means GC could not keep up.
@@ -349,7 +357,7 @@ func (f *FTL) allocBlock() int {
 	if len(f.recycled) > 0 && (fresh == f.geo.Blocks() || f.recycled[0].less(freeBlock{idx: fresh})) {
 		return f.recycled.pop().idx
 	}
-	rev := make([]addr.LPN, f.geo.PagesPerBlock)
+	rev := make([]int32, f.geo.PagesPerBlock)
 	for i := range rev {
 		rev[i] = noLPN
 	}
@@ -359,7 +367,7 @@ func (f *FTL) allocBlock() int {
 
 // revSlot returns the reverse-map entry of ppn, nil if its block never
 // opened.
-func (f *FTL) revSlot(ppn addr.PPN) *addr.LPN {
+func (f *FTL) revSlot(ppn addr.PPN) *int32 {
 	b := f.geo.BlockOf(ppn)
 	if uint(b) >= uint(len(f.blocks)) {
 		return nil
@@ -370,7 +378,7 @@ func (f *FTL) revSlot(ppn addr.PPN) *addr.LPN {
 // lpnAt returns the logical page mapped to ppn.
 func (f *FTL) lpnAt(ppn addr.PPN) (addr.LPN, bool) {
 	if e := f.revSlot(ppn); e != nil && *e != noLPN {
-		return *e, true
+		return addr.LPN(*e), true
 	}
 	return 0, false
 }
@@ -381,7 +389,7 @@ func (f *FTL) setRev(ppn addr.PPN, lpn addr.LPN) {
 	if *e == noLPN {
 		f.revLen++
 	}
-	*e = lpn
+	*e = int32(lpn)
 }
 
 // clearRev unmaps ppn.
@@ -470,7 +478,7 @@ func (f *FTL) CompleteWrite(t Ticket, now sim.Time) {
 	old := addr.InvalidPPN
 	e := f.l2p.Ref(t.LPN)
 	if *e != 0 {
-		cur := *e - 1
+		cur := addr.PPN(*e) - 1
 		old = cur
 		st := &f.blocks[f.geo.BlockOf(cur)]
 		st.valid--
@@ -479,7 +487,7 @@ func (f *FTL) CompleteWrite(t Ticket, now sim.Time) {
 	} else {
 		f.mapped++
 	}
-	*e = t.PPN + 1
+	*e = int32(t.PPN + 1)
 	f.setRev(t.PPN, t.LPN)
 	dst := &f.blocks[f.geo.BlockOf(t.PPN)]
 	dst.valid++
@@ -509,7 +517,7 @@ func (f *FTL) CompleteMove(t Ticket, from addr.PPN, now sim.Time) bool {
 	dst := &f.blocks[f.geo.BlockOf(t.PPN)]
 	dst.inFlight--
 	e := f.l2p.Ref(t.LPN)
-	if *e != from+1 {
+	if addr.PPN(*e) != from+1 {
 		f.stats.WastedPages++
 		return false
 	}
@@ -517,7 +525,7 @@ func (f *FTL) CompleteMove(t Ticket, from addr.PPN, now sim.Time) bool {
 	st.valid--
 	st.pinned++
 	f.clearRev(from)
-	*e = t.PPN + 1
+	*e = int32(t.PPN + 1)
 	f.setRev(t.PPN, t.LPN)
 	dst.valid++
 	f.closeRun()
@@ -644,17 +652,17 @@ func (f *FTL) Crash(now sim.Time) CrashStats {
 		}
 		lpn, final := g.lpn, g.final
 		e := f.l2p.Ref(lpn)
-		if *e != 0 && *e == final+1 {
+		if *e != 0 && addr.PPN(*e) == final+1 {
 			continue // newest update survived
 		}
 		if *e != 0 {
-			cur := *e - 1
+			cur := addr.PPN(*e) - 1
 			f.blocks[f.geo.BlockOf(cur)].valid--
 			f.clearRev(cur)
 			f.mapped--
 		}
 		if final != addr.InvalidPPN {
-			*e = final + 1
+			*e = int32(final + 1)
 			f.setRev(final, lpn)
 			f.blocks[f.geo.BlockOf(final)].valid++
 			f.mapped++
@@ -780,7 +788,7 @@ func (f *FTL) CheckInvariants() error {
 	counts := make([]int32, len(f.blocks))
 	n := 0
 	for lpn, e := range f.l2p.Range {
-		ppn := e - 1
+		ppn := addr.PPN(e) - 1
 		if got, ok := f.lpnAt(ppn); !ok || got != lpn {
 			return fmt.Errorf("ftl: l2p/p2l mismatch at %v -> %v", lpn, ppn)
 		}

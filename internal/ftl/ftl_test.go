@@ -3,6 +3,7 @@ package ftl
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"powerfail/internal/addr"
 	"powerfail/internal/content"
@@ -416,6 +417,61 @@ func TestCapacityRejected(t *testing.T) {
 	_, err := New(chip, DefaultConfig(1<<40, 2))
 	if err == nil {
 		t.Fatal("oversized FTL accepted")
+	}
+}
+
+// bigChip builds a chip of blocksPerPlane 512-page blocks on one plane;
+// a chip allocates nothing per block until one opens.
+func bigChip(t *testing.T, blocksPerPlane int) *flash.Chip {
+	t.Helper()
+	chip, err := flash.New(flash.Config{
+		Geometry:        flash.Geometry{Dies: 1, PlanesPerDie: 1, BlocksPerPlane: blocksPerPlane, PagesPerBlock: 512},
+		Cell:            flash.MLC,
+		Timing:          flash.TimingFor(flash.MLC),
+		ECC:             flash.ECCConfig{Scheme: "BCH", CorrectPerKB: 40},
+		WearBERMult:     4,
+		EnduranceCycles: 3000,
+	}, sim.NewRNG(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return chip
+}
+
+// TestNewRejectsInt32Overflow pins the page bound of the int32 maps: a
+// geometry of 2^31 pages or more is an error, and the largest geometry
+// below it maps and looks up its last logical page.
+func TestNewRejectsInt32Overflow(t *testing.T) {
+	for _, blocks := range []int{1 << 22, 1<<22 + 1, 1 << 30} {
+		if _, err := New(bigChip(t, blocks), DefaultConfig(4096, 2)); err == nil {
+			t.Fatalf("FTL over %d pages accepted", int64(blocks)*512)
+		}
+	}
+	chip := bigChip(t, 1<<22-1)
+	pages := chip.Geometry().Pages() - 64*512
+	f, err := New(chip, DefaultConfig(pages, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := addr.LPN(pages - 1)
+	ppn := write(t, chip, f, last, content.Fingerprint(7), 0)
+	if got, ok := f.Lookup(last); !ok || got != ppn {
+		t.Fatalf("Lookup(%v) = %v, %v, want %v", last, got, ok, ppn)
+	}
+	if err := f.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestMapEntriesAreFourBytes pins the size of the FTL's per-page maps:
+// one forward-map entry and one reverse-map entry take 4 bytes each.
+func TestMapEntriesAreFourBytes(t *testing.T) {
+	var f FTL
+	if n := unsafe.Sizeof(f.l2p.Get(0)); n != 4 {
+		t.Errorf("an l2p entry takes %d bytes, want 4", n)
+	}
+	if n := unsafe.Sizeof(blockState{}.rev[0]); n != 4 {
+		t.Errorf("a reverse-map entry takes %d bytes, want 4", n)
 	}
 }
 

@@ -251,7 +251,7 @@ func (r *Replayer) place(rec Record) (addr.LPN, int, bool) {
 // next record's own inter-arrival gap, scaled by TimeScale, with wrapped
 // laps continuing the schedule at the trace's cadence. The schedule is
 // pegged to the record cursor, so a runner pause (a fault cycle's
-// verification and recovery, when arrivals fire but nothing issues) never
+// verification and recovery, when arrivals are drawn but nothing issues) never
 // consumes record gaps — the replayer idles at the trace's mean cadence
 // and each record keeps its original arrival spacing when issuing
 // resumes. Closed loop returns 0.

@@ -2,6 +2,7 @@ package powerfail_test
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"powerfail"
@@ -92,6 +93,22 @@ func TestCatalogCoverage(t *testing.T) {
 	}
 	if _, err := powerfail.ItemsFor("", 1); err == nil {
 		t.Fatal("empty figure id accepted")
+	}
+}
+
+// TestItemsForRejectsBadScale: a scale that is not a positive finite
+// number is an error, for one figure and for the whole catalog, not a run
+// at the fault-count floor.
+func TestItemsForRejectsBadScale(t *testing.T) {
+	for _, scale := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1), -0.2} {
+		for _, fig := range []string{"fig5", "all"} {
+			if items, err := powerfail.ItemsFor(fig, scale); err == nil {
+				t.Errorf("ItemsFor(%q, %v) returned %d items, want an error", fig, scale, len(items))
+			}
+		}
+	}
+	if _, err := powerfail.ItemsFor("fig5", math.SmallestNonzeroFloat64); err != nil {
+		t.Errorf("a tiny positive scale: %v", err)
 	}
 }
 
