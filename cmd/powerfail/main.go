@@ -46,7 +46,7 @@ func main() {
 		iops     = flag.Float64("iops", 0, "requested IOPS (0 = closed loop)")
 		nocache  = flag.Bool("disable-cache", false, "disable the drive's internal write cache")
 		supercap = flag.Bool("supercap", false, "equip the drive with power-loss protection")
-		window   = flag.Duration("window-delay", -1, "inject faults this long after a request's ACK (Sec. IV-A mode)")
+		window   = flag.Duration("window-delay", 0, "inject faults this long after a request's ACK (Sec. IV-A mode; off unless given)")
 		jsonOut  = flag.Bool("json", false, "print the report as JSON")
 		obsOn    = obsflag.Register()
 	)
@@ -54,8 +54,7 @@ func main() {
 
 	prof, ok := powerfail.ProfileByName(*profile)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown profile %q; use A, B, C or Q\n", *profile)
-		os.Exit(2)
+		usageError("unknown profile %q; use A, B, C or Q", *profile)
 	}
 	if *nocache {
 		prof = prof.WithCacheDisabled()
@@ -72,12 +71,18 @@ func main() {
 		ReadPct:  *readPct,
 		IOPS:     *iops,
 	}
-	if *sizeB > 0 {
+	switch {
+	case *sizeB < 0:
+		usageError("-size must not be negative, got %d", *sizeB)
+	case *sizeB > 0:
 		w.FixedSize = *sizeB
 		w.MinSize, w.MaxSize = 0, 0
 	}
-	if strings.EqualFold(*pattern, "sequential") {
+	switch {
+	case strings.EqualFold(*pattern, powerfail.SequentialPattern.String()):
 		w.Pattern = powerfail.SequentialPattern
+	case !strings.EqualFold(*pattern, powerfail.RandomPattern.String()):
+		usageError("unknown pattern %q; use random or sequential", *pattern)
 	}
 	if *sequence != "" {
 		for m := powerfail.RAR; m <= powerfail.WAW; m++ {
@@ -86,8 +91,7 @@ func main() {
 			}
 		}
 		if w.Sequence == powerfail.SeqNone {
-			fmt.Fprintf(os.Stderr, "unknown sequence %q\n", *sequence)
-			os.Exit(2)
+			usageError("unknown sequence %q", *sequence)
 		}
 	}
 
@@ -97,8 +101,11 @@ func main() {
 		Faults:           *faults,
 		RequestsPerFault: *perFault,
 	}
-	if *window >= 0 {
-		spec.WindowMode = true
+	flag.Visit(func(f *flag.Flag) { spec.WindowMode = spec.WindowMode || f.Name == "window-delay" })
+	if spec.WindowMode {
+		if *window < 0 {
+			usageError("-window-delay must not be negative, got %v", *window)
+		}
 		spec.PostACKDelay = sim.Duration(window.Nanoseconds())
 	}
 
@@ -134,4 +141,11 @@ func main() {
 	if interrupted {
 		os.Exit(130)
 	}
+}
+
+// usageError reports a flag value the command cannot honour and exits 2,
+// as the flag package does for a malformed one.
+func usageError(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "powerfail: "+format+"\n", args...)
+	os.Exit(2)
 }

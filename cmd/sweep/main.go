@@ -118,13 +118,17 @@ func main() {
 		fmt.Fprintln(os.Stderr, "sweep:", err)
 		os.Exit(2)
 	}
+	if *parallel < 0 {
+		fmt.Fprintf(os.Stderr, "sweep: -parallel must not be negative, got %d\n", *parallel)
+		os.Exit(2)
+	}
 
 	if *list {
 		printFigureList(*scale)
 		return
 	}
 
-	if *parallel <= 0 {
+	if *parallel == 0 {
 		*parallel = runtime.GOMAXPROCS(0)
 	}
 

@@ -317,12 +317,13 @@ func (f *FTL) Stats() Stats { return f.stats }
 func (f *FTL) FreeBlocks() int { return f.geo.Blocks() - len(f.blocks) + len(f.recycled) }
 
 // gcReserve is the number of free blocks only BeginMove may open. Host
-// writes, CanReserve and the GC thresholds see the free pool without
-// them. GCPlan admits a victim only if its moves fit the frontier's room
-// plus the free blocks, and host writes cannot take the last gcReserve,
-// so the moves of a started collection always find pages. One block is
-// not enough: a cut can abort a collection whose frontier took the last
-// free block, and then no victim may fit and GC stalls.
+// writes and the GC thresholds see the free pool without them: a host
+// write that finds no other block waits for GC. GCPlan admits a victim
+// only if its moves fit the frontier's room plus the free blocks, and
+// host writes cannot take the last gcReserve, so the moves of a started
+// collection always find pages. One block is not enough: a cut can
+// abort a collection whose frontier took the last free block, and then
+// no victim may fit and GC stalls.
 const gcReserve = 2
 
 // hostFree returns the free blocks host writes may open.
@@ -345,7 +346,8 @@ func (f *FTL) Lookup(lpn addr.LPN) (addr.PPN, bool) {
 	return addr.PPN(p) - 1, p != 0
 }
 
-// ErrNoSpace reports allocation failure; it means GC could not keep up.
+// ErrNoSpace is BeginWrite's refusal: no page is left that host writes
+// may take. It changes nothing; the caller waits for GC to make room.
 var ErrNoSpace = errors.New("ftl: out of free blocks")
 
 // ErrBadLPN reports a logical address beyond the exported capacity.
@@ -445,30 +447,12 @@ func (f *FTL) reserve(i int, lpn addr.LPN, spendable int) (Ticket, error) {
 	return Ticket{LPN: lpn, PPN: ppn}, nil
 }
 
-// CanReserve reports whether n BeginWrite calls in a row would all
-// succeed: each lane's round-robin share of the n pages fits in the rest
-// of its active block plus the free blocks outside the GC reserve.
-// Callers that must place a command whole check it first, because a
-// reserved page that is never programmed leaves a gap NAND cannot fill:
-// a block programs in order.
-func (f *FTL) CanReserve(n int) bool {
-	lanes, ppb := f.cfg.Lanes, f.geo.PagesPerBlock
-	first := int(f.stats.WritesMapped) % lanes
-	need := 0
-	for lane := range lanes {
-		k := n / lanes
-		if (lane-first+lanes)%lanes < n%lanes {
-			k++
-		}
-		room := 0
-		if f.active[lane] >= 0 {
-			room = max(ppb-f.nextIdx[lane], 0)
-		}
-		if k > room {
-			need += (k - room + ppb - 1) / ppb
-		}
-	}
-	return need <= f.hostFree()
+// CanReserve reports whether the next BeginWrite would succeed: its lane
+// has room left in its active block, or a free block outside the GC
+// reserve to open.
+func (f *FTL) CanReserve() bool {
+	lane := int(f.stats.WritesMapped) % f.cfg.Lanes
+	return f.active[lane] >= 0 && f.nextIdx[lane] < f.geo.PagesPerBlock || f.hostFree() > 0
 }
 
 // CompleteWrite applies a host write that finished programming: the

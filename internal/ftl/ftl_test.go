@@ -609,10 +609,10 @@ func TestBlockAllocationOrder(t *testing.T) {
 	}
 }
 
-// TestCanReserveMatchesBeginWrite checks CanReserve against the calls it
+// TestCanReserveMatchesBeginWrite checks CanReserve against the call it
 // predicts. From states with different lane offsets and partly filled
-// active blocks, it counts how many BeginWrite calls succeed in a row, m;
-// CanReserve(n) must hold exactly for n <= m.
+// active blocks, it writes until BeginWrite refuses; before every call,
+// CanReserve must say whether that call succeeds.
 func TestCanReserveMatchesBeginWrite(t *testing.T) {
 	for _, lanes := range []int{1, 2, 3} {
 		for k := 0; k < 1024; k += 13 {
@@ -623,23 +623,17 @@ func TestCanReserveMatchesBeginWrite(t *testing.T) {
 				}
 			}
 			limit := f.hostFree()*f.geo.PagesPerBlock + lanes*f.geo.PagesPerBlock
-			can := make([]bool, limit+2)
-			for n := range can {
-				can[n] = f.CanReserve(n)
-			}
-			m := 0
-			for ; ; m++ {
-				if _, err := f.BeginWrite(addr.LPN(m % 300)); err != nil {
+			for m := 0; ; m++ {
+				can := f.CanReserve()
+				_, err := f.BeginWrite(addr.LPN(m % 300))
+				if can != (err == nil) {
+					t.Fatalf("lanes=%d k=%d: CanReserve()=%v before call %d, which returned %v", lanes, k, can, m, err)
+				}
+				if err != nil {
 					break
 				}
-			}
-			if m > limit {
-				t.Fatalf("lanes=%d k=%d: %d calls succeeded, over the %d-page bound", lanes, k, m, limit)
-			}
-			for n, ok := range can {
-				if ok != (n <= m) {
-					t.Fatalf("lanes=%d k=%d: CanReserve(%d)=%v, but %d BeginWrite calls succeed",
-						lanes, k, n, ok, m)
+				if m > limit {
+					t.Fatalf("lanes=%d k=%d: %d calls succeeded, over the %d-page bound", lanes, k, m, limit)
 				}
 			}
 		}

@@ -1,6 +1,7 @@
 package ftl
 
 import (
+	"errors"
 	"slices"
 	"testing"
 
@@ -119,24 +120,49 @@ func (s *ftlScript) makeRoom() {
 	}
 }
 
-// write maps a batch of host pages: reserve them all, then program and
-// complete them, or cut the power partway.
+// beginWrite reserves a page for lpn, folded into the user pages, and
+// reports whether BeginWrite placed it, as CanReserve predicted. A
+// refusal must change nothing: the free pool, the lane the next write
+// takes and the invariants stay as they were.
+func (s *ftlScript) beginWrite(lpn addr.LPN) (Ticket, bool) {
+	s.t.Helper()
+	can, free, mapped := s.f.CanReserve(), s.f.FreeBlocks(), s.f.Stats().WritesMapped
+	tk, err := s.f.BeginWrite(lpn % addr.LPN(s.f.UserPages()))
+	if can != (err == nil) {
+		s.t.Fatalf("CanReserve() = %v, but BeginWrite returned %v", can, err)
+	}
+	if err == nil {
+		return tk, true
+	}
+	if !errors.Is(err, ErrNoSpace) || s.f.FreeBlocks() != free || s.f.Stats().WritesMapped != mapped {
+		s.t.Fatalf("refused BeginWrite: %v, free blocks %d -> %d, writes mapped %d -> %d",
+			err, free, s.f.FreeBlocks(), mapped, s.f.Stats().WritesMapped)
+	}
+	s.check("a refused BeginWrite")
+	return Ticket{}, false
+}
+
+// write maps a batch of host pages: reserve them one at a time until
+// BeginWrite refuses, then program and complete those placed, or cut the
+// power partway.
 func (s *ftlScript) write(cutting bool) {
 	n := 1 + int(s.next()%4)
 	base, mode := addr.LPN(s.next()), s.next()
 	s.makeRoom()
-	if !s.f.CanReserve(n) {
-		return
-	}
-	tks := make([]Ticket, n)
-	for i := range tks {
+	tks := make([]Ticket, 0, n)
+	for i := range n {
 		lpn := base + addr.LPN(i) // a sequential stream extends the open run
 		if mode&1 != 0 {
 			lpn = addr.LPN(s.next())
 		}
-		tk, err := s.f.BeginWrite(lpn % addr.LPN(s.f.UserPages()))
-		s.must(err, "BeginWrite after CanReserve")
-		tks[i] = tk
+		tk, ok := s.beginWrite(lpn)
+		if !ok {
+			break
+		}
+		tks = append(tks, tk)
+	}
+	if n = len(tks); n == 0 {
+		return
 	}
 	done := n
 	if cutting {
@@ -207,14 +233,14 @@ func (s *ftlScript) collect(scripted bool) bool {
 	}
 	fps := make([]content.Fingerprint, len(plan.Moves))
 	for i, mv := range plan.Moves {
-		if mode&1 != 0 && s.next()&1 != 0 && s.f.CanReserve(2) {
-			tk, err := s.f.BeginWrite(mv.LPN)
-			s.must(err, "BeginWrite of a host overwrite")
-			s.program(tk)
-			s.f.CompleteWrite(tk, s.now)
-			s.check("CompleteWrite mid-migration")
+		if mode&1 != 0 && s.next()&1 != 0 {
+			if tk, ok := s.beginWrite(mv.LPN); ok {
+				s.program(tk)
+				s.f.CompleteWrite(tk, s.now)
+				s.check("CompleteWrite mid-migration")
+			}
 		}
-		free, hostFull := s.f.FreeBlocks(), !s.f.CanReserve(1)
+		free, hostFull := s.f.FreeBlocks(), !s.f.CanReserve()
 		tk, err := s.f.BeginMove(mv.LPN)
 		s.must(err, "BeginMove")
 		if hostFull && s.f.FreeBlocks() < free {
@@ -267,9 +293,11 @@ func (s *ftlScript) collect(scripted bool) bool {
 // crowd has host writes take every page and free block they may, so the
 // moves of the collection under way compete for the last free blocks.
 func (s *ftlScript) crowd() {
-	for s.f.CanReserve(1) {
-		tk, err := s.f.BeginWrite(addr.LPN(s.next()) % addr.LPN(s.f.UserPages()))
-		s.must(err, "BeginWrite after CanReserve")
+	for {
+		tk, ok := s.beginWrite(addr.LPN(s.next()))
+		if !ok {
+			break
+		}
 		s.program(tk)
 		s.f.CompleteWrite(tk, s.now)
 	}

@@ -215,7 +215,8 @@ func (d *Device) finishItem(it *chItem) {
 }
 
 // lastPart retires one finished channel item of cmd and reports whether
-// it was the last one the command waited for. A command already finished
+// it was the last one the command waits for: a stalled write waits for
+// the items of the pages it has yet to place. A command already finished
 // waits for nothing; it may return to the pool instead.
 func (d *Device) lastPart(cmd *command) bool {
 	if cmd.finished {
@@ -223,7 +224,7 @@ func (d *Device) lastPart(cmd *command) bool {
 		return false
 	}
 	cmd.parts--
-	return cmd.parts == 0
+	return cmd.parts == 0 && cmd.from == cmd.pages
 }
 
 // applyComplete commits the effects of a fully executed item: a journal

@@ -49,7 +49,6 @@ func (s State) String() string {
 var (
 	ErrUnavailable   = errors.New("ssd: device unavailable")
 	ErrUncorrectable = errors.New("ssd: uncorrectable read error")
-	ErrNoSpace       = errors.New("ssd: no space")
 )
 
 // Stats counts device activity across the experiment.
@@ -62,7 +61,10 @@ type Stats struct {
 	PagesProgrammed int64
 	PagesRead       int64
 	PagesFlushed    int64
-	CacheStalls     int64
+	// CacheStalls counts write backpressure stalls: a write that found
+	// the DRAM cache at its dirty cap or, with the cache disabled, the
+	// FTL out of pages it may place, and waits to retry.
+	CacheStalls int64
 
 	Brownouts           int64
 	Deaths              int64
@@ -91,7 +93,7 @@ type command struct {
 	// read once.
 	result   []content.Fingerprint
 	parts    int
-	from     int // next page insertWrite places
+	from     int // next page the write step places; a read resolves all at once
 	err      error
 	finished bool
 	pins     int
@@ -99,7 +101,7 @@ type command struct {
 
 	// Built once per pooled command.
 	stepFn    func() // after the command frame crosses the link (flush: after the command overhead)
-	retryFn   func() // insertWrite retry after write backpressure
+	retryFn   func() // the write step again, after a backpressure stall
 	respondFn func() // after the read payload crosses the link
 	failFn    func() // the fail-fast answer to a command the device refused
 }
@@ -309,8 +311,10 @@ func (d *Device) newCommand() *command {
 	}
 	cmd.stepFn = func() { d.step(cmd) }
 	cmd.retryFn = func() {
-		if d.unpin(cmd) {
-			d.insertWrite(cmd)
+		// A write-through stall places nothing once the controller is
+		// down: the brownout's error sweep answers the command.
+		if d.unpin(cmd) && (d.cache != nil || d.state != StateDead && d.state != StateRecovering) {
+			d.write(cmd)
 		}
 	}
 	cmd.respondFn = func() {
@@ -362,11 +366,7 @@ func (d *Device) step(cmd *command) {
 	}
 	switch cmd.op {
 	case blockdev.OpWrite:
-		if d.cache == nil {
-			d.writeThrough(cmd)
-			return
-		}
-		d.insertWrite(cmd)
+		d.write(cmd)
 	case blockdev.OpRead:
 		d.resolveRead(cmd)
 	case blockdev.OpFlush:
@@ -424,22 +424,37 @@ func (d *Device) linkTransfer(bytes int64, fn func()) {
 
 // --- write path ---
 
-// insertWrite places write pages into the volatile cache from cmd.from
-// on, stalling (write backpressure) while the dirty population is at its
-// cap. The ACK that completes the command fires as soon as the last page
-// is cached: this is the false-write-acknowledge window the paper
+// write places a write command's pages from cmd.from on, into the DRAM
+// cache or, with the cache disabled, onto flash. A page that finds no
+// room stalls the command (write backpressure): it retries the step
+// until every page is placed, or a cut answers it.
+func (d *Device) write(cmd *command) {
+	if d.cache != nil {
+		d.insertWrite(cmd)
+		return
+	}
+	d.writeThrough(cmd)
+}
+
+// stall records write backpressure at page cmd.from and retries the
+// write step after a pause, pinning cmd until then.
+func (d *Device) stall(cmd *command) {
+	d.stats.CacheStalls++
+	cmd.pins++
+	d.k.After(200*sim.Microsecond, cmd.retryFn)
+}
+
+// insertWrite places write pages into the volatile cache, stalling while
+// the dirty population is at its cap; the stall drains the cache at
+// once. The ACK that completes the command fires as soon as the last
+// page is cached: this is the false-write-acknowledge window the paper
 // measures.
 func (d *Device) insertWrite(cmd *command) {
-	for i := cmd.from; i < cmd.pages; i++ {
-		if d.cache.DirtyPages() >= d.prof.DirtyCapPages || !d.cache.Write(cmd.lpn+addr.LPN(i), cmd.data.Page(i)) {
-			// Write backpressure: drain immediately and retry once the
-			// flusher has retired pages.
-			d.stats.CacheStalls++
+	for ; cmd.from < cmd.pages; cmd.from++ {
+		if d.cache.DirtyPages() >= d.prof.DirtyCapPages || !d.cache.Write(cmd.lpn+addr.LPN(cmd.from), cmd.data.Page(cmd.from)) {
 			d.noteDirty()
 			d.drainCache()
-			cmd.from = i
-			cmd.pins++
-			d.k.After(200*sim.Microsecond, cmd.retryFn)
+			d.stall(cmd)
 			return
 		}
 	}
@@ -455,23 +470,24 @@ func (d *Device) noteDirty() {
 	}
 }
 
-// writeThrough programs pages synchronously (internal cache disabled); the
-// ACK waits for every program to finish. A command that does not fit in
-// the free space fails whole, before it reserves a page, and starts GC
-// unless a collection is in flight.
+// writeThrough programs pages synchronously (internal cache disabled),
+// reserving them one at a time; the ACK waits until every page is placed
+// and its program has finished. When the FTL refuses a page, the pages
+// placed so far go to their channels, so no reserved page waits behind a
+// stall, and the command stalls while GC makes room.
 func (d *Device) writeThrough(cmd *command) {
-	if !d.ftlm.CanReserve(cmd.pages) {
-		d.completeCmd(cmd, ErrNoSpace)
-		d.checkGC()
-		return
-	}
 	per := d.perPageProg()
-	for i := 0; i < cmd.pages; i++ {
-		t, err := d.ftlm.BeginWrite(cmd.lpn + addr.LPN(i))
-		must(err)
-		d.batchOp(d.channelOf(t.PPN), itemProgram, per, cmd, pageOp{ppn: t.PPN, fp: cmd.data.Page(i), lpn: t.LPN})
+	for ; cmd.from < cmd.pages; cmd.from++ {
+		t, err := d.ftlm.BeginWrite(cmd.lpn + addr.LPN(cmd.from))
+		if err != nil {
+			cmd.parts += d.enqueueBatches()
+			d.checkGC()
+			d.stall(cmd)
+			return
+		}
+		d.batchOp(d.channelOf(t.PPN), itemProgram, per, cmd, pageOp{ppn: t.PPN, fp: cmd.data.Page(cmd.from), lpn: t.LPN})
 	}
-	cmd.parts = d.enqueueBatches()
+	cmd.parts += d.enqueueBatches()
 	if cmd.parts == 0 {
 		d.completeCmd(cmd, nil)
 	}
@@ -480,6 +496,7 @@ func (d *Device) writeThrough(cmd *command) {
 // --- read path ---
 
 func (d *Device) resolveRead(cmd *command) {
+	cmd.from = cmd.pages
 	cmd.result = slices.Grow(cmd.result[:0], cmd.pages)[:cmd.pages]
 	for i := 0; i < cmd.pages; i++ {
 		lpn := cmd.lpn + addr.LPN(i)
@@ -543,7 +560,7 @@ func (d *Device) drainCache() {
 		return
 	}
 	for {
-		if d.cache.QueuedDirty() > 0 && !d.ftlm.CanReserve(1) {
+		if d.cache.QueuedDirty() > 0 && !d.ftlm.CanReserve() {
 			// The first BeginWrite would fail: popping a batch only to
 			// requeue it changes nothing, so go straight to GC.
 			d.checkGC()

@@ -310,7 +310,7 @@ func TestGCUnderSteadyOverwrites(t *testing.T) {
 
 // TestFullDriveFlushReachesGC fills a 1 GB drive and overwrites it. The
 // second pass drives the free pool to empty while the cache flusher is
-// draining: BeginWrite returns ErrNoSpace, the unplaced pages must go back
+// draining: BeginWrite refuses pages, the unplaced pages must go back
 // to the dirty queue, and GC completion must restart the flusher so the
 // writes finish.
 func TestFullDriveFlushReachesGC(t *testing.T) {
@@ -342,45 +342,94 @@ func TestFullDriveFlushReachesGC(t *testing.T) {
 
 // TestWriteThroughFullDrive fills a 1 GB drive with the cache disabled
 // and overwrites it in 8 MiB commands, each larger than the free pool
-// once the drive is full. Commands that find no free block fail with
-// ErrNoSpace; none may leave a reserved but unprogrammed page behind, or
-// a later program in that block would break the chip's sequential
-// programming rule. The FTL must stay consistent throughout.
+// once the drive is full, then once in a 16 MiB command, larger than
+// the free blocks GC restores before it stops. A command places what
+// fits and stalls while GC makes room: every write must succeed, and no
+// reserved page may wait unprogrammed behind a stall, or a later
+// program in that block would break the chip's sequential programming
+// rule. The FTL must stay consistent throughout.
 func TestWriteThroughFullDrive(t *testing.T) {
 	r := newRig(t, smallProfile().WithCacheDisabled())
+	f := r.dev.FTL()
 	rng := sim.NewRNG(13)
 	const chunk = 2048
+	if ppb := r.dev.Chip().Geometry().PagesPerBlock; 2*chunk <= f.Config().GCHighBlocks*ppb {
+		t.Fatalf("a %d-page command fits the %d blocks GC restores", 2*chunk, f.Config().GCHighBlocks)
+	}
 	user := r.dev.UserPages()
-	noSpace := 0
 	for pass := 0; pass < 2; pass++ {
 		for lpn := int64(0); lpn+chunk <= user; lpn += chunk {
-			err := r.write(t, addr.LPN(lpn), content.Random(rng, chunk))
-			if errors.Is(err, ErrNoSpace) {
-				// A small write right after the failure programs into
-				// the same active blocks.
-				noSpace++
-				err = r.write(t, addr.LPN(lpn), content.Random(rng, 16))
-			}
-			if err != nil && !errors.Is(err, ErrNoSpace) {
+			if err := r.write(t, addr.LPN(lpn), content.Random(rng, chunk)); err != nil {
 				t.Fatalf("pass %d write at %d: %v", pass, lpn, err)
 			}
-			if err := r.dev.FTL().CheckInvariants(); err != nil {
+			if err := f.CheckInvariants(); err != nil {
 				t.Fatalf("pass %d after write at %d: %v", pass, lpn, err)
 			}
 		}
 	}
-	if r.dev.FTL().Stats().GCCollections == 0 {
-		t.Fatal("overwriting a full drive never ran GC")
+	if f.Stats().GCCollections == 0 || r.dev.Stats().CacheStalls == 0 {
+		t.Fatalf("overwriting a full drive ran %d collections and stalled %d writes",
+			f.Stats().GCCollections, r.dev.Stats().CacheStalls)
 	}
-	t.Logf("%d of %d writes failed with ErrNoSpace", noSpace, 2*user/chunk)
-	// Once GC has caught up, writes succeed and read back.
-	r.k.RunUntil(r.k.Now().Add(time500()))
-	last := content.Random(rng, chunk)
+	stalls := r.dev.Stats().CacheStalls
+	last := content.Random(rng, 2*chunk)
 	if err := r.write(t, 0, last); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := r.read(t, 0, chunk); err != nil || !got.Equal(last) {
+	if r.dev.Stats().CacheStalls == stalls {
+		t.Fatal("the 16 MiB overwrite never stalled")
+	}
+	if err := f.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := r.read(t, 0, 2*chunk); err != nil || !got.Equal(last) {
 		t.Fatalf("read back: err=%v", err)
+	}
+}
+
+// TestCutEndsWriteThroughStall cuts the power while a write-through
+// command on a full drive is stalled waiting for GC. The command must
+// fail with the down-device error, the crash must leave no reserved page
+// unprogrammed, and once the retry has fired the command must be back
+// in the pool.
+func TestCutEndsWriteThroughStall(t *testing.T) {
+	r := newRig(t, smallProfile().WithCacheDisabled())
+	const chunk = 4096
+	user := r.dev.UserPages()
+	var out error
+	done := false
+	for lpn := int64(0); ; lpn = (lpn + chunk) % (user - user%chunk) {
+		if r.dev.FTL().Stats().WritesMapped > 3*user {
+			t.Fatal("no write stalled")
+		}
+		stalls := r.dev.Stats().CacheStalls
+		done = false
+		r.dev.Submit(blockdev.OpWrite, addr.LPN(lpn), chunk, content.Random(sim.NewRNG(uint64(lpn)), chunk),
+			func(err error, _ content.Data) { out, done = err, true })
+		r.k.RunWhile(func() bool { return !done && r.dev.Stats().CacheStalls == stalls })
+		if !done {
+			break
+		}
+		if out != nil {
+			t.Fatalf("write at %d: %v", lpn, out)
+		}
+	}
+	cmd := r.dev.outstanding[0]
+	gen := cmd.gen
+	r.psu.PowerOff()
+	r.k.RunWhile(func() bool { return !done })
+	if !errors.Is(out, ErrUnavailable) {
+		t.Fatalf("stalled write answered %v, want ErrUnavailable", out)
+	}
+	r.k.RunWhile(func() bool { return r.dev.State() != StateDead })
+	if err := r.dev.FTL().CheckInvariants(); err != nil {
+		t.Fatalf("after the cut: %v", err)
+	}
+	r.psu.PowerOn()
+	r.k.RunWhile(func() bool { return r.dev.State() != StateReady })
+	if cmd.gen == gen || r.dev.freeCmds.InUse() != 0 {
+		t.Fatalf("stalled command not recycled: generation %d -> %d, %d commands in use",
+			gen, cmd.gen, r.dev.freeCmds.InUse())
 	}
 }
 
@@ -401,10 +450,9 @@ func newVersioned(r *rig) *versioned {
 	return &versioned{r: r, newest: make([]content.Fingerprint, r.dev.UserPages())}
 }
 
-// write issues the next version of pages [lpn, lpn+pages) and fails the
-// test unless the drive answers within limit of simulated time. A
-// write-through drive refuses a command the free pool cannot hold whole,
-// placing none of it; write resubmits such a command while GC makes room.
+// write issues the next version of pages [lpn, lpn+pages), once, and
+// fails the test unless the drive answers within limit of simulated
+// time.
 func (v *versioned) write(t *testing.T, lpn addr.LPN, pages int, limit sim.Duration) error {
 	t.Helper()
 	fps := make([]content.Fingerprint, pages)
@@ -417,17 +465,11 @@ func (v *versioned) write(t *testing.T, lpn addr.LPN, pages int, limit sim.Durat
 	done := false
 	k := v.r.k
 	deadline := k.Now().Add(limit)
-	for (!done || errors.Is(out, ErrNoSpace)) && k.Now() < deadline {
-		if done {
-			k.RunFor(sim.Millisecond)
-		}
-		done = false
-		v.r.dev.Submit(blockdev.OpWrite, lpn, pages, content.Wrap(fps), func(err error, _ content.Data) {
-			out, done = err, true
-		})
-		k.RunWhile(func() bool { return !done && k.Now() < deadline })
-	}
-	if !done || errors.Is(out, ErrNoSpace) {
+	v.r.dev.Submit(blockdev.OpWrite, lpn, pages, content.Wrap(fps), func(err error, _ content.Data) {
+		out, done = err, true
+	})
+	k.RunWhile(func() bool { return !done && k.Now() < deadline })
+	if !done {
 		f := v.r.dev.FTL()
 		t.Fatalf("write at %d unanswered after %v: %d free blocks, %d collections, %d cache stalls",
 			lpn, limit, f.FreeBlocks(), f.Stats().GCCollections, v.r.dev.Stats().CacheStalls)
@@ -486,40 +528,52 @@ func (v *versioned) check(t *testing.T, pages int64, exact bool) (damaged int) {
 const overwriteChunk = 64
 
 // TestRandomOverwritesFullDrive fills a 1 GB drive and overwrites random
-// 64-page chunks of it, so every victim GC picks holds valid pages. GC
-// must keep up: without a reserve only collections may spend, the cache
-// flusher takes every free block before a collection places its moves,
-// and the drive stops answering writes.
+// 64-page chunks of it, with the cache on and off, so every victim GC
+// picks holds valid pages. GC must keep up: without a reserve only
+// collections may spend, the cache flusher takes every free block
+// before a collection places its moves, and the drive stops answering
+// writes. A full drive slows writes down and fails none of them.
 func TestRandomOverwritesFullDrive(t *testing.T) {
-	v := newVersioned(newRig(t, smallProfile()))
-	user := v.r.dev.UserPages()
-	v.fill(t, user, 1024)
-	rng := sim.NewRNG(11)
-	for i := range 3000 {
-		lpn := addr.LPN(rng.Intn(int(user/overwriteChunk)) * overwriteChunk)
-		if err := v.write(t, lpn, overwriteChunk, 20*sim.Second); err != nil {
-			t.Fatalf("overwrite %d at %d: %v", i, lpn, err)
-		}
-		if i%250 == 249 {
-			if err := v.r.dev.FTL().CheckInvariants(); err != nil {
-				t.Fatalf("after overwrite %d: %v", i, err)
+	for _, cache := range []bool{true, false} {
+		t.Run(fmt.Sprintf("cache=%v", cache), func(t *testing.T) {
+			p := smallProfile()
+			if !cache {
+				p = p.WithCacheDisabled()
 			}
-		}
-	}
-	v.r.flush(t)
-	if n := v.check(t, user, true); n != 0 {
-		t.Fatalf("%d pages damaged with no cut", n)
-	}
-	if n := v.r.dev.FTL().Stats().GCCollections; n < 1000 {
-		t.Fatalf("%d collections; random overwrites of a full drive should run many", n)
+			v := newVersioned(newRig(t, p))
+			user := v.r.dev.UserPages()
+			v.fill(t, user, 1024)
+			rng := sim.NewRNG(11)
+			for i := range 3000 {
+				lpn := addr.LPN(rng.Intn(int(user/overwriteChunk)) * overwriteChunk)
+				if err := v.write(t, lpn, overwriteChunk, 20*sim.Second); err != nil {
+					t.Fatalf("overwrite %d at %d: %v", i, lpn, err)
+				}
+				if i%250 == 249 {
+					if err := v.r.dev.FTL().CheckInvariants(); err != nil {
+						t.Fatalf("after overwrite %d: %v", i, err)
+					}
+				}
+			}
+			v.r.flush(t)
+			if n := v.check(t, user, true); n != 0 {
+				t.Fatalf("%d pages damaged with no cut", n)
+			}
+			if n := v.r.dev.FTL().Stats().GCCollections; n < 1000 {
+				t.Fatalf("%d collections; random overwrites of a full drive should run many", n)
+			}
+			if n := v.r.dev.Stats().HostErrors; n != 0 {
+				t.Fatalf("%d commands failed on a drive that only filled up", n)
+			}
+		})
 	}
 }
 
 // TestCutsDuringFullDriveGC overwrites a full drive as
 // TestRandomOverwritesFullDrive does, with the cache on and off, and cuts
 // the power 0-3 ms after every 37th write, while the flusher and GC run.
-// Every write must finish, the FTL must stay consistent, and every page
-// must read back a version issued to it.
+// Every write, submitted once, must succeed, the FTL must stay
+// consistent, and every page must read back a version issued to it.
 func TestCutsDuringFullDriveGC(t *testing.T) {
 	for _, cache := range []bool{true, false} {
 		for _, seed := range []uint64{1, 2} {
