@@ -62,11 +62,27 @@ func nopDone(*Request) {}
 
 // BenchmarkQueueSubmitComplete drives one recycled write request through
 // submit → split → dispatch → complete per iteration; allocs/op is the
-// figure of merit for the per-IO hot path.
+// figure of merit for the per-IO hot path. "armed" arms and stops each
+// request's timeout, as a single-drive experiment does. "horizon" runs on
+// a kernel with a horizon that every deadline passes, as the fleet's
+// 30 s timeout passes its run's end, so no timeout is armed.
 func BenchmarkQueueSubmitComplete(b *testing.B) {
+	b.Run("armed", func(b *testing.B) { benchSubmitComplete(b, false) })
+	b.Run("horizon", func(b *testing.B) { benchSubmitComplete(b, true) })
+}
+
+func benchSubmitComplete(b *testing.B, horizon bool) {
 	k := sim.New()
 	dev := &benchDevice{k: k}
-	q, err := New(k, dev, nil, DefaultConfig())
+	cfg := DefaultConfig()
+	if horizon {
+		// Each iteration advances the clock by the device's 50 µs, so a
+		// horizon 2^50 ns out is never reached, and a timeout of 2^52 ns
+		// always lands past it.
+		k.SetHorizon(1 << 50)
+		cfg.Timeout = 1 << 52
+	}
+	q, err := New(k, dev, nil, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}

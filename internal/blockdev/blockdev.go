@@ -5,7 +5,11 @@
 // for every state transition when given a tracer, keeps blkio spans of
 // completed requests when asked (RecordSpans), aggregates sub-request
 // completions, and enforces the 30 second request timeout the paper's
-// analyzer uses to declare delayed requests incomplete.
+// analyzer uses to declare delayed requests incomplete. A timeout is
+// armed only when it can fire: a deadline past the kernel's declared
+// horizon (sim.Kernel.SetHorizon; the fleet declares its run's end) is
+// skipped, and a deadline exactly at the horizon is still armed.
+// Trace events are built only when a tracer is attached.
 //
 // The queue is on the per-IO hot path of every experiment, so it is
 // allocation-free in steady state: sub-requests are inline values in the
@@ -317,9 +321,11 @@ func (q *Queue) release(r *Request) {
 	q.pools.reqs.Put(r)
 }
 
-func (q *Queue) trace(e blktrace.Event) {
+// trace records one event when a tracer is attached. It inlines, so
+// without a tracer the event is never built.
+func (q *Queue) trace(act blktrace.Action, r *Request, sub int, lpn addr.LPN, pages int) {
 	if q.tracer != nil {
-		q.tracer.Record(e)
+		q.tracer.Record(blktrace.Event{At: q.k.Now(), Act: act, Op: r.Op.traceKind(), Req: r.ID, Sub: sub, LPN: lpn, Pages: pages})
 	}
 }
 
@@ -343,24 +349,29 @@ func (q *Queue) Submit(r *Request) {
 	r.ID = q.nextID
 	r.Queued = q.k.Now()
 	q.stats.Submitted++
-	kind := r.Op.traceKind()
 	if q.PendingSubs() >= q.cfg.PendingCap {
 		r.NotIssued = true
 		r.Err = ErrQueueFull
 		q.stats.Rejected++
-		q.trace(blktrace.Event{At: q.k.Now(), Act: blktrace.ActReject, Op: kind, Req: r.ID, Sub: -1, LPN: r.LPN, Pages: r.Pages})
+		q.trace(blktrace.ActReject, r, -1, r.LPN, r.Pages)
 		q.finish(r)
 		return
 	}
-	q.trace(blktrace.Event{At: q.k.Now(), Act: blktrace.ActQueue, Op: kind, Req: r.ID, Sub: -1, LPN: r.LPN, Pages: r.Pages})
+	q.trace(blktrace.ActQueue, r, -1, r.LPN, r.Pages)
 	q.split(r)
 	for i := range r.subs {
 		s := &r.subs[i]
-		q.trace(blktrace.Event{At: q.k.Now(), Act: blktrace.ActSplit, Op: kind, Req: r.ID, Sub: s.idx, LPN: s.lpn, Pages: s.pages})
+		q.trace(blktrace.ActSplit, r, s.idx, s.lpn, s.pages)
 		q.pending = append(q.pending, pendingSub{r: r, idx: i, gen: r.gen})
 	}
 	r.remaining = len(r.subs)
-	r.timeout = q.k.After(q.cfg.Timeout, r.timeoutFn)
+	// A deadline past the kernel's horizon could never fire, so it is not
+	// armed; r.timeout is then the zero Timer, whose Stop is a no-op.
+	if deadline := q.k.Now().Add(q.cfg.Timeout); q.k.Beyond(deadline) {
+		r.timeout = sim.Timer{}
+	} else {
+		r.timeout = q.k.At(deadline, r.timeoutFn)
+	}
 	q.pump()
 }
 
@@ -431,8 +442,7 @@ func (q *Queue) pump() {
 		}
 		s := &r.subs[e.idx]
 		q.inflight++
-		kind := r.Op.traceKind()
-		q.trace(blktrace.Event{At: q.k.Now(), Act: blktrace.ActDispatch, Op: kind, Req: r.ID, Sub: s.idx, LPN: s.lpn, Pages: s.pages})
+		q.trace(blktrace.ActDispatch, r, s.idx, s.lpn, s.pages)
 		var payload content.Data
 		if r.Op == OpWrite {
 			payload = r.Data.Slice(s.off, s.pages)
@@ -454,14 +464,13 @@ func (q *Queue) onSubDone(r *Request, idx int, gen uint32, err error, result con
 		return
 	}
 	s.done = true
-	kind := r.Op.traceKind()
 	if err != nil {
-		q.trace(blktrace.Event{At: q.k.Now(), Act: blktrace.ActError, Op: kind, Req: r.ID, Sub: s.idx, LPN: s.lpn, Pages: s.pages})
+		q.trace(blktrace.ActError, r, s.idx, s.lpn, s.pages)
 		if r.Err == nil {
 			r.Err = err
 		}
 	} else {
-		q.trace(blktrace.Event{At: q.k.Now(), Act: blktrace.ActComplete, Op: kind, Req: r.ID, Sub: s.idx, LPN: s.lpn, Pages: s.pages})
+		q.trace(blktrace.ActComplete, r, s.idx, s.lpn, s.pages)
 		if r.Op == OpRead {
 			if len(r.subs) == 1 {
 				// Unsplit read: the device's lent result is forwarded;
@@ -498,7 +507,7 @@ func (q *Queue) onTimeout(r *Request) {
 	}
 	q.stats.TimedOut++
 	r.Err = ErrTimeout
-	q.trace(blktrace.Event{At: q.k.Now(), Act: blktrace.ActTimeout, Op: r.Op.traceKind(), Req: r.ID, Sub: -1, LPN: r.LPN, Pages: r.Pages})
+	q.trace(blktrace.ActTimeout, r, -1, r.LPN, r.Pages)
 	// Outstanding subs are abandoned implicitly: pending ring entries and
 	// late device completions both check finished (and gen, once the
 	// request is recycled).

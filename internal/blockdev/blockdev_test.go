@@ -237,6 +237,69 @@ func TestTimeout(t *testing.T) {
 	}
 }
 
+// TestTimeoutAtHorizonFires: a deadline exactly at the kernel's horizon
+// can still fire, so it is armed, and a never-answering device times out.
+func TestTimeoutAtHorizonFires(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Timeout = 100 * sim.Millisecond
+	k, dev, q, _ := harness(t, cfg)
+	dev.silent = true
+	h := sim.Time(0).Add(cfg.Timeout)
+	k.SetHorizon(h)
+	var gotErr error
+	q.Submit(request(q, Request{Op: OpWrite, Pages: 1, Data: content.Zeroes(1), Done: func(r *Request) { gotErr = r.Err }}))
+	k.RunUntil(h)
+	if gotErr != ErrTimeout || q.Stats().TimedOut != 1 {
+		t.Fatalf("at the horizon: err %v, %d timed out; want %v, 1", gotErr, q.Stats().TimedOut, ErrTimeout)
+	}
+}
+
+// TestNoTimeoutPastHorizon: a deadline past the horizon could never fire,
+// so Submit schedules nothing for it, and the request completes as usual.
+func TestNoTimeoutPastHorizon(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Timeout = 100 * sim.Millisecond
+	k, _, q, _ := harness(t, cfg)
+	h := sim.Time(0).Add(cfg.Timeout - 1)
+	k.SetHorizon(h)
+	var gotErr error
+	done := false
+	q.Submit(request(q, Request{Op: OpWrite, Pages: 1, Data: content.Zeroes(1), Done: func(r *Request) { gotErr, done = r.Err, true }}))
+	if n := k.Pending(); n != 1 {
+		t.Fatalf("%d timers pending after Submit, want only the device's completion", n)
+	}
+	k.RunUntil(h)
+	if !done || gotErr != nil || q.Stats().Completed != 1 || q.Stats().TimedOut != 0 || k.Pending() != 0 {
+		t.Fatalf("done %v, err %v, stats %+v, %d pending; want a clean completion and nothing left", done, gotErr, q.Stats(), k.Pending())
+	}
+}
+
+// TestRecycledRequestDropsTimeout: a request whose last use armed a
+// timeout, resubmitted where its deadline lies past the horizon, carries
+// the zero Timer, not the stale handle.
+func TestRecycledRequestDropsTimeout(t *testing.T) {
+	k, _, q, _ := harness(t, DefaultConfig())
+	first := request(q, Request{Op: OpWrite, Pages: 1, Data: content.Zeroes(1), Done: func(*Request) {}})
+	q.Submit(first)
+	if !first.timeout.Pending() {
+		t.Fatal("without a horizon the timeout was not armed")
+	}
+	k.Run()
+	k.SetHorizon(k.Now().Add(sim.Second))
+	again := request(q, Request{Op: OpWrite, Pages: 1, Data: content.Zeroes(1), Done: func(*Request) {}})
+	if again != first {
+		t.Fatal("the queue did not recycle its request")
+	}
+	q.Submit(again)
+	if again.timeout != (sim.Timer{}) {
+		t.Fatalf("recycled request carries timeout %+v, want the zero Timer", again.timeout)
+	}
+	k.RunUntil(k.Now().Add(sim.Second))
+	if s := q.Stats(); s.Completed != 2 || s.TimedOut != 0 {
+		t.Fatalf("stats %+v, want 2 completed and no timeout", s)
+	}
+}
+
 func TestFlushRequest(t *testing.T) {
 	k, _, q, _ := harness(t, DefaultConfig())
 	done := false

@@ -665,8 +665,11 @@ func (f *Sim) serveForeground(g *Group, si int, lpn int64, isRead bool) {
 	}
 }
 
-// Run executes the experiment to its horizon and returns the stats.
+// Run executes the experiment to its horizon and returns the stats. The
+// kernel is told it never runs past f.end, so the member queues arm no
+// request timeout that could not fire before it.
 func (f *Sim) Run() *Stats {
+	f.k.SetHorizon(f.end)
 	f.scheduleFaults()
 	f.scheduleController()
 	f.startWorkload()

@@ -9,13 +9,14 @@ import (
 // campaign fires tens of millions of events, so the scheduler must not
 // allocate per event and must not pay for depth it does not have.
 //
-// The traffic it serves (the perfbench fleet shape, 2.3M schedules over
-// three experiments) is shallow and lopsided: ~125 timers pending on
-// average, 276 at most. About a quarter of all schedules are zero-delay
-// completions, a quarter are +30 s request timeouts that are nearly
-// always stopped before they fire, a quarter are member service
-// completions a few hundred microseconds out, and the rest are open-loop
-// arrivals and rare fault timers.
+// The traffic it serves is shallow and lopsided. The perfbench fleet
+// shape schedules ~115k timers per fault cycle: 42.4k zero-delay
+// completions, 42.4k member service completions a few hundred
+// microseconds out, 30.0k open-loop arrivals and a few fault and
+// controller timers, with ~121 pending on average and 213 at most. The
+// fleet arms no request timeout, since every +30 s deadline lies past
+// the horizon it declares (SetHorizon); a single-drive experiment arms
+// one per request and nearly always stops it before it fires.
 //
 // The queue is a monotone radix queue. Events fire in (when, seq) order,
 // and no key ever falls below the last fired one: At clamps past instants
@@ -135,6 +136,10 @@ type Kernel struct {
 	free      []int32
 	seq       uint64
 	processed uint64
+	// horizon is the instant past which the owner declared the kernel
+	// will never run, valid only while bounded is set.
+	horizon Time
+	bounded bool
 }
 
 // New returns a kernel with the clock at time zero and no pending events.
@@ -145,6 +150,22 @@ func (k *Kernel) Now() Time { return k.now }
 
 // Processed returns the total number of events that have fired.
 func (k *Kernel) Processed() uint64 { return k.processed }
+
+// SetHorizon declares that the kernel will never run past t, so a timer
+// due after t can never fire and its owner may skip scheduling it. Step
+// and RunUntil refuse (panic) to pass the horizon. It may be lowered but
+// not raised, since a timer skipped under the old horizon would then be
+// missed, and not set before now.
+func (k *Kernel) SetHorizon(t Time) {
+	if t < k.now || (k.bounded && t > k.horizon) {
+		panic("sim: SetHorizon before now or past the declared horizon")
+	}
+	k.horizon, k.bounded = t, true
+}
+
+// Beyond reports whether instant t lies past the declared horizon, where
+// a timer could never fire. Without a horizon nothing is beyond.
+func (k *Kernel) Beyond(t Time) bool { return k.bounded && t > k.horizon }
 
 // Pending returns the number of scheduled timers. Stopped timers are
 // unlinked eagerly, so this is a counter read, not a scan.
@@ -202,11 +223,15 @@ func (k *Kernel) retire(slot int32, fired bool) {
 }
 
 // Step fires the earliest pending event, advancing the clock to its
-// timestamp. It reports whether an event was fired.
+// timestamp. It reports whether an event was fired, and panics if that
+// event lies beyond the horizon.
 func (k *Kernel) Step() bool {
 	slot := k.next(math.MaxInt64)
 	if slot == noSlot {
 		return false
+	}
+	if k.Beyond(k.slots[slot].when) {
+		panic("sim: Step past the declared horizon")
 	}
 	k.fire(slot)
 	return true
@@ -231,8 +256,12 @@ func (k *Kernel) Run() uint64 {
 }
 
 // RunUntil fires every event scheduled at or before t, then advances the
-// clock to t. It returns the number of events fired.
+// clock to t. It returns the number of events fired, and panics if t lies
+// beyond the horizon.
 func (k *Kernel) RunUntil(t Time) uint64 {
+	if k.Beyond(t) {
+		panic("sim: RunUntil past the declared horizon")
+	}
 	start := k.processed
 	for {
 		slot := k.next(t)

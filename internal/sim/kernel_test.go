@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -289,5 +290,54 @@ func TestProcessedCount(t *testing.T) {
 	k.Run()
 	if k.Processed() != 7 {
 		t.Fatalf("Processed=%d, want 7", k.Processed())
+	}
+}
+
+// panics reports whether fn panics.
+func panics(fn func()) (did bool) {
+	defer func() { did = recover() != nil }()
+	fn()
+	return false
+}
+
+func TestKernelHorizon(t *testing.T) {
+	free := New()
+	if free.Beyond(Time(math.MaxInt64)) {
+		t.Fatal("a kernel with no horizon reports an instant beyond it")
+	}
+	fired := 0
+	free.At(Time(1<<40), func() { fired++ })
+	if free.RunUntil(Time(1 << 40)); fired != 1 {
+		t.Fatal("a kernel with no horizon did not run to a far instant")
+	}
+
+	const h = Time(100)
+	k := New()
+	k.SetHorizon(h)
+	if k.Beyond(h) || !k.Beyond(h+1) {
+		t.Fatalf("Beyond(h)=%v, Beyond(h+1)=%v; want false, true", k.Beyond(h), k.Beyond(h+1))
+	}
+	if !panics(func() { k.SetHorizon(h + 1) }) {
+		t.Fatal("raising the horizon did not panic")
+	}
+	var at []Time
+	k.At(h, func() { at = append(at, k.Now()) })
+	k.At(h+1, func() { at = append(at, k.Now()) })
+	if n := k.RunUntil(h); n != 1 || len(at) != 1 || at[0] != h || k.Now() != h {
+		t.Fatalf("RunUntil(h) fired %d at %v, clock %v; want the timer at h", n, at, k.Now())
+	}
+	if !panics(func() { k.RunUntil(h + 1) }) {
+		t.Fatal("RunUntil past the horizon did not panic")
+	}
+	if !panics(func() { k.Step() }) {
+		t.Fatal("Step to a timer past the horizon did not panic")
+	}
+	if len(at) != 1 {
+		t.Fatalf("a timer past the horizon fired at %v", at[1:])
+	}
+	late := New()
+	late.RunUntil(h)
+	if !panics(func() { late.SetHorizon(h - 1) }) {
+		t.Fatal("a horizon before now did not panic")
 	}
 }
