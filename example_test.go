@@ -37,15 +37,15 @@ func ExampleRun() {
 	// Output:
 	// experiment "quickstart" on SSD A
 	//   workload: random-write wss=16GB size=4-1024KB read%=0 random
-	//   sim time: 37.226s (active 651.39ms)
-	//   requests: 1183 (0 reads, 1183 writes; 1158 completed, 25 errored, 0 not issued)
+	//   sim time: 37.235s (active 666.54ms)
+	//   requests: 1165 (0 reads, 1165 writes; 1140 completed, 25 errored, 0 not issued)
 	//   faults:   25 injected (25 cuts, 25 restores)
-	//   failures: 52 data failures, 78 FWA, 25 IO errors (0 late corruptions)
-	//   data loss per fault: 5.20
-	//   iops: responded 692
+	//   failures: 34 data failures, 63 FWA, 25 IO errors (0 late corruptions)
+	//   data loss per fault: 3.88
+	//   iops: responded 671
 	//
-	// The drive acknowledged 1183 writes and still lost 130 of them
-	// (52 outright data failures, 78 false write-acknowledges).
+	// The drive acknowledged 1165 writes and still lost 97 of them
+	// (34 outright data failures, 63 false write-acknowledges).
 }
 
 // Plot the PSU's output voltage after a cut (the paper's Fig. 4) as
@@ -163,8 +163,8 @@ func ExampleNewCampaign() {
 	// Output:
 	// Drive build vs data loss: 40 faults each, identical workload
 	// variant                    data failures  FWA    IO errors  loss/fault
-	// stock (write cache on)     79             127    40         5.15
-	// internal cache disabled    6              0      40         0.15
+	// stock (write cache on)     63             111    40         4.35
+	// internal cache disabled    5              0      40         0.12
 	// supercap (PLP)             0              0      40         0.00
 }
 
@@ -217,7 +217,7 @@ func ExampleHDDTopology() {
 	// Output:
 	// Identical fault schedules, 4-64 KiB random writes:
 	// drive                  acked    acked-then-lost    io errors
-	// SSD A (write cache)    1448     245                12
+	// SSD A (write cache)    1444     228                12
 	// HDD (write-through)    139      0                  12
 	//
 	// HDD mechanics: 0 torn sectors (in-flight at the cut, never ACKed), 12 spin-ups

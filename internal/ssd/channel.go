@@ -157,9 +157,6 @@ func (d *Device) kick(c *channel) {
 	if c.cur != nil || c.head == len(c.queue) {
 		return
 	}
-	if d.state == StateDead || d.state == StateRecovering {
-		return
-	}
 	it := c.queue[c.head]
 	c.queue[c.head] = nil
 	c.head++
@@ -278,24 +275,20 @@ func (d *Device) applyOp(it *chItem, op *pageOp) {
 	}
 }
 
-// interruptChannels models the controller dying mid-operation: completed
-// page slots of the running item are applied, the in-progress page becomes
-// a partial program, and everything queued behind is abandoned.
-func (d *Device) interruptChannels() {
-	now := d.k.Now()
+// haltChannels stops every channel at the die: it hands the running item
+// to running and each queued one to queued, then returns them to the
+// pool. No journal commit or collection survives the halt.
+func (d *Device) haltChannels(running, queued func(*chItem)) {
 	for _, c := range d.channels {
-		if c.timer.Pending() {
-			c.timer.Stop()
-			c.timer = sim.Timer{}
-		}
+		c.timer.Stop()
+		c.timer = sim.Timer{}
 		if it := c.cur; it != nil {
 			c.cur = nil
-			elapsed := now.Sub(it.startAt)
-			d.applyInterrupted(it, elapsed)
+			running(it)
 			d.dropItem(it)
 		}
 		for _, it := range c.queue[c.head:] {
-			d.abandonItem(it)
+			queued(it)
 			d.dropItem(it)
 		}
 		clear(c.queue)
@@ -305,7 +298,15 @@ func (d *Device) interruptChannels() {
 	d.gcPlan = nil
 }
 
-func (d *Device) applyInterrupted(it *chItem, elapsed sim.Duration) {
+// interruptChannels models the controller dying mid-operation: completed
+// page slots of the running item are applied, the in-progress page becomes
+// a partial program, and everything queued behind is abandoned.
+func (d *Device) interruptChannels() { d.haltChannels(d.applyInterrupted, d.abandonItem) }
+
+// applyInterrupted applies the part of a running item that finished
+// before the cut.
+func (d *Device) applyInterrupted(it *chItem) {
+	elapsed := d.k.Now().Sub(it.startAt)
 	if it.kind == itemErase {
 		frac := float64(elapsed) / float64(it.perPage)
 		must(d.chip.ErasePartial(it.block, frac))
@@ -354,27 +355,7 @@ func (d *Device) abandonItem(it *chItem) {
 // holds the controller up long enough to finish in-flight work, drain the
 // cache, and commit the journal, so nothing volatile is lost.
 func (d *Device) supercapComplete() {
-	finish := func(it *chItem) {
-		d.applyComplete(it)
-		d.dropItem(it)
-	}
-	for _, c := range d.channels {
-		if c.timer.Pending() {
-			c.timer.Stop()
-			c.timer = sim.Timer{}
-		}
-		if it := c.cur; it != nil {
-			c.cur = nil
-			finish(it)
-		}
-		for _, it := range c.queue[c.head:] {
-			finish(it)
-		}
-		clear(c.queue)
-		c.queue, c.head = c.queue[:0], 0
-	}
-	d.metaInFlight = false
-	d.gcPlan = nil
+	d.haltChannels(d.applyComplete, d.applyComplete)
 	if d.cache != nil {
 	drain:
 		for {

@@ -21,7 +21,9 @@ type State int
 
 // Device states. StateUnavailable means the host link dropped (rail below
 // the brownout voltage) while the controller core still runs off the
-// decaying rail; StateDead means the controller halted too.
+// decaying rail; StateDead means the controller halted too, or a dip
+// below the brownout voltage aborted its recovery: either way the next
+// power-good starts a full recovery.
 const (
 	StateReady State = iota
 	StateUnavailable
@@ -78,10 +80,10 @@ type Stats struct {
 
 // command is one host command. Commands are pooled: a finished command
 // returns to the pool once nothing pins it and its done has returned.
-// Its scheduled steps and the channel items serving it pin it; lists
-// that may outlive it (flush waiters, the brownout error sweep) hold a
-// cmdRef instead, whose generation no longer matches once the command
-// is reused.
+// Its scheduled steps and the channel items serving it pin it; a step or
+// item that finds it finished only lets go of it. A link drop finishes
+// every outstanding command at once, so flush waiters and outstanding
+// commands are always live.
 type command struct {
 	op    blockdev.Op
 	lpn   addr.LPN
@@ -97,7 +99,6 @@ type command struct {
 	err      error
 	finished bool
 	pins     int
-	gen      uint32
 
 	// Built once per pooled command.
 	stepFn    func() // after the command frame crosses the link (flush: after the command overhead)
@@ -105,14 +106,6 @@ type command struct {
 	respondFn func() // after the read payload crosses the link
 	failFn    func() // the fail-fast answer to a command the device refused
 }
-
-// cmdRef names one use of a pooled command.
-type cmdRef struct {
-	cmd *command
-	gen uint32
-}
-
-func (r cmdRef) live() bool { return r.cmd.gen == r.gen }
 
 // Device is the SSD under test.
 type Device struct {
@@ -129,7 +122,7 @@ type Device struct {
 
 	linkBusyUntil sim.Time
 	outstanding   []*command
-	flushWaiters  []cmdRef
+	flushWaiters  []*command
 
 	freeCmds  pool.FreeList[command]
 	freeItems pool.FreeList[chItem]
@@ -311,9 +304,7 @@ func (d *Device) newCommand() *command {
 	}
 	cmd.stepFn = func() { d.step(cmd) }
 	cmd.retryFn = func() {
-		// A write-through stall places nothing once the controller is
-		// down: the brownout's error sweep answers the command.
-		if d.unpin(cmd) && (d.cache != nil || d.state != StateDead && d.state != StateRecovering) {
+		if d.unpin(cmd) {
 			d.write(cmd)
 		}
 	}
@@ -342,13 +333,12 @@ func (d *Device) unpin(cmd *command) bool {
 }
 
 // maybeRelease returns a finished command to the pool once nothing pins
-// it. Its generation advances, so every cmdRef to it goes stale.
+// it.
 func (d *Device) maybeRelease(cmd *command) {
 	if !cmd.finished || cmd.pins > 0 {
 		return
 	}
 	*cmd = command{
-		gen:       cmd.gen + 1,
 		result:    cmd.result[:0],
 		stepFn:    cmd.stepFn,
 		retryFn:   cmd.retryFn,
@@ -374,15 +364,12 @@ func (d *Device) step(cmd *command) {
 			d.completeCmd(cmd, nil)
 			return
 		}
-		d.flushWaiters = append(d.flushWaiters, cmdRef{cmd, cmd.gen})
+		d.flushWaiters = append(d.flushWaiters, cmd)
 		d.drainCache()
 	}
 }
 
 func (d *Device) completeCmd(cmd *command, err error) {
-	if cmd.finished {
-		return
-	}
 	cmd.finished = true
 	if i := slices.Index(d.outstanding, cmd); i >= 0 {
 		d.outstanding = slices.Delete(d.outstanding, i, i+1)
@@ -521,16 +508,13 @@ func (d *Device) resolveRead(cmd *command) {
 }
 
 func (d *Device) respondRead(cmd *command) {
-	if cmd.finished {
-		return
-	}
 	d.linkCmd(cmd, int64(cmd.pages)*addr.PageBytes, cmd.respondFn)
 }
 
 // --- background flusher ---
 
 func (d *Device) scheduleFlushTick() {
-	if d.cache == nil || d.flushTimer.Pending() || d.state == StateDead || d.state == StateRecovering {
+	if d.cache == nil || d.flushTimer.Pending() {
 		return
 	}
 	d.flushTimer = d.k.After(d.prof.FlushTick, d.flushTickFn)
@@ -538,9 +522,6 @@ func (d *Device) scheduleFlushTick() {
 
 func (d *Device) flushTick() {
 	d.flushTimer = sim.Timer{}
-	if d.cache == nil || d.state == StateDead || d.state == StateRecovering {
-		return
-	}
 	queued := d.cache.QueuedDirty()
 	if queued == 0 {
 		d.hasDirtySince = false
@@ -601,16 +582,11 @@ func (d *Device) requeueDirty(ents []dram.Entry) {
 // batch completes: flush-command waiters, journal pressure, GC pressure,
 // and rescheduling the flusher.
 func (d *Device) afterBackgroundWork() {
-	if d.state == StateDead || d.state == StateRecovering {
-		return
-	}
 	if d.cache != nil && len(d.flushWaiters) > 0 && d.cache.DirtyPages() == 0 {
 		waiters := d.flushWaiters
 		d.flushWaiters = nil
-		for _, w := range waiters {
-			if w.live() {
-				d.completeCmd(w.cmd, nil)
-			}
+		for _, cmd := range waiters {
+			d.completeCmd(cmd, nil)
 		}
 	}
 	if d.ftlm.CommitDue() && !d.metaInFlight {
@@ -634,9 +610,6 @@ func (d *Device) startJournalTick() {
 
 func (d *Device) journalTick() {
 	d.journalTimer = sim.Timer{}
-	if d.state == StateDead || d.state == StateRecovering {
-		return
-	}
 	d.ftlm.MaybeCloseRun(d.k.Now())
 	if d.ftlm.PendingRecords() > 0 && !d.metaInFlight {
 		d.startMetaCommit()
@@ -740,38 +713,44 @@ func (d *Device) gcErase() {
 
 // --- power events ---
 
+// onBrownout models the host link dropping: every outstanding command
+// loses its completion and errors once the host notices the drop, as on
+// the HDD. Internal work already placed (channels, the flusher) keeps
+// running off the decaying rail until the die voltage; a step or item of
+// an abandoned command only lets go of it.
 func (d *Device) onBrownout() {
-	if d.state == StateDead || d.state == StateUnavailable {
+	switch d.state {
+	case StateDead, StateUnavailable:
+		return
+	case StateRecovering:
+		// A cut during recovery aborts it; the drive stays off the link
+		// until the next power-good restarts it.
+		d.recoveryTimer.Stop()
+		d.recoveryTimer = sim.Timer{}
+		d.state = StateDead
 		return
 	}
 	d.stats.Brownouts++
-	if d.state == StateRecovering && d.recoveryTimer.Pending() {
-		d.recoveryTimer.Stop()
-		d.recoveryTimer = sim.Timer{}
-	}
 	d.state = StateUnavailable
 	for _, fn := range d.downListeners {
 		fn()
 	}
-	// The host notices the link dropping shortly after; every outstanding
-	// command errors. Internal work (flusher, channels) keeps running off
-	// the decaying rail until the die voltage.
-	pending := make([]cmdRef, len(d.outstanding))
+	lost := make([]func(error, content.Data), len(d.outstanding))
 	for i, cmd := range d.outstanding {
-		pending[i] = cmdRef{cmd, cmd.gen}
+		lost[i] = cmd.done
+		cmd.finished = true
+		d.maybeRelease(cmd)
 	}
-	d.k.After(d.prof.LinkDownDetect, func() {
-		for _, r := range pending {
-			if r.live() {
-				d.completeCmd(r.cmd, ErrUnavailable)
+	clear(d.outstanding)
+	d.outstanding = d.outstanding[:0]
+	d.flushWaiters = nil
+	if len(lost) > 0 {
+		d.k.After(d.prof.LinkDownDetect, func() {
+			for _, done := range lost {
+				d.stats.HostErrors++
+				done(ErrUnavailable, content.Data{})
 			}
-		}
-	})
-	if d.prof.SuperCap {
-		// Power-loss protection starts its panic flush immediately at
-		// brownout; the supercap guarantees completion (modelled as
-		// finishing at the die instant in supercapComplete).
-		return
+		})
 	}
 }
 
@@ -790,16 +769,11 @@ func (d *Device) onDie() {
 	}
 	cs := d.ftlm.Crash(d.k.Now())
 	d.stats.MappingsLost += int64(cs.Lost)
-	if d.flushTimer.Pending() {
-		d.flushTimer.Stop()
-		d.flushTimer = sim.Timer{}
-	}
-	if d.journalTimer.Pending() {
-		d.journalTimer.Stop()
-		d.journalTimer = sim.Timer{}
-	}
+	d.flushTimer.Stop()
+	d.flushTimer = sim.Timer{}
+	d.journalTimer.Stop()
+	d.journalTimer = sim.Timer{}
 	d.hasDirtySince = false
-	d.flushWaiters = nil
 	d.state = StateDead
 }
 

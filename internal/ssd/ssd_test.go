@@ -185,28 +185,72 @@ func TestUnavailableFailsFast(t *testing.T) {
 	}
 }
 
+// TestOutstandingFailOnBrownout submits a write just above the brownout
+// voltage: its link transfer outlives the link drop, so the host never
+// sees it complete. The write must fail with the down-device error, and
+// nothing of it may reach the DRAM cache after the controller died.
 func TestOutstandingFailOnBrownout(t *testing.T) {
-	r := newRig(t, smallProfile())
-	var gotErr error
-	done := false
-	// A large write whose transfer outlives the cut.
-	payload := content.Random(sim.NewRNG(5), 256)
-	r.dev.Submit(blockdev.OpWrite, 0, 256, payload, func(err error, _ content.Data) {
-		gotErr = err
-		done = true
+	for _, cache := range []bool{true, false} {
+		t.Run(fmt.Sprintf("cache=%v", cache), func(t *testing.T) {
+			p := smallProfile()
+			p.HasCache = cache
+			r := newRig(t, p)
+			var gotErr error
+			done := false
+			var stateAtAnswer State
+			payload := content.Random(sim.NewRNG(5), 256)
+			r.psu.NotifyBelow(p.BrownoutVolts+0.003, func() {
+				r.dev.Submit(blockdev.OpWrite, 0, 256, payload, func(err error, _ content.Data) {
+					gotErr, done, stateAtAnswer = err, true, r.dev.State()
+				})
+			})
+			r.psu.PowerOff()
+			r.k.RunFor(2 * sim.Second)
+			if !done {
+				t.Fatal("outstanding command never resolved")
+			}
+			if gotErr != ErrUnavailable {
+				t.Fatalf("write outstanding at the link drop answered %v in state %v, want ErrUnavailable", gotErr, stateAtAnswer)
+			}
+			r.psu.PowerOn()
+			r.k.RunWhile(func() bool { return r.dev.State() != StateReady })
+			if n := r.dev.DirtyCachePages(); n != 0 {
+				t.Fatalf("%d pages dirty in the cache after a die and a recovery", n)
+			}
+		})
+	}
+}
+
+// TestBrownoutDuringRecoveryRestartsIt dips the rail below the brownout
+// voltage, but not below the die voltage, while the controller recovers
+// from a cut. The dip aborts the recovery, as a cut during an HDD's
+// spin-up does: the next power-good restarts it in full, and only its
+// end brings the drive back, journal tick running.
+func TestBrownoutDuringRecoveryRestartsIt(t *testing.T) {
+	p := smallProfile()
+	r := newRig(t, p)
+	dip := false
+	r.psu.NotifyBelow(p.BrownoutVolts-0.005, func() {
+		if dip {
+			dip = false
+			r.psu.PowerOn()
+		}
 	})
 	r.psu.PowerOff()
 	r.k.RunFor(2 * sim.Second)
-	if !done {
-		t.Fatal("outstanding command never resolved")
+	r.psu.PowerOn()
+	r.k.RunWhile(func() bool { return r.dev.State() != StateRecovering })
+	dip = true
+	r.psu.PowerOff()
+	r.k.RunWhile(func() bool { return dip })
+	if r.dev.State() == StateReady {
+		t.Fatal("a dip during recovery brought the drive back at once")
 	}
-	if gotErr == nil {
-		// The transfer may have completed within the 40 ms brownout
-		// window; that is legal. Force the interesting case instead.
-		t.Skip("command completed before brownout; covered by core tests")
-	}
-	if gotErr != ErrUnavailable {
-		t.Fatalf("err = %v", gotErr)
+	r.k.RunWhile(func() bool { return r.dev.State() != StateReady })
+	st := r.dev.Stats()
+	if st.Recoveries != 2 || st.Deaths != 1 || !r.dev.journalTimer.Pending() {
+		t.Fatalf("after the dip: %d recoveries, %d deaths, journal tick pending %v; want 2, 1, true",
+			st.Recoveries, st.Deaths, r.dev.journalTimer.Pending())
 	}
 }
 
@@ -414,8 +458,6 @@ func TestCutEndsWriteThroughStall(t *testing.T) {
 			t.Fatalf("write at %d: %v", lpn, out)
 		}
 	}
-	cmd := r.dev.outstanding[0]
-	gen := cmd.gen
 	r.psu.PowerOff()
 	r.k.RunWhile(func() bool { return !done })
 	if !errors.Is(out, ErrUnavailable) {
@@ -427,9 +469,8 @@ func TestCutEndsWriteThroughStall(t *testing.T) {
 	}
 	r.psu.PowerOn()
 	r.k.RunWhile(func() bool { return r.dev.State() != StateReady })
-	if cmd.gen == gen || r.dev.freeCmds.InUse() != 0 {
-		t.Fatalf("stalled command not recycled: generation %d -> %d, %d commands in use",
-			gen, cmd.gen, r.dev.freeCmds.InUse())
+	if n := r.dev.freeCmds.InUse(); n != 0 {
+		t.Fatalf("stalled command not recycled: %d commands in use", n)
 	}
 }
 
@@ -868,54 +909,81 @@ func TestStateStrings(t *testing.T) {
 	}
 }
 
+// cutWorkload submits random reads, writes and flushes while it cuts and
+// restores the power at random, so commands are in flight at every
+// brownout and submissions continue while the rail decays; then it
+// restores the power and lets the device settle. check runs before
+// every event. It returns how many commands it submitted; command id's
+// answer goes to done(id).
+func cutWorkload(r *rig, check func(), done func(id int) func(error, content.Data)) int {
+	rng := sim.NewRNG(11)
+	run := func(d sim.Duration) {
+		stop := false
+		r.k.After(d, func() { stop = true })
+		r.k.RunWhile(func() bool { check(); return !stop })
+	}
+	const steps = 3000
+	on := true
+	for id := 0; id < steps; id++ {
+		if on && rng.Intn(100) < 2 {
+			r.psu.PowerOff()
+			on = false
+		} else if !on && rng.Intn(100) < 4 {
+			r.psu.PowerOn()
+			on = true
+		}
+		switch k := rng.Intn(100); {
+		case k < 50:
+			pages := 1 + rng.Intn(256)
+			r.dev.Submit(blockdev.OpWrite, addr.LPN(rng.Intn(4096)), pages, content.Random(rng, pages), done(id))
+		case k < 90:
+			r.dev.Submit(blockdev.OpRead, addr.LPN(rng.Intn(4096)), 1+rng.Intn(256), content.Data{}, done(id))
+		default:
+			r.dev.Submit(blockdev.OpFlush, 0, 0, content.Data{}, done(id))
+		}
+		run(sim.Duration(rng.Intn(3000)) * sim.Microsecond)
+	}
+	r.psu.PowerOn()
+	run(10 * sim.Second)
+	return steps
+}
+
+// cutProfiles are the drive builds the cut workload runs on.
+var cutProfiles = []struct {
+	name string
+	mut  func(*Profile)
+}{
+	{"write-back", func(*Profile) {}},
+	{"write-through", func(p *Profile) { p.HasCache = false }},
+	{"supercap", func(p *Profile) { p.SuperCap = true }},
+}
+
 // TestPooledCommandsUnderPowerCuts drives reads, writes and flushes
-// through repeated power cuts, so commands are failed by the brownout
-// sweep while their steps and channel items are still pending. Every
-// command must complete exactly once, and once the device settles every
-// pooled command and item must be back in its pool exactly once.
+// through repeated power cuts, so commands lose their completions at
+// the link drop while their steps and channel items are still pending.
+// Every command must complete exactly once, none may answer success
+// after a link drop that came after its submission, and once the device
+// settles every pooled command and item must be back in its pool
+// exactly once.
 func TestPooledCommandsUnderPowerCuts(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		mut  func(*Profile)
-	}{
-		{"write-back", func(*Profile) {}},
-		{"write-through", func(p *Profile) { p.HasCache = false }},
-		{"supercap", func(p *Profile) { p.SuperCap = true }},
-	} {
+	for _, tc := range cutProfiles {
 		t.Run(tc.name, func(t *testing.T) {
 			p := smallProfile()
 			tc.mut(&p)
 			r := newRig(t, p)
-			rng := sim.NewRNG(11)
 			calls := map[int]int{}
-			submitted := 0
-			on := true
-			for step := 0; step < 3000; step++ {
-				// Submissions continue while the rail decays, so commands
-				// are in flight at every brownout.
-				if on && rng.Intn(100) < 2 {
-					r.psu.PowerOff()
-					on = false
-				} else if !on && rng.Intn(100) < 4 {
-					r.psu.PowerOn()
-					on = true
+			downs := 0
+			r.dev.NotifyDown(func() { downs++ })
+			lateACKs := 0
+			submitted := cutWorkload(r, func() {}, func(id int) func(error, content.Data) {
+				downsAtSubmit := downs
+				return func(err error, _ content.Data) {
+					calls[id]++
+					if err == nil && downs > downsAtSubmit {
+						lateACKs++
+					}
 				}
-				id := step
-				done := func(error, content.Data) { calls[id]++ }
-				switch k := rng.Intn(100); {
-				case k < 50:
-					pages := 1 + rng.Intn(256)
-					r.dev.Submit(blockdev.OpWrite, addr.LPN(rng.Intn(4096)), pages, content.Random(rng, pages), done)
-				case k < 90:
-					r.dev.Submit(blockdev.OpRead, addr.LPN(rng.Intn(4096)), 1+rng.Intn(256), content.Data{}, done)
-				default:
-					r.dev.Submit(blockdev.OpFlush, 0, 0, content.Data{}, done)
-				}
-				submitted++
-				r.k.RunFor(sim.Duration(rng.Intn(3000)) * sim.Microsecond)
-			}
-			r.psu.PowerOn()
-			r.k.RunFor(10 * sim.Second)
+			})
 			if len(calls) != submitted {
 				t.Fatalf("%d of %d commands completed", len(calls), submitted)
 			}
@@ -923,6 +991,9 @@ func TestPooledCommandsUnderPowerCuts(t *testing.T) {
 				if n != 1 {
 					t.Fatalf("command %d completed %d times", id, n)
 				}
+			}
+			if lateACKs != 0 {
+				t.Fatalf("%d commands answered success across a link drop", lateACKs)
 			}
 			d := r.dev
 			if len(d.outstanding) != 0 || d.Stats().Deaths == 0 {
@@ -949,6 +1020,53 @@ func TestPooledCommandsUnderPowerCuts(t *testing.T) {
 					t.Fatalf("pooled item %p: duplicate %v, cmd %p, %d ops", it, seenItem[it], it.cmd, len(it.ops))
 				}
 				seenItem[it] = true
+			}
+		})
+	}
+}
+
+// TestHaltedControllerRunsNothing runs the cut workload and checks,
+// before every event, that a dead or recovering controller does no
+// work: no channel runs or holds queued items, no flush or journal tick
+// is pending, and no journal commit or collection is in flight. A link
+// drop leaves no live command to place work after the die, so nothing
+// needs guarding against the controller's state.
+func TestHaltedControllerRunsNothing(t *testing.T) {
+	for _, tc := range cutProfiles {
+		t.Run(tc.name, func(t *testing.T) {
+			p := smallProfile()
+			tc.mut(&p)
+			r := newRig(t, p)
+			d := r.dev
+			halted, violation := 0, ""
+			check := func() {
+				if violation != "" || (d.state != StateDead && d.state != StateRecovering) {
+					return
+				}
+				halted++
+				for i, c := range d.channels {
+					if c.cur != nil || c.timer.Pending() || c.head != len(c.queue) {
+						violation = fmt.Sprintf("channel %d busy (%d queued)", i, len(c.queue)-c.head)
+					}
+				}
+				switch {
+				case d.flushTimer.Pending():
+					violation = "flush tick pending"
+				case d.journalTimer.Pending():
+					violation = "journal tick pending"
+				case d.metaInFlight || d.gcPlan != nil:
+					violation = "journal commit or collection in flight"
+				}
+				if violation != "" {
+					violation = fmt.Sprintf("%v controller at %v: %s", d.state, r.k.Now(), violation)
+				}
+			}
+			cutWorkload(r, check, func(int) func(error, content.Data) { return func(error, content.Data) {} })
+			if violation != "" {
+				t.Fatal(violation)
+			}
+			if halted == 0 {
+				t.Fatal("no event ran while the controller was down")
 			}
 		})
 	}
