@@ -321,6 +321,11 @@ func (c *Campaign) Run(ctx context.Context) (*CampaignResult, error) {
 						t0 := time.Now()
 						res.Report, res.Err = core.RunExperiment(runCtx, it.Opts, it.Spec)
 						res.Wall = time.Since(t0)
+						if res.Err != nil && c.cfg.failFast && !isCancellation(res.Err) {
+							// Cancel here, not when the collector reads
+							// the error: another worker may finish first.
+							cancel()
+						}
 					}
 				}
 				resCh <- indexed{idx, res}
@@ -347,9 +352,6 @@ func (c *Campaign) Run(ctx context.Context) (*CampaignResult, error) {
 		out.Results[pos[r.idx]] = r.res
 		if r.res.Err != nil && firstErr == nil && !isCancellation(r.res.Err) {
 			firstErr = r.res.Err
-			if c.cfg.failFast {
-				cancel()
-			}
 		}
 		if jw != nil {
 			c.journal(jw, r.idx, keys[r.idx], r.res)

@@ -192,27 +192,39 @@ func TestCampaignCancellation(t *testing.T) {
 func TestCampaignFailFast(t *testing.T) {
 	items := smallItems(t, "fig6", 0.01)
 	items[0].Spec.Faults = -1 // fails validation instantly
-	out, err := powerfail.NewCampaign(items,
-		powerfail.WithFailFast(),
-	).Run(context.Background())
-	if err == nil {
-		t.Fatal("fail-fast campaign returned nil error")
+	run := func(workers int) *powerfail.CampaignResult {
+		t.Helper()
+		out, err := powerfail.NewCampaign(items,
+			powerfail.WithFailFast(),
+			powerfail.WithParallelism(workers),
+		).Run(context.Background())
+		if err == nil {
+			t.Fatal("fail-fast campaign returned nil error")
+		}
+		if errors.Is(err, context.Canceled) {
+			t.Fatalf("fail-fast returned the cancellation, not the cause: %v", err)
+		}
+		if out.Results[0].Err == nil {
+			t.Fatal("broken item carries no error")
+		}
+		if out.Failed != 1 {
+			t.Fatalf("%d workers: failed = %d, want 1", workers, out.Failed)
+		}
+		return out
 	}
-	if errors.Is(err, context.Canceled) {
-		t.Fatalf("fail-fast returned the cancellation, not the cause: %v", err)
-	}
-	if out.Results[0].Err == nil {
-		t.Fatal("broken item carries no error")
-	}
-	if out.Failed != 1 {
-		t.Fatalf("failed = %d, want 1", out.Failed)
-	}
-	if out.Cancelled != len(items)-1 {
+	// One worker cancels before it takes another item.
+	if out := run(1); out.Cancelled != len(items)-1 {
 		t.Fatalf("cancelled = %d, want %d", out.Cancelled, len(items)-1)
+	}
+	// With two, the other worker may be running item 1 when item 0 fails,
+	// and may finish it; nothing later starts.
+	if out := run(2); out.Completed+out.Cancelled != len(items)-1 || out.Completed > 1 {
+		t.Fatalf("2 workers: completed %d, cancelled %d; want %d together, at most 1 completed",
+			out.Completed, out.Cancelled, len(items)-1)
 	}
 
 	// Without fail-fast the same catalog keeps going.
-	out, err = powerfail.NewCampaign(items).Run(context.Background())
+	out, err := powerfail.NewCampaign(items).Run(context.Background())
 	if err != nil {
 		t.Fatalf("non-fail-fast campaign errored: %v", err)
 	}

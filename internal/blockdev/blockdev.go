@@ -336,6 +336,9 @@ func (q *Queue) Submit(r *Request) {
 	if r.q != q {
 		panic("blockdev: request not from this queue's NewRequest")
 	}
+	if r.Op < OpRead || r.Op > OpFlush {
+		panic("blockdev: unknown request op")
+	}
 	if r.Op != OpFlush && r.Pages <= 0 {
 		panic("blockdev: request with no pages")
 	}

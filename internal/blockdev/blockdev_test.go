@@ -354,6 +354,9 @@ func TestPanicsOnBadRequests(t *testing.T) {
 	assertPanics(t, func() { q.Submit(request(other, Request{Op: OpWrite, Pages: 1, Data: content.Zeroes(1), Done: done})) })
 	// A request with no Done would never be recycled.
 	assertPanics(t, func() { q.Submit(request(q, Request{Op: OpWrite, Pages: 1, Data: content.Zeroes(1)})) })
+	// No device answers an unknown op, and no blkio span names it.
+	assertPanics(t, func() { q.Submit(request(q, Request{Op: OpFlush + 1, Done: done})) })
+	assertPanics(t, func() { q.Submit(request(q, Request{Op: -1, Pages: 1, Done: done})) })
 }
 
 func assertPanics(t *testing.T, fn func()) {
@@ -527,9 +530,8 @@ func TestBlockIOSpansMatchAssembly(t *testing.T) {
 	var spans, straddled, flushes int
 	for seed := uint64(1); seed <= 40; seed++ {
 		k, rng, q, _, tr := chaosRun(seed, func(*Request) {})
-		q.RecordSpans()
 		set := obs.NewSet(obs.Config{Trace: true, TraceCap: 1 << 12})
-		sc := set.Scope("blk")
+		q.RecordSpans(set.Scope("blk"))
 		flush := func() {
 			var want []obs.Event
 			for _, io := range blktrace.Assemble(tr.Events()) {
@@ -541,7 +543,7 @@ func TestBlockIOSpansMatchAssembly(t *testing.T) {
 			}
 			tr.Reset()
 			before := set.Trace().Len()
-			q.FlushSpans(sc)
+			q.FlushSpans()
 			got := set.Trace().Events()[before:]
 			if len(got) != len(want) {
 				t.Fatalf("seed %d, flush at %v: %d spans, Assemble gives %d", seed, k.Now(), len(got), len(want))
@@ -573,7 +575,7 @@ func TestSpansOffByDefault(t *testing.T) {
 	q.Submit(request(q, Request{Op: OpWrite, Pages: 1, Data: content.Zeroes(1), Done: func(*Request) {}}))
 	k.Run()
 	set := obs.NewSet(obs.Config{Trace: true})
-	q.FlushSpans(set.Scope("blk"))
+	q.FlushSpans()
 	if q.spans != nil || set.Trace().Len() != 0 {
 		t.Fatalf("span state %v, %d events flushed; want none", q.spans, set.Trace().Len())
 	}

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"slices"
 
-	"powerfail/internal/blktrace"
 	"powerfail/internal/obs"
 	"powerfail/internal/sim"
 )
@@ -14,7 +13,7 @@ import (
 // hot path pays one nil check when observability is off. The request
 // counters are not here: the registry reads them from Stats.
 type queueObs struct {
-	sc        obs.Scope
+	depth     obs.Marker // the inflight qdepth instant
 	inflight  *obs.Gauge
 	q2cRead   *obs.Histogram
 	q2cWrite  *obs.Histogram
@@ -41,7 +40,7 @@ func (q *Queue) Observe(sc obs.Scope) {
 	sc.Count("timed_out", &st.TimedOut)
 	sc.Count("splits", &st.Splits)
 	q.obs = queueObs{
-		sc:       sc,
+		depth:    sc.Marker(obs.KindQueueDepth, "inflight"),
 		inflight: sc.Gauge("inflight"),
 		q2cRead:  sc.Histogram("q2c_read_ns"),
 		q2cWrite: sc.Histogram("q2c_write_ns"),
@@ -55,7 +54,7 @@ func (q *Queue) Observe(sc obs.Scope) {
 // on.
 func (q *Queue) obsSampleDepth() {
 	o := &q.obs
-	if o.inflight == nil && !o.sc.TracingOn() {
+	if o.inflight == nil && !o.depth.On() {
 		return
 	}
 	if o.sampled && q.inflight == o.lastDepth {
@@ -64,7 +63,7 @@ func (q *Queue) obsSampleDepth() {
 	o.sampled = true
 	o.lastDepth = q.inflight
 	o.inflight.Set(int64(q.inflight))
-	o.sc.Instant(q.k.Now(), obs.KindQueueDepth, "inflight", int64(q.inflight))
+	o.depth.Instant(q.k.Now(), int64(q.inflight))
 }
 
 // obsDone records the queue-to-complete latency of a request that
@@ -95,44 +94,50 @@ func (q *Queue) obsDone(r *Request) {
 type spanLog struct {
 	since uint64 // requests with an ID up to this were submitted before the last flush
 	recs  []blkSpan
+	mark  [OpFlush + 1]obs.Marker // one blkio marker per direction
 }
 
 type blkSpan struct {
 	id    uint64
 	start sim.Time
 	dur   sim.Duration
-	op    blktrace.OpKind
+	op    Op
 }
 
 func (l *spanLog) add(r *Request, now sim.Time) {
 	if r.ID > l.since {
-		l.recs = append(l.recs, blkSpan{id: r.ID, start: r.Queued, dur: now.Sub(r.Queued), op: r.Op.traceKind()})
+		l.recs = append(l.recs, blkSpan{id: r.ID, start: r.Queued, dur: now.Sub(r.Queued), op: r.Op})
 	}
 }
 
 // RecordSpans makes the queue keep a blkio span for every request
 // submitted from now on that completes without error, until FlushSpans
-// hands it on. A queue nobody flushes must not record: it keeps every
-// span.
-func (q *Queue) RecordSpans() {
-	if q.spans == nil {
-		q.spans = &spanLog{since: q.nextID}
+// hands it on into sc. A queue nobody flushes must not record: it keeps
+// every span.
+func (q *Queue) RecordSpans(sc obs.Scope) {
+	if q.spans != nil {
+		return
 	}
+	l := &spanLog{since: q.nextID}
+	for op := range l.mark {
+		l.mark[op] = sc.Marker(obs.KindBlockIO, Op(op).traceKind().String())
+	}
+	q.spans = l
 }
 
-// FlushSpans records the kept spans into sc as KindBlockIO spans named
-// by the request direction ("R", "W", "F") with the request ID as value,
-// in request-ID order, and starts a new window: a request submitted
-// before this call records no span, even if it completes later. A queue
-// without RecordSpans records nothing.
-func (q *Queue) FlushSpans(sc obs.Scope) {
+// FlushSpans records the kept spans into RecordSpans' scope as
+// KindBlockIO spans named by the request direction ("R", "W", "F") with
+// the request ID as value, in request-ID order, and starts a new window:
+// a request submitted before this call records no span, even if it
+// completes later. A queue without RecordSpans records nothing.
+func (q *Queue) FlushSpans() {
 	l := q.spans
 	if l == nil {
 		return
 	}
 	slices.SortFunc(l.recs, cmpSpanID) // completion order differs from submission order
 	for _, s := range l.recs {
-		sc.Span(s.start, s.dur, obs.KindBlockIO, s.op.String(), int64(s.id))
+		l.mark[s.op].Span(s.start, s.dur, int64(s.id))
 	}
 	l.recs = l.recs[:0]
 	l.since = q.nextID

@@ -37,8 +37,8 @@ type Analyzer struct {
 	memberFails []Failures
 
 	// pktFree recycles packets whose verification story has ended (failed
-	// terminally, aged out of the recheck window, or rejected by the host
-	// queue). Experiments are single-threaded, so no locking.
+	// terminally, verified as a clean read, aged out of the recheck window,
+	// or rejected by the host queue). Experiments are single-threaded, so no locking.
 	pktFree pool.FreeList[Packet]
 }
 
@@ -214,7 +214,12 @@ func (a *Analyzer) Classify(pkt *Packet, obs content.Data, faultIdx int) Failure
 		if first {
 			a.counts.OKVerified++
 		}
-		if !pkt.released {
+		switch {
+		case pkt.Op == workload.OpRead:
+			// A read's verdict rests only on Completed, which a recheck
+			// cannot change, so its story ends here.
+			a.release(pkt)
+		case !pkt.released:
 			a.recent = append(a.recent, pkt)
 		}
 	case pkt.FailedAs == FailNone:

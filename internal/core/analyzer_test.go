@@ -176,6 +176,37 @@ func TestRecheckWindowExpiry(t *testing.T) {
 	}
 }
 
+// TestCleanReadLeavesRecheckSet: a read verified clean is released at
+// once, back on the free list and out of the next VerifyCandidates, and
+// the next packet reuses it; a write verified clean stays to be rechecked.
+func TestCleanReadLeavesRecheckSet(t *testing.T) {
+	k, a := newAnalyzer()
+	d := content.Make(1)
+	w := issueWrite(a, 1, 0, d)
+	req := &blockdev.Request{ID: 2, Op: blockdev.OpRead, LPN: 8, Pages: 1}
+	r := a.OnIssue(req)
+	a.OnComplete(r, req)
+	if got := a.VerifyCandidates(k.Now()); len(got) != 1 || got[0] != r {
+		t.Fatalf("candidates %v, want the read", got)
+	}
+	if got := a.Classify(r, content.Data{}, 0); got != FailNone {
+		t.Fatalf("clean read classified %v", got)
+	}
+	a.Classify(w, d, 0)
+	if !r.released || a.pktFree.InUse() != 1 {
+		t.Fatalf("read released %v, %d packets in use; want the read released and only the write in use", r.released, a.pktFree.InUse())
+	}
+	if got := a.VerifyCandidates(k.Now()); len(got) != 1 || got[0] != w {
+		t.Fatalf("recheck candidates %v, want only the write", got)
+	}
+	if c := a.Counters(); c.OKVerified != 2 || c.Reads != 1 {
+		t.Fatalf("counters %+v, want 2 verified OK and 1 read", c)
+	}
+	if next := a.newPacket(); next != r {
+		t.Fatal("the next packet is not the released read")
+	}
+}
+
 func TestLateCorruptionCountsOnce(t *testing.T) {
 	_, a := newAnalyzer()
 	d := content.Make(0x5)

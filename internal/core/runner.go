@@ -61,8 +61,6 @@ type Runner struct {
 	arriveFn  func()
 	fireCutFn func()
 	restoreFn func()
-	// blk is the obs scope the host queue's blkio spans are flushed into.
-	blk obs.Scope
 
 	analyzer *Analyzer
 	rng      *sim.RNG
@@ -116,7 +114,6 @@ func NewRunner(p *Platform, spec ExperimentSpec) (*Runner, error) {
 		spec:     spec,
 		analyzer: NewAnalyzer(p.K, recheckWindow),
 		rng:      p.RNG.Fork("runner"),
-		blk:      p.ObsScope("blk"),
 	}
 	r.thinkFn = r.reissue
 	r.arriveFn = r.arrive
@@ -135,10 +132,10 @@ func NewRunner(p *Platform, spec ExperimentSpec) (*Runner, error) {
 	if p.Array != nil {
 		r.analyzer.SetAttribution(len(p.Array.Members()), p.Array.Attribute)
 	}
-	if r.blk.TracingOn() {
+	if blk := p.ObsScope("blk"); blk.TracingOn() {
 		// Only a runner flushes the spans, so only a runner asks for
 		// them, on whatever queue the platform ends up with.
-		p.Host.RecordSpans()
+		p.Host.RecordSpans(blk)
 	}
 	return r, nil
 }
@@ -448,7 +445,7 @@ func (r *Runner) maybeStartVerify() {
 	// Hand the fault cycle's completed block IOs to the obs trace as
 	// queue-to-complete spans, so block and obs traces share one clock and
 	// one export.
-	r.p.Host.FlushSpans(r.blk)
+	r.p.Host.FlushSpans()
 	r.verifyQueue = r.analyzer.VerifyCandidates(r.p.K.Now())
 	r.verifyPump.start(len(r.verifyQueue))
 }

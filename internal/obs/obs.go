@@ -32,8 +32,8 @@ import "powerfail/internal/sim"
 // left zero. Old events are dropped FIFO past the cap (deterministically:
 // the drop point depends only on the event sequence, not on timing). The
 // cap bounds retention, not allocation: the ring's storage grows in
-// 16 KiB chunks as events are recorded, so a run that records a few
-// thousand events holds a few chunks, not 4 MiB.
+// 16 KiB chunks of 32-byte records as events are recorded, so a run that
+// records a few thousand events holds a few chunks, not 2 MiB.
 const DefaultTraceCap = 1 << 16
 
 // Config selects which observability features a run records. The zero
@@ -86,7 +86,16 @@ func (s *Set) Scope(component string) Scope {
 	if s == nil {
 		return Scope{}
 	}
-	return Scope{set: s, comp: component}
+	return s.scope(component)
+}
+
+// scope binds component, interning it in the trace once.
+func (s *Set) scope(component string) Scope {
+	sc := Scope{set: s, comp: component}
+	if s.tr != nil {
+		sc.cid = s.tr.compID(component)
+	}
+	return sc
 }
 
 // Registry returns the metrics registry, or nil when metrics are off.
@@ -128,6 +137,7 @@ func (s *Set) Summary() *Summary {
 type Scope struct {
 	set  *Set
 	comp string
+	cid  uint16 // comp's index in the trace's component table
 }
 
 // Enabled reports whether the scope is bound to a live Set.
@@ -143,7 +153,7 @@ func (sc Scope) Sub(name string) Scope {
 	if sc.set == nil {
 		return Scope{}
 	}
-	return Scope{set: sc.set, comp: sc.comp + "/" + name}
+	return sc.set.scope(sc.comp + "/" + name)
 }
 
 // Count registers the count at n as a source of the counter
@@ -172,18 +182,24 @@ func (sc Scope) Histogram(name string) *Histogram {
 	return sc.set.reg.Histogram(sc.comp + "/" + name)
 }
 
-// Instant records a zero-duration event at sim time at.
-func (sc Scope) Instant(at sim.Time, kind Kind, name string, value int64) {
-	if sc.set == nil || sc.set.tr == nil {
-		return
+// Marker returns a handle recording events of kind named name from this
+// scope, with the name resolved once; the zero Marker when tracing is
+// off.
+func (sc Scope) Marker(kind Kind, name string) Marker {
+	if !sc.TracingOn() {
+		return Marker{}
 	}
-	sc.set.tr.Record(Event{At: at, Kind: kind, Comp: sc.comp, Name: name, Value: value})
+	tr := sc.set.tr
+	return Marker{tr: tr, kind: kind, comp: sc.cid, name: tr.nameID(name)}
+}
+
+// Instant records a zero-duration event at sim time at. The name is
+// looked up per call; a hot path records through a Marker.
+func (sc Scope) Instant(at sim.Time, kind Kind, name string, value int64) {
+	sc.Marker(kind, name).Instant(at, value)
 }
 
 // Span records an event covering [at, at+dur).
 func (sc Scope) Span(at sim.Time, dur sim.Duration, kind Kind, name string, value int64) {
-	if sc.set == nil || sc.set.tr == nil {
-		return
-	}
-	sc.set.tr.Record(Event{At: at, Dur: dur, Kind: kind, Comp: sc.comp, Name: name, Value: value})
+	sc.Marker(kind, name).Span(at, dur, value)
 }
